@@ -17,7 +17,7 @@ from .errors import SingleClassError
 from .learners import DecisionTree
 from .metrics import aucprc
 from .rng import as_generator, as_seed_sequence
-from .sampling import meta_sample, meta_state, random_balanced_subset
+from .sampling import random_balanced_subset, sample_from_errors, state_from_errors
 
 
 @dataclass
@@ -106,29 +106,48 @@ def train_ensemble(
     member t's subset is reproducible regardless of what the action source
     does. Returns (model, steps); `steps` has one EnsembleStep per added
     member after the first (empty when n_members == 1).
+
+    Each member scores the training and validation rows once, when it is
+    added: its probabilities go into one running sum per split. Every read
+    divides a sum by the member count, which gives the ensemble's errors for
+    the meta-state and the weighted draw and its validation AUCPRC. The sums
+    start from zeros and add members in order, as EnsembleModel.predict_proba
+    does, so every read equals the prediction of the ensemble so far bit for
+    bit. Two sums rather than one over both splits avoid copying features.
     """
     if n_members < 1:
         raise ValueError(f"need at least one member, got {n_members}")
     _check_task(train, valid)
     draw_seeds = as_seed_sequence(seed).spawn(n_members)
 
-    members = [learner_factory().fit(random_balanced_subset(train, draw_seeds[0]))]
-    steps = []
+    first = random_balanced_subset(train, draw_seeds[0])
     if n_members == 1:
-        return EnsembleModel(members), steps
+        return EnsembleModel([learner_factory().fit(first)]), []
 
-    model = EnsembleModel(members)
-    auc = aucprc(model.predict_proba(valid.features), valid.labels)
-    state = meta_state(model, train, valid, bins)
+    members = []
+    majority = train.majority_indices
+    train_sum = np.zeros(len(train), dtype=np.float64)
+    valid_sum = np.zeros(len(valid), dtype=np.float64)
+
+    def add_member(subset):
+        """Fit a member and score it; (train errors, valid AUCPRC, meta-state) of the ensemble."""
+        member = learner_factory().fit(subset)
+        members.append(member)
+        np.add(train_sum, member.predict_proba(train.features), out=train_sum)
+        np.add(valid_sum, member.predict_proba(valid.features), out=valid_sum)
+        train_errors = np.abs(train_sum / len(members) - train.labels)
+        valid_scores = valid_sum / len(members)
+        state = state_from_errors(train_errors, np.abs(valid_scores - valid.labels), bins)
+        return train_errors, aucprc(valid_scores, valid.labels), state
+
+    train_errors, auc, state = add_member(first)
+    steps = []
     for t in range(1, n_members):
         mu = float(actions.action(state))
         if not 0.0 <= mu <= 1.0:
             raise ValueError(f"action source produced {mu}, outside [0, 1]")
-        subset = meta_sample(train, model, mu, sigma, draw_seeds[t])
-        members.append(learner_factory().fit(subset))
-        model = EnsembleModel(members)
-        auc_after = aucprc(model.predict_proba(valid.features), valid.labels)
-        next_state = meta_state(model, train, valid, bins)
+        subset = sample_from_errors(train, train_errors[majority], mu, sigma, draw_seeds[t])
+        train_errors, auc_after, next_state = add_member(subset)
         step = EnsembleStep(
             state=state,
             action=mu,
@@ -142,7 +161,7 @@ def train_ensemble(
             on_step(step)
         auc = auc_after
         state = next_state
-    return model, steps
+    return EnsembleModel(members), steps
 
 
 def train_random_ensemble(

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-Seed = "int | np.random.SeedSequence | np.random.Generator"
-
 
 def as_generator(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):

@@ -4,6 +4,13 @@ The meta-state of an ensemble is the concatenation of two error histograms,
 one over the training set and one over the validation set, so downstream
 components see a fixed-size summary of how error mass moves while members
 are added.
+
+The meta-state and the weighted subset are computed by error-taking cores,
+`state_from_errors` and `sample_from_errors`. A growing cascade calls them with
+errors read from running sums of member scores, so each member scores the
+training and validation rows once. `meta_state` and `meta_sample` are the
+model-taking forms: they score the rows with the given model and call the
+cores.
 """
 from __future__ import annotations
 
@@ -36,13 +43,15 @@ def error_histogram(errors, bins: int) -> np.ndarray:
     return np.bincount(idx, minlength=bins) / errors.size
 
 
-def meta_state(model, train: LabeledDataset, valid: LabeledDataset, bins: int) -> np.ndarray:
+def state_from_errors(train_errors, valid_errors, bins: int) -> np.ndarray:
     """Training-error histogram concatenated with validation-error histogram (length 2b)."""
-    return np.concatenate(
-        (
-            error_histogram(classification_errors(model, train), bins),
-            error_histogram(classification_errors(model, valid), bins),
-        )
+    return np.concatenate((error_histogram(train_errors, bins), error_histogram(valid_errors, bins)))
+
+
+def meta_state(model, train: LabeledDataset, valid: LabeledDataset, bins: int) -> np.ndarray:
+    """`state_from_errors` of the model's errors on the two splits."""
+    return state_from_errors(
+        classification_errors(model, train), classification_errors(model, valid), bins
     )
 
 
@@ -76,15 +85,16 @@ def _sequential_weighted_draw(weights, n_pick, rng):
     return picks
 
 
-def meta_sample(
-    train: LabeledDataset, model, mu: float, sigma: float, seed
+def sample_from_errors(
+    train: LabeledDataset, majority_errors, mu: float, sigma: float, seed
 ) -> LabeledDataset:
     """Balanced subset: all minority rows plus |P| majority rows drawn by error proximity.
 
-    Majority rows are weighted with a Gaussian centered at mu over their current
-    ensemble errors (floored at 1e-12 before normalization) and drawn without
-    replacement. If the majority is not larger than the minority the whole
-    dataset is returned unchanged.
+    `majority_errors` holds the current ensemble error of each majority row,
+    in the order of `train.majority_indices`. Majority rows are weighted with
+    a Gaussian centered at mu over these errors (floored at 1e-12 before
+    normalization) and drawn without replacement. If the majority is not
+    larger than the minority the whole dataset is returned unchanged.
     """
     p_idx, n_idx = train.minority_indices, train.majority_indices
     if len(p_idx) == 0 or len(n_idx) == 0:
@@ -92,12 +102,19 @@ def meta_sample(
     if len(n_idx) <= len(p_idx):
         return train
     rng = as_generator(seed)
-    scores = np.asarray(model.predict_proba(train.features[n_idx]), dtype=np.float64)
-    errors = np.abs(scores - train.labels[n_idx])
-    weights = np.maximum(gaussian_weight(errors, mu, sigma), WEIGHT_FLOOR)
+    weights = np.maximum(gaussian_weight(majority_errors, mu, sigma), WEIGHT_FLOOR)
     weights = weights / weights.sum()
     picks = _sequential_weighted_draw(weights, len(p_idx), rng)
     return train.subset(np.sort(np.concatenate((n_idx[picks], p_idx))))
+
+
+def meta_sample(
+    train: LabeledDataset, model, mu: float, sigma: float, seed
+) -> LabeledDataset:
+    """`sample_from_errors` with the model's errors on the majority rows."""
+    n_idx = train.majority_indices
+    scores = np.asarray(model.predict_proba(train.features[n_idx]), dtype=np.float64)
+    return sample_from_errors(train, np.abs(scores - train.labels[n_idx]), mu, sigma, seed)
 
 
 def random_balanced_subset(train: LabeledDataset, seed) -> LabeledDataset:

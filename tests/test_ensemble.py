@@ -4,12 +4,18 @@ from numpy.random import SeedSequence
 
 from metasampler import (
     ConstantActionSource,
+    DecisionTree,
     EnsembleModel,
+    EnsembleStep,
+    GaussianNaiveBayes,
     RandomActionSource,
     SplitSpec,
     ToySpec,
     aucprc,
     make_toy,
+    meta_sample,
+    meta_state,
+    random_balanced_subset,
     stratified_split,
     train_ensemble,
     train_random_ensemble,
@@ -145,6 +151,79 @@ class TestTrainEnsemble:
         train, valid, _ = toy_parts()
         with pytest.raises(ValueError):
             train_ensemble(train, valid, ConstantActionSource(0.5), n_members=0, seed=0)
+
+
+def rescoring_cascade(train, valid, actions, n_members, learner_factory, seed, sigma=0.2, bins=5):
+    """Reference cascade: rebuild the ensemble and rescore every member at each step."""
+    draw_seeds = SeedSequence(seed).spawn(n_members)
+    members = [learner_factory().fit(random_balanced_subset(train, draw_seeds[0]))]
+    steps = []
+    if n_members == 1:
+        return EnsembleModel(members), steps
+    model = EnsembleModel(members[:1])
+    auc = aucprc(model.predict_proba(valid.features), valid.labels)
+    state = meta_state(model, train, valid, bins)
+    for t in range(1, n_members):
+        mu = float(actions.action(state))
+        subset = meta_sample(train, model, mu, sigma, draw_seeds[t])
+        members.append(learner_factory().fit(subset))
+        model = EnsembleModel(members[: t + 1])
+        auc_after = aucprc(model.predict_proba(valid.features), valid.labels)
+        next_state = meta_state(model, train, valid, bins)
+        steps.append(EnsembleStep(state, mu, auc, auc_after, next_state, t == n_members - 1))
+        auc, state = auc_after, next_state
+    return model, steps
+
+
+class TestIncrementalScoring:
+    @pytest.mark.parametrize("learner", [DecisionTree, GaussianNaiveBayes])
+    @pytest.mark.parametrize("n_members", [1, 2, 8])
+    @pytest.mark.parametrize(
+        "make_source",
+        [lambda: ConstantActionSource(0.35), lambda: RandomActionSource(13)],
+        ids=["constant", "random"],
+    )
+    @pytest.mark.parametrize("n_majority", [300, 60])
+    def test_matches_rescoring_cascade_exactly(self, learner, n_members, make_source, n_majority):
+        # with 60/60 rows the majority is not larger, so every draw returns the whole set
+        train, valid, test = toy_parts(overlap=0.6, seed=7, n_majority=n_majority, n_minority=60)
+        model, steps = train_ensemble(
+            train, valid, make_source(), n_members=n_members, learner_factory=learner, seed=9
+        )
+        ref_model, ref_steps = rescoring_cascade(
+            train, valid, make_source(), n_members, learner, seed=9
+        )
+        assert len(steps) == len(ref_steps) == n_members - 1
+        for step, ref in zip(steps, ref_steps):
+            assert np.array_equal(step.state, ref.state)
+            assert np.array_equal(step.next_state, ref.next_state)
+            assert step.action == ref.action
+            assert step.auc_before == ref.auc_before
+            assert step.auc_after == ref.auc_after
+            assert step.terminal == ref.terminal
+        assert len(model) == len(ref_model) == n_members
+        assert np.array_equal(model.predict_proba(test.features), ref_model.predict_proba(test.features))
+
+    def test_each_member_scores_train_and_valid_once(self):
+        train, valid, _ = toy_parts(overlap=0.5)
+
+        class CountingTree(DecisionTree):
+            def __init__(self):
+                super().__init__()
+                self.rows_scored = 0
+
+            def predict_proba(self, features):
+                self.rows_scored += len(features)
+                return super().predict_proba(features)
+
+        made = []
+
+        def factory():
+            made.append(CountingTree())
+            return made[-1]
+
+        train_ensemble(train, valid, RandomActionSource(1), n_members=8, learner_factory=factory, seed=4)
+        assert [tree.rows_scored for tree in made] == [len(train) + len(valid)] * 8
 
 
 class TestTrainRandomEnsemble:
