@@ -13,8 +13,10 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -125,59 +127,34 @@ def _write_result_csv(path, config: dict, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _sac_fields():
+    """(name, type, default) of each SacConfig field a flag sets; --k sets the ensemble size."""
+    hints = typing.get_type_hints(SacConfig)
+    for f in dataclasses.fields(SacConfig):
+        if f.name != "ensemble_size":
+            # an optional field takes the type it makes optional
+            kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
+            yield f.name, next(t for t in kinds if t is not type(None)), f.default
+
+
+_SAC_FIELDS = tuple(_sac_fields())
+SAC_DEFAULTS = {name: default for name, _, default in _SAC_FIELDS}
+
+
 def _sac_config(resolved: dict, ensemble_size: int) -> SacConfig:
     try:
-        return SacConfig(
-            gamma=float(resolved["gamma"]),
-            tau=float(resolved["tau"]),
-            alpha=float(resolved["alpha"]),
-            lr=float(resolved["lr"]),
-            lr_decay_steps=int(resolved["lr_decay_steps"]),
-            lr_decay_ratio=float(resolved["lr_decay_ratio"]),
-            batch_size=int(resolved["batch_size"]),
-            replay_capacity=int(resolved["replay_capacity"]),
-            gradient_steps=int(resolved["gradient_steps"]),
-            random_steps=int(resolved["random_steps"]),
-            episodes=None if resolved["episodes"] is None else int(resolved["episodes"]),
-            ensemble_size=ensemble_size,
-            bins=int(resolved["bins"]),
-            sigma=float(resolved["sigma"]),
-        )
-    except ValueError as exc:
+        values = {
+            name: None if resolved[name] is None and default is None else cast(resolved[name])
+            for name, cast, default in _SAC_FIELDS
+        }
+        return SacConfig(**values, ensemble_size=ensemble_size)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
 
-SAC_DEFAULTS = {
-    "gamma": 0.99,
-    "tau": 0.01,
-    "alpha": 0.1,
-    "lr": 1e-3,
-    "lr_decay_steps": 10,
-    "lr_decay_ratio": 0.99,
-    "batch_size": 64,
-    "replay_capacity": 1000,
-    "gradient_steps": 1000,
-    "random_steps": 500,
-    "episodes": None,
-    "bins": 5,
-    "sigma": 0.2,
-}
-
-
 def _add_sac_flags(parser):
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--tau", type=float)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--lr", type=float)
-    parser.add_argument("--lr-decay-steps", type=int, dest="lr_decay_steps")
-    parser.add_argument("--lr-decay-ratio", type=float, dest="lr_decay_ratio")
-    parser.add_argument("--batch-size", type=int, dest="batch_size")
-    parser.add_argument("--replay-capacity", type=int, dest="replay_capacity")
-    parser.add_argument("--gradient-steps", type=int, dest="gradient_steps")
-    parser.add_argument("--random-steps", type=int, dest="random_steps")
-    parser.add_argument("--episodes", type=int)
-    parser.add_argument("--bins", type=int)
-    parser.add_argument("--sigma", type=float)
+    for name, cast, _ in _SAC_FIELDS:
+        parser.add_argument("--" + name.replace("_", "-"), type=cast, dest=name)
 
 
 def _learner_factory(name):

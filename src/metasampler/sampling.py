@@ -15,6 +15,10 @@ cores.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from functools import reduce
+from itertools import accumulate
+from operator import add
 
 import numpy as np
 
@@ -70,18 +74,46 @@ def gaussian_weight(x, mu: float, sigma: float):
 
 
 def _sequential_weighted_draw(weights, n_pick, rng):
-    """Indices of n_pick sequential draws without replacement, renormalizing each time."""
-    w = weights.astype(np.float64, copy=True)
+    """Indices of n_pick sequential draws without replacement, renormalizing each time.
+
+    Pick i takes the i-th of n_pick uniforms u from `rng` and chooses the first
+    row whose cumulative weight exceeds u times the remaining total, or the
+    last row with weight left when rounding puts that target at the end; the
+    chosen row's weight is then zeroed. The cumulative weights are kept in two
+    levels: rows are cut into blocks of about sqrt(n), a pick bisects the
+    running sum of the block totals and then the running sum inside one block,
+    and only that block's total is recomputed. A pick costs O(sqrt(n)) instead
+    of the O(n) of one cumulative sum over all rows, and chooses the same row
+    as that sum except when u lands within rounding of a boundary.
+    """
+    values = np.asarray(weights, dtype=np.float64).tolist()
+    size = max(1, math.isqrt(len(values)))
+    blocks = [values[start:start + size] for start in range(0, len(values), size)]
+    # sequential sums, as a cumulative sum adds: builtin sum() is compensated from Python 3.12
+    totals = [reduce(add, block, 0.0) for block in blocks]
+    ends = list(accumulate(totals))
     picks = np.empty(n_pick, dtype=np.intp)
-    for i in range(n_pick):
-        cum = np.cumsum(w)
-        total = cum[-1]
-        j = int(np.searchsorted(cum, rng.random() * total, side="right"))
-        j = min(j, len(w) - 1)
-        while w[j] == 0.0:  # guard against landing on an exhausted cell
-            j -= 1
-        picks[i] = j
-        w[j] = 0.0
+    for i, u in enumerate(rng.random(n_pick).tolist()):
+        target = u * ends[-1]
+        b = bisect_right(ends, target)
+        if b < len(blocks):
+            rest = target - ends[b - 1] if b else target
+        else:  # rounding put the target at or past the total: the last row with weight
+            b -= 1
+            while totals[b] == 0.0:
+                b -= 1
+            rest = math.inf
+        block = blocks[b]
+        running = list(accumulate(block))
+        k = min(bisect_right(running, rest), len(block) - 1)
+        while block[k] == 0.0:  # guard against landing on an exhausted cell
+            k -= 1
+        block[k] = 0.0
+        picks[i] = b * size + k
+        # The sums before the picked row and before its block are unchanged, and
+        # the zeroed cell adds nothing, so these equal sums recomputed from scratch.
+        totals[b] = reduce(add, block[k + 1:], running[k - 1] if k else 0.0)
+        ends[b:] = accumulate(totals[b + 1:], initial=ends[b - 1] + totals[b] if b else totals[b])
     return picks
 
 

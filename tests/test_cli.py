@@ -126,6 +126,15 @@ class TestConfigMerge:
             "generate-toy", "--config", str(config), "--out", str(tmp_path / "x.csv"),
         ]) == 1
 
+    @pytest.mark.parametrize("value", [None, [64], "many"])
+    def test_bad_sac_value_in_config_file(self, tmp_path, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"batch_size": value}))
+        assert main([
+            "meta-train", str(tmp_path / "task.csv"), "--config", str(config),
+            "--out", str(tmp_path / "out"),
+        ]) == 1
+
 
 class TestMetaTrain:
     def test_writes_sampler_and_log(self, workdir, task_csv, sampler_path):

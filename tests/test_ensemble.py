@@ -12,6 +12,7 @@ from metasampler import (
     SplitSpec,
     ToySpec,
     aucprc,
+    gaussian_weight,
     make_toy,
     meta_sample,
     meta_state,
@@ -20,6 +21,7 @@ from metasampler import (
     train_ensemble,
     train_random_ensemble,
 )
+from metasampler.sampling import WEIGHT_FLOOR
 from conftest import FixedModel, make_dataset
 
 
@@ -175,34 +177,83 @@ def rescoring_cascade(train, valid, actions, n_members, learner_factory, seed, s
     return model, steps
 
 
+def assert_same_steps(steps, ref_steps):
+    assert len(steps) == len(ref_steps)
+    for step, ref in zip(steps, ref_steps):
+        assert np.array_equal(step.state, ref.state)
+        assert np.array_equal(step.next_state, ref.next_state)
+        assert step.action == ref.action
+        assert step.auc_before == ref.auc_before
+        assert step.auc_after == ref.auc_after
+        assert step.terminal == ref.terminal
+
+
+# No ensemble error of the all-floor cascades below lies within 0.001 of this
+# center, so with this width every majority weight is at the floor.
+FLOOR_MU, FLOOR_SIGMA = 0.61803, 1e-4
+
+
 class TestIncrementalScoring:
     @pytest.mark.parametrize("learner", [DecisionTree, GaussianNaiveBayes])
     @pytest.mark.parametrize("n_members", [1, 2, 8])
     @pytest.mark.parametrize(
         "make_source",
-        [lambda: ConstantActionSource(0.35), lambda: RandomActionSource(13)],
-        ids=["constant", "random"],
+        [
+            lambda: (ConstantActionSource(0.35), 0.2),
+            lambda: (RandomActionSource(13), 0.2),
+            lambda: (ConstantActionSource(FLOOR_MU), FLOOR_SIGMA),
+        ],
+        ids=["constant", "random", "all_floor"],
     )
-    @pytest.mark.parametrize("n_majority", [300, 60])
+    # 36 minority training rows against 180 majority rows (blocks of 13, the
+    # last one ragged), 36 (returned whole), 37 (all but one drawn; blocks of
+    # 6 and a last one of one row) and 600 (25 whole blocks of 24)
+    @pytest.mark.parametrize("n_majority", [300, 60, 61, 1000])
     def test_matches_rescoring_cascade_exactly(self, learner, n_members, make_source, n_majority):
-        # with 60/60 rows the majority is not larger, so every draw returns the whole set
         train, valid, test = toy_parts(overlap=0.6, seed=7, n_majority=n_majority, n_minority=60)
+        subsets = []
+
+        class Recording(learner):
+            def fit(self, subset):
+                subsets.append(subset)
+                return super().fit(subset)
+
+        source, sigma = make_source()
         model, steps = train_ensemble(
-            train, valid, make_source(), n_members=n_members, learner_factory=learner, seed=9
+            train, valid, source, sigma=sigma, n_members=n_members, learner_factory=Recording, seed=9
         )
+        source, sigma = make_source()
         ref_model, ref_steps = rescoring_cascade(
-            train, valid, make_source(), n_members, learner, seed=9
+            train, valid, source, n_members, learner, seed=9, sigma=sigma
         )
-        assert len(steps) == len(ref_steps) == n_members - 1
-        for step, ref in zip(steps, ref_steps):
-            assert np.array_equal(step.state, ref.state)
-            assert np.array_equal(step.next_state, ref.next_state)
-            assert step.action == ref.action
-            assert step.auc_before == ref.auc_before
-            assert step.auc_after == ref.auc_after
-            assert step.terminal == ref.terminal
+        assert len(steps) == n_members - 1
+        assert_same_steps(steps, ref_steps)
+        assert all(np.isfinite(s.auc_after) and np.isfinite(s.next_state).all() for s in steps)
         assert len(model) == len(ref_model) == n_members
-        assert np.array_equal(model.predict_proba(test.features), ref_model.predict_proba(test.features))
+        scores = model.predict_proba(test.features)
+        assert np.array_equal(scores, ref_model.predict_proba(test.features))
+        assert np.isfinite(scores).all()
+
+        # every subset is balanced (or the whole set) and has no row twice
+        n_drawn = min(train.majority_count, train.minority_count)
+        for subset in subsets:
+            assert (subset.majority_count, subset.minority_count) == (n_drawn, train.minority_count)
+            assert len(np.unique(subset.features, axis=0)) == len(subset)
+
+        source, sigma = make_source()
+        again, again_steps = train_ensemble(
+            train, valid, source, sigma=sigma, n_members=n_members, learner_factory=learner, seed=9
+        )
+        assert_same_steps(again_steps, steps)
+        assert np.array_equal(again.predict_proba(test.features), scores)
+
+        if sigma == FLOOR_SIGMA:
+            majority = train.features[train.majority_indices]
+            member_sum = np.zeros(len(majority))
+            for t, member in enumerate(ref_model.members[:-1], start=1):
+                member_sum += member.predict_proba(majority)
+                errors = np.abs(member_sum / t - train.labels[train.majority_indices])
+                assert np.all(gaussian_weight(errors, FLOOR_MU, FLOOR_SIGMA) < WEIGHT_FLOOR)
 
     def test_each_member_scores_train_and_valid_once(self):
         train, valid, _ = toy_parts(overlap=0.5)

@@ -12,6 +12,7 @@ from metasampler import (
     meta_state,
     random_balanced_subset,
 )
+from metasampler.sampling import WEIGHT_FLOOR, _sequential_weighted_draw
 from conftest import FixedModel, brute_histogram, make_dataset
 
 
@@ -165,6 +166,77 @@ class TestMetaSample:
         model = FixedModel(ds.features, np.zeros(30))
         with pytest.raises(SingleClassError):
             meta_sample(ds.subset(ds.majority_indices[:4].tolist() + [4, 5]), model, 0.5, 0.2, 0)
+
+
+def cumsum_draw(weights, n_pick, rng):
+    """Reference draw: one cumulative sum over all rows per pick."""
+    w = weights.astype(np.float64, copy=True)
+    picks = np.empty(n_pick, dtype=np.intp)
+    for i in range(n_pick):
+        cum = np.cumsum(w)
+        total = cum[-1]
+        j = int(np.searchsorted(cum, rng.random() * total, side="right"))
+        j = min(j, len(w) - 1)
+        while w[j] == 0.0:  # guard against landing on an exhausted cell
+            j -= 1
+        picks[i] = j
+        w[j] = 0.0
+    return picks
+
+
+def draw_weights(errors, mu, sigma):
+    """Majority weights as sample_from_errors computes them."""
+    weights = np.maximum(gaussian_weight(errors, mu, sigma), WEIGHT_FLOOR)
+    return weights / weights.sum()
+
+
+class TestSequentialWeightedDraw:
+    def assert_matches_cumsum_draw(self, weights, n_pick, seed):
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        picks = _sequential_weighted_draw(weights, n_pick, rng)
+        assert np.array_equal(picks, cumsum_draw(weights, n_pick, ref_rng))
+        assert rng.random() == ref_rng.random()  # the generator is left in the same state
+
+    def test_matches_cumsum_draw_exactly(self):
+        meta = np.random.default_rng(77)
+        for case in range(1200):
+            # log-uniform sizes: many small draws, some over a few thousand rows
+            n = int(np.exp(meta.uniform(np.log(2), np.log(4000))))
+            n_pick = int(np.exp(meta.uniform(0.0, np.log(n - 1)))) if n > 2 else 1
+            kind = case % 4
+            if kind == 1:  # six levels 0, 0.2, ..., 1
+                errors = meta.integers(0, 6, n) / 5
+            elif kind == 2:  # two levels
+                errors = meta.integers(0, 2, n).astype(np.float64)
+            else:
+                errors = meta.random(n)
+            if kind == 3:  # most weights at the floor
+                mu, sigma = 0.0, 0.02
+            else:
+                mu, sigma = float(meta.random()), float(meta.choice([0.05, 0.2, 0.5]))
+            self.assert_matches_cumsum_draw(draw_weights(errors, mu, sigma), n_pick, seed=case)
+
+    def test_matches_cumsum_draw_on_a_large_majority(self):
+        errors = np.random.default_rng(5).random(60_000)
+        self.assert_matches_cumsum_draw(draw_weights(errors, 0.3, 0.2), 3_000, seed=5)
+
+    def test_draws_every_row_once_when_all_are_picked(self):
+        weights = draw_weights(np.linspace(0.0, 1.0, 50), 0.5, 0.2)
+        picks = _sequential_weighted_draw(weights, 50, np.random.default_rng(3))
+        assert sorted(picks.tolist()) == list(range(50))
+        self.assert_matches_cumsum_draw(weights, 50, seed=3)
+
+    def test_target_at_the_total_takes_the_last_row_with_weight(self):
+        class Ones:
+            """A uniform source stuck at 1.0, so every target equals the remaining total."""
+
+            def random(self, size=None):
+                return 1.0 if size is None else np.ones(size)
+
+        weights = draw_weights(np.random.default_rng(8).random(50), 0.5, 0.2)
+        picks = _sequential_weighted_draw(weights, 49, Ones())
+        assert picks.tolist() == list(range(49, 0, -1))
+        assert np.array_equal(picks, cumsum_draw(weights, 49, Ones()))
 
 
 class TestRandomBalancedSubset:
