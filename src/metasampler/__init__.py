@@ -33,6 +33,7 @@ from .errors import (
     FeatureParseError,
     LabelDomainError,
     NumericalError,
+    SamplerFormatError,
     SingleClassError,
 )
 from .learners import DecisionTree, GaussianNaiveBayes
@@ -96,6 +97,7 @@ __all__ = [
     "RandomActionSource",
     "ReplayMemory",
     "SacConfig",
+    "SamplerFormatError",
     "SingleClassError",
     "SplitSpec",
     "ToySpec",

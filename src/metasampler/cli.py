@@ -1,14 +1,16 @@
 """Command-line interface for desk-scale experiments.
 
 Subcommands: generate-toy, meta-train, train, ablation, noise-sweep,
-transfer. Every command accepts --config pointing at a flat JSON file whose
-keys mirror the flag names (underscored); explicit flags win over the file,
-the file wins over built-in defaults. Result CSVs open with a comment row
-recording the resolved configuration, so identical configs and seeds
-reproduce output files byte for byte.
+transfer. Every config key of a subcommand is also its flag (underscores
+become dashes), and --config points at a flat JSON file holding any of those
+keys; explicit flags win over the file, the file wins over built-in
+defaults. Result CSVs open with a comment row recording the resolved
+configuration, so identical configs and seeds reproduce output files byte for
+byte.
 
-Exit codes: 0 success, 1 configuration error, 2 data error, 3 numerical
-failure.
+Exit codes: 0 success, 1 configuration error, 2 data error (including a
+malformed sampler file), 3 numerical failure (including a sampler file with
+non-finite parameters).
 """
 from __future__ import annotations
 
@@ -66,16 +68,6 @@ def _parse_number_list(text, flag, cast):
         raise ConfigError(f"{flag} has a non-numeric entry: {text!r}") from None
 
 
-def _parse_split(text) -> SplitSpec:
-    parts = _parse_number_list(text, "--split", float)
-    if len(parts) != 3:
-        raise ConfigError(f"--split needs three fractions, got {text!r}")
-    try:
-        return SplitSpec(*parts)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _load_config_file(path) -> dict:
     path = Path(path)
     if not path.exists():
@@ -89,22 +81,82 @@ def _load_config_file(path) -> dict:
     return doc
 
 
-def _resolve(args, defaults: dict) -> dict:
-    """Merge CLI flags over config-file values over defaults."""
-    config = _load_config_file(args.config) if args.config else {}
-    unknown = set(config) - set(defaults)
+# Ranges checked before any work, for each of these keys a command has:
+# key -> (cast, test, wording). A key whose default is text holds a comma list.
+# Other keys with a number default (SAC fields aside) are only cast.
+_RANGES = {
+    "k": (int, lambda v: v >= 1, "at least 1"),
+    "mu": (float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "bins": (int, lambda v: v >= 1, "at least 1"),
+    "sigma": (float, lambda v: v > 0.0, "positive"),
+    "ratios": (float, lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+}
+
+
+@dataclasses.dataclass
+class _Run:
+    """A command's resolved configuration and the values parsed from it."""
+
+    config: dict  # as recorded in each result CSV's comment row
+    out: Path
+    numbers: dict  # each number key of the command, cast and checked
+    seeds: list = None  # seeds, split and factory: commands that split a task
+    split: SplitSpec = None
+    factory: type = None
+
+
+def _checked_number(key, value, default):
+    cast, test, wording = _RANGES.get(key, (type(default), None, None))
+    flag = "--" + key.replace("_", "-")
+    is_list = isinstance(default, str)
+    try:
+        values = _parse_number_list(value, flag, cast) if is_list else [cast(value)]
+    except (TypeError, ValueError):
+        raise ConfigError(f"{flag} is not a number: {value!r}") from None
+    for v in values:
+        if test is not None and not test(v):
+            raise ConfigError(f"{flag} must be {wording}, got {v!r}")
+    return values if is_list else values[0]
+
+
+def _resolve(args, defaults: dict) -> _Run:
+    """Merge CLI flags over config-file values over defaults, then check and parse them."""
+    file_config = _load_config_file(args.config) if args.config else {}
+    unknown = set(file_config) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    resolved = {}
+    config = {}
     for key, default in defaults.items():
         flag_value = getattr(args, key, None)
         if flag_value is not None:
-            resolved[key] = flag_value
-        elif key in config:
-            resolved[key] = config[key]
+            config[key] = flag_value
+        elif key in file_config:
+            config[key] = file_config[key]
         else:
-            resolved[key] = default
-    return resolved
+            config[key] = default
+    if config["out"] is None:
+        raise ConfigError("--out is required")
+    numbers = {
+        key: _checked_number(key, config[key], default)
+        for key, default in defaults.items()
+        if key in _RANGES or (key not in _SAC_CASTS and type(default) in (int, float))
+    }
+    run = _Run(config, Path(config["out"]), numbers)
+    if "split" in config:
+        run.seeds = _parse_number_list(config["seed"], "--seed", int)
+        fractions = _parse_number_list(config["split"], "--split", float)
+        if len(fractions) != 3:
+            raise ConfigError(f"--split needs three fractions, got {config['split']!r}")
+        try:
+            run.split = SplitSpec(*fractions)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        run.factory = LEARNERS.get(config["base_learner"])
+        if run.factory is None:
+            raise ConfigError(
+                f"unknown base learner {config['base_learner']!r}; choose from {sorted(LEARNERS)}"
+            )
+    return run
 
 
 def _format_cell(value) -> str:
@@ -139,6 +191,7 @@ def _sac_fields():
 
 _SAC_FIELDS = tuple(_sac_fields())
 SAC_DEFAULTS = {name: default for name, _, default in _SAC_FIELDS}
+_SAC_CASTS = {name: cast for name, cast, _ in _SAC_FIELDS}
 
 
 def _sac_config(resolved: dict, ensemble_size: int) -> SacConfig:
@@ -150,17 +203,6 @@ def _sac_config(resolved: dict, ensemble_size: int) -> SacConfig:
         return SacConfig(**values, ensemble_size=ensemble_size)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _add_sac_flags(parser):
-    for name, cast, _ in _SAC_FIELDS:
-        parser.add_argument("--" + name.replace("_", "-"), type=cast, dest=name)
-
-
-def _learner_factory(name):
-    if name not in LEARNERS:
-        raise ConfigError(f"unknown base learner {name!r}; choose from {sorted(LEARNERS)}")
-    return LEARNERS[name]
 
 
 def _split_task(ds, split_spec, seed):
@@ -209,7 +251,130 @@ def _ensemble_score(mode, task_parts, *, sampler, mu, n_members, bins, sigma,
     return aucprc(model.predict_proba(test.features), test.labels)
 
 
-def _meta_train_with_log(tasks, config, seed, learner_factory):
+def _summary(scores) -> tuple:
+    arr = np.asarray(scores, dtype=np.float64)
+    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+    return float(arr.mean()), std
+
+
+def _summary_rows(scores, baseline=None) -> list:
+    """[label, mean, std] of each arm's scores.
+
+    With `baseline`, each row adds the percent change of its mean from the
+    baseline arm's mean, or "" when that arm did not run.
+    """
+    base = _summary(scores[baseline])[0] if baseline in scores else None
+    rows = []
+    for label, arm_scores in scores.items():
+        mean, std = _summary(arm_scores)
+        row = [label, mean, std]
+        if baseline is not None:
+            row.append("" if base is None else 100.0 * (mean - base) / base)
+        rows.append(row)
+    return rows
+
+
+def _score_arms(ds, run, arms, *, k, ratio=None, mu=None, bins=None, sigma=None):
+    """Test AUCPRC per seed of each (label, mode, sampler) arm: {label: [score per seed]}.
+
+    Each seed splits the task once for all arms; with `ratio`, its train part
+    first gets flip noise at that ratio. The knobs are named after the config
+    keys that set them (k is the ensemble size); a mode ignores those it does
+    not use.
+    """
+    scores = {label: [] for label, _, _ in arms}
+    for seed in run.seeds:
+        train, valid, test = _split_task(ds, run.split, seed)
+        if ratio is not None:
+            train = inject_flip_noise(train, ratio, seed)
+        for label, mode, sampler in arms:
+            scores[label].append(
+                _ensemble_score(
+                    mode,
+                    (train, valid, test),
+                    sampler=sampler,
+                    mu=mu,
+                    n_members=k,
+                    bins=bins,
+                    sigma=sigma,
+                    learner_factory=run.factory,
+                    seed=seed,
+                )
+            )
+    return scores
+
+
+def _sweep(ds, run, modes, points, baseline=None):
+    """Meta-train at --meta-seed, then score `modes`, at each (value, SacConfig, ratio) point.
+
+    A point's ratio, unless None, flip-noises the train parts first. Returns the
+    summary rows (see _summary_rows) and the raw rows, mode-major within each
+    point, each led by the point's value.
+    """
+    meta_seed = run.numbers["meta_seed"]
+    summary_rows, raw_rows = [], []
+    for value, sac, ratio in points:
+        train, valid, _ = _split_task(ds, run.split, meta_seed)
+        if ratio is not None:
+            train = inject_flip_noise(train, ratio, meta_seed)
+        sampler = meta_train([(train, valid)], sac, meta_seed, learner_factory=run.factory)
+        scores = _score_arms(
+            ds,
+            run,
+            [(mode, mode, sampler) for mode in modes],
+            k=sac.ensemble_size,
+            ratio=ratio,
+            bins=sac.bins,
+            sigma=sac.sigma,
+        )
+        raw_rows += [
+            [value, mode, seed, score]
+            for mode in modes
+            for seed, score in zip(run.seeds, scores[mode])
+        ]
+        summary_rows += [[value, *row] for row in _summary_rows(scores, baseline)]
+    return summary_rows, raw_rows
+
+
+def _write_results(run, args, tables, **parsed) -> None:
+    """Write each (file name, header, rows) table under --out and say so.
+
+    The comment row holds the resolved config with the task, the parsed seeds
+    and any other `parsed` lists in place of their text.
+    """
+    run_config = {**run.config, "task": args.task, "seed": run.seeds, **parsed}
+    paths = [run.out / name for name, _, _ in tables]
+    for path, (_, header, rows) in zip(paths, tables):
+        _write_result_csv(path, run_config, header, rows)
+    print("wrote " + " and ".join(map(str, paths)))
+
+
+def cmd_generate_toy(run, args) -> int:
+    numbers = run.numbers
+    try:
+        spec = ToySpec(
+            n_majority=numbers["majority"],
+            n_minority=numbers["minority"],
+            overlap=numbers["overlap"],
+            seed=int(run.config["seed"]),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+    save_csv(make_toy(spec), run.config["out"])
+    print(f"wrote {run.config['out']}")
+    return 0
+
+
+def cmd_meta_train(run, args) -> int:
+    if len(run.seeds) != 1:
+        raise ConfigError("meta-train takes exactly one seed")
+    sac = _sac_config(run.config, ensemble_size=run.numbers["k"])
+    tasks = []
+    for path in args.tasks:
+        ds = load_csv(path, run.config["label_column"])
+        train, valid, _ = _split_task(ds, run.split, run.numbers["split_seed"])
+        tasks.append((train, valid))
+
     log_rows = []
 
     def on_step(episode, step, task_index, ensemble_step):
@@ -224,429 +389,143 @@ def _meta_train_with_log(tasks, config, seed, learner_factory):
             ]
         )
 
-    sampler = meta_train(tasks, config, seed, learner_factory=learner_factory, on_step=on_step)
-    return sampler, log_rows
-
-
-def cmd_generate_toy(args) -> int:
-    defaults = {"majority": 2000, "minority": 200, "overlap": 0.5, "seed": 0, "out": None}
-    resolved = _resolve(args, defaults)
-    if resolved["out"] is None:
-        raise ConfigError("--out is required")
-    try:
-        spec = ToySpec(
-            n_majority=int(resolved["majority"]),
-            n_minority=int(resolved["minority"]),
-            overlap=float(resolved["overlap"]),
-            seed=int(resolved["seed"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    save_csv(make_toy(spec), resolved["out"])
-    print(f"wrote {resolved['out']}")
-    return 0
-
-
-def cmd_meta_train(args) -> int:
-    defaults = {
-        "label_column": "label",
-        "split": "0.6,0.2,0.2",
-        "split_seed": 0,
-        "seed": "0",
-        "k": 10,
-        "base_learner": "tree",
-        "out": None,
-        **SAC_DEFAULTS,
-    }
-    resolved = _resolve(args, defaults)
-    if resolved["out"] is None:
-        raise ConfigError("--out is required")
-    seeds = _parse_number_list(resolved["seed"], "--seed", int)
-    if len(seeds) != 1:
-        raise ConfigError("meta-train takes exactly one seed")
-    split_spec = _parse_split(resolved["split"])
-    sac = _sac_config(resolved, ensemble_size=int(resolved["k"]))
-    factory = _learner_factory(resolved["base_learner"])
-
-    tasks = []
-    for path in args.tasks:
-        ds = load_csv(path, resolved["label_column"])
-        train, valid, _ = _split_task(ds, split_spec, int(resolved["split_seed"]))
-        tasks.append((train, valid))
-
-    sampler, log_rows = _meta_train_with_log(tasks, sac, seeds[0], factory)
-    out = Path(resolved["out"])
-    save_sampler(sampler, out / "sampler.json")
-    run_config = {**resolved, "tasks": list(args.tasks), "out": str(out)}
+    sampler = meta_train(tasks, sac, run.seeds[0], learner_factory=run.factory, on_step=on_step)
+    save_sampler(sampler, run.out / "sampler.json")
     _write_result_csv(
-        out / "meta_train_log.csv",
-        run_config,
+        run.out / "meta_train_log.csv",
+        {**run.config, "tasks": list(args.tasks), "out": str(run.out)},
         ["episode", "step", "task_index", "action", "reward", "valid_aucprc"],
         log_rows,
     )
-    print(f"wrote {out / 'sampler.json'} and {out / 'meta_train_log.csv'}")
+    print(f"wrote {run.out / 'sampler.json'} and {run.out / 'meta_train_log.csv'}")
     return 0
 
 
-def cmd_train(args) -> int:
-    defaults = {
-        "label_column": "label",
-        "split": "0.6,0.2,0.2",
-        "seed": "0",
-        "k": 10,
-        "mode": "policy",
-        "sampler": None,
-        "mu": 0.5,
-        "bins": 5,
-        "sigma": 0.2,
-        "base_learner": "tree",
-        "out": None,
-    }
-    resolved = _resolve(args, defaults)
-    if resolved["out"] is None:
-        raise ConfigError("--out is required")
-    mode = resolved["mode"]
+def cmd_train(run, args) -> int:
+    mode = run.config["mode"]
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; choose from {MODES}")
     sampler = None
     if mode == "policy":
-        if resolved["sampler"] is None:
+        if run.config["sampler"] is None:
             raise ConfigError("--sampler is required for policy mode")
-        sampler = load_sampler(resolved["sampler"])
-    seeds = _parse_number_list(resolved["seed"], "--seed", int)
-    split_spec = _parse_split(resolved["split"])
-    factory = _learner_factory(resolved["base_learner"])
-    ds = load_csv(args.task, resolved["label_column"])
-
-    rows = []
-    for seed in seeds:
-        parts = _split_task(ds, split_spec, seed)
-        score = _ensemble_score(
-            mode,
-            parts,
-            sampler=sampler,
-            mu=float(resolved["mu"]),
-            n_members=int(resolved["k"]),
-            bins=int(resolved["bins"]),
-            sigma=float(resolved["sigma"]),
-            learner_factory=factory,
-            seed=seed,
-        )
-        rows.append([seed, score])
-
-    run_config = {**resolved, "task": args.task, "seed": seeds}
-    out = Path(resolved["out"])
-    _write_result_csv(out / "train_results.csv", run_config, ["seed", "test_aucprc"], rows)
-    print(f"wrote {out / 'train_results.csv'}")
+        sampler = load_sampler(run.config["sampler"])
+    ds = load_csv(args.task, run.config["label_column"])
+    scores = _score_arms(ds, run, [(mode, mode, sampler)], **run.numbers)
+    rows = [[seed, score] for seed, score in zip(run.seeds, scores[mode])]
+    _write_results(run, args, [("train_results.csv", ["seed", "test_aucprc"], rows)])
     return 0
 
 
-def _summary(scores) -> tuple:
-    arr = np.asarray(scores, dtype=np.float64)
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return float(arr.mean()), std
-
-
-def cmd_ablation(args) -> int:
-    defaults = {
-        "label_column": "label",
-        "split": "0.6,0.2,0.2",
-        "seed": "0,1,2,3,4,5,6,7,8,9",
-        "meta_seed": 0,
-        "k": "5",
-        "base_learner": "tree",
-        "out": None,
-        **SAC_DEFAULTS,
-    }
-    resolved = _resolve(args, defaults)
-    if resolved["out"] is None:
-        raise ConfigError("--out is required")
-    seeds = _parse_number_list(resolved["seed"], "--seed", int)
-    k_list = _parse_number_list(resolved["k"], "--k", int)
-    split_spec = _parse_split(resolved["split"])
-    factory = _learner_factory(resolved["base_learner"])
-    ds = load_csv(args.task, resolved["label_column"])
-    meta_train_split = _split_task(ds, split_spec, int(resolved["meta_seed"]))
-
-    raw_rows, summary_rows = [], []
-    for k in k_list:
-        sac = _sac_config(resolved, ensemble_size=k)
-        sampler, _ = _meta_train_with_log(
-            [meta_train_split[:2]], sac, int(resolved["meta_seed"]), factory
-        )
-        scores = {}
-        for mode in ("policy", "random-policy", "random-sampling"):
-            scores[mode] = []
-            for seed in seeds:
-                parts = _split_task(ds, split_spec, seed)
-                score = _ensemble_score(
-                    mode,
-                    parts,
-                    sampler=sampler,
-                    mu=0.5,
-                    n_members=k,
-                    bins=sac.bins,
-                    sigma=sac.sigma,
-                    learner_factory=factory,
-                    seed=seed,
-                )
-                scores[mode].append(score)
-                raw_rows.append([k, mode, seed, score])
-        policy_mean, _ = _summary(scores["policy"])
-        for mode in ("policy", "random-policy", "random-sampling"):
-            mean, std = _summary(scores[mode])
-            delta_pct = 100.0 * (mean - policy_mean) / policy_mean
-            summary_rows.append([k, mode, mean, std, delta_pct])
-
-    run_config = {**resolved, "task": args.task, "seed": seeds, "k": k_list}
-    out = Path(resolved["out"])
-    _write_result_csv(
-        out / "ablation_summary.csv",
-        run_config,
-        ["k", "mode", "mean_aucprc", "std_aucprc", "delta_pct"],
-        summary_rows,
+def cmd_ablation(run, args) -> int:
+    k_list = run.numbers["k"]
+    points = [(k, _sac_config(run.config, ensemble_size=k), None) for k in k_list]
+    ds = load_csv(args.task, run.config["label_column"])
+    modes = ("policy", "random-policy", "random-sampling")
+    summary_rows, raw_rows = _sweep(ds, run, modes, points, baseline="policy")
+    _write_results(
+        run,
+        args,
+        [
+            ("ablation_summary.csv", ["k", "mode", "mean_aucprc", "std_aucprc", "delta_pct"],
+             summary_rows),
+            ("ablation_raw.csv", ["k", "mode", "seed", "test_aucprc"], raw_rows),
+        ],
+        k=k_list,
     )
-    _write_result_csv(
-        out / "ablation_raw.csv",
-        run_config,
-        ["k", "mode", "seed", "test_aucprc"],
-        raw_rows,
-    )
-    print(f"wrote {out / 'ablation_summary.csv'} and {out / 'ablation_raw.csv'}")
     return 0
 
 
-def cmd_noise_sweep(args) -> int:
-    defaults = {
-        "label_column": "label",
-        "split": "0.6,0.2,0.2",
-        "seed": "0,1,2,3,4,5,6,7,8,9",
-        "meta_seed": 0,
-        "k": 5,
-        "ratios": "0,0.1,0.25,0.4",
-        "base_learner": "tree",
-        "out": None,
-        **SAC_DEFAULTS,
-    }
-    resolved = _resolve(args, defaults)
-    if resolved["out"] is None:
-        raise ConfigError("--out is required")
-    seeds = _parse_number_list(resolved["seed"], "--seed", int)
-    ratios = _parse_number_list(resolved["ratios"], "--ratios", float)
-    split_spec = _parse_split(resolved["split"])
-    factory = _learner_factory(resolved["base_learner"])
-    k = int(resolved["k"])
-    sac = _sac_config(resolved, ensemble_size=k)
-    ds = load_csv(args.task, resolved["label_column"])
-    meta_seed = int(resolved["meta_seed"])
-
-    raw_rows, summary_rows = [], []
-    for ratio in ratios:
-        meta_parts = _split_task(ds, split_spec, meta_seed)
-        noisy_meta_train = inject_flip_noise(meta_parts[0], ratio, meta_seed)
-        sampler, _ = _meta_train_with_log(
-            [(noisy_meta_train, meta_parts[1])], sac, meta_seed, factory
-        )
-        scores = {}
-        for mode in ("policy", "random-sampling"):
-            scores[mode] = []
-            for seed in seeds:
-                train, valid, test = _split_task(ds, split_spec, seed)
-                noisy_train = inject_flip_noise(train, ratio, seed)
-                score = _ensemble_score(
-                    mode,
-                    (noisy_train, valid, test),
-                    sampler=sampler,
-                    mu=0.5,
-                    n_members=k,
-                    bins=sac.bins,
-                    sigma=sac.sigma,
-                    learner_factory=factory,
-                    seed=seed,
-                )
-                scores[mode].append(score)
-                raw_rows.append([ratio, mode, seed, score])
-        for mode in ("policy", "random-sampling"):
-            mean, std = _summary(scores[mode])
-            summary_rows.append([ratio, mode, mean, std])
-
-    run_config = {**resolved, "task": args.task, "seed": seeds, "ratios": ratios}
-    out = Path(resolved["out"])
-    _write_result_csv(
-        out / "noise_summary.csv",
-        run_config,
-        ["ratio", "mode", "mean_aucprc", "std_aucprc"],
-        summary_rows,
+def cmd_noise_sweep(run, args) -> int:
+    ratios = run.numbers["ratios"]
+    sac = _sac_config(run.config, ensemble_size=run.numbers["k"])
+    ds = load_csv(args.task, run.config["label_column"])
+    points = [(ratio, sac, ratio) for ratio in ratios]
+    summary_rows, raw_rows = _sweep(ds, run, ("policy", "random-sampling"), points)
+    _write_results(
+        run,
+        args,
+        [
+            ("noise_summary.csv", ["ratio", "mode", "mean_aucprc", "std_aucprc"], summary_rows),
+            ("noise_raw.csv", ["ratio", "mode", "seed", "test_aucprc"], raw_rows),
+        ],
+        ratios=ratios,
     )
-    _write_result_csv(
-        out / "noise_raw.csv",
-        run_config,
-        ["ratio", "mode", "seed", "test_aucprc"],
-        raw_rows,
-    )
-    print(f"wrote {out / 'noise_summary.csv'} and {out / 'noise_raw.csv'}")
     return 0
 
 
-def cmd_transfer(args) -> int:
-    defaults = {
-        "label_column": "label",
-        "split": "0.6,0.2,0.2",
-        "seed": "0,1,2,3,4,5,6,7,8,9",
-        "k": 5,
-        "sampler": None,
-        "reference_sampler": None,
-        "base_learner": "tree",
-        "out": None,
-    }
-    resolved = _resolve(args, defaults)
-    if resolved["out"] is None:
-        raise ConfigError("--out is required")
-    if resolved["sampler"] is None:
+def cmd_transfer(run, args) -> int:
+    if run.config["sampler"] is None:
         raise ConfigError("--sampler is required")
-    sampler = load_sampler(resolved["sampler"])
-    reference = (
-        load_sampler(resolved["reference_sampler"])
-        if resolved["reference_sampler"] is not None
-        else None
+    arms = [("transfer", "policy", load_sampler(run.config["sampler"]))]
+    if run.config["reference_sampler"] is not None:
+        arms.append(("reference", "policy", load_sampler(run.config["reference_sampler"])))
+    ds = load_csv(args.task, run.config["label_column"])
+    scores = _score_arms(ds, run, arms, **run.numbers)
+    raw_rows = [
+        [label, seed, scores[label][i]] for i, seed in enumerate(run.seeds) for label in scores
+    ]
+    _write_results(
+        run,
+        args,
+        [
+            ("transfer_summary.csv",
+             ["mode", "mean_aucprc", "std_aucprc", "delta_pct_vs_reference"],
+             _summary_rows(scores, baseline="reference")),
+            ("transfer_raw.csv", ["mode", "seed", "test_aucprc"], raw_rows),
+        ],
     )
-    seeds = _parse_number_list(resolved["seed"], "--seed", int)
-    split_spec = _parse_split(resolved["split"])
-    factory = _learner_factory(resolved["base_learner"])
-    k = int(resolved["k"])
-    ds = load_csv(args.task, resolved["label_column"])
-
-    raw_rows = []
-    scores = {"transfer": [], "reference": []}
-    for seed in seeds:
-        parts = _split_task(ds, split_spec, seed)
-        for name, current in (("transfer", sampler), ("reference", reference)):
-            if current is None:
-                continue
-            score = _ensemble_score(
-                "policy",
-                parts,
-                sampler=current,
-                mu=0.5,
-                n_members=k,
-                bins=current.bins,
-                sigma=current.sigma,
-                learner_factory=factory,
-                seed=seed,
-            )
-            scores[name].append(score)
-            raw_rows.append([name, seed, score])
-
-    summary_rows = []
-    transfer_mean, transfer_std = _summary(scores["transfer"])
-    if reference is not None:
-        reference_mean, reference_std = _summary(scores["reference"])
-        delta = 100.0 * (transfer_mean - reference_mean) / reference_mean
-        summary_rows.append(["transfer", transfer_mean, transfer_std, delta])
-        summary_rows.append(["reference", reference_mean, reference_std, 0.0])
-    else:
-        summary_rows.append(["transfer", transfer_mean, transfer_std, ""])
-
-    run_config = {**resolved, "task": args.task, "seed": seeds}
-    out = Path(resolved["out"])
-    _write_result_csv(
-        out / "transfer_summary.csv",
-        run_config,
-        ["mode", "mean_aucprc", "std_aucprc", "delta_pct_vs_reference"],
-        summary_rows,
-    )
-    _write_result_csv(
-        out / "transfer_raw.csv",
-        run_config,
-        ["mode", "seed", "test_aucprc"],
-        raw_rows,
-    )
-    print(f"wrote {out / 'transfer_summary.csv'} and {out / 'transfer_raw.csv'}")
     return 0
+
+
+def _task_defaults(**own) -> dict:
+    """Defaults of a command that splits a task: the shared keys around its own."""
+    return {"label_column": "label", "split": "0.6,0.2,0.2", **own,
+            "base_learner": "tree", "out": None}
+
+
+_TEN_SEEDS = "0,1,2,3,4,5,6,7,8,9"
+
+# (name, positional, handler, help, defaults): each defaults key is a config
+# key and a flag. generate-toy's seed default is text because its flag is.
+COMMANDS = (
+    ("generate-toy", None, cmd_generate_toy, "write a synthetic arc-vs-blob task as CSV",
+     {"majority": 2000, "minority": 200, "overlap": 0.5, "seed": "0", "out": None}),
+    ("meta-train", "tasks", cmd_meta_train, "train a sampling policy on one or more tasks",
+     {**_task_defaults(split_seed=0, seed="0", k=10), **SAC_DEFAULTS}),
+    ("train", "task", cmd_train, "train cascade ensembles and report test AUCPRC per seed",
+     _task_defaults(seed="0", k=10, mode="policy", sampler=None, mu=0.5, bins=5, sigma=0.2)),
+    ("ablation", "task", cmd_ablation, "learned policy vs random policy vs random sampling",
+     {**_task_defaults(seed=_TEN_SEEDS, meta_seed=0, k="5"), **SAC_DEFAULTS}),
+    ("noise-sweep", "task", cmd_noise_sweep, "robustness to minority/majority label flips",
+     {**_task_defaults(seed=_TEN_SEEDS, meta_seed=0, k=5, ratios="0,0.1,0.25,0.4"),
+      **SAC_DEFAULTS}),
+    ("transfer", "task", cmd_transfer, "apply a trained sampler to a new task without retraining",
+     _task_defaults(seed=_TEN_SEEDS, k=5, sampler=None, reference_sampler=None)),
+)
+
+def _flag_type(key, default):
+    """A SAC field's cast, else int or float as the default is, else text (None)."""
+    cast = _SAC_CASTS.get(key, type(default))
+    return cast if cast in (int, float) else None
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="metasampler", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate-toy", help="write a synthetic arc-vs-blob task as CSV")
-    p.add_argument("--config")
-    p.add_argument("--majority", type=int)
-    p.add_argument("--minority", type=int)
-    p.add_argument("--overlap", type=float)
-    p.add_argument("--seed")
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_generate_toy)
-
-    p = sub.add_parser("meta-train", help="train a sampling policy on one or more tasks")
-    p.add_argument("tasks", nargs="+")
-    p.add_argument("--config")
-    p.add_argument("--label-column", dest="label_column")
-    p.add_argument("--split")
-    p.add_argument("--split-seed", type=int, dest="split_seed")
-    p.add_argument("--seed")
-    p.add_argument("--k", type=int)
-    p.add_argument("--base-learner", dest="base_learner")
-    p.add_argument("--out")
-    _add_sac_flags(p)
-    p.set_defaults(handler=cmd_meta_train)
-
-    p = sub.add_parser("train", help="train cascade ensembles and report test AUCPRC per seed")
-    p.add_argument("task")
-    p.add_argument("--config")
-    p.add_argument("--label-column", dest="label_column")
-    p.add_argument("--split")
-    p.add_argument("--seed")
-    p.add_argument("--k", type=int)
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--sampler")
-    p.add_argument("--mu", type=float)
-    p.add_argument("--bins", type=int)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--base-learner", dest="base_learner")
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_train)
-
-    p = sub.add_parser("ablation", help="learned policy vs random policy vs random sampling")
-    p.add_argument("task")
-    p.add_argument("--config")
-    p.add_argument("--label-column", dest="label_column")
-    p.add_argument("--split")
-    p.add_argument("--seed")
-    p.add_argument("--meta-seed", type=int, dest="meta_seed")
-    p.add_argument("--k")
-    p.add_argument("--base-learner", dest="base_learner")
-    p.add_argument("--out")
-    _add_sac_flags(p)
-    p.set_defaults(handler=cmd_ablation)
-
-    p = sub.add_parser("noise-sweep", help="robustness to minority/majority label flips")
-    p.add_argument("task")
-    p.add_argument("--config")
-    p.add_argument("--label-column", dest="label_column")
-    p.add_argument("--split")
-    p.add_argument("--seed")
-    p.add_argument("--meta-seed", type=int, dest="meta_seed")
-    p.add_argument("--k", type=int)
-    p.add_argument("--ratios")
-    p.add_argument("--base-learner", dest="base_learner")
-    p.add_argument("--out")
-    _add_sac_flags(p)
-    p.set_defaults(handler=cmd_noise_sweep)
-
-    p = sub.add_parser("transfer", help="apply a trained sampler to a new task without retraining")
-    p.add_argument("task")
-    p.add_argument("--config")
-    p.add_argument("--label-column", dest="label_column")
-    p.add_argument("--split")
-    p.add_argument("--seed")
-    p.add_argument("--k", type=int)
-    p.add_argument("--sampler")
-    p.add_argument("--reference-sampler", dest="reference_sampler")
-    p.add_argument("--base-learner", dest="base_learner")
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_transfer)
-
+    for name, positional, handler, help_text, defaults in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if positional is not None:
+            p.add_argument(positional, nargs="+" if positional == "tasks" else None)
+        p.add_argument("--config")
+        for key, default in defaults.items():
+            p.add_argument(
+                "--" + key.replace("_", "-"),
+                dest=key,
+                type=_flag_type(key, default),
+                choices=MODES if key == "mode" else None,
+            )
+        p.set_defaults(handler=handler, defaults=defaults)
     return parser
 
 
@@ -654,7 +533,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        return args.handler(_resolve(args, args.defaults), args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

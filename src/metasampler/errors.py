@@ -29,6 +29,10 @@ class ClassTooSmallError(DataError):
     """A class has too few instances for the requested operation."""
 
 
+class SamplerFormatError(DataError, ValueError):
+    """A sampler file does not hold a readable sampler document."""
+
+
 class ConfigError(Exception):
     """Invalid run configuration (CLI flags or config file)."""
 

@@ -218,5 +218,5 @@ def mlp_from_document(doc: dict) -> Mlp:
             raise ValueError(f"unknown activation {act!r}")
     for p in net.parameters():
         if not np.isfinite(p).all():
-            raise ValueError("document contains non-finite parameters")
+            raise NumericalError("document contains non-finite parameters")
     return net

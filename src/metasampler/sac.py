@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .ensemble import train_ensemble
-from .errors import NumericalError
+from .errors import NumericalError, SamplerFormatError
 from .learners import DecisionTree
 from .neural import (
     AdamState,
@@ -517,7 +517,18 @@ def save_sampler(sampler: MetaSampler, path) -> None:
 
 
 def load_sampler(path) -> MetaSampler:
+    """Read a saved sampler.
+
+    A file that is not a sampler document (bad JSON, a missing key, a wrong
+    version, mismatched shapes) raises SamplerFormatError; one with non-finite
+    parameters raises NumericalError.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such sampler file: {path}")
-    return sampler_from_document(json.loads(path.read_text()))
+    try:
+        return sampler_from_document(json.loads(path.read_text()))
+    except KeyError as exc:
+        raise SamplerFormatError(f"sampler file {path} lacks key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise SamplerFormatError(f"sampler file {path} is malformed: {exc}") from None

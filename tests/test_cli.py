@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import pytest
 
 from metasampler import load_sampler
-from metasampler.cli import main
+from metasampler.cli import build_parser, main
 
 TINY_SAC = [
     "--k", "3",
@@ -320,6 +321,245 @@ class TestTransfer:
         assert [row[0] for row in rows] == ["transfer", "reference"]
         # same sampler on both sides: identical seeds give identical scores
         assert float(rows[0][3]) == 0.0
+
+
+def run_cli(argv):
+    """Run the console entry point in a fresh interpreter; return the finished process."""
+    return subprocess.run(
+        [sys.executable, "-m", "metasampler.cli", *argv], capture_output=True, text=True
+    )
+
+
+class TestValueRanges:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--mode", "constant", "--mu", "2"],
+            ["train", "--mode", "random-sampling", "--k", "0"],
+            ["train", "--mode", "random-policy", "--bins", "0"],
+            ["train", "--mode", "random-policy", "--sigma", "0"],
+            ["noise-sweep", "--ratios", "1.0"],
+            ["ablation", "--k", "2,0"],
+        ],
+        ids=["mu", "k", "bins", "sigma", "ratios", "k-list"],
+    )
+    def test_out_of_range_is_config_error(self, tmp_path, task_csv, argv):
+        command, *flags = argv
+        out = tmp_path / "out"
+        result = run_cli([command, str(task_csv), *flags, "--out", str(out)])
+        assert result.returncode == 1, result.stderr
+        assert "configuration error" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("generate-toy", {"majority": None}),
+            ("meta-train", {"split_seed": "x"}),
+            ("ablation", {"meta_seed": "x"}),
+        ],
+    )
+    def test_non_number_in_config_file(self, tmp_path, task_csv, command, doc):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        task = [] if command == "generate-toy" else [str(task_csv)]
+        out = tmp_path / "out"
+        result = run_cli([command, *task, "--config", str(config), "--out", str(out)])
+        assert result.returncode == 1, result.stderr
+        assert "configuration error" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def bad_sampler_files(workdir, sampler_path):
+    """Sampler files that are not JSON, lack the policy, or hold a NaN weight."""
+    doc = json.loads(sampler_path.read_text())
+    files = {
+        "not-json": "{not json",
+        "no-policy": json.dumps({key: v for key, v in doc.items() if key != "policy"}),
+    }
+    doc["policy"]["weights"][0][0][0] = float("nan")
+    files["nan-weight"] = json.dumps(doc)
+    paths = {}
+    for name, text in files.items():
+        paths[name] = workdir / f"sampler-{name}.json"
+        paths[name].write_text(text)
+    return paths
+
+
+def sampler_argv(command, task, sampler, out):
+    if command == "train":
+        return ["train", str(task), "--mode", "policy", "--sampler", str(sampler),
+                "--k", "3", "--seed", "0", "--out", str(out)]
+    return ["transfer", str(task), "--sampler", str(sampler),
+            "--k", "3", "--seed", "0", "--out", str(out)]
+
+
+class TestSamplerFiles:
+    @pytest.mark.parametrize("command", ["train", "transfer"])
+    @pytest.mark.parametrize("kind", ["not-json", "no-policy"])
+    def test_malformed_sampler_is_data_error(
+        self, tmp_path, capsys, task_csv, bad_sampler_files, command, kind
+    ):
+        out = tmp_path / "out"
+        assert main(sampler_argv(command, task_csv, bad_sampler_files[kind], out)) == 2
+        assert "data error" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNumericalFailureExitCode:
+    """A NaN forced into a network exits 3 and writes no result file.
+
+    Every subcommand that runs a network is covered: meta-train, ablation and
+    noise-sweep overflow their networks with a huge learning rate; train (policy
+    mode) and transfer load a sampler file with a NaN weight. generate-toy runs
+    no network.
+    """
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warning
+    @pytest.mark.parametrize("command", ["meta-train", "ablation", "noise-sweep"])
+    def test_overflowing_learning_rate(self, tmp_path, capsys, task_csv, command):
+        out = tmp_path / "out"
+        assert main([
+            command, str(task_csv), "--lr", "1e200", "--seed", "0",
+            "--out", str(out), *TINY_SAC,
+        ]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "transfer"])
+    def test_non_finite_sampler_file(
+        self, tmp_path, capsys, task_csv, bad_sampler_files, command
+    ):
+        out = tmp_path / "out"
+        assert main(sampler_argv(command, task_csv, bad_sampler_files["nan-weight"], out)) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
+
+SAC_FLAGS = {
+    "--gamma": ("gamma", float),
+    "--tau": ("tau", float),
+    "--alpha": ("alpha", float),
+    "--lr": ("lr", float),
+    "--lr-decay-steps": ("lr_decay_steps", int),
+    "--lr-decay-ratio": ("lr_decay_ratio", float),
+    "--batch-size": ("batch_size", int),
+    "--replay-capacity": ("replay_capacity", int),
+    "--gradient-steps": ("gradient_steps", int),
+    "--random-steps": ("random_steps", int),
+    "--episodes": ("episodes", int),
+    "--bins": ("bins", int),
+    "--sigma": ("sigma", float),
+}
+
+# option string -> (dest, type) of every flag, in order; None is plain text
+FLAG_SURFACE = {
+    "generate-toy": {
+        "--config": ("config", None),
+        "--majority": ("majority", int),
+        "--minority": ("minority", int),
+        "--overlap": ("overlap", float),
+        "--seed": ("seed", None),
+        "--out": ("out", None),
+    },
+    "meta-train": {
+        "--config": ("config", None),
+        "--label-column": ("label_column", None),
+        "--split": ("split", None),
+        "--split-seed": ("split_seed", int),
+        "--seed": ("seed", None),
+        "--k": ("k", int),
+        "--base-learner": ("base_learner", None),
+        "--out": ("out", None),
+        **SAC_FLAGS,
+    },
+    "train": {
+        "--config": ("config", None),
+        "--label-column": ("label_column", None),
+        "--split": ("split", None),
+        "--seed": ("seed", None),
+        "--k": ("k", int),
+        "--mode": ("mode", None),
+        "--sampler": ("sampler", None),
+        "--mu": ("mu", float),
+        "--bins": ("bins", int),
+        "--sigma": ("sigma", float),
+        "--base-learner": ("base_learner", None),
+        "--out": ("out", None),
+    },
+    "ablation": {
+        "--config": ("config", None),
+        "--label-column": ("label_column", None),
+        "--split": ("split", None),
+        "--seed": ("seed", None),
+        "--meta-seed": ("meta_seed", int),
+        "--k": ("k", None),
+        "--base-learner": ("base_learner", None),
+        "--out": ("out", None),
+        **SAC_FLAGS,
+    },
+    "noise-sweep": {
+        "--config": ("config", None),
+        "--label-column": ("label_column", None),
+        "--split": ("split", None),
+        "--seed": ("seed", None),
+        "--meta-seed": ("meta_seed", int),
+        "--k": ("k", int),
+        "--ratios": ("ratios", None),
+        "--base-learner": ("base_learner", None),
+        "--out": ("out", None),
+        **SAC_FLAGS,
+    },
+    "transfer": {
+        "--config": ("config", None),
+        "--label-column": ("label_column", None),
+        "--split": ("split", None),
+        "--seed": ("seed", None),
+        "--k": ("k", int),
+        "--sampler": ("sampler", None),
+        "--reference-sampler": ("reference_sampler", None),
+        "--base-learner": ("base_learner", None),
+        "--out": ("out", None),
+    },
+}
+
+# (dest, nargs) of each positional argument
+POSITIONALS = {
+    "generate-toy": [],
+    "meta-train": [("tasks", "+")],
+    "train": [("task", None)],
+    "ablation": [("task", None)],
+    "noise-sweep": [("task", None)],
+    "transfer": [("task", None)],
+}
+
+
+class TestFlagSurface:
+    def test_flags_dests_and_types_are_pinned(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(FLAG_SURFACE)
+        for command, expected in FLAG_SURFACE.items():
+            actions = [
+                a for a in sub.choices[command]._actions if not isinstance(a, argparse._HelpAction)
+            ]
+            flags = [a for a in actions if a.option_strings]
+            assert all(len(a.option_strings) == 1 for a in flags), command
+            assert [(a.option_strings[0], a.dest, a.type) for a in flags] == [
+                (option, dest, kind) for option, (dest, kind) in expected.items()
+            ], command
+            positionals = [(a.dest, a.nargs) for a in actions if not a.option_strings]
+            assert positionals == POSITIONALS[command], command
+            for a in flags:
+                if a.dest == "mode":
+                    assert tuple(a.choices) == (
+                        "policy", "random-policy", "random-sampling", "constant",
+                    )
+                else:
+                    assert a.choices is None, (command, a.dest)
 
 
 class TestConsoleScript:
