@@ -27,8 +27,10 @@ def _as_matrix(features, n_features):
 class DecisionTree:
     """CART with Gini impurity and no depth limit.
 
-    Thresholds are midpoints between consecutive distinct sorted values and a
-    row goes left when value < threshold. Ties in impurity decrease break
+    Thresholds are midpoints between consecutive distinct sorted values, or
+    the upper value where the midpoint rounds onto the lower one (adjacent
+    doubles) or overflows, and a row goes left when value < threshold, so
+    both children of a split are non-empty. Ties in impurity decrease break
     toward the lowest feature index, then the lowest threshold. A node splits
     as long as it is impure, has at least two rows and some feature varies,
     so training error reaches zero whenever no two identical rows disagree.
@@ -108,7 +110,9 @@ class DecisionTree:
             k = int(np.argmax(decrease))  # first max = lowest threshold
             if decrease[k] > best_decrease:
                 best_decrease = decrease[k]
-                best = (j, (sv[cut[k]] + sv[cut[k] + 1]) / 2.0)
+                low, high = float(sv[cut[k]]), float(sv[cut[k] + 1])
+                mid = (low + high) / 2.0
+                best = (j, mid if low < mid <= high else high)
         return best
 
     @property

@@ -17,10 +17,11 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .ensemble import train_ensemble
+from .ensemble import EnsembleStep, train_ensemble
 from .errors import NumericalError, SamplerFormatError
 from .learners import DecisionTree
 from .neural import (
@@ -94,17 +95,9 @@ class SacConfig:
         return 2 * self.bins
 
 
-@dataclass(frozen=True)
-class Transition:
-    state: np.ndarray
-    action: float
-    reward: float
-    next_state: np.ndarray
-    terminal: bool
+class Batch(NamedTuple):
+    """Replay rows as arrays: one row per cascade step."""
 
-
-@dataclass(frozen=True)
-class Batch:
     states: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
@@ -113,38 +106,35 @@ class Batch:
 
 
 class ReplayMemory:
-    """Fixed-capacity FIFO ring buffer of transitions."""
+    """Fixed-capacity FIFO ring buffer of cascade steps, held as one Batch.
+
+    Its float64 rows are allocated at the first push, sized from that step's
+    state, and push number i (from 0) writes row i % capacity.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._buffer = []
-        self._next = 0
+        self._rows = None
+        self._pushed = 0
 
     def __len__(self) -> int:
-        return len(self._buffer)
+        return min(self._pushed, self.capacity)
 
-    def push(self, transition: Transition) -> None:
-        if len(self._buffer) < self.capacity:
-            self._buffer.append(transition)
-        else:
-            self._buffer[self._next] = transition
-        self._next = (self._next + 1) % self.capacity
+    def push(self, step: EnsembleStep) -> None:
+        row = (step.state, step.action, step.reward, step.next_state, step.terminal)
+        if self._rows is None:
+            self._rows = Batch(*(np.zeros((self.capacity,) + np.shape(v)) for v in row))
+        for column, value in zip(self._rows, row):
+            column[self._pushed % self.capacity] = value
+        self._pushed += 1
 
     def sample(self, batch_size: int, rng) -> Batch:
-        if batch_size > len(self._buffer):
-            raise ValueError(f"cannot sample {batch_size} of {len(self._buffer)} transitions")
-        rng = as_generator(rng)
-        idx = rng.choice(len(self._buffer), size=batch_size, replace=False)
-        rows = [self._buffer[i] for i in idx]
-        return Batch(
-            states=np.stack([t.state for t in rows]),
-            actions=np.array([t.action for t in rows]),
-            rewards=np.array([t.reward for t in rows]),
-            next_states=np.stack([t.next_state for t in rows]),
-            terminals=np.array([float(t.terminal) for t in rows]),
-        )
+        if not 0 < batch_size <= len(self):
+            raise ValueError(f"cannot sample {batch_size} of {len(self)} transitions")
+        idx = as_generator(rng).choice(len(self), size=batch_size, replace=False)
+        return Batch(*(column[idx] for column in self._rows))
 
 
 @dataclass
@@ -375,7 +365,7 @@ class _EpisodeActions:
 
 def run_episode(task, sampler, config: SacConfig, replay: ReplayMemory, seed,
                 env_step_offset: int = 0, learner_factory=DecisionTree, after_step=None):
-    """Train one cascade episode, appending its transitions to the replay buffer.
+    """Train one cascade episode, pushing each of its steps into the replay buffer.
 
     `task` is a (train, valid) dataset pair. With sampler None every action is
     uniform random; otherwise actions are uniform while the global step index
@@ -391,15 +381,7 @@ def run_episode(task, sampler, config: SacConfig, replay: ReplayMemory, seed,
     )
 
     def on_step(step):
-        replay.push(
-            Transition(
-                state=step.state,
-                action=step.action,
-                reward=step.reward,
-                next_state=step.next_state,
-                terminal=step.terminal,
-            )
-        )
+        replay.push(step)
         if after_step is not None:
             after_step(step)
 
@@ -456,33 +438,32 @@ def meta_train(tasks, config: SacConfig, seed, learner_factory=DecisionTree,
     env_steps = 0
     updates = 0
     episode = 0
-    while updates < config.gradient_steps:
-        if config.episodes is not None and episode >= config.episodes:
-            break
+
+    def after_step(step):
+        nonlocal env_steps, updates
+        env_steps += 1
+        if (
+            env_steps > config.random_steps
+            and updates < config.gradient_steps
+            and len(replay) >= config.batch_size
+        ):
+            sac_update(replay, nets, optim, config, update_rng)
+            updates += 1
+        if on_step is not None:
+            on_step(episode, env_steps - episode_start - 1, task_index, step)
+
+    while updates < config.gradient_steps and (
+        config.episodes is None or episode < config.episodes
+    ):
         task_index = episode % len(tasks)
-        step_in_episode = 0
-
-        def after_step(step):
-            nonlocal env_steps, updates, step_in_episode
-            env_steps += 1
-            if (
-                env_steps > config.random_steps
-                and updates < config.gradient_steps
-                and len(replay) >= config.batch_size
-            ):
-                sac_update(replay, nets, optim, config, update_rng)
-                updates += 1
-            if on_step is not None:
-                on_step(episode, step_in_episode, task_index, step)
-            step_in_episode += 1
-
+        episode_start = env_steps
         run_episode(
             tasks[task_index],
             sampler,
             config,
             replay,
             episode_root.spawn(1)[0],
-            env_step_offset=env_steps,
+            env_step_offset=episode_start,
             learner_factory=learner_factory,
             after_step=after_step,
         )

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from metasampler import (
+    EnsembleStep,
     SacConfig,
     SplitSpec,
     ToySpec,
@@ -34,7 +35,6 @@ from metasampler.sac import (
     ReplayMemory,
     SacNets,
     SacOptimizers,
-    Transition,
     policy_loss_and_grads,
     q_loss_and_grads,
     sac_update,
@@ -329,10 +329,11 @@ def test_criterion_06_target_update_is_exact_polyak_step():
     rng = np.random.default_rng(606)
     replay = ReplayMemory(config.replay_capacity)
     for _ in range(config.batch_size + 16):
-        replay.push(Transition(
+        replay.push(EnsembleStep(
             state=rng.random(config.state_size),
             action=float(rng.random()),
-            reward=float(0.1 * rng.standard_normal()),
+            auc_before=0.0,
+            auc_after=float(0.1 * rng.standard_normal()),
             next_state=rng.random(config.state_size),
             terminal=bool(rng.random() < 0.2),
         ))

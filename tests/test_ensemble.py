@@ -9,6 +9,7 @@ from metasampler import (
     EnsembleStep,
     GaussianNaiveBayes,
     RandomActionSource,
+    SacConfig,
     SplitSpec,
     ToySpec,
     aucprc,
@@ -16,6 +17,7 @@ from metasampler import (
     make_toy,
     meta_sample,
     meta_state,
+    meta_train,
     random_balanced_subset,
     stratified_split,
     train_ensemble,
@@ -275,6 +277,95 @@ class TestIncrementalScoring:
 
         train_ensemble(train, valid, RandomActionSource(1), n_members=8, learner_factory=factory, seed=4)
         assert [tree.rows_scored for tree in made] == [len(train) + len(valid)] * 8
+
+
+def with_conflicts(part, n):
+    """`part` plus copies of n minority rows labelled 0 and n majority rows labelled 1."""
+    copies = np.concatenate((part.minority_indices[:n], part.majority_indices[:n]))
+    return make_dataset(
+        np.concatenate((part.features, part.features[copies])),
+        np.concatenate((part.labels, np.repeat([0, 1], n))),
+    )
+
+
+def row_counts(ds):
+    rows, counts = np.unique(np.column_stack((ds.features, ds.labels)), axis=0, return_counts=True)
+    return {tuple(row): int(count) for row, count in zip(rows, counts)}
+
+
+def conflicting_duplicates_task():
+    train, valid, test = toy_parts(overlap=0.5, seed=3, n_majority=120, n_minority=30)
+    return with_conflicts(train, 5), with_conflicts(valid, 2), test
+
+
+def one_valid_minority_task():
+    train, valid, test = toy_parts(overlap=0.5, seed=5, n_majority=60, n_minority=5)
+    assert (valid.minority_count, test.minority_count, train.minority_count) == (1, 1, 3)
+    return train, valid, test
+
+
+class TestCascadeEdgeCases:
+    @pytest.mark.parametrize(
+        "make_task", [conflicting_duplicates_task, one_valid_minority_task],
+        ids=["conflicting_duplicates", "one_valid_minority"],
+    )
+    def test_cascade_balanced_finite_and_deterministic(self, make_task):
+        train, valid, test = make_task()
+        subsets = []
+
+        class Recording(DecisionTree):
+            def fit(self, subset):
+                subsets.append(subset)
+                return super().fit(subset)
+
+        model, steps = train_ensemble(
+            train, valid, RandomActionSource(5), n_members=4, learner_factory=Recording, seed=11
+        )
+        assert len(steps) == 3 and len(subsets) == 4
+        for step in steps:
+            assert np.isfinite(step.state).all() and np.isfinite(step.next_state).all()
+            assert np.isfinite(step.reward) and np.isfinite(step.auc_after)
+        scores = model.predict_proba(test.features)
+        assert np.isfinite(scores).all()
+
+        # balanced subsets that take no (features, label) row more often than train holds it
+        available = row_counts(train)
+        for subset in subsets:
+            assert (subset.majority_count, subset.minority_count) == (
+                train.minority_count, train.minority_count
+            )
+            assert all(n <= available.get(row, 0) for row, n in row_counts(subset).items())
+
+        again, again_steps = train_ensemble(
+            train, valid, RandomActionSource(5), n_members=4, seed=11
+        )
+        assert_same_steps(again_steps, steps)
+        assert np.array_equal(again.predict_proba(test.features), scores)
+
+    @pytest.mark.parametrize(
+        "make_task", [conflicting_duplicates_task, one_valid_minority_task],
+        ids=["conflicting_duplicates", "one_valid_minority"],
+    )
+    def test_meta_train_finite_and_deterministic(self, make_task):
+        train, valid, _ = make_task()
+        config = SacConfig(
+            batch_size=4, replay_capacity=8, gradient_steps=6, random_steps=4, ensemble_size=4,
+        )
+
+        def run():
+            steps = []
+            sampler = meta_train([(train, valid)], config, seed=2,
+                                 on_step=lambda ep, i, task, s: steps.append(s))
+            return sampler, steps
+
+        sampler, steps = run()
+        assert len(steps) == 12  # 4 warmup steps, then 6 updates, finishing the 4th episode
+        assert all(np.isfinite(s.state).all() and np.isfinite(s.reward) for s in steps)
+        assert all(np.isfinite(p).all() for p in sampler.policy.parameters())
+        again, again_steps = run()
+        assert_same_steps(again_steps, steps)
+        for p, q in zip(again.policy.parameters(), sampler.policy.parameters()):
+            assert np.array_equal(p, q)
 
 
 class TestTrainRandomEnsemble:

@@ -59,6 +59,32 @@ class TestDecisionTree:
         tree = fit_tree([[0.0], [4.0]], [0, 1])
         assert tree.threshold[0] == 2.0
 
+    # Pairs whose midpoint rounds onto the lower value (adjacent doubles, the
+    # smallest subnormals) or overflows, plus two whose midpoint is fine.
+    EXTREME_PAIRS = [
+        (1.0, float(np.nextafter(1.0, 2.0))),
+        (0.0, 5e-324),
+        (5e-324, 1e-323),
+        (1.5e308, 1.7e308),
+        (-1.7e308, -1.5e308),
+        (-1.7e308, 1.7e308),
+    ]
+
+    @pytest.mark.parametrize("low, high", EXTREME_PAIRS)
+    def test_threshold_separates_extreme_neighbours(self, low, high):
+        split = DecisionTree._best_split(np.array([[low], [high]]), np.array([0, 1]))
+        assert split is not None
+        feature, threshold = split
+        assert feature == 0
+        assert low < threshold <= high
+
+    @pytest.mark.parametrize("low, high", EXTREME_PAIRS)
+    def test_extreme_neighbours_reach_zero_error(self, low, high):
+        features = [[low], [high]]
+        tree = fit_tree(features, [0, 1])
+        assert tree.depth == 1
+        assert tree.predict_proba(np.array(features)).tolist() == [0.0, 1.0]
+
     def test_single_row_prediction_returns_float(self):
         tree = fit_tree([[0.0], [4.0]], [0, 1])
         out = tree.predict_proba(np.array([3.0]))

@@ -1,8 +1,11 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from metasampler import (
+    EnsembleStep,
     MetaSampler,
     PolicyActionSource,
     ReplayMemory,
@@ -22,12 +25,12 @@ from metasampler import (
     stratified_split,
 )
 from metasampler.neural import AdamState, adam_step
+from metasampler.rng import as_generator
 from metasampler.sac import (
     HIDDEN_WIDTH,
     Batch,
     SacNets,
     SacOptimizers,
-    Transition,
     policy_loss_and_grads,
     q_loss_and_grads,
     sac_update,
@@ -52,10 +55,11 @@ def toy_task(overlap=0.0, seed=4, n_majority=60, n_minority=12):
 
 
 def make_transition(rng, state_size, reward=0.3, terminal=True):
-    return Transition(
+    return EnsembleStep(
         state=rng.random(state_size),
         action=float(rng.random()),
-        reward=reward,
+        auc_before=0.0,
+        auc_after=reward,
         next_state=rng.random(state_size),
         terminal=terminal,
     )
@@ -152,6 +156,101 @@ class TestReplayMemory:
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             ReplayMemory(0)
+
+    def test_empty_sample_rejected(self, rng):
+        replay = ReplayMemory(4)
+        with pytest.raises(ValueError):
+            replay.sample(1, np.random.default_rng(0))
+        replay.push(make_transition(rng, 10))
+        with pytest.raises(ValueError):
+            replay.sample(0, np.random.default_rng(0))
+
+
+@dataclass(frozen=True)
+class ListRow:
+    state: np.ndarray
+    action: float
+    reward: float
+    next_state: np.ndarray
+    terminal: bool
+
+
+class ListReplayMemory:
+    """The list-of-objects buffer the array-backed ReplayMemory replaced.
+
+    A verbatim copy apart from the names (the record class is ListRow), kept
+    as the oracle for the array buffer.
+    """
+
+    def __init__(self, capacity: int):
+        if capacity < 1:
+            raise ValueError(f"capacity must be positive, got {capacity}")
+        self.capacity = capacity
+        self._buffer = []
+        self._next = 0
+
+    def __len__(self) -> int:
+        return len(self._buffer)
+
+    def push(self, transition: ListRow) -> None:
+        if len(self._buffer) < self.capacity:
+            self._buffer.append(transition)
+        else:
+            self._buffer[self._next] = transition
+        self._next = (self._next + 1) % self.capacity
+
+    def sample(self, batch_size: int, rng) -> Batch:
+        if batch_size > len(self._buffer):
+            raise ValueError(f"cannot sample {batch_size} of {len(self._buffer)} transitions")
+        rng = as_generator(rng)
+        idx = rng.choice(len(self._buffer), size=batch_size, replace=False)
+        rows = [self._buffer[i] for i in idx]
+        return Batch(
+            states=np.stack([t.state for t in rows]),
+            actions=np.array([t.action for t in rows]),
+            rewards=np.array([t.reward for t in rows]),
+            next_states=np.stack([t.next_state for t in rows]),
+            terminals=np.array([float(t.terminal) for t in rows]),
+        )
+
+
+class TestReplayMatchesListBuffer:
+    @pytest.mark.parametrize("capacity", [1, 7, 64])
+    @pytest.mark.parametrize("fill", ["below", "at", "once_past", "thrice_past"])
+    def test_batches_and_generator_state_equal(self, capacity, fill):
+        n_pushed = {
+            "below": max(capacity - 3, 1),
+            "at": capacity,
+            "once_past": 2 * capacity,
+            "thrice_past": 4 * capacity + 1,
+        }[fill]
+        rng = np.random.default_rng(1000 + capacity)
+        replay, reference = ReplayMemory(capacity), ListReplayMemory(capacity)
+        for _ in range(n_pushed):
+            step = EnsembleStep(
+                state=rng.random(6),
+                action=float(rng.random()),
+                auc_before=float(rng.random()),
+                auc_after=float(rng.random()),
+                next_state=rng.random(6),
+                terminal=bool(rng.random() < 0.3),
+            )
+            replay.push(step)
+            reference.push(ListRow(
+                state=step.state, action=step.action, reward=step.reward,
+                next_state=step.next_state, terminal=step.terminal,
+            ))
+        assert len(replay) == len(reference)
+        ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+        for batch_size in sorted({1, len(reference) // 2 or 1, len(reference)}):
+            for _ in range(3):
+                batch = replay.sample(batch_size, ours)
+                expected = reference.sample(batch_size, theirs)
+                for name in Batch._fields:
+                    got, want = getattr(batch, name), getattr(expected, name)
+                    assert got.dtype == np.float64
+                    assert np.array_equal(got, want), name
+        assert ours.random() == theirs.random()
 
 
 def small_nets(bins=2, seed=0):
@@ -287,8 +386,8 @@ class TestSacUpdate:
         replay = ReplayMemory(4)
         states = rng.random((4, config.state_size))
         for i in range(4):
-            replay.push(Transition(
-                state=states[i], action=float(rng.random()), reward=0.3,
+            replay.push(EnsembleStep(
+                state=states[i], action=float(rng.random()), auc_before=0.0, auc_after=0.3,
                 next_state=states[(i + 1) % 4], terminal=True,
             ))
         nets = SacNets(
