@@ -34,6 +34,22 @@ class DecisionTree:
     toward the lowest feature index, then the lowest threshold. A node splits
     as long as it is impure, has at least two rows and some feature varies,
     so training error reaches zero whenever no two identical rows disagree.
+
+    ``fit`` sorts once: a stable ``argsort`` of every feature column gives
+    the root's ``(d, n)`` block of row ids, row ``j`` ordered by feature
+    ``j``. A split marks its left rows in a scratch flag and filters each
+    row of the block by that flag, keeping order, so a child's block is
+    again sorted by value, then by row id: exactly what a stable sort of
+    the child's ascending row ids gives. The split search covers all
+    features at once, on ``(2, d, m - 1)`` arrays of left and right counts
+    and sizes at every cut. Each candidate gets the same elementwise Gini
+    arithmetic as a search of one feature at a time, so impurity values,
+    and hence their ties, are bit-identical to it. Non-cuts (equal
+    neighbours) read ``-inf``, and the first maximum of the row-major
+    ``(d, m - 1)`` decrease array is the lowest feature, then the lowest
+    threshold. A child's row and positive counts come from the parent's
+    cumulative sums. The depth-first stack holds only pending nodes, whose
+    row sets are disjoint, so its blocks total at most ``n * d`` ids.
     """
 
     def __init__(self):
@@ -46,36 +62,56 @@ class DecisionTree:
 
     def fit(self, ds: LabeledDataset) -> "DecisionTree":
         x, y = ds.features, ds.labels
-        self.n_features_in = ds.n_features
-        feature, threshold, left, right, value = [], [], [], [], []
-
-        def new_node():
-            feature.append(_LEAF)
-            threshold.append(np.nan)
-            left.append(_LEAF)
-            right.append(_LEAF)
-            value.append(np.nan)
-            return len(feature) - 1
-
-        stack = [(new_node(), np.arange(len(ds)))]
+        n, d = x.shape
+        self.n_features_in = d
+        flat_x = x.T.ravel()  # feature j of row r at j * n + r
+        offsets = np.arange(0, d * n, n)[:, None]
+        labels = y.astype(np.float64)
+        ramp = np.arange(1.0, n)
+        marked = np.zeros(n, dtype=bool)
+        pos = int(y.sum())
+        feature, threshold, left, right, value = [_LEAF], [np.nan], [_LEAF], [_LEAF], [pos / n]
+        # pending (node, sorted row-id block, positives), only for impure nodes
+        stack = [(0, np.argsort(x, axis=0, kind="stable").T.copy(), pos)] if 0 < pos < n else []
         while stack:
-            node, idx = stack.pop()
-            y_node = y[idx]
-            pos = int(y_node.sum())
-            value[node] = pos / len(idx)
-            if pos == 0 or pos == len(idx) or len(idx) < 2:
+            node, rows, pos = stack.pop()
+            m = rows.shape[1]
+            sv = flat_x[rows + offsets]
+            counts = np.empty((2, d, m - 1))  # positives left of each cut, then right of it
+            np.cumsum(labels[rows][:, :-1], axis=1, out=counts[0])
+            np.subtract(pos, counts[0], out=counts[1])
+            sizes = np.empty((2, d, m - 1))
+            sizes[0] = ramp[: m - 1]
+            np.subtract(m, sizes[0], out=sizes[1])
+            parent_gini = 1.0 - (pos / m) ** 2 - ((m - pos) / m) ** 2
+            gini = 1.0 - (counts / sizes) ** 2 - ((sizes - counts) / sizes) ** 2
+            weighted = sizes * gini
+            decrease = parent_gini - (weighted[0] + weighted[1]) / m
+            decrease[sv[:, :-1] >= sv[:, 1:]] = -np.inf
+            feat, k = divmod(int(decrease.argmax()), m - 1)
+            if not decrease[feat, k] > -1.0:
                 continue
-            split = self._best_split(x[idx], y_node)
-            if split is None:
-                continue
-            feat, thresh = split
+            low, high = float(sv[feat, k]), float(sv[feat, k + 1])
+            mid = (low + high) / 2.0
             feature[node] = feat
-            threshold[node] = thresh
-            goes_left = x[idx, feat] < thresh
-            left[node] = new_node()
-            right[node] = new_node()
-            stack.append((left[node], idx[goes_left]))
-            stack.append((right[node], idx[~goes_left]))
+            threshold[node] = mid if low < mid <= high else high
+            left_rows = rows[feat, : k + 1]
+            marked[left_rows] = True
+            goes_left = marked[rows]
+            marked[left_rows] = False
+            pos_left = int(counts[0, feat, k])
+            left[node], right[node] = len(feature), len(feature) + 1
+            for size, child_pos, block in (
+                (k + 1, pos_left, rows[goes_left]),
+                (m - k - 1, pos - pos_left, rows[~goes_left]),
+            ):
+                if 0 < child_pos < size:
+                    stack.append((len(feature), block.reshape(d, size), child_pos))
+                feature.append(_LEAF)
+                threshold.append(np.nan)
+                left.append(_LEAF)
+                right.append(_LEAF)
+                value.append(child_pos / size)
 
         self.feature = np.asarray(feature, dtype=np.intp)
         self.threshold = np.asarray(threshold, dtype=np.float64)
@@ -83,37 +119,6 @@ class DecisionTree:
         self.right = np.asarray(right, dtype=np.intp)
         self.value = np.asarray(value, dtype=np.float64)
         return self
-
-    @staticmethod
-    def _best_split(x, y):
-        """(feature, threshold) with maximal Gini decrease, or None if no split exists."""
-        n = len(y)
-        total_pos = int(y.sum())
-        parent_gini = 1.0 - (total_pos / n) ** 2 - ((n - total_pos) / n) ** 2
-        best = None
-        best_decrease = -1.0
-        for j in range(x.shape[1]):
-            col = x[:, j]
-            order = np.argsort(col, kind="stable")
-            sv = col[order]
-            cut = np.flatnonzero(sv[:-1] < sv[1:])  # split after these positions
-            if cut.size == 0:
-                continue
-            cum_pos = np.cumsum(y[order])
-            ln = cut + 1.0
-            lp = cum_pos[cut]
-            rn = n - ln
-            rp = total_pos - lp
-            gini_left = 1.0 - (lp / ln) ** 2 - ((ln - lp) / ln) ** 2
-            gini_right = 1.0 - (rp / rn) ** 2 - ((rn - rp) / rn) ** 2
-            decrease = parent_gini - (ln * gini_left + rn * gini_right) / n
-            k = int(np.argmax(decrease))  # first max = lowest threshold
-            if decrease[k] > best_decrease:
-                best_decrease = decrease[k]
-                low, high = float(sv[cut[k]]), float(sv[cut[k] + 1])
-                mid = (low + high) / 2.0
-                best = (j, mid if low < mid <= high else high)
-        return best
 
     @property
     def depth(self) -> int:

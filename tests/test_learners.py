@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from metasampler import DecisionTree, GaussianNaiveBayes, SingleClassError
+from metasampler import (
+    DecisionTree,
+    GaussianNaiveBayes,
+    SingleClassError,
+    SplitSpec,
+    ToySpec,
+    make_toy,
+    random_balanced_subset,
+    stratified_split,
+)
 from conftest import make_dataset
 
 
@@ -72,11 +81,9 @@ class TestDecisionTree:
 
     @pytest.mark.parametrize("low, high", EXTREME_PAIRS)
     def test_threshold_separates_extreme_neighbours(self, low, high):
-        split = DecisionTree._best_split(np.array([[low], [high]]), np.array([0, 1]))
-        assert split is not None
-        feature, threshold = split
-        assert feature == 0
-        assert low < threshold <= high
+        tree = fit_tree([[low], [high]], [0, 1])
+        assert tree.feature[0] == 0
+        assert low < tree.threshold[0] <= high
 
     @pytest.mark.parametrize("low, high", EXTREME_PAIRS)
     def test_extreme_neighbours_reach_zero_error(self, low, high):
@@ -99,6 +106,165 @@ class TestDecisionTree:
     def test_predict_before_fit(self):
         with pytest.raises(RuntimeError):
             DecisionTree().predict_proba(np.zeros((1, 2)))
+
+
+_LEAF = -1
+NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+
+
+class ReferenceDecisionTree(DecisionTree):
+    """The per-node, per-feature CART fit that the presorted fit replaced, verbatim."""
+
+    def fit(self, ds):
+        x, y = ds.features, ds.labels
+        self.n_features_in = ds.n_features
+        feature, threshold, left, right, value = [], [], [], [], []
+
+        def new_node():
+            feature.append(_LEAF)
+            threshold.append(np.nan)
+            left.append(_LEAF)
+            right.append(_LEAF)
+            value.append(np.nan)
+            return len(feature) - 1
+
+        stack = [(new_node(), np.arange(len(ds)))]
+        while stack:
+            node, idx = stack.pop()
+            y_node = y[idx]
+            pos = int(y_node.sum())
+            value[node] = pos / len(idx)
+            if pos == 0 or pos == len(idx) or len(idx) < 2:
+                continue
+            split = self._best_split(x[idx], y_node)
+            if split is None:
+                continue
+            feat, thresh = split
+            feature[node] = feat
+            threshold[node] = thresh
+            goes_left = x[idx, feat] < thresh
+            left[node] = new_node()
+            right[node] = new_node()
+            stack.append((left[node], idx[goes_left]))
+            stack.append((right[node], idx[~goes_left]))
+
+        self.feature = np.asarray(feature, dtype=np.intp)
+        self.threshold = np.asarray(threshold, dtype=np.float64)
+        self.left = np.asarray(left, dtype=np.intp)
+        self.right = np.asarray(right, dtype=np.intp)
+        self.value = np.asarray(value, dtype=np.float64)
+        return self
+
+    @staticmethod
+    def _best_split(x, y):
+        """(feature, threshold) with maximal Gini decrease, or None if no split exists."""
+        n = len(y)
+        total_pos = int(y.sum())
+        parent_gini = 1.0 - (total_pos / n) ** 2 - ((n - total_pos) / n) ** 2
+        best = None
+        best_decrease = -1.0
+        for j in range(x.shape[1]):
+            col = x[:, j]
+            order = np.argsort(col, kind="stable")
+            sv = col[order]
+            cut = np.flatnonzero(sv[:-1] < sv[1:])  # split after these positions
+            if cut.size == 0:
+                continue
+            cum_pos = np.cumsum(y[order])
+            ln = cut + 1.0
+            lp = cum_pos[cut]
+            rn = n - ln
+            rp = total_pos - lp
+            gini_left = 1.0 - (lp / ln) ** 2 - ((ln - lp) / ln) ** 2
+            gini_right = 1.0 - (rp / rn) ** 2 - ((rn - rp) / rn) ** 2
+            decrease = parent_gini - (ln * gini_left + rn * gini_right) / n
+            k = int(np.argmax(decrease))  # first max = lowest threshold
+            if decrease[k] > best_decrease:
+                best_decrease = decrease[k]
+                low, high = float(sv[cut[k]]), float(sv[cut[k] + 1])
+                mid = (low + high) / 2.0
+                best = (j, mid if low < mid <= high else high)
+        return best
+
+
+MID_TOY = ToySpec(n_majority=2000, n_minority=200, overlap=0.7, seed=11)
+EXTREME_VALUES = [
+    0.0, 5e-324, 1e-323, 1.0, float(np.nextafter(1.0, 2.0)), 1.5e308, 1.7e308, -1.5e308, -1.7e308,
+]
+
+
+def labels_with_both_classes(rng, n):
+    labels = (rng.random(n) < rng.uniform(0.2, 0.8)).astype(np.int64)
+    labels[:2] = [0, 1]
+    return labels
+
+
+def oracle_cases():
+    """(name, dataset) pairs: edge cases, cascade-shaped subsets and a wide table."""
+    rng = np.random.default_rng(61)
+    cases = []
+    for t in range(12):
+        n, d = int(rng.integers(2, 90)), int(rng.integers(1, 5))
+        ties = rng.integers(0, 4, (n, d)).astype(np.float64)
+        cases.append((f"ties-{t}", make_dataset(ties, labels_with_both_classes(rng, n))))
+        base = rng.standard_normal((max(2, n // 4), d))
+        duplicates = base[rng.integers(0, len(base), n)]  # repeated rows, often with both labels
+        cases.append((f"duplicates-{t}", make_dataset(duplicates, labels_with_both_classes(rng, n))))
+        extremes = rng.choice(EXTREME_VALUES, (n, d))
+        cases.append((f"extremes-{t}", make_dataset(extremes, labels_with_both_classes(rng, n))))
+        constant = rng.standard_normal((n, d + 1))
+        constant[:, rng.integers(0, d + 1)] = 2.5
+        cases.append((f"constant-{t}", make_dataset(constant, labels_with_both_classes(rng, n))))
+    cases.append(("conflicting-pair", make_dataset([[1.0], [1.0]], [0, 1])))
+    cases.append(("all-constant", make_dataset([[3.0, 1.0]] * 5, [0, 1, 0, 1, 1])))
+    train, _, _ = stratified_split(make_toy(MID_TOY), SplitSpec(), seed=0)
+    for seed in range(40):
+        cases.append((f"mid-toy-{seed}", random_balanced_subset(train, seed)))
+    wide = np.round(rng.standard_normal((400, 12)) * 10.0, 2)  # few decimals, as read from CSV
+    wide_labels = (wide[:, 0] + wide[:, 5] * wide[:, 7] / 10.0 + rng.normal(0.0, 5.0, 400) > 4.0)
+    cases.append(("wide-csv", make_dataset(wide, wide_labels.astype(np.int64))))
+    large = make_toy(ToySpec(n_majority=20_000, n_minority=2_500, overlap=0.5, seed=12))
+    cases.append(("large-subset", random_balanced_subset(large, 0)))
+    return cases
+
+
+ORACLE_CASES = oracle_cases()
+ORACLE_PARAMS = [pytest.param(ds, id=name) for name, ds in ORACLE_CASES]
+
+
+class TestFitMatchesReference:
+    @pytest.mark.parametrize("ds", ORACLE_PARAMS)
+    def test_same_tree_as_reference(self, ds):
+        want = ReferenceDecisionTree().fit(ds)
+        got = DecisionTree().fit(ds)
+        assert len(got.feature) == len(want.feature)
+        for name in NODE_ARRAYS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
+
+
+class TestFitInvariants:
+    """Properties of any fit, checked by sending the training rows down the tree."""
+
+    @pytest.mark.parametrize("ds", ORACLE_PARAMS)
+    def test_rows_split_exactly_and_values_are_leaf_frequencies(self, ds):
+        tree = DecisionTree().fit(ds)
+        x, y = ds.features, ds.labels
+        visited = []
+        pending = [(0, np.arange(len(ds)))]
+        while pending:
+            node, rows = pending.pop()
+            visited.append(node)
+            assert tree.value[node] == int(y[rows].sum()) / len(rows)
+            if tree.feature[node] == _LEAF:
+                continue
+            goes_left = x[rows, tree.feature[node]] < tree.threshold[node]
+            left, right = rows[goes_left], rows[~goes_left]
+            assert len(left) + len(right) == len(rows)
+            assert len(left) > 0 and len(right) > 0
+            pending += [(tree.left[node], left), (tree.right[node], right)]
+        assert sorted(visited) == list(range(len(tree.feature)))
 
 
 class TestGaussianNaiveBayes:
