@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import typing
 from pathlib import Path
@@ -44,6 +45,7 @@ from .sac import (
     meta_train,
     random_sampler,
     save_sampler,
+    strict_int,
 )
 
 LEARNERS = {"tree": DecisionTree, "gnb": GaussianNaiveBayes}
@@ -64,8 +66,8 @@ def _parse_number_list(text, flag, cast):
         raise ConfigError(f"{flag} must list at least one value")
     try:
         return [cast(v) for v in values]
-    except (TypeError, ValueError):
-        raise ConfigError(f"{flag} has a non-numeric entry: {text!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{flag} has a bad entry in {text!r}: {exc}") from None
 
 
 def _load_config_file(path) -> dict:
@@ -83,12 +85,13 @@ def _load_config_file(path) -> dict:
 
 # Ranges checked before any work, for each of these keys a command has:
 # key -> (cast, test, wording). A key whose default is text holds a comma list.
-# Other keys with a number default (SAC fields aside) are only cast.
+# Other keys with a number default (SAC fields aside) are only cast. Every
+# integer goes through strict_int, which refuses booleans and fractions.
 _RANGES = {
-    "k": (int, lambda v: v >= 1, "at least 1"),
+    "k": (strict_int, lambda v: v >= 1, "at least 1"),
     "mu": (float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-    "bins": (int, lambda v: v >= 1, "at least 1"),
-    "sigma": (float, lambda v: v > 0.0, "positive"),
+    "bins": (strict_int, lambda v: v >= 1, "at least 1"),
+    "sigma": (float, lambda v: 0.0 < v < math.inf, "finite and positive"),
     "ratios": (float, lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
 }
 
@@ -106,13 +109,13 @@ class _Run:
 
 
 def _checked_number(key, value, default):
-    cast, test, wording = _RANGES.get(key, (type(default), None, None))
+    cast, test, wording = _RANGES.get(key) or (_CASTS[type(default)], None, None)
     flag = "--" + key.replace("_", "-")
     is_list = isinstance(default, str)
     try:
         values = _parse_number_list(value, flag, cast) if is_list else [cast(value)]
-    except (TypeError, ValueError):
-        raise ConfigError(f"{flag} is not a number: {value!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{flag} is not a valid number: {value!r} ({exc})") from None
     for v in values:
         if test is not None and not test(v):
             raise ConfigError(f"{flag} must be {wording}, got {v!r}")
@@ -143,7 +146,7 @@ def _resolve(args, defaults: dict) -> _Run:
     }
     run = _Run(config, Path(config["out"]), numbers)
     if "split" in config:
-        run.seeds = _parse_number_list(config["seed"], "--seed", int)
+        run.seeds = _parse_number_list(config["seed"], "--seed", strict_int)
         fractions = _parse_number_list(config["split"], "--split", float)
         if len(fractions) != 3:
             raise ConfigError(f"--split needs three fractions, got {config['split']!r}")
@@ -192,12 +195,14 @@ def _sac_fields():
 _SAC_FIELDS = tuple(_sac_fields())
 SAC_DEFAULTS = {name: default for name, _, default in _SAC_FIELDS}
 _SAC_CASTS = {name: cast for name, cast, _ in _SAC_FIELDS}
+_CASTS = {int: strict_int, float: float}  # a number type -> the cast of its config values
 
 
 def _sac_config(resolved: dict, ensemble_size: int) -> SacConfig:
     try:
         values = {
-            name: None if resolved[name] is None and default is None else cast(resolved[name])
+            name: None if resolved[name] is None and default is None
+            else _CASTS[cast](resolved[name])
             for name, cast, default in _SAC_FIELDS
         }
         return SacConfig(**values, ensemble_size=ensemble_size)
@@ -356,7 +361,7 @@ def cmd_generate_toy(run, args) -> int:
             n_majority=numbers["majority"],
             n_minority=numbers["minority"],
             overlap=numbers["overlap"],
-            seed=int(run.config["seed"]),
+            seed=strict_int(run.config["seed"]),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None

@@ -1,13 +1,18 @@
 """Minimal fully-connected networks on raw numpy.
 
+Each network owns one contiguous float64 vector `params`, layer by layer:
+weights (fan_in, fan_out) row-major, then biases; `weights[i]` and
+`biases[i]` are views into it. Gradients and Adam moments share that layout,
+so Adam, Polyak soft updates and finiteness checks act on whole vectors.
 Forward passes cache layer inputs and pre-activations; the backward pass
 replays them in reverse for exact gradients of any scalar loss expressed as
-an output gradient. Includes Adam with bias correction, Polyak soft target
-updates, stepped learning-rate decay and a versioned JSON round-trip.
+an output gradient. Also: stepped learning-rate decay and a versioned JSON
+round-trip.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,55 +27,58 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass
+def _layer_views(flat, layer_sizes):
+    """Per-layer weight (fan_in, fan_out) and bias (fan_out,) views into one flat vector."""
+    weights, biases, start = [], [], 0
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        stop = start + fan_in * fan_out
+        weights.append(flat[start:stop].reshape(fan_in, fan_out))
+        biases.append(flat[stop:stop + fan_out])
+        start = stop + fan_out
+    return weights, biases
+
+
 class Mlp:
-    """Dense layers; weights[i] has shape (fan_in, fan_out)."""
+    """Dense layers over one flat `params` vector; weights[i] has shape (fan_in, fan_out).
 
-    weights: list
-    biases: list
-    activations: list
+    Without `params` the network starts at zero; a given float64 vector is
+    used in place, not copied.
+    """
 
-    @property
-    def layer_sizes(self) -> list:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
-
-    def parameters(self) -> list:
-        """Live parameter arrays, weights and biases interleaved per layer."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+    def __init__(self, layer_sizes, activations, params=None):
+        self.layer_sizes = [operator.index(s) for s in layer_sizes]
+        self.activations = list(activations)
+        if len(self.layer_sizes) < 2:
+            raise ValueError("need at least an input and an output size")
+        if any(s < 1 for s in self.layer_sizes):
+            raise ValueError(f"layer sizes must be positive, got {self.layer_sizes}")
+        if len(self.activations) != len(self.layer_sizes) - 1:
+            raise ValueError(
+                f"{len(self.layer_sizes) - 1} layers need {len(self.layer_sizes) - 1} "
+                f"activations, got {len(self.activations)}"
+            )
+        for act in self.activations:
+            if act not in ACTIVATIONS:
+                raise ValueError(f"unknown activation {act!r}")
+        sizes = self.layer_sizes
+        size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+        self.params = np.zeros(size) if params is None else np.ascontiguousarray(params, np.float64)
+        if self.params.shape != (size,):
+            raise ValueError(f"layers {sizes} need {size} parameters, got {self.params.shape}")
+        self.weights, self.biases = _layer_views(self.params, sizes)
 
     def copy(self) -> "Mlp":
-        return Mlp(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            activations=list(self.activations),
-        )
+        return Mlp(self.layer_sizes, self.activations, self.params.copy())
 
 
 def init_mlp(layer_sizes, activations, seed) -> Mlp:
     """Uniform +-1/sqrt(fan_in) weights, zero biases."""
-    if len(layer_sizes) < 2:
-        raise ValueError("need at least an input and an output size")
-    if any(s < 1 for s in layer_sizes):
-        raise ValueError(f"layer sizes must be positive, got {layer_sizes}")
-    if len(activations) != len(layer_sizes) - 1:
-        raise ValueError(
-            f"{len(layer_sizes) - 1} layers need {len(layer_sizes) - 1} activations, "
-            f"got {len(activations)}"
-        )
-    for act in activations:
-        if act not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {act!r}")
+    net = Mlp(layer_sizes, activations)
     rng = as_generator(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, (fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return Mlp(weights=weights, biases=biases, activations=list(activations))
+    for w in net.weights:
+        bound = 1.0 / np.sqrt(w.shape[0])
+        w[...] = rng.uniform(-bound, bound, w.shape)
+    return net
 
 
 def _apply(act, z):
@@ -95,9 +103,9 @@ def mlp_forward(net: Mlp, x):
     single = a.ndim == 1
     if single:
         a = a[None, :]
-    if a.shape[1] != net.weights[0].shape[0]:
+    if a.shape[1] != net.layer_sizes[0]:
         raise ValueError(
-            f"input width {a.shape[1]} does not match network input {net.weights[0].shape[0]}"
+            f"input width {a.shape[1]} does not match network input {net.layer_sizes[0]}"
         )
     inputs, pre, post = [], [], []
     for w, b, act in zip(net.weights, net.biases, net.activations):
@@ -115,27 +123,28 @@ def mlp_forward(net: Mlp, x):
 def mlp_backward(net: Mlp, cache, grad_output):
     """Backpropagate an output gradient through a cached forward pass.
 
-    Returns (grads, grad_input) where grads matches net.parameters() order.
+    Returns (grads, grad_input) where grads is one flat vector laid out like net.params.
     """
     g = np.asarray(grad_output, dtype=np.float64)
     if cache["single"]:
         g = g[None, :]
-    grads = [None] * (2 * len(net.weights))
+    grads = np.empty_like(net.params)
+    grad_weights, grad_biases = _layer_views(grads, net.layer_sizes)
     for layer in reversed(range(len(net.weights))):
         g = g * _apply_grad(net.activations[layer], cache["pre"][layer], cache["post"][layer])
-        grads[2 * layer] = cache["inputs"][layer].T @ g
-        grads[2 * layer + 1] = g.sum(axis=0)
+        np.matmul(cache["inputs"][layer].T, g, out=grad_weights[layer])
+        g.sum(axis=0, out=grad_biases[layer])
         g = g @ net.weights[layer].T
     return grads, (g[0] if cache["single"] else g)
 
 
 @dataclass
 class AdamState:
-    """Adam moments plus the stepped learning-rate decay counter."""
+    """Adam moments, shaped like the flat parameter vector, plus the learning-rate decay counter."""
 
     lr: float
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     decay_ticks: int = 0
 
@@ -143,37 +152,30 @@ class AdamState:
     def for_params(cls, params, lr: float) -> "AdamState":
         if not lr > 0.0:
             raise ValueError(f"learning rate must be positive, got {lr}")
-        return cls(
-            lr=lr,
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-        )
+        return cls(lr=lr, m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 def adam_step(params, grads, state: AdamState) -> None:
-    """One Adam update, in place, with bias correction."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("params, grads and state must have matching lengths")
-    for g in grads:
-        if not np.isfinite(g).all():
-            raise NumericalError("non-finite gradient")
+    """One Adam update of a flat parameter vector, in place, with bias correction."""
+    if params.shape != grads.shape or params.shape != state.m.shape:
+        raise ValueError("params, grads and state must have matching shapes")
+    if not np.isfinite(grads).all():
+        raise NumericalError("non-finite gradient")
     state.step += 1
     bias1 = 1.0 - ADAM_BETA1 ** state.step
     bias2 = 1.0 - ADAM_BETA2 ** state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grads
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * grads * grads
+    params -= state.lr * (state.m / bias1) / (np.sqrt(state.v / bias2) + ADAM_EPS)
 
 
 def soft_update(target: Mlp, source: Mlp, tau: float) -> None:
     """target <- tau * source + (1 - tau) * target, exactly, in place."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
-    for t, s in zip(target.parameters(), source.parameters()):
-        t[...] = tau * s + (1.0 - tau) * t
+    target.params[...] = tau * source.params + (1.0 - tau) * target.params
 
 
 def decay_learning_rate(state: AdamState, every: int = 10, ratio: float = 0.99) -> None:
@@ -187,9 +189,8 @@ def decay_learning_rate(state: AdamState, every: int = 10, ratio: float = 0.99) 
 
 def mlp_to_document(net: Mlp) -> dict:
     """JSON-ready dict; float lists round-trip bit-exactly through json."""
-    for p in net.parameters():
-        if not np.isfinite(p).all():
-            raise NumericalError("refusing to serialize non-finite parameters")
+    if not np.isfinite(net.params).all():
+        raise NumericalError("refusing to serialize non-finite parameters")
     return {
         "format_version": FORMAT_VERSION,
         "layer_sizes": list(net.layer_sizes),
@@ -203,20 +204,14 @@ def mlp_from_document(doc: dict) -> Mlp:
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {version!r}")
-    sizes = list(doc["layer_sizes"])
-    activations = list(doc["activations"])
-    weights = [np.asarray(w, dtype=np.float64) for w in doc["weights"]]
-    biases = [np.asarray(b, dtype=np.float64) for b in doc["biases"]]
-    if len(weights) != len(sizes) - 1 or len(biases) != len(sizes) - 1:
+    net = Mlp(doc["layer_sizes"], doc["activations"])
+    if len(doc["weights"]) != len(net.weights) or len(doc["biases"]) != len(net.biases):
         raise ValueError("layer count mismatch")
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        if w.shape != (sizes[i], sizes[i + 1]) or b.shape != (sizes[i + 1],):
-            raise ValueError(f"layer {i} has shape {w.shape}, expected {(sizes[i], sizes[i + 1])}")
-    net = Mlp(weights=weights, biases=biases, activations=activations)
-    for act in activations:
-        if act not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {act!r}")
-    for p in net.parameters():
-        if not np.isfinite(p).all():
-            raise NumericalError("document contains non-finite parameters")
+    for i, (w, b) in enumerate(zip(doc["weights"], doc["biases"])):
+        w, b = np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64)
+        if w.shape != net.weights[i].shape or b.shape != net.biases[i].shape:
+            raise ValueError(f"layer {i} has shape {w.shape}, expected {net.weights[i].shape}")
+        net.weights[i][...], net.biases[i][...] = w, b
+    if not np.isfinite(net.params).all():
+        raise NumericalError("document contains non-finite parameters")
     return net

@@ -87,8 +87,8 @@ class SacConfig:
             raise ValueError("meta-training needs ensembles of at least 2 members")
         if self.bins < 1:
             raise ValueError(f"bins must be positive, got {self.bins}")
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
 
     @property
     def state_size(self) -> int:
@@ -151,8 +151,8 @@ class MetaSampler:
             raise ValueError(f"policy input {sizes[0]} does not match 2 * {self.bins} bins")
         if sizes[-1] != 2:
             raise ValueError("policy must end in two heads (mean, log-std)")
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
 
 
 def random_sampler(bins: int, sigma: float, seed) -> MetaSampler:
@@ -264,12 +264,7 @@ def q_loss_and_grads(q_net: Mlp, target_v_net: Mlp, batch: Batch, gamma: float):
     """Critic regression onto r + gamma * (1 - terminal) * V_target(s')."""
     v_next, _ = mlp_forward(target_v_net, batch.next_states)
     targets = batch.rewards + gamma * (1.0 - batch.terminals) * v_next[:, 0]
-    q_in = np.column_stack((batch.states, batch.actions))
-    q_pred, cache = mlp_forward(q_net, q_in)
-    diff = q_pred[:, 0] - targets
-    loss = 0.5 * float(np.mean(diff * diff))
-    grads, _ = mlp_backward(q_net, cache, (diff / diff.size)[:, None])
-    return loss, grads
+    return v_loss_and_grads(q_net, np.column_stack((batch.states, batch.actions)), targets)
 
 
 def policy_loss_and_grads(policy: Mlp, q_net: Mlp, states, eps, alpha: float):
@@ -304,7 +299,7 @@ def policy_loss_and_grads(policy: Mlp, q_net: Mlp, states, eps, alpha: float):
 
 
 def v_loss_and_grads(v_net: Mlp, states, v_targets):
-    """Value regression onto the entropy-adjusted critic value (targets held fixed)."""
+    """Loss 0.5 * mean((net(states) - targets)^2) and its gradient; targets are held fixed."""
     v_pred, cache = mlp_forward(v_net, states)
     diff = v_pred[:, 0] - v_targets
     loss = 0.5 * float(np.mean(diff * diff))
@@ -324,7 +319,7 @@ def sac_update(replay: ReplayMemory, nets: SacNets, optim: SacOptimizers,
     batch = replay.sample(config.batch_size, rng)
 
     q_loss, q_grads = q_loss_and_grads(nets.q, nets.target_v, batch, config.gamma)
-    adam_step(nets.q.parameters(), q_grads, optim.q)
+    adam_step(nets.q.params, q_grads, optim.q)
 
     eps = rng.standard_normal(config.batch_size)
     policy_loss, policy_grads, aux = policy_loss_and_grads(
@@ -333,8 +328,8 @@ def sac_update(replay: ReplayMemory, nets: SacNets, optim: SacOptimizers,
     v_targets = aux["q_values"] - config.alpha * aux["log_prob"]
     v_loss, v_grads = v_loss_and_grads(nets.v, batch.states, v_targets)
 
-    adam_step(nets.v.parameters(), v_grads, optim.v)
-    adam_step(nets.policy.parameters(), policy_grads, optim.policy)
+    adam_step(nets.v.params, v_grads, optim.v)
+    adam_step(nets.policy.params, policy_grads, optim.policy)
     soft_update(nets.target_v, nets.v, config.tau)
     for state in (optim.q, optim.v, optim.policy):
         decay_learning_rate(state, config.lr_decay_steps, config.lr_decay_ratio)
@@ -427,9 +422,9 @@ def meta_train(tasks, config: SacConfig, seed, learner_factory=DecisionTree,
     )
     nets.target_v = nets.v.copy()
     optim = SacOptimizers(
-        policy=AdamState.for_params(nets.policy.parameters(), config.lr),
-        q=AdamState.for_params(nets.q.parameters(), config.lr),
-        v=AdamState.for_params(nets.v.parameters(), config.lr),
+        policy=AdamState.for_params(nets.policy.params, config.lr),
+        q=AdamState.for_params(nets.q.params, config.lr),
+        v=AdamState.for_params(nets.v.params, config.lr),
     )
     replay = ReplayMemory(config.replay_capacity)
     update_rng = as_generator(update_ss)
@@ -471,6 +466,15 @@ def meta_train(tasks, config: SacConfig, seed, learner_factory=DecisionTree,
     return sampler
 
 
+def strict_int(value) -> int:
+    """int(value) of an integer number or text; a boolean or a fraction raises ValueError."""
+    if isinstance(value, (bool, np.bool_)) or (
+        isinstance(value, (float, np.floating)) and not float(value).is_integer()
+    ):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def sampler_to_document(sampler: MetaSampler) -> dict:
     return {
         "format_version": SAMPLER_FORMAT_VERSION,
@@ -486,7 +490,7 @@ def sampler_from_document(doc: dict) -> MetaSampler:
         raise ValueError(f"unsupported sampler format version {version!r}")
     return MetaSampler(
         policy=mlp_from_document(doc["policy"]),
-        bins=int(doc["bins"]),
+        bins=strict_int(doc["bins"]),
         sigma=float(doc["sigma"]),
     )
 

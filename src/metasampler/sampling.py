@@ -63,8 +63,8 @@ def gaussian_weight(x, mu: float, sigma: float):
     """Gaussian density (1 / (sigma sqrt(2 pi))) exp(-((x - mu) / sigma)^2 / 2)."""
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must be in [0, 1], got {mu}")
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")

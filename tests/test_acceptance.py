@@ -184,11 +184,11 @@ def test_criterion_02_gradients_match_finite_differences():
 
         out, cache = mlp_forward(net, x)
         analytic, _ = mlp_backward(net, cache, out - y)
-        numeric = fd_param_gradients(loss, net.parameters())
+        numeric = fd_param_gradients(loss, [net.params])
         # central differences carry ~1e-10 absolute roundoff (ulp(loss)/2h),
         # so entries below noise/rtol = 1e-6 cannot be certified to 1e-4
         # relative and are skipped; every meaningful gradient is far larger
-        worst_net = max(worst_net, max_relative_error(analytic, numeric, floor=1e-6))
+        worst_net = max(worst_net, max_relative_error([analytic], numeric, floor=1e-6))
     assert worst_net < 1e-4
 
     worst_loss = 0.0
@@ -228,25 +228,25 @@ def test_criterion_02_gradients_match_finite_differences():
         analytic = q_loss_and_grads(q, target_v, batch, gamma=0.99)[1]
         numeric = fd_param_gradients(
             lambda q=q: q_loss_and_grads(q, target_v, batch, gamma=0.99)[0],
-            q.parameters(),
+            [q.params],
         )
-        worst_loss = max(worst_loss, max_relative_error(analytic, numeric))
+        worst_loss = max(worst_loss, max_relative_error([analytic], numeric))
 
         analytic = v_loss_and_grads(v, batch.states, v_targets)[1]
         numeric = fd_param_gradients(
             lambda v=v: v_loss_and_grads(v, batch.states, v_targets)[0],
-            v.parameters(),
+            [v.params],
         )
-        worst_loss = max(worst_loss, max_relative_error(analytic, numeric))
+        worst_loss = max(worst_loss, max_relative_error([analytic], numeric))
 
         analytic = policy_loss_and_grads(policy, q, batch.states, eps, alpha=0.1)[1]
         numeric = fd_param_gradients(
             lambda policy=policy: policy_loss_and_grads(
                 policy, q, batch.states, eps, alpha=0.1
             )[0],
-            policy.parameters(),
+            [policy.params],
         )
-        worst_loss = max(worst_loss, max_relative_error(analytic, numeric))
+        worst_loss = max(worst_loss, max_relative_error([analytic], numeric))
     assert worst_loss < 1e-3
 
     elapsed = time.perf_counter() - t0
@@ -347,16 +347,15 @@ def test_criterion_06_target_update_is_exact_polyak_step():
     )
     nets.target_v = nets.v.copy()
     optim = SacOptimizers(
-        policy=AdamState.for_params(nets.policy.parameters(), config.lr),
-        q=AdamState.for_params(nets.q.parameters(), config.lr),
-        v=AdamState.for_params(nets.v.parameters(), config.lr),
+        policy=AdamState.for_params(nets.policy.params, config.lr),
+        q=AdamState.for_params(nets.q.params, config.lr),
+        v=AdamState.for_params(nets.v.params, config.lr),
     )
-    target_old = [p.copy() for p in nets.target_v.parameters()]
+    target_old = nets.target_v.params.copy()
     sac_update(replay, nets, optim, config, rng)
-    for t_new, v_now, t_old in zip(
-        nets.target_v.parameters(), nets.v.parameters(), target_old
-    ):
-        assert np.array_equal(t_new, config.tau * v_now + (1.0 - config.tau) * t_old)
+    assert np.array_equal(
+        nets.target_v.params, config.tau * nets.v.params + (1.0 - config.tau) * target_old
+    )
     print("ACCEPTANCE PASS: criterion 6: target parameters are bit-exact Polyak blends")
 
 

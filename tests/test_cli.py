@@ -340,8 +340,10 @@ class TestValueRanges:
             ["train", "--mode", "random-policy", "--sigma", "0"],
             ["noise-sweep", "--ratios", "1.0"],
             ["ablation", "--k", "2,0"],
+            ["train", "--mode", "constant", "--sigma", "inf"],
+            ["meta-train", "--sigma", "inf", *TINY_SAC],
         ],
-        ids=["mu", "k", "bins", "sigma", "ratios", "k-list"],
+        ids=["mu", "k", "bins", "sigma", "ratios", "k-list", "sigma-inf", "sac-sigma-inf"],
     )
     def test_out_of_range_is_config_error(self, tmp_path, task_csv, argv):
         command, *flags = argv
@@ -371,14 +373,63 @@ class TestValueRanges:
         assert "Traceback" not in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("train", {"k": 2.9}),
+            ("train", {"bins": 3.5}),
+            ("train", {"k": True}),
+            ("train", {"seed": [0, 1.5]}),
+            ("generate-toy", {"seed": 2.5}),
+            ("generate-toy", {"majority": 40.5}),
+            ("meta-train", {"lr_decay_steps": 2.5}),
+            ("meta-train", {"episodes": 1.5}),
+            ("ablation", {"k": [2, 2.5]}),
+            ("noise-sweep", {"meta_seed": 0.5}),
+        ],
+        ids=[
+            "k", "bins", "bool-k", "seed-list", "toy-seed", "toy-majority",
+            "sac-int", "sac-optional-int", "k-list", "meta-seed",
+        ],
+    )
+    def test_non_integer_in_config_file(self, tmp_path, capsys, task_csv, command, doc):
+        # each run would succeed with the value truncated, so only the cast can refuse it
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        task = [] if command == "generate-toy" else [str(task_csv)]
+        flags = {
+            "train": ["--mode", "random-policy"],
+            "generate-toy": ["--minority", "4"] + (["--majority", "20"] if "seed" in doc else []),
+            "meta-train": TINY_SAC,
+            "ablation": [*TINY_SAC[2:], "--seed", "0"],
+            "noise-sweep": [*TINY_SAC, "--seed", "0", "--ratios", "0"],
+        }[command]
+        out = tmp_path / "out"
+        assert main([command, *task, "--config", str(config), *flags, "--out", str(out)]) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_float_in_config_file_runs(self, tmp_path, task_csv):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"k": 3.0, "bins": 4.0}))
+        out = tmp_path / "out"
+        assert main([
+            "train", str(task_csv), "--mode", "random-policy", "--config", str(config),
+            "--out", str(out),
+        ]) == 0
+        assert (out / "train_results.csv").exists()
+
 
 @pytest.fixture(scope="module")
 def bad_sampler_files(workdir, sampler_path):
-    """Sampler files that are not JSON, lack the policy, or hold a NaN weight."""
+    """Sampler files that are not JSON, lack the policy, hold a bad scalar or a NaN weight."""
     doc = json.loads(sampler_path.read_text())
     files = {
         "not-json": "{not json",
         "no-policy": json.dumps({key: v for key, v in doc.items() if key != "policy"}),
+        # 1e400 parses as inf; 5.5 bins would load as 5, matching the policy's 10 inputs
+        "infinite-sigma": json.dumps({**doc, "sigma": "X"}).replace('"X"', "1e400"),
+        "fractional-bins": json.dumps({**doc, "bins": 5.5}),
     }
     doc["policy"]["weights"][0][0][0] = float("nan")
     files["nan-weight"] = json.dumps(doc)
@@ -399,7 +450,9 @@ def sampler_argv(command, task, sampler, out):
 
 class TestSamplerFiles:
     @pytest.mark.parametrize("command", ["train", "transfer"])
-    @pytest.mark.parametrize("kind", ["not-json", "no-policy"])
+    @pytest.mark.parametrize(
+        "kind", ["not-json", "no-policy", "infinite-sigma", "fractional-bins"]
+    )
     def test_malformed_sampler_is_data_error(
         self, tmp_path, capsys, task_csv, bad_sampler_files, command, kind
     ):

@@ -361,11 +361,10 @@ class TestCascadeEdgeCases:
         sampler, steps = run()
         assert len(steps) == 12  # 4 warmup steps, then 6 updates, finishing the 4th episode
         assert all(np.isfinite(s.state).all() and np.isfinite(s.reward) for s in steps)
-        assert all(np.isfinite(p).all() for p in sampler.policy.parameters())
+        assert np.isfinite(sampler.policy.params).all()
         again, again_steps = run()
         assert_same_steps(again_steps, steps)
-        for p, q in zip(again.policy.parameters(), sampler.policy.parameters()):
-            assert np.array_equal(p, q)
+        assert np.array_equal(again.policy.params, sampler.policy.params)
 
 
 class TestTrainRandomEnsemble:

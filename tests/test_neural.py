@@ -1,4 +1,6 @@
+import hashlib
 import json
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -16,15 +18,12 @@ from metasampler import (
     mlp_to_document,
     soft_update,
 )
+from metasampler.neural import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, _apply_grad
 from conftest import fd_param_gradients, max_relative_error
 
 
 def tiny_net(weight, bias, activation="linear"):
-    return Mlp(
-        weights=[np.array([[float(weight)]])],
-        biases=[np.array([float(bias)])],
-        activations=[activation],
-    )
+    return Mlp([1, 1], [activation], np.array([float(weight), float(bias)]))
 
 
 class TestForward:
@@ -75,16 +74,16 @@ class TestBackward:
         x = np.array([2.5])
         _, cache = mlp_forward(net, x)
         grads, grad_in = mlp_backward(net, cache, np.array([1.0]))
-        assert grads[0][0, 0] == 2.5      # dL/dw = x
-        assert grads[1][0] == 1.0         # dL/db
+        assert grads[0] == 2.5            # dL/dw = x
+        assert grads[1] == 1.0            # dL/db
         assert grad_in[0] == 0.3          # dL/dx = w
 
     def test_relu_dead_unit_gets_zero_grad(self):
         net = tiny_net(1.0, 0.0, activation="relu")
         _, cache = mlp_forward(net, np.array([-2.0]))
         grads, grad_in = mlp_backward(net, cache, np.array([1.0]))
-        assert grads[0][0, 0] == 0.0
-        assert grads[1][0] == 0.0
+        assert grads[0] == 0.0
+        assert grads[1] == 0.0
         assert grad_in[0] == 0.0
 
     def test_matches_finite_differences(self, rng):
@@ -98,8 +97,8 @@ class TestBackward:
 
         out, cache = mlp_forward(net, x)
         analytic, _ = mlp_backward(net, cache, out - y)
-        numeric = fd_param_gradients(loss, net.parameters())
-        assert max_relative_error(analytic, numeric) < 1e-5
+        numeric = fd_param_gradients(loss, [net.params])
+        assert max_relative_error([analytic], numeric) < 1e-5
 
     def test_batch_grad_is_sum_of_rows(self, rng):
         net = init_mlp([3, 5, 2], ["relu", "linear"], seed=9)
@@ -107,51 +106,56 @@ class TestBackward:
         g = rng.standard_normal((4, 2))
         _, cache = mlp_forward(net, x)
         batch_grads, _ = mlp_backward(net, cache, g)
-        summed = [np.zeros_like(p) for p in net.parameters()]
+        summed = np.zeros_like(net.params)
         for i in range(4):
             _, row_cache = mlp_forward(net, x[i])
             row_grads, _ = mlp_backward(net, row_cache, g[i])
-            for acc, rg in zip(summed, row_grads):
-                acc += rg
-        assert max_relative_error(batch_grads, summed) < 1e-10
+            summed += row_grads
+        assert max_relative_error([batch_grads], [summed]) < 1e-10
 
 
 class TestAdam:
     def test_zero_grad_no_movement(self):
-        params = [np.array([1.0, -2.0])]
+        params = np.array([1.0, -2.0])
         state = AdamState.for_params(params, lr=1e-3)
-        adam_step(params, [np.zeros(2)], state)
-        assert params[0].tolist() == [1.0, -2.0]
+        adam_step(params, np.zeros(2), state)
+        assert params.tolist() == [1.0, -2.0]
 
     def test_first_step_moves_by_about_lr(self):
-        params = [np.array([0.0])]
+        params = np.array([0.0])
         state = AdamState.for_params(params, lr=1e-3)
-        adam_step(params, [np.array([5.0])], state)
+        adam_step(params, np.array([5.0]), state)
         # bias-corrected first step is lr * g / (|g| + eps), essentially lr
-        assert params[0][0] == pytest.approx(-1e-3, rel=1e-6)
+        assert params[0] == pytest.approx(-1e-3, rel=1e-6)
 
     def test_quadratic_bowl_converges(self):
         target = np.array([0.3, -0.7, 1.2])
-        params = [np.array([2.0, 2.0, 2.0])]
+        params = np.array([2.0, 2.0, 2.0])
         state = AdamState.for_params(params, lr=1e-2)
         losses = []
         for _ in range(500):
-            grad = params[0] - target
+            grad = params - target
             losses.append(0.5 * float(np.sum(grad**2)))
-            adam_step(params, [grad], state)
+            adam_step(params, grad, state)
         assert losses[-1] < 0.02 * losses[0]
         tail = losses[10:]
         assert all(b <= a for a, b in zip(tail, tail[1:]))
 
     def test_non_finite_grad_rejected(self):
-        params = [np.array([0.0])]
+        params = np.array([0.0])
         state = AdamState.for_params(params, lr=1e-3)
         with pytest.raises(NumericalError):
-            adam_step(params, [np.array([np.nan])], state)
+            adam_step(params, np.array([np.nan]), state)
+
+    def test_shape_mismatch_rejected(self):
+        params = np.zeros(3)
+        state = AdamState.for_params(params, lr=1e-3)
+        with pytest.raises(ValueError):
+            adam_step(params, np.zeros(2), state)
 
     def test_lr_must_be_positive(self):
         with pytest.raises(ValueError):
-            AdamState.for_params([np.zeros(1)], lr=0.0)
+            AdamState.for_params(np.zeros(1), lr=0.0)
 
 
 class TestSoftUpdate:
@@ -159,28 +163,22 @@ class TestSoftUpdate:
         target = init_mlp([2, 3, 1], ["relu", "linear"], seed=0)
         source = init_mlp([2, 3, 1], ["relu", "linear"], seed=1)
         soft_update(target, source, tau=1.0)
-        for t, s in zip(target.parameters(), source.parameters()):
-            assert np.array_equal(t, s)
+        assert np.array_equal(target.params, source.params)
 
     def test_tau_zero_leaves_target(self):
         target = init_mlp([2, 3, 1], ["relu", "linear"], seed=0)
-        before = [p.copy() for p in target.parameters()]
+        before = target.params.copy()
         source = init_mlp([2, 3, 1], ["relu", "linear"], seed=1)
         soft_update(target, source, tau=0.0)
-        for t, b in zip(target.parameters(), before):
-            assert np.array_equal(t, b)
+        assert np.array_equal(target.params, before)
 
     def test_blend_is_bit_exact(self):
         tau = 0.01
         target = init_mlp([3, 4, 2], ["relu", "linear"], seed=2)
         source = init_mlp([3, 4, 2], ["relu", "linear"], seed=3)
-        expected = [
-            tau * s + (1.0 - tau) * t
-            for t, s in zip(target.parameters(), source.parameters())
-        ]
+        expected = tau * source.params + (1.0 - tau) * target.params
         soft_update(target, source, tau)
-        for t, e in zip(target.parameters(), expected):
-            assert np.array_equal(t, e)
+        assert np.array_equal(target.params, expected)
 
     def test_scalar_blend_value(self):
         target = tiny_net(0.0, 0.0)
@@ -196,19 +194,19 @@ class TestSoftUpdate:
 
 class TestDecay:
     def test_ten_ticks_one_decay(self):
-        state = AdamState.for_params([np.zeros(1)], lr=1e-3)
+        state = AdamState.for_params(np.zeros(1), lr=1e-3)
         for _ in range(10):
             decay_learning_rate(state, every=10, ratio=0.99)
         assert state.lr == 1e-3 * 0.99
 
     def test_nine_ticks_no_decay(self):
-        state = AdamState.for_params([np.zeros(1)], lr=1e-3)
+        state = AdamState.for_params(np.zeros(1), lr=1e-3)
         for _ in range(9):
             decay_learning_rate(state, every=10, ratio=0.99)
         assert state.lr == 1e-3
 
     def test_hundred_ticks_ten_decays(self):
-        state = AdamState.for_params([np.zeros(1)], lr=1e-3)
+        state = AdamState.for_params(np.zeros(1), lr=1e-3)
         for _ in range(100):
             decay_learning_rate(state, every=10, ratio=0.99)
         expected = 1e-3
@@ -217,7 +215,7 @@ class TestDecay:
         assert state.lr == expected
 
     def test_interval_validated(self):
-        state = AdamState.for_params([np.zeros(1)], lr=1e-3)
+        state = AdamState.for_params(np.zeros(1), lr=1e-3)
         with pytest.raises(ValueError):
             decay_learning_rate(state, every=0)
 
@@ -229,8 +227,7 @@ class TestSerialization:
         back = mlp_from_document(doc)
         assert back.activations == net.activations
         assert back.layer_sizes == net.layer_sizes
-        for a, b in zip(net.parameters(), back.parameters()):
-            assert np.array_equal(a, b)
+        assert back.params.tobytes() == net.params.tobytes()
 
     def test_refuses_non_finite(self):
         net = tiny_net(np.nan, 0.0)
@@ -254,3 +251,251 @@ class TestSerialization:
         doc["activations"] = ["softmax"]
         with pytest.raises(ValueError):
             mlp_from_document(doc)
+
+    def test_document_restores_param_bytes_in_views(self, rng):
+        net = init_mlp([5, 9, 2], ["tanh", "linear"], seed=21)
+        net.params += rng.standard_normal(net.params.size)
+        back = mlp_from_document(json.loads(json.dumps(mlp_to_document(net))))
+        assert back.params.tobytes() == net.params.tobytes()
+        for w, b in zip(back.weights, back.biases):
+            assert np.shares_memory(w, back.params) and np.shares_memory(b, back.params)
+
+    def test_refuses_non_finite_bias(self):
+        doc = mlp_to_document(init_mlp([2, 3], ["linear"], seed=0))
+        doc["biases"][0][2] = float("inf")
+        with pytest.raises(NumericalError):
+            mlp_from_document(doc)
+
+    def test_rejects_layer_count_mismatch(self):
+        doc = mlp_to_document(init_mlp([2, 3, 1], ["relu", "linear"], seed=0))
+        doc["weights"] = doc["weights"][:1]
+        with pytest.raises(ValueError):
+            mlp_from_document(doc)
+
+    # sha256 of json.dumps(mlp_to_document(init_mlp(...)), sort_keys=True), taken
+    # when parameters were still a list of separate weight and bias arrays: the
+    # flat vector must draw the same uniforms in the same order
+    @pytest.mark.parametrize(
+        "sizes, activations, seed, digest",
+        [
+            ([4, 7, 3, 1], ["relu", "tanh", "linear"], 13,
+             "87bfc63d640bb7f2b7a44496ef46387df1122dddb35e32a8e403a1768dcaf0c3"),
+            ([10, 50, 2], ["relu", "linear"], 0,
+             "ab75ec22baf18df39e010a06a736d03e96b96c38b24883f30fe47f231994fc77"),
+        ],
+    )
+    def test_init_document_is_pinned(self, sizes, activations, seed, digest):
+        doc = mlp_to_document(init_mlp(sizes, activations, seed))
+        assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest
+
+
+class TestFlatLayout:
+    def test_views_share_memory_with_params(self):
+        net = init_mlp([3, 5, 2], ["relu", "linear"], seed=4)
+        for w, b in zip(net.weights, net.biases):
+            assert np.shares_memory(w, net.params) and np.shares_memory(b, net.params)
+        net.params[:] = np.arange(net.params.size)
+        # layer by layer: weights row-major, then biases
+        expected = np.concatenate([np.r_[w.ravel(), b] for w, b in zip(net.weights, net.biases)])
+        assert np.array_equal(expected, np.arange(net.params.size))
+        assert net.weights[0][0].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert net.biases[0].tolist() == [15.0, 16.0, 17.0, 18.0, 19.0]
+
+    def test_writes_through_views_reach_params(self):
+        net = init_mlp([2, 3], ["linear"], seed=0)
+        net.weights[0][1, 2] = 7.5
+        net.biases[0][0] = -1.25
+        assert net.params[5] == 7.5 and net.params[6] == -1.25
+
+    def test_given_vector_is_used_in_place(self):
+        params = np.zeros(9)
+        net = Mlp([2, 3], ["linear"], params)
+        params[0] = 4.0
+        assert net.weights[0][0, 0] == 4.0
+
+    def test_copy_is_independent(self):
+        net = init_mlp([3, 4, 1], ["relu", "linear"], seed=8)
+        before = net.params.copy()
+        twin = net.copy()
+        assert twin.params.tobytes() == net.params.tobytes()
+        assert twin.layer_sizes == net.layer_sizes and twin.activations == net.activations
+        twin.params += 1.0
+        twin.weights[0][0, 0] = 99.0
+        assert np.array_equal(net.params, before)
+        assert not np.shares_memory(twin.params, net.params)
+        assert all(np.shares_memory(w, twin.params) for w in twin.weights)
+
+    def test_gradient_is_laid_out_like_params(self, rng):
+        net = init_mlp([2, 3, 1], ["linear", "linear"], seed=1)
+        x = rng.standard_normal((4, 2))
+        _, cache = mlp_forward(net, x)
+        grads, _ = mlp_backward(net, cache, np.ones((4, 1)))
+        assert grads.shape == net.params.shape
+        # last layer: dL/dW2 = sum over rows of hidden activations, dL/db2 = rows
+        hidden = x @ net.weights[0] + net.biases[0]
+        assert np.allclose(grads[9:12], hidden.sum(axis=0), rtol=0.0, atol=1e-12)
+        assert grads[12] == 4.0
+
+    def test_parameter_count_validated(self):
+        with pytest.raises(ValueError):
+            Mlp([2, 3], ["linear"], np.zeros(8))
+        with pytest.raises(ValueError):
+            Mlp([2, 3], ["linear"], np.zeros((3, 3)))
+        with pytest.raises(TypeError):
+            Mlp([2.0, 3], ["linear"])
+
+
+# Verbatim copies of the list-based network updates that the flat parameter
+# vector replaced, kept as oracles (parameters were weight and bias arrays
+# interleaved per layer). The flat versions must match them bit for bit.
+
+def reference_parameters(net):
+    """Live parameter arrays, weights and biases interleaved per layer."""
+    out = []
+    for w, b in zip(net.weights, net.biases):
+        out.append(w)
+        out.append(b)
+    return out
+
+
+def reference_mlp_backward(net, cache, grad_output):
+    g = np.asarray(grad_output, dtype=np.float64)
+    if cache["single"]:
+        g = g[None, :]
+    grads = [None] * (2 * len(net.weights))
+    for layer in reversed(range(len(net.weights))):
+        g = g * _apply_grad(net.activations[layer], cache["pre"][layer], cache["post"][layer])
+        grads[2 * layer] = cache["inputs"][layer].T @ g
+        grads[2 * layer + 1] = g.sum(axis=0)
+        g = g @ net.weights[layer].T
+    return grads, (g[0] if cache["single"] else g)
+
+
+@dataclass
+class ReferenceAdamState:
+    """Adam moments plus the stepped learning-rate decay counter."""
+
+    lr: float
+    m: list = field(default_factory=list)
+    v: list = field(default_factory=list)
+    step: int = 0
+    decay_ticks: int = 0
+
+    @classmethod
+    def for_params(cls, params, lr: float) -> "ReferenceAdamState":
+        if not lr > 0.0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
+        return cls(
+            lr=lr,
+            m=[np.zeros_like(p) for p in params],
+            v=[np.zeros_like(p) for p in params],
+        )
+
+
+def reference_adam_step(params, grads, state) -> None:
+    """One Adam update, in place, with bias correction."""
+    if len(params) != len(grads) or len(params) != len(state.m):
+        raise ValueError("params, grads and state must have matching lengths")
+    for g in grads:
+        if not np.isfinite(g).all():
+            raise NumericalError("non-finite gradient")
+    state.step += 1
+    bias1 = 1.0 - ADAM_BETA1 ** state.step
+    bias2 = 1.0 - ADAM_BETA2 ** state.step
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+
+
+def reference_soft_update(target, source, tau: float) -> None:
+    """target <- tau * source + (1 - tau) * target, exactly, in place."""
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"tau must be in [0, 1], got {tau}")
+    for t, s in zip(reference_parameters(target), reference_parameters(source)):
+        t[...] = tau * s + (1.0 - tau) * t
+
+
+def random_layout(rng):
+    sizes = [int(s) for s in rng.integers(1, 13, size=int(rng.integers(2, 5)))]
+    activations = [str(a) for a in rng.choice(["relu", "tanh", "linear"], size=len(sizes) - 1)]
+    return sizes, activations
+
+
+def as_list(net_like, flat):
+    """`flat` split into the reference's interleaved per-layer arrays."""
+    return reference_parameters(Mlp(net_like.layer_sizes, net_like.activations, flat))
+
+
+class TestFlatMatchesListOracle:
+    @pytest.mark.parametrize("case", range(8))
+    def test_backward_matches_reference(self, case):
+        rng = np.random.default_rng(100 + case)
+        sizes, activations = random_layout(rng)
+        net = init_mlp(sizes, activations, rng)
+        x = rng.standard_normal((int(rng.integers(1, 9)), sizes[0]))
+        g_out = rng.standard_normal((len(x), sizes[-1]))
+        _, cache = mlp_forward(net, x)
+        flat, flat_in = mlp_backward(net, cache, g_out)
+        expected, expected_in = reference_mlp_backward(net, cache, g_out)
+        for got, want in zip(as_list(net, flat), expected):
+            assert got.tobytes() == want.tobytes()
+        assert flat_in.tobytes() == expected_in.tobytes()
+
+    @pytest.mark.parametrize("case", range(8))
+    def test_adam_matches_reference(self, case):
+        rng = np.random.default_rng(200 + case)
+        sizes, activations = random_layout(rng)
+        net = init_mlp(sizes, activations, rng)
+        ref = net.copy()
+        state = AdamState.for_params(net.params, lr=1e-2)
+        ref_state = ReferenceAdamState.for_params(reference_parameters(ref), lr=1e-2)
+        for step in range(12):
+            grads = rng.standard_normal(net.params.size) * 10.0 ** rng.integers(-6, 3)
+            adam_step(net.params, grads, state)
+            reference_adam_step(reference_parameters(ref), as_list(net, grads.copy()), ref_state)
+            decay_learning_rate(state, every=3, ratio=0.9)
+            decay_learning_rate(ref_state, every=3, ratio=0.9)
+            assert net.params.tobytes() == ref.params.tobytes(), step
+            assert state.m.tobytes() == np.concatenate([m.ravel() for m in ref_state.m]).tobytes()
+            assert state.v.tobytes() == np.concatenate([v.ravel() for v in ref_state.v]).tobytes()
+            assert (state.step, state.lr) == (ref_state.step, ref_state.lr)
+
+    @pytest.mark.parametrize("case", range(8))
+    def test_soft_update_matches_reference(self, case):
+        rng = np.random.default_rng(300 + case)
+        sizes, activations = random_layout(rng)
+        target = init_mlp(sizes, activations, rng)
+        source = init_mlp(sizes, activations, rng)
+        ref_target = target.copy()
+        for step in range(12):
+            tau = float(rng.choice([0.0, 0.01, rng.random(), 1.0]))
+            soft_update(target, source, tau)
+            reference_soft_update(ref_target, source, tau)
+            assert target.params.tobytes() == ref_target.params.tobytes(), step
+            source.params += 0.1 * rng.standard_normal(source.params.size)
+
+    def test_sac_sized_training_matches_reference(self, rng):
+        """Backward, Adam and Polyak together on the SAC value-net layout."""
+        net = init_mlp([10, 50, 50, 1], ["relu", "relu", "linear"], seed=3)
+        target = net.copy()
+        ref, ref_target = net.copy(), net.copy()
+        state = AdamState.for_params(net.params, lr=1e-3)
+        ref_state = ReferenceAdamState.for_params(reference_parameters(ref), lr=1e-3)
+        for _ in range(20):
+            x = rng.random((64, 10))
+            y = rng.standard_normal(64)
+            out, cache = mlp_forward(net, x)
+            grads, _ = mlp_backward(net, cache, ((out[:, 0] - y) / 64)[:, None])
+            ref_out, ref_cache = mlp_forward(ref, x)
+            ref_grads, _ = reference_mlp_backward(
+                ref, ref_cache, ((ref_out[:, 0] - y) / 64)[:, None]
+            )
+            adam_step(net.params, grads, state)
+            reference_adam_step(reference_parameters(ref), ref_grads, ref_state)
+            soft_update(target, net, 0.01)
+            reference_soft_update(ref_target, ref, 0.01)
+        assert net.params.tobytes() == ref.params.tobytes()
+        assert target.params.tobytes() == ref_target.params.tobytes()

@@ -1,3 +1,4 @@
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,6 +11,7 @@ from metasampler import (
     PolicyActionSource,
     ReplayMemory,
     SacConfig,
+    SamplerFormatError,
     SplitSpec,
     ToySpec,
     action_log_prob,
@@ -34,6 +36,7 @@ from metasampler.sac import (
     policy_loss_and_grads,
     q_loss_and_grads,
     sac_update,
+    strict_int,
     v_loss_and_grads,
 )
 from conftest import fd_param_gradients, max_relative_error
@@ -283,9 +286,9 @@ class TestLossGradients:
         _, analytic = q_loss_and_grads(nets.q, nets.target_v, batch, gamma=0.99)
         numeric = fd_param_gradients(
             lambda: q_loss_and_grads(nets.q, nets.target_v, batch, gamma=0.99)[0],
-            nets.q.parameters(),
+            [nets.q.params],
         )
-        assert max_relative_error(analytic, numeric) < 1e-4
+        assert max_relative_error([analytic], numeric) < 1e-4
 
     def test_v_gradients_match_finite_differences(self, rng):
         nets = small_nets()
@@ -294,9 +297,9 @@ class TestLossGradients:
         _, analytic = v_loss_and_grads(nets.v, states, targets)
         numeric = fd_param_gradients(
             lambda: v_loss_and_grads(nets.v, states, targets)[0],
-            nets.v.parameters(),
+            [nets.v.params],
         )
-        assert max_relative_error(analytic, numeric) < 1e-4
+        assert max_relative_error([analytic], numeric) < 1e-4
 
     def test_policy_gradients_match_finite_differences(self, rng):
         nets = small_nets()
@@ -305,9 +308,9 @@ class TestLossGradients:
         _, analytic, _ = policy_loss_and_grads(nets.policy, nets.q, states, eps, alpha=0.1)
         numeric = fd_param_gradients(
             lambda: policy_loss_and_grads(nets.policy, nets.q, states, eps, alpha=0.1)[0],
-            nets.policy.parameters(),
+            [nets.policy.params],
         )
-        assert max_relative_error(analytic, numeric) < 1e-4
+        assert max_relative_error([analytic], numeric) < 1e-4
 
     def test_q_regression_onto_zero_decreases(self, rng):
         nets = small_nets(seed=5)
@@ -322,12 +325,12 @@ class TestLossGradients:
             next_states=np.stack([one.next_state] * 4),
             terminals=np.zeros(4),
         )
-        optim = AdamState.for_params(nets.q.parameters(), lr=1e-3)
+        optim = AdamState.for_params(nets.q.params, lr=1e-3)
         losses = []
         for _ in range(50):
             loss, grads = q_loss_and_grads(nets.q, nets.target_v, batch, gamma=0.0)
             losses.append(loss)
-            adam_step(nets.q.parameters(), grads, optim)
+            adam_step(nets.q.params, grads, optim)
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
 
@@ -344,9 +347,9 @@ class TestSacUpdate:
             replay.push(make_transition(rng, state_size))
         nets = small_nets(bins=2, seed=1)
         optim = SacOptimizers(
-            policy=AdamState.for_params(nets.policy.parameters(), config.lr),
-            q=AdamState.for_params(nets.q.parameters(), config.lr),
-            v=AdamState.for_params(nets.v.parameters(), config.lr),
+            policy=AdamState.for_params(nets.policy.params, config.lr),
+            q=AdamState.for_params(nets.q.params, config.lr),
+            v=AdamState.for_params(nets.v.params, config.lr),
         )
         return config, replay, nets, optim
 
@@ -358,12 +361,12 @@ class TestSacUpdate:
 
     def test_target_update_is_exact_polyak_blend(self):
         config, replay, nets, optim = self.make_setup()
-        target_before = [p.copy() for p in nets.target_v.parameters()]
+        target_before = nets.target_v.params.copy()
         sac_update(replay, nets, optim, config, np.random.default_rng(3))
-        for t_after, v_now, t_old in zip(
-            nets.target_v.parameters(), nets.v.parameters(), target_before
-        ):
-            assert np.array_equal(t_after, config.tau * v_now + (1.0 - config.tau) * t_old)
+        assert np.array_equal(
+            nets.target_v.params,
+            config.tau * nets.v.params + (1.0 - config.tau) * target_before,
+        )
 
     def test_decay_ticks_advance_all_optimizers(self):
         config, replay, nets, optim = self.make_setup()
@@ -400,9 +403,9 @@ class TestSacUpdate:
         )
         nets.target_v = nets.v.copy()
         optim = SacOptimizers(
-            policy=AdamState.for_params(nets.policy.parameters(), config.lr),
-            q=AdamState.for_params(nets.q.parameters(), config.lr),
-            v=AdamState.for_params(nets.v.parameters(), config.lr),
+            policy=AdamState.for_params(nets.policy.params, config.lr),
+            q=AdamState.for_params(nets.q.params, config.lr),
+            v=AdamState.for_params(nets.v.params, config.lr),
         )
         update_rng = np.random.default_rng(7)
         for _ in range(2000):
@@ -470,8 +473,7 @@ class TestMetaTrain:
         config = SacConfig(**self.small)
         a = meta_train([toy_task(overlap=0.5)], config, seed=9)
         b = meta_train([toy_task(overlap=0.5)], config, seed=9)
-        for pa, pb in zip(a.policy.parameters(), b.policy.parameters()):
-            assert np.array_equal(pa, pb)
+        assert np.array_equal(a.policy.params, b.policy.params)
 
     def test_empty_task_list_rejected(self):
         with pytest.raises(ValueError):
@@ -530,6 +532,52 @@ class TestSamplerIO:
         with pytest.raises(ValueError):
             load_sampler(path)
 
+    def test_infinite_sigma_rejected(self):
+        policy = init_mlp([10, HIDDEN_WIDTH, 2], ["relu", "linear"], seed=0)
+        with pytest.raises(ValueError):
+            MetaSampler(policy=policy, bins=5, sigma=float("inf"))
+
+    @pytest.mark.parametrize(
+        "key, text",
+        [("sigma", "1e400"), ("bins", "5.5"), ("bins", "true")],
+        ids=["sigma-overflows-to-inf", "fractional-bins", "boolean-bins"],
+    )
+    def test_bad_scalar_is_format_error(self, tmp_path, key, text):
+        path = tmp_path / "sampler.json"
+        save_sampler(random_sampler(5, 0.2, seed=2), path)
+        doc = json.loads(path.read_text())
+        doc[key] = "PLACEHOLDER"
+        path.write_text(json.dumps(doc).replace('"PLACEHOLDER"', text))
+        with pytest.raises(SamplerFormatError):
+            load_sampler(path)
+
+    def test_integral_float_bins_loads(self, tmp_path):
+        path = tmp_path / "sampler.json"
+        save_sampler(random_sampler(5, 0.2, seed=2), path)
+        doc = json.loads(path.read_text())
+        doc["bins"] = 5.0
+        path.write_text(json.dumps(doc))
+        assert load_sampler(path).bins == 5
+
+
+class TestStrictInt:
+    @pytest.mark.parametrize("value, expected", [(3, 3), (3.0, 3), ("7", 7), (np.int64(4), 4)])
+    def test_integers_pass(self, value, expected):
+        result = strict_int(value)
+        assert result == expected and type(result) is int
+
+    @pytest.mark.parametrize(
+        "value", [2.9, -0.5, float("inf"), float("nan"), True, False, np.bool_(True), "2.9"]
+    )
+    def test_truncation_and_booleans_rejected(self, value):
+        with pytest.raises(ValueError):
+            strict_int(value)
+
+    @pytest.mark.parametrize("value", [None, [1]])
+    def test_non_numbers_rejected(self, value):
+        with pytest.raises(TypeError):
+            strict_int(value)
+
 
 class TestSacConfig:
     @pytest.mark.parametrize(
@@ -546,6 +594,8 @@ class TestSacConfig:
             dict(ensemble_size=1),
             dict(bins=0),
             dict(sigma=0.0),
+            dict(sigma=float("inf")),
+            dict(sigma=float("nan")),
         ],
     )
     def test_rejects_invalid(self, kwargs):

@@ -116,6 +116,11 @@ class TestGaussianWeight:
         with pytest.raises(ValueError):
             gaussian_weight(0.5, mu=0.5, sigma=0.0)
 
+    @pytest.mark.parametrize("sigma", [float("inf"), float("nan"), -0.2])
+    def test_sigma_must_be_finite_and_positive(self, sigma):
+        with pytest.raises(ValueError):
+            gaussian_weight(0.5, mu=0.5, sigma=sigma)
+
 
 class TestMetaSample:
     def make_task(self):
