@@ -37,7 +37,7 @@ from .ensemble import ConstantActionSource, train_ensemble, train_random_ensembl
 from .errors import ConfigError, DataError, NumericalError
 from .learners import DecisionTree, GaussianNaiveBayes
 from .metrics import aucprc
-from .rng import as_seed_sequence
+from .rng import as_seed_sequence, strict_float, strict_int
 from .sac import (
     PolicyActionSource,
     SacConfig,
@@ -45,7 +45,6 @@ from .sac import (
     meta_train,
     random_sampler,
     save_sampler,
-    strict_int,
 )
 
 LEARNERS = {"tree": DecisionTree, "gnb": GaussianNaiveBayes}
@@ -86,13 +85,14 @@ def _load_config_file(path) -> dict:
 # Ranges checked before any work, for each of these keys a command has:
 # key -> (cast, test, wording). A key whose default is text holds a comma list.
 # Other keys with a number default (SAC fields aside) are only cast. Every
-# integer goes through strict_int, which refuses booleans and fractions.
+# integer goes through strict_int, which refuses booleans and fractions, and
+# every float through strict_float, which refuses booleans.
 _RANGES = {
     "k": (strict_int, lambda v: v >= 1, "at least 1"),
-    "mu": (float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "mu": (strict_float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
     "bins": (strict_int, lambda v: v >= 1, "at least 1"),
-    "sigma": (float, lambda v: 0.0 < v < math.inf, "finite and positive"),
-    "ratios": (float, lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    "sigma": (strict_float, lambda v: 0.0 < v < math.inf, "finite and positive"),
+    "ratios": (strict_float, lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
 }
 
 
@@ -147,7 +147,7 @@ def _resolve(args, defaults: dict) -> _Run:
     run = _Run(config, Path(config["out"]), numbers)
     if "split" in config:
         run.seeds = _parse_number_list(config["seed"], "--seed", strict_int)
-        fractions = _parse_number_list(config["split"], "--split", float)
+        fractions = _parse_number_list(config["split"], "--split", strict_float)
         if len(fractions) != 3:
             raise ConfigError(f"--split needs three fractions, got {config['split']!r}")
         try:
@@ -195,7 +195,7 @@ def _sac_fields():
 _SAC_FIELDS = tuple(_sac_fields())
 SAC_DEFAULTS = {name: default for name, _, default in _SAC_FIELDS}
 _SAC_CASTS = {name: cast for name, cast, _ in _SAC_FIELDS}
-_CASTS = {int: strict_int, float: float}  # a number type -> the cast of its config values
+_CASTS = {int: strict_int, float: strict_float}  # a number type -> the cast of its config values
 
 
 def _sac_config(resolved: dict, ensemble_size: int) -> SacConfig:

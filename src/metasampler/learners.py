@@ -12,6 +12,7 @@ from .dataset import LabeledDataset
 from .errors import SingleClassError
 
 _LEAF = -1
+_PREDICT_BLOCK = 8192  # rows per block of the predict descent; see DecisionTree
 
 
 def _as_matrix(features, n_features):
@@ -49,7 +50,25 @@ class DecisionTree:
     ``(d, m - 1)`` decrease array is the lowest feature, then the lowest
     threshold. A child's row and positive counts come from the parent's
     cumulative sums. The depth-first stack holds only pending nodes, whose
-    row sets are disjoint, so its blocks total at most ``n * d`` ids.
+    row sets are disjoint, so its blocks total at most ``n * d`` ids. Each
+    stack entry carries its level, so ``fit`` records ``depth``.
+
+    ``fit`` ends by deriving the one traversal table of ``predict_proba``
+    from the public node arrays: a ``(nodes, 2)`` child table, held flat,
+    whose row ``node`` lists the right child, then the left one. A leaf
+    points to itself on both sides, so a row that reaches a leaf stays
+    there whatever it compares; ``feature`` and ``threshold`` serve as they
+    are, a leaf's -1 feature reading the value just before the row's own,
+    which the self-loop ignores. ``predict_proba`` walks blocks of at most
+    8,192 rows (``_PREDICT_BLOCK``) for exactly ``depth`` levels. A level
+    is a few whole-block operations: gather each row's split feature and
+    value, gather the threshold, compare, and step to entry
+    ``2 * node + (value < threshold)`` of the child table. Finished rows
+    are not compacted away, so nothing is scattered back. Each float64 or
+    intp temporary of a block is 64 KiB, below glibc's default 128 KiB
+    mmap threshold, so no level maps and faults in fresh pages. Every row
+    lands in the leaf that following ``left``/``right`` node by node
+    reaches, a NaN value going right.
     """
 
     def __init__(self):
@@ -59,6 +78,7 @@ class DecisionTree:
         self.right = None
         self.value = None
         self.n_features_in = None
+        self.depth = None
 
     def fit(self, ds: LabeledDataset) -> "DecisionTree":
         x, y = ds.features, ds.labels
@@ -71,10 +91,11 @@ class DecisionTree:
         marked = np.zeros(n, dtype=bool)
         pos = int(y.sum())
         feature, threshold, left, right, value = [_LEAF], [np.nan], [_LEAF], [_LEAF], [pos / n]
-        # pending (node, sorted row-id block, positives), only for impure nodes
-        stack = [(0, np.argsort(x, axis=0, kind="stable").T.copy(), pos)] if 0 < pos < n else []
+        depth = 0
+        # pending (node, level, sorted row-id block, positives), only for impure nodes
+        stack = [(0, 0, np.argsort(x, axis=0, kind="stable").T.copy(), pos)] if 0 < pos < n else []
         while stack:
-            node, rows, pos = stack.pop()
+            node, level, rows, pos = stack.pop()
             m = rows.shape[1]
             sv = flat_x[rows + offsets]
             counts = np.empty((2, d, m - 1))  # positives left of each cut, then right of it
@@ -101,12 +122,13 @@ class DecisionTree:
             marked[left_rows] = False
             pos_left = int(counts[0, feat, k])
             left[node], right[node] = len(feature), len(feature) + 1
+            depth = max(depth, level + 1)
             for size, child_pos, block in (
                 (k + 1, pos_left, rows[goes_left]),
                 (m - k - 1, pos - pos_left, rows[~goes_left]),
             ):
                 if 0 < child_pos < size:
-                    stack.append((len(feature), block.reshape(d, size), child_pos))
+                    stack.append((len(feature), level + 1, block.reshape(d, size), child_pos))
                 feature.append(_LEAF)
                 threshold.append(np.nan)
                 left.append(_LEAF)
@@ -118,31 +140,33 @@ class DecisionTree:
         self.left = np.asarray(left, dtype=np.intp)
         self.right = np.asarray(right, dtype=np.intp)
         self.value = np.asarray(value, dtype=np.float64)
+        self.depth = depth
+        split = self.feature != _LEAF
+        nodes = np.arange(len(feature))
+        # row 2 * node + (value < threshold): the right child, then the left one
+        self._children = np.stack(
+            [np.where(split, self.right, nodes), np.where(split, self.left, nodes)], axis=1
+        ).ravel()
         return self
-
-    @property
-    def depth(self) -> int:
-        depths = np.zeros(len(self.feature), dtype=np.intp)
-        for node in range(len(self.feature)):
-            if self.feature[node] != _LEAF:
-                child_depth = depths[node] + 1
-                depths[self.left[node]] = child_depth
-                depths[self.right[node]] = child_depth
-        return int(depths.max())
 
     def predict_proba(self, features):
         if self.feature is None:
             raise RuntimeError("tree is not fitted")
         x, single = _as_matrix(features, self.n_features_in)
-        node = np.zeros(len(x), dtype=np.intp)
-        active = self.feature[node] != _LEAF
-        while active.any():
-            rows = np.flatnonzero(active)
-            cur = node[rows]
-            goes_left = x[rows, self.feature[cur]] < self.threshold[cur]
-            node[rows] = np.where(goes_left, self.left[cur], self.right[cur])
-            active[rows] = self.feature[node[rows]] != _LEAF
-        out = self.value[node]
+        out = np.empty(len(x))
+        row_offsets = np.arange(min(len(x), _PREDICT_BLOCK)) * x.shape[1]
+        for start in range(0, len(x), _PREDICT_BLOCK):
+            rows = x[start : start + _PREDICT_BLOCK]
+            flat, offsets = rows.ravel(), row_offsets[: len(rows)]
+            node = np.zeros(len(rows), dtype=np.intp)
+            for _ in range(self.depth):
+                at = self.feature[node]  # a leaf's -1 reads a value its self-loop ignores
+                at += offsets
+                goes_left = flat[at] < self.threshold[node]
+                node += node
+                node += goes_left
+                node = self._children[node]
+            out[start : start + len(rows)] = self.value[node]
         return float(out[0]) if single else out
 
 

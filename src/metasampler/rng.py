@@ -1,12 +1,33 @@
-"""Small helpers for seed handling.
+"""Small helpers for seed handling, and the strict number casts.
 
 Everything that draws randomness accepts either an int seed, a
 ``numpy.random.SeedSequence`` or a ready ``Generator``, so callers can wire
-reproducible streams without the library ever touching global state.
+reproducible streams without the library ever touching global state. An int
+seed goes through ``strict_int``, so a fraction such as 2.9 or a boolean is
+refused rather than run as seed 2 or 1.
 """
 from __future__ import annotations
 
 import numpy as np
+
+
+def strict_int(value) -> int:
+    """int(value) of an integer number or text; a boolean or a fraction raises ValueError."""
+    if isinstance(value, (bool, np.bool_)) or (
+        isinstance(value, (float, np.floating)) and not float(value).is_integer()
+    ):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
+def strict_float(value) -> float:
+    """float(value) of a number or number text; a boolean raises ValueError.
+
+    Non-finite values pass; each caller's range check refuses them where it must.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"not a number: {value!r}")
+    return float(value)
 
 
 def as_generator(seed) -> np.random.Generator:
@@ -14,7 +35,7 @@ def as_generator(seed) -> np.random.Generator:
         return seed
     if isinstance(seed, np.random.SeedSequence):
         return np.random.default_rng(seed)
-    return np.random.default_rng(int(seed))
+    return np.random.default_rng(strict_int(seed))
 
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
@@ -22,4 +43,4 @@ def as_seed_sequence(seed) -> np.random.SeedSequence:
         return seed
     if isinstance(seed, np.random.Generator):
         raise TypeError("need an int or SeedSequence, not a Generator")
-    return np.random.SeedSequence(int(seed))
+    return np.random.SeedSequence(strict_int(seed))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -36,7 +37,7 @@ from .neural import (
     mlp_to_document,
     soft_update,
 )
-from .rng import as_generator, as_seed_sequence
+from .rng import as_generator, as_seed_sequence, strict_float, strict_int
 
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
@@ -65,14 +66,20 @@ class SacConfig:
     sigma: float = 0.2
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if (value is not None or name != "episodes") and (
+                isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            ):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError(f"tau must be in (0, 1], got {self.tau}")
-        if self.alpha < 0.0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
-        if not self.lr > 0.0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and non-negative, got {self.alpha}")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if self.lr_decay_steps < 1 or not 0.0 < self.lr_decay_ratio <= 1.0:
             raise ValueError("invalid learning-rate decay settings")
         if self.batch_size < 1:
@@ -93,6 +100,12 @@ class SacConfig:
     @property
     def state_size(self) -> int:
         return 2 * self.bins
+
+
+_INT_FIELDS = (
+    "lr_decay_steps", "batch_size", "replay_capacity", "gradient_steps", "random_steps",
+    "episodes", "ensemble_size", "bins",
+)  # SacConfig's integer fields; episodes may also be None
 
 
 class Batch(NamedTuple):
@@ -466,15 +479,6 @@ def meta_train(tasks, config: SacConfig, seed, learner_factory=DecisionTree,
     return sampler
 
 
-def strict_int(value) -> int:
-    """int(value) of an integer number or text; a boolean or a fraction raises ValueError."""
-    if isinstance(value, (bool, np.bool_)) or (
-        isinstance(value, (float, np.floating)) and not float(value).is_integer()
-    ):
-        raise ValueError(f"not an integer: {value!r}")
-    return int(value)
-
-
 def sampler_to_document(sampler: MetaSampler) -> dict:
     return {
         "format_version": SAMPLER_FORMAT_VERSION,
@@ -491,7 +495,7 @@ def sampler_from_document(doc: dict) -> MetaSampler:
     return MetaSampler(
         policy=mlp_from_document(doc["policy"]),
         bins=strict_int(doc["bins"]),
-        sigma=float(doc["sigma"]),
+        sigma=strict_float(doc["sigma"]),
     )
 
 

@@ -409,6 +409,45 @@ class TestValueRanges:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("train", {"mu": True}),
+            ("train", {"sigma": True}),
+            ("generate-toy", {"overlap": True}),
+            ("meta-train", {"tau": True}),
+            ("meta-train", {"alpha": False}),
+            ("ablation", {"lr_decay_ratio": True}),
+            ("noise-sweep", {"gamma": True}),
+        ],
+        ids=["mu", "sigma", "toy-overlap", "sac-tau", "sac-alpha", "ablation", "noise-sweep"],
+    )
+    def test_boolean_float_in_config_file(self, tmp_path, capsys, task_csv, command, doc):
+        # each run would succeed with the boolean read as 1.0 or 0.0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        task = [] if command == "generate-toy" else [str(task_csv)]
+        flags = {
+            "train": ["--mode", "constant" if "mu" in doc else "random-policy"],
+            "generate-toy": ["--minority", "4", "--majority", "20"],
+            "meta-train": TINY_SAC,
+            "ablation": [*TINY_SAC[2:], "--seed", "0", "--k", "2"],
+            "noise-sweep": [*TINY_SAC, "--seed", "0", "--ratios", "0"],
+        }[command]
+        out = tmp_path / "out"
+        assert main([command, *task, "--config", str(config), *flags, "--out", str(out)]) == 1
+        assert "not a number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_sac_float_in_config_file(self, tmp_path, capsys, task_csv):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alpha": "nan"}))
+        out = tmp_path / "out"
+        argv = ["meta-train", str(task_csv), "--config", str(config), *TINY_SAC, "--out", str(out)]
+        assert main(argv) == 1
+        assert "alpha must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integral_float_in_config_file_runs(self, tmp_path, task_csv):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"k": 3.0, "bins": 4.0}))
@@ -430,6 +469,7 @@ def bad_sampler_files(workdir, sampler_path):
         # 1e400 parses as inf; 5.5 bins would load as 5, matching the policy's 10 inputs
         "infinite-sigma": json.dumps({**doc, "sigma": "X"}).replace('"X"', "1e400"),
         "fractional-bins": json.dumps({**doc, "bins": 5.5}),
+        "boolean-sigma": json.dumps({**doc, "sigma": True}),
     }
     doc["policy"]["weights"][0][0][0] = float("nan")
     files["nan-weight"] = json.dumps(doc)
@@ -451,7 +491,7 @@ def sampler_argv(command, task, sampler, out):
 class TestSamplerFiles:
     @pytest.mark.parametrize("command", ["train", "transfer"])
     @pytest.mark.parametrize(
-        "kind", ["not-json", "no-policy", "infinite-sigma", "fractional-bins"]
+        "kind", ["not-json", "no-policy", "infinite-sigma", "fractional-bins", "boolean-sigma"]
     )
     def test_malformed_sampler_is_data_error(
         self, tmp_path, capsys, task_csv, bad_sampler_files, command, kind

@@ -11,6 +11,7 @@ from metasampler import (
     random_balanced_subset,
     stratified_split,
 )
+from metasampler.learners import _as_matrix
 from conftest import make_dataset
 
 
@@ -265,6 +266,119 @@ class TestFitInvariants:
             assert len(left) > 0 and len(right) > 0
             pending += [(tree.left[node], left), (tree.right[node], right)]
         assert sorted(visited) == list(range(len(tree.feature)))
+
+
+def reference_predict_proba(tree, features):
+    """The level-by-level compacting descent that the row-blocked one replaced, verbatim."""
+    if tree.feature is None:
+        raise RuntimeError("tree is not fitted")
+    x, single = _as_matrix(features, tree.n_features_in)
+    node = np.zeros(len(x), dtype=np.intp)
+    active = tree.feature[node] != _LEAF
+    while active.any():
+        rows = np.flatnonzero(active)
+        cur = node[rows]
+        goes_left = x[rows, tree.feature[cur]] < tree.threshold[cur]
+        node[rows] = np.where(goes_left, tree.left[cur], tree.right[cur])
+        active[rows] = tree.feature[node[rows]] != _LEAF
+    out = tree.value[node]
+    return float(out[0]) if single else out
+
+
+def reference_depth(tree):
+    """The per-node depth loop that the depth recorded by fit replaced, verbatim."""
+    depths = np.zeros(len(tree.feature), dtype=np.intp)
+    for node in range(len(tree.feature)):
+        if tree.feature[node] != _LEAF:
+            child_depth = depths[node] + 1
+            depths[tree.left[node]] = child_depth
+            depths[tree.right[node]] = child_depth
+    return int(depths.max())
+
+
+def assert_same_bytes(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, float):
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    else:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def mid_toy_rows(n, seed):
+    """n rows drawn from the MID toy task, about half of them jittered off the training values."""
+    rng = np.random.default_rng(seed)
+    x = make_toy(MID_TOY).features
+    rows = x[rng.integers(0, len(x), n)]
+    return rows + rng.normal(0.0, 0.05, rows.shape) * (rng.random((n, 1)) < 0.5)
+
+
+BLOCK_EDGE_SIZES = [1, 8_191, 8_192, 8_193, 20_000]
+
+
+class TestPredictMatchesReference:
+    @pytest.mark.parametrize("ds", ORACLE_PARAMS)
+    def test_training_rows_and_jittered_rows(self, ds):
+        tree = DecisionTree().fit(ds)
+        rng = np.random.default_rng(len(ds))
+        jittered = ds.features + rng.normal(0.0, 1.0, ds.features.shape)
+        column_major = np.asfortranarray(ds.features[::-1])
+        for x in (ds.features, jittered, column_major):
+            assert_same_bytes(tree.predict_proba(x), reference_predict_proba(tree, x))
+
+    @pytest.mark.parametrize("ds", ORACLE_PARAMS)
+    def test_recorded_depth_is_node_loop_depth(self, ds):
+        tree = DecisionTree().fit(ds)
+        assert type(tree.depth) is int
+        assert tree.depth == reference_depth(tree)
+
+    @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+    def test_mid_toy_subsets_across_block_edges(self, n):
+        train, _, _ = stratified_split(make_toy(MID_TOY), SplitSpec(), seed=0)
+        x = mid_toy_rows(n, seed=n)
+        for seed in range(8):
+            tree = DecisionTree().fit(random_balanced_subset(train, seed))
+            assert tree.depth > 0
+            assert_same_bytes(tree.predict_proba(x), reference_predict_proba(tree, x))
+
+    @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+    def test_pure_tree_across_block_edges(self, n):
+        ds = make_dataset([[0.0, 1.0], [1.0, 2.0], [2.0, 3.0]], [0, 1, 1])
+        tree = DecisionTree().fit(ds.subset([1, 2]))
+        assert tree.depth == 0
+        x = mid_toy_rows(n, seed=n)[:, :2]
+        got = tree.predict_proba(x)
+        assert_same_bytes(got, reference_predict_proba(tree, x))
+        assert got.tolist() == [1.0] * n
+
+    def test_value_equal_to_threshold_goes_right(self):
+        tree = fit_tree([[0.0], [2.0], [4.0]], [0, 1, 1])
+        assert tree.threshold[0] == 1.0
+        x = np.array([[np.nextafter(1.0, 0.0)], [1.0], [np.nextafter(1.0, 2.0)]])
+        got = tree.predict_proba(x)
+        assert got.tolist() == [0.0, 1.0, 1.0]
+        assert_same_bytes(got, reference_predict_proba(tree, x))
+
+    def test_non_finite_rows_take_the_reference_path(self, rng):
+        tree = DecisionTree().fit(random_balanced_subset(make_toy(MID_TOY), 3))
+        x = rng.standard_normal((300, 2)) * 3.0
+        x[rng.random(x.shape) < 0.2] = np.nan
+        x[rng.random(x.shape) < 0.1] = np.inf
+        x[rng.random(x.shape) < 0.1] = -np.inf
+        assert_same_bytes(tree.predict_proba(x), reference_predict_proba(tree, x))
+
+    @pytest.mark.parametrize("ds", ORACLE_PARAMS[-3:])
+    def test_single_row_returns_python_float(self, ds):
+        tree = DecisionTree().fit(ds)
+        for row in ds.features[:20]:
+            got = tree.predict_proba(row)
+            assert type(got) is float
+            assert_same_bytes(got, reference_predict_proba(tree, row))
+
+    def test_empty_input(self):
+        tree = fit_tree([[0.0], [4.0]], [0, 1])
+        x = np.zeros((0, 1))
+        assert_same_bytes(tree.predict_proba(x), reference_predict_proba(tree, x))
 
 
 class TestGaussianNaiveBayes:

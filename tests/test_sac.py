@@ -27,7 +27,7 @@ from metasampler import (
     stratified_split,
 )
 from metasampler.neural import AdamState, adam_step
-from metasampler.rng import as_generator
+from metasampler.rng import as_generator, as_seed_sequence
 from metasampler.sac import (
     HIDDEN_WIDTH,
     Batch,
@@ -36,6 +36,7 @@ from metasampler.sac import (
     policy_loss_and_grads,
     q_loss_and_grads,
     sac_update,
+    strict_float,
     strict_int,
     v_loss_and_grads,
 )
@@ -579,6 +580,43 @@ class TestStrictInt:
             strict_int(value)
 
 
+class TestStrictFloat:
+    @pytest.mark.parametrize(
+        "value, expected", [(0.5, 0.5), (3, 3.0), ("0.25", 0.25), (np.float32(0.5), 0.5)]
+    )
+    def test_numbers_pass(self, value, expected):
+        result = strict_float(value)
+        assert result == expected and type(result) is float
+
+    def test_non_finite_passes_to_the_range_check(self):
+        assert strict_float("inf") == float("inf")
+        assert np.isnan(strict_float(float("nan")))
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(False), "x"])
+    def test_booleans_and_bad_text_rejected(self, value):
+        with pytest.raises(ValueError):
+            strict_float(value)
+
+
+class TestSeedCasts:
+    @pytest.mark.parametrize("seed", [2.9, 0.5, True, np.bool_(False), "2.9"])
+    def test_fractional_and_boolean_seeds_rejected(self, seed):
+        with pytest.raises(ValueError):
+            as_generator(seed)
+        with pytest.raises(ValueError):
+            as_seed_sequence(seed)
+
+    @pytest.mark.parametrize("seed", [2, np.int64(2), 2.0, "2"])
+    def test_integer_seeds_keep_their_streams(self, seed):
+        assert np.array_equal(as_generator(seed).random(5), np.random.default_rng(2).random(5))
+        assert as_seed_sequence(seed).entropy == np.random.SeedSequence(2).entropy
+
+    def test_meta_train_refuses_fractional_seed(self):
+        config = SacConfig(ensemble_size=2, random_steps=2, gradient_steps=0, episodes=1)
+        with pytest.raises(ValueError):
+            meta_train([toy_task()], config, seed=2.9)
+
+
 class TestSacConfig:
     @pytest.mark.parametrize(
         "kwargs",
@@ -596,6 +634,18 @@ class TestSacConfig:
             dict(sigma=0.0),
             dict(sigma=float("inf")),
             dict(sigma=float("nan")),
+            dict(alpha=float("nan")),
+            dict(alpha=float("inf")),
+            dict(lr=float("inf")),
+            dict(batch_size=4.5, replay_capacity=32),
+            dict(batch_size=True, replay_capacity=32),
+            dict(replay_capacity=64.0),
+            dict(lr_decay_steps=2.5),
+            dict(gradient_steps=10.5),
+            dict(random_steps=np.float64(3.0)),
+            dict(episodes=1.5),
+            dict(ensemble_size=2.5),
+            dict(bins=np.bool_(True)),
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -604,3 +654,7 @@ class TestSacConfig:
 
     def test_state_size(self):
         assert SacConfig(bins=7).state_size == 14
+
+    def test_numpy_integers_and_unset_episodes_accepted(self):
+        config = SacConfig(batch_size=np.int64(8), replay_capacity=np.int32(16), episodes=None)
+        assert config.batch_size == 8 and config.episodes is None
