@@ -60,7 +60,6 @@ from .sac import (
     load_sampler,
     meta_train,
     random_sampler,
-    run_episode,
     sample_action,
     save_sampler,
 )
@@ -124,7 +123,6 @@ __all__ = [
     "pr_curve",
     "random_balanced_subset",
     "random_sampler",
-    "run_episode",
     "sample_action",
     "save_csv",
     "save_sampler",

@@ -95,6 +95,10 @@ _RANGES = {
     "ratios": (strict_float, lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
 }
 
+# Keys that hold text, or None where that is the default; a label column may
+# also be an integer position.
+_TEXT_KEYS = {"out", "sampler", "reference_sampler", "base_learner", "mode", "label_column"}
+
 
 @dataclasses.dataclass
 class _Run:
@@ -137,6 +141,13 @@ def _resolve(args, defaults: dict) -> _Run:
             config[key] = file_config[key]
         else:
             config[key] = default
+    for key, value in config.items():
+        if key in _TEXT_KEYS and not (
+            isinstance(value, str)
+            or (value is None and defaults[key] is None)
+            or (key == "label_column" and type(value) is int)
+        ):
+            raise ConfigError(f"--{key.replace('_', '-')} must be text, got {value!r}")
     if config["out"] is None:
         raise ConfigError("--out is required")
     numbers = {

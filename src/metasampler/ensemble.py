@@ -16,7 +16,7 @@ from .dataset import LabeledDataset
 from .errors import SingleClassError
 from .learners import DecisionTree
 from .metrics import aucprc
-from .rng import as_generator, as_seed_sequence
+from .rng import as_generator, as_seed_sequence, strict_int
 from .sampling import random_balanced_subset, sample_from_errors, state_from_errors
 
 
@@ -81,12 +81,17 @@ class EnsembleStep:
         return self.auc_after - self.auc_before
 
 
-def _check_task(train: LabeledDataset, valid: LabeledDataset):
+def _check_task(train: LabeledDataset, valid: LabeledDataset, n_members) -> int:
+    """Refuse a cascade that cannot be trained; returns n_members as an int."""
+    n_members = strict_int(n_members)
+    if n_members < 1:
+        raise ValueError(f"need at least one member, got {n_members}")
     for name, part in (("train", train), ("valid", valid)):
         if part.minority_count == 0 or part.majority_count == 0:
             raise SingleClassError(f"{name} split must contain both classes")
     if train.n_features != valid.n_features:
         raise ValueError("train and valid must share the feature space")
+    return n_members
 
 
 def train_ensemble(
@@ -105,7 +110,7 @@ def train_ensemble(
     Per-member subset draws use seeds split counter-style from `seed`, so
     member t's subset is reproducible regardless of what the action source
     does. Returns (model, steps); `steps` has one EnsembleStep per added
-    member after the first (empty when n_members == 1).
+    member after the first, so it is empty when n_members == 1.
 
     Each member scores the training and validation rows once, when it is
     added: its probabilities go into one running sum per split. Every read
@@ -115,15 +120,8 @@ def train_ensemble(
     does, so every read equals the prediction of the ensemble so far bit for
     bit. Two sums rather than one over both splits avoid copying features.
     """
-    if n_members < 1:
-        raise ValueError(f"need at least one member, got {n_members}")
-    _check_task(train, valid)
+    n_members = _check_task(train, valid, n_members)
     draw_seeds = as_seed_sequence(seed).spawn(n_members)
-
-    first = random_balanced_subset(train, draw_seeds[0])
-    if n_members == 1:
-        return EnsembleModel([learner_factory().fit(first)]), []
-
     members = []
     majority = train.majority_indices
     train_sum = np.zeros(len(train), dtype=np.float64)
@@ -140,7 +138,7 @@ def train_ensemble(
         state = state_from_errors(train_errors, np.abs(valid_scores - valid.labels), bins)
         return train_errors, aucprc(valid_scores, valid.labels), state
 
-    train_errors, auc, state = add_member(first)
+    train_errors, auc, state = add_member(random_balanced_subset(train, draw_seeds[0]))
     steps = []
     for t in range(1, n_members):
         mu = float(actions.action(state))
@@ -172,9 +170,7 @@ def train_random_ensemble(
     seed=0,
 ) -> EnsembleModel:
     """Plain under-sampling baseline: every member sees a uniform balanced subset."""
-    if n_members < 1:
-        raise ValueError(f"need at least one member, got {n_members}")
-    _check_task(train, valid)
+    n_members = _check_task(train, valid, n_members)
     draw_seeds = as_seed_sequence(seed).spawn(n_members)
     members = [
         learner_factory().fit(random_balanced_subset(train, draw_seeds[t]))

@@ -354,69 +354,36 @@ def sac_update(replay: ReplayMemory, nets: SacNets, optim: SacOptimizers,
 
 
 class _EpisodeActions:
-    """Uniform random actions for warmup steps, policy samples afterwards."""
+    """Uniform random actions while `warmup()` holds, policy samples afterwards."""
 
-    def __init__(self, sampler, rng, first_step: int, random_steps: int):
+    def __init__(self, sampler, rng, warmup):
         self._sampler = sampler
         self._rng = rng
-        self._step = first_step
-        self._random_steps = random_steps
+        self._warmup = warmup
 
     def action(self, state) -> float:
-        warmup = self._sampler is None or self._step < self._random_steps
-        self._step += 1
-        if warmup:
+        if self._warmup():
             return float(self._rng.random())
         action, _ = sample_action(self._sampler, state, self._rng)
         return action
-
-
-def run_episode(task, sampler, config: SacConfig, replay: ReplayMemory, seed,
-                env_step_offset: int = 0, learner_factory=DecisionTree, after_step=None):
-    """Train one cascade episode, pushing each of its steps into the replay buffer.
-
-    `task` is a (train, valid) dataset pair. With sampler None every action is
-    uniform random; otherwise actions are uniform while the global step index
-    (env_step_offset plus the step within this episode) is below
-    config.random_steps, and policy samples afterwards. Returns the episode's
-    EnsembleStep trace; rewards telescope to final minus initial validation
-    AUCPRC by construction.
-    """
-    train, valid = task
-    action_ss, subset_ss = as_seed_sequence(seed).spawn(2)
-    actions = _EpisodeActions(
-        sampler, as_generator(action_ss), env_step_offset, config.random_steps
-    )
-
-    def on_step(step):
-        replay.push(step)
-        if after_step is not None:
-            after_step(step)
-
-    _, steps = train_ensemble(
-        train,
-        valid,
-        actions,
-        sigma=config.sigma,
-        bins=config.bins,
-        n_members=config.ensemble_size,
-        learner_factory=learner_factory,
-        seed=subset_ss,
-        on_step=on_step,
-    )
-    return steps
 
 
 def meta_train(tasks, config: SacConfig, seed, learner_factory=DecisionTree,
                on_step=None) -> MetaSampler:
     """Train the sampling policy over one or more (train, valid) tasks.
 
-    Episodes visit tasks round-robin (episode i uses task i mod n_tasks). The
-    first config.random_steps environment steps take uniform actions with no
-    learning; after that every environment step is followed by exactly one
-    gradient update until config.gradient_steps updates have run. Episodes
-    always run to completion. An explicit config.episodes caps the episode
-    count. `on_step` receives (episode, step_in_episode, task_index, step).
+    Each episode trains one cascade of config.ensemble_size members on a task,
+    visiting tasks round-robin (episode i uses task i mod n_tasks), and every
+    cascade step is one environment step. An episode draws its action and
+    subset seeds from its own child of the episode seed. While fewer than
+    config.random_steps environment steps have run, actions are uniform;
+    after that they are policy samples. Each step is pushed into the replay
+    buffer; once more than config.random_steps steps have run and the buffer
+    holds a batch, one gradient update follows it, until config.gradient_steps
+    updates have run. Episodes always run to completion; training stops after
+    the episode in which the update budget runs out, or after config.episodes
+    episodes when that is set. `on_step` receives (episode, step_in_episode,
+    task_index, step) after the step's update.
     """
     tasks = list(tasks)
     if not tasks:
@@ -424,16 +391,16 @@ def meta_train(tasks, config: SacConfig, seed, learner_factory=DecisionTree,
     init_ss, update_ss, episode_root = as_seed_sequence(seed).spawn(3)
     policy_ss, q_ss, v_ss = init_ss.spawn(3)
 
+    sampler = random_sampler(config.bins, config.sigma, policy_ss)
     state_size = config.state_size
+    v = init_mlp([state_size, HIDDEN_WIDTH, HIDDEN_WIDTH, 1], ["relu", "relu", "linear"], v_ss)
     nets = SacNets(
-        policy=init_mlp([state_size, HIDDEN_WIDTH, 2], ["relu", "linear"], policy_ss),
+        policy=sampler.policy,
         q=init_mlp([state_size + 1, HIDDEN_WIDTH, HIDDEN_WIDTH, 1],
                    ["relu", "relu", "linear"], q_ss),
-        v=init_mlp([state_size, HIDDEN_WIDTH, HIDDEN_WIDTH, 1],
-                   ["relu", "relu", "linear"], v_ss),
-        target_v=None,
+        v=v,
+        target_v=v.copy(),
     )
-    nets.target_v = nets.v.copy()
     optim = SacOptimizers(
         policy=AdamState.for_params(nets.policy.params, config.lr),
         q=AdamState.for_params(nets.q.params, config.lr),
@@ -441,14 +408,12 @@ def meta_train(tasks, config: SacConfig, seed, learner_factory=DecisionTree,
     )
     replay = ReplayMemory(config.replay_capacity)
     update_rng = as_generator(update_ss)
-    sampler = MetaSampler(policy=nets.policy, bins=config.bins, sigma=config.sigma)
 
-    env_steps = 0
-    updates = 0
-    episode = 0
+    env_steps = updates = episode = 0
 
     def after_step(step):
         nonlocal env_steps, updates
+        replay.push(step)
         env_steps += 1
         if (
             env_steps > config.random_steps
@@ -465,15 +430,21 @@ def meta_train(tasks, config: SacConfig, seed, learner_factory=DecisionTree,
     ):
         task_index = episode % len(tasks)
         episode_start = env_steps
-        run_episode(
-            tasks[task_index],
-            sampler,
-            config,
-            replay,
-            episode_root.spawn(1)[0],
-            env_step_offset=episode_start,
+        train, valid = tasks[task_index]
+        action_ss, subset_ss = episode_root.spawn(1)[0].spawn(2)
+        actions = _EpisodeActions(
+            sampler, as_generator(action_ss), lambda: env_steps < config.random_steps
+        )
+        train_ensemble(
+            train,
+            valid,
+            actions,
+            sigma=config.sigma,
+            bins=config.bins,
+            n_members=config.ensemble_size,
             learner_factory=learner_factory,
-            after_step=after_step,
+            seed=subset_ss,
+            on_step=after_step,
         )
         episode += 1
     return sampler

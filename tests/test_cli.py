@@ -458,6 +458,51 @@ class TestValueRanges:
         ]) == 0
         assert (out / "train_results.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("generate-toy", {"out": 5}),
+            ("train", {"out": ["x"], "mode": "random-sampling"}),
+            ("train", {"sampler": 7, "mode": "policy"}),
+            ("transfer", {"sampler": 7}),
+            ("transfer", {"sampler": "s.json", "reference_sampler": 7}),
+            ("train", {"base_learner": ["tree"], "mode": "random-sampling"}),
+            ("meta-train", {"base_learner": 1}),
+            ("train", {"mode": ["constant"]}),
+            ("train", {"mode": None}),
+            ("train", {"label_column": True, "mode": "random-sampling"}),
+            ("train", {"label_column": False, "mode": "random-sampling"}),
+            ("meta-train", {"label_column": 2.0}),
+            ("noise-sweep", {"label_column": None}),
+        ],
+        ids=[
+            "toy-out", "out-list", "sampler", "transfer-sampler", "reference-sampler",
+            "base-learner-list", "base-learner-number", "mode-list", "mode-null",
+            "label-true", "label-false", "label-float", "label-null",
+        ],
+    )
+    def test_non_text_in_config_file(self, tmp_path, capsys, task_csv, command, doc):
+        # before: a traceback, or (label_column true) column 1 silently read as the label
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        task = [] if command == "generate-toy" else [str(task_csv)]
+        out = [] if "out" in doc else ["--out", str(tmp_path / "out")]
+        seeds = [] if command in ("generate-toy", "meta-train") else ["--seed", "0"]
+        flags = TINY_SAC if command in ("meta-train", "noise-sweep") else []
+        assert main([command, *task, "--config", str(config), *seeds, *flags, *out]) == 1
+        assert "must be text" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_label_column_position_in_config_file(self, tmp_path, task_csv):
+        argv = ["train", str(task_csv), "--mode", "random-sampling", "--k", "3", "--seed", "0"]
+        assert main([*argv, "--out", str(tmp_path / "named")]) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"label_column": 2}))
+        assert main([*argv, "--config", str(config), "--out", str(tmp_path / "position")]) == 0
+        _, _, named = read_result_csv(tmp_path / "named" / "train_results.csv")
+        _, _, position = read_result_csv(tmp_path / "position" / "train_results.csv")
+        assert position == named
+
 
 @pytest.fixture(scope="module")
 def bad_sampler_files(workdir, sampler_path):

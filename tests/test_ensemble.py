@@ -156,6 +156,25 @@ class TestTrainEnsemble:
         with pytest.raises(ValueError):
             train_ensemble(train, valid, ConstantActionSource(0.5), n_members=0, seed=0)
 
+    @pytest.mark.parametrize("n_members", [True, 2.5, "3.5"])
+    def test_non_integer_n_members_rejected(self, n_members):
+        train, valid, _ = toy_parts()
+        with pytest.raises(ValueError):
+            train_ensemble(train, valid, ConstantActionSource(0.5), n_members=n_members, seed=0)
+        with pytest.raises(ValueError):
+            train_random_ensemble(train, valid, n_members=n_members, seed=0)
+
+    @pytest.mark.parametrize("n_members", [3.0, np.int64(3)])
+    def test_integral_n_members_accepted(self, n_members):
+        train, valid, _ = toy_parts()
+        model, steps = train_ensemble(
+            train, valid, ConstantActionSource(0.5), n_members=n_members, seed=0
+        )
+        _, ref_steps = train_ensemble(train, valid, ConstantActionSource(0.5), n_members=3, seed=0)
+        assert len(model) == 3
+        assert_same_steps(steps, ref_steps)
+        assert len(train_random_ensemble(train, valid, n_members=n_members, seed=0)) == 3
+
 
 def rescoring_cascade(train, valid, actions, n_members, learner_factory, seed, sigma=0.2, bins=5):
     """Reference cascade: rebuild the ensemble and rescore every member at each step."""
@@ -233,7 +252,7 @@ class TestIncrementalScoring:
         assert all(np.isfinite(s.auc_after) and np.isfinite(s.next_state).all() for s in steps)
         assert len(model) == len(ref_model) == n_members
         scores = model.predict_proba(test.features)
-        assert np.array_equal(scores, ref_model.predict_proba(test.features))
+        assert scores.tobytes() == ref_model.predict_proba(test.features).tobytes()
         assert np.isfinite(scores).all()
 
         # every subset is balanced (or the whole set) and has no row twice

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import dataclass
 
@@ -21,7 +22,6 @@ from metasampler import (
     make_toy,
     meta_train,
     random_sampler,
-    run_episode,
     sample_action,
     save_sampler,
     stratified_split,
@@ -36,6 +36,7 @@ from metasampler.sac import (
     policy_loss_and_grads,
     q_loss_and_grads,
     sac_update,
+    sampler_to_document,
     strict_float,
     strict_int,
     v_loss_and_grads,
@@ -415,35 +416,6 @@ class TestSacUpdate:
         assert losses["v_loss"] < 1e-6
 
 
-class TestRunEpisode:
-    def test_two_members_one_transition(self):
-        config = SacConfig(ensemble_size=2, random_steps=10)
-        replay = ReplayMemory(config.replay_capacity)
-        steps = run_episode(toy_task(), None, config, replay, seed=0)
-        assert len(steps) == 1
-        assert steps[0].terminal
-        assert len(replay) == 1
-
-    def test_separable_task_rewards_nonnegative(self):
-        config = SacConfig(ensemble_size=6, random_steps=100)
-        replay = ReplayMemory(config.replay_capacity)
-        steps = run_episode(toy_task(overlap=0.0), None, config, replay, seed=1)
-        assert all(s.reward >= -1e-9 for s in steps)
-
-    def test_rewards_telescope(self):
-        config = SacConfig(ensemble_size=6, random_steps=100)
-        replay = ReplayMemory(config.replay_capacity)
-        steps = run_episode(toy_task(overlap=0.6), None, config, replay, seed=2)
-        assert sum(s.reward for s in steps) == steps[-1].auc_after - steps[0].auc_before
-
-    def test_transitions_match_trace(self):
-        config = SacConfig(ensemble_size=4, random_steps=100)
-        replay = ReplayMemory(config.replay_capacity)
-        steps = run_episode(toy_task(overlap=0.5), None, config, replay, seed=3)
-        batch = replay.sample(len(steps), np.random.default_rng(0))
-        assert sorted(batch.actions.tolist()) == sorted(s.action for s in steps)
-
-
 class TestMetaTrain:
     small = dict(
         batch_size=4, replay_capacity=32, gradient_steps=6, random_steps=4,
@@ -479,6 +451,66 @@ class TestMetaTrain:
     def test_empty_task_list_rejected(self):
         with pytest.raises(ValueError):
             meta_train([], SacConfig(**self.small), seed=0)
+
+    def test_pinned_fingerprints(self):
+        # two tasks, an 8-row replay that wraps after 12 steps, a batch of 4, the
+        # switch to policy actions inside episode 1 and the update budget spent
+        # inside episode 3; a change that moves either hash changes saved samplers
+        tasks = [toy_task(overlap=0.4, seed=1), toy_task(overlap=0.5, seed=2)]
+        config = SacConfig(batch_size=4, replay_capacity=8, gradient_steps=6,
+                           random_steps=4, ensemble_size=4)
+        log = []
+        sampler = meta_train(
+            tasks, config, seed=3,
+            on_step=lambda ep, i, task, s: log.append([ep, i, task, s.action, s.reward]),
+        )
+        document = json.dumps(sampler_to_document(sampler), sort_keys=True)
+        assert len(log) == 12
+        assert hashlib.sha256(document.encode()).hexdigest() == (
+            "0563ffacd480e443391fca32f96fc481c12257e993e5e0257ddc48a42ac3ecd7"
+        )
+        assert hashlib.sha256(json.dumps(log).encode()).hexdigest() == (
+            "768e00fdfde2cfd7a3d19c032f9da8e32f026fd3afe827a2b99b018e8dff3890"
+        )
+
+    @staticmethod
+    def one_episode(task, ensemble_size, seed):
+        """The steps of one warmup-only meta_train episode, in on_step order."""
+        steps = []
+        config = SacConfig(episodes=1, ensemble_size=ensemble_size, random_steps=100)
+        meta_train([task], config, seed=seed, on_step=lambda ep, i, t, s: steps.append(s))
+        return steps
+
+    def test_two_members_one_terminal_step(self):
+        steps = self.one_episode(toy_task(), ensemble_size=2, seed=0)
+        assert len(steps) == 1
+        assert steps[0].terminal
+
+    def test_separable_task_rewards_nonnegative(self):
+        steps = self.one_episode(toy_task(overlap=0.0), ensemble_size=6, seed=1)
+        assert len(steps) == 5
+        assert all(s.reward >= -1e-9 for s in steps)
+
+    def test_rewards_telescope(self):
+        steps = self.one_episode(toy_task(overlap=0.6), ensemble_size=6, seed=2)
+        assert sum(s.reward for s in steps) == steps[-1].auc_after - steps[0].auc_before
+
+    def test_every_step_pushed_in_order(self, monkeypatch):
+        events = []
+        push = ReplayMemory.push
+
+        def recording_push(replay, step):
+            events.append(("push", step))
+            push(replay, step)
+
+        monkeypatch.setattr(ReplayMemory, "push", recording_push)
+        config = SacConfig(episodes=1, ensemble_size=4, random_steps=100)
+        meta_train([toy_task(overlap=0.5)], config, seed=3,
+                   on_step=lambda ep, i, t, s: events.append(("on_step", s)))
+        assert len(events) == 6
+        for (push_kind, pushed), (kind, seen) in zip(events[::2], events[1::2]):
+            assert (push_kind, kind) == ("push", "on_step")
+            assert pushed is seen
 
 
 class TestPolicyActionSource:
