@@ -4,13 +4,18 @@ Subcommands: generate-toy, meta-train, train, ablation, noise-sweep,
 transfer. Every config key of a subcommand is also its flag (underscores
 become dashes), and --config points at a flat JSON file holding any of those
 keys; explicit flags win over the file, the file wins over built-in
-defaults. Result CSVs open with a comment row recording the resolved
-configuration, so identical configs and seeds reproduce output files byte for
-byte.
+defaults. Every flag is plain text, and each value, from a flag or the file,
+goes through the one parse of its key (its cast and range) before any task or
+sampler file is read, so a flag and a config-file entry mean the same thing.
+Seeds must be non-negative, and --label-column names a header of the task CSV.
+Result CSVs open with a comment row recording the resolved configuration,
+each single number as it ran, so identical configs and seeds reproduce output
+files byte for byte.
 
-Exit codes: 0 success, 1 configuration error, 2 data error (including a
-malformed sampler file), 3 numerical failure (including a sampler file with
-non-finite parameters).
+Exit codes: 0 success, 1 configuration error (including a config file that
+cannot be read), 2 data error (including a task CSV or sampler file that cannot
+be read, or a malformed sampler file), 3 numerical failure (including a sampler
+file with non-finite parameters).
 """
 from __future__ import annotations
 
@@ -70,24 +75,43 @@ def _parse_number_list(text, flag, cast):
 
 
 def _load_config_file(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # missing, a directory, not UTF-8, not JSON
+        raise ConfigError(f"config file {path} cannot be read as JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return doc
 
 
-# Ranges checked before any work, for each of these keys a command has:
-# key -> (cast, test, wording). A key whose default is text holds a comma list.
-# Other keys with a number default (SAC fields aside) are only cast. Every
-# integer goes through strict_int, which refuses booleans and fractions, and
-# every float through strict_float, which refuses booleans.
-_RANGES = {
+def _sac_fields():
+    """(name, type, default) of each SacConfig field a flag sets; --k sets the ensemble size."""
+    hints = typing.get_type_hints(SacConfig)
+    for f in dataclasses.fields(SacConfig):
+        if f.name != "ensemble_size":
+            # an optional field takes the type it makes optional
+            kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
+            yield f.name, next(t for t in kinds if t is not type(None)), f.default
+
+
+_SAC_FIELDS = tuple(_sac_fields())
+SAC_DEFAULTS = {name: default for name, _, default in _SAC_FIELDS}
+_CASTS = {int: strict_int, float: strict_float}  # a number type -> the cast of its values
+_SEED = (strict_int, lambda v: v >= 0, "non-negative")
+
+# The parse of every number key: key -> (cast, test, wording), the test being
+# the range checked before any work. A key whose default is text holds a comma
+# list, each entry cast and checked. Every other key holds text. strict_int
+# refuses booleans and fractions, strict_float refuses booleans.
+_NUMBERS = {
+    **{name: (_CASTS[kind], None, None) for name, kind, _ in _SAC_FIELDS},
+    "majority": (strict_int, None, None),
+    "minority": (strict_int, None, None),
+    "overlap": (strict_float, None, None),
+    "seed": _SEED,
+    "split_seed": _SEED,
+    "meta_seed": _SEED,
+    "split": (strict_float, None, None),
     "k": (strict_int, lambda v: v >= 1, "at least 1"),
     "mu": (strict_float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
     "bins": (strict_int, lambda v: v >= 1, "at least 1"),
@@ -95,9 +119,7 @@ _RANGES = {
     "ratios": (strict_float, lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
 }
 
-# Keys that hold text, or None where that is the default; a label column may
-# also be an integer position.
-_TEXT_KEYS = {"out", "sampler", "reference_sampler", "base_learner", "mode", "label_column"}
+_CHOICES = {"mode": MODES, "base_learner": tuple(LEARNERS)}  # text keys with named values
 
 
 @dataclasses.dataclass
@@ -105,16 +127,26 @@ class _Run:
     """A command's resolved configuration and the values parsed from it."""
 
     config: dict  # as recorded in each result CSV's comment row
+    values: dict  # each key's value as it runs (see _parse)
     out: Path
-    numbers: dict  # each number key of the command, cast and checked
     seeds: list = None  # seeds, split and factory: commands that split a task
     split: SplitSpec = None
     factory: type = None
 
 
-def _checked_number(key, value, default):
-    cast, test, wording = _RANGES.get(key) or (_CASTS[type(default)], None, None)
+def _parse(key, value, default):
+    """The value of config key `key` as it runs, from a flag's text or a config-file entry."""
     flag = "--" + key.replace("_", "-")
+    if value is None and default is None:
+        return None  # an unset optional key
+    if key not in _NUMBERS:
+        if not isinstance(value, str):
+            raise ConfigError(f"{flag} must be text, got {value!r}")
+        choices = _CHOICES.get(key)
+        if choices is not None and value not in choices:
+            raise ConfigError(f"unknown {flag} {value!r}; choose from {choices}")
+        return value
+    cast, test, wording = _NUMBERS[key]
     is_list = isinstance(default, str)
     try:
         values = _parse_number_list(value, flag, cast) if is_list else [cast(value)]
@@ -127,49 +159,30 @@ def _checked_number(key, value, default):
 
 
 def _resolve(args, defaults: dict) -> _Run:
-    """Merge CLI flags over config-file values over defaults, then check and parse them."""
+    """Merge CLI flags over config-file values over defaults, then parse each value once."""
     file_config = _load_config_file(args.config) if args.config else {}
     unknown = set(file_config) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    config = {}
+    config, values = {}, {}
     for key, default in defaults.items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            config[key] = flag_value
-        elif key in file_config:
-            config[key] = file_config[key]
-        else:
-            config[key] = default
-    for key, value in config.items():
-        if key in _TEXT_KEYS and not (
-            isinstance(value, str)
-            or (value is None and defaults[key] is None)
-            or (key == "label_column" and type(value) is int)
-        ):
-            raise ConfigError(f"--{key.replace('_', '-')} must be text, got {value!r}")
-    if config["out"] is None:
+        flag_value = getattr(args, key)
+        value = flag_value if flag_value is not None else file_config.get(key, default)
+        values[key] = _parse(key, value, default)
+        # the record keeps a comma list as given; commands add the lists they parse
+        config[key] = value if isinstance(default, str) else values[key]
+    if values["out"] is None:
         raise ConfigError("--out is required")
-    numbers = {
-        key: _checked_number(key, config[key], default)
-        for key, default in defaults.items()
-        if key in _RANGES or (key not in _SAC_CASTS and type(default) in (int, float))
-    }
-    run = _Run(config, Path(config["out"]), numbers)
-    if "split" in config:
-        run.seeds = _parse_number_list(config["seed"], "--seed", strict_int)
-        fractions = _parse_number_list(config["split"], "--split", strict_float)
-        if len(fractions) != 3:
+    run = _Run(config, values, Path(values["out"]))
+    if "split" in values:
+        run.seeds = values["seed"]
+        if len(values["split"]) != 3:
             raise ConfigError(f"--split needs three fractions, got {config['split']!r}")
         try:
-            run.split = SplitSpec(*fractions)
+            run.split = SplitSpec(*values["split"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        run.factory = LEARNERS.get(config["base_learner"])
-        if run.factory is None:
-            raise ConfigError(
-                f"unknown base learner {config['base_learner']!r}; choose from {sorted(LEARNERS)}"
-            )
+        run.factory = LEARNERS[values["base_learner"]]
     return run
 
 
@@ -193,31 +206,11 @@ def _write_result_csv(path, config: dict, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _sac_fields():
-    """(name, type, default) of each SacConfig field a flag sets; --k sets the ensemble size."""
-    hints = typing.get_type_hints(SacConfig)
-    for f in dataclasses.fields(SacConfig):
-        if f.name != "ensemble_size":
-            # an optional field takes the type it makes optional
-            kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
-            yield f.name, next(t for t in kinds if t is not type(None)), f.default
-
-
-_SAC_FIELDS = tuple(_sac_fields())
-SAC_DEFAULTS = {name: default for name, _, default in _SAC_FIELDS}
-_SAC_CASTS = {name: cast for name, cast, _ in _SAC_FIELDS}
-_CASTS = {int: strict_int, float: strict_float}  # a number type -> the cast of its config values
-
-
-def _sac_config(resolved: dict, ensemble_size: int) -> SacConfig:
+def _sac_config(values: dict, ensemble_size: int) -> SacConfig:
     try:
-        values = {
-            name: None if resolved[name] is None and default is None
-            else _CASTS[cast](resolved[name])
-            for name, cast, default in _SAC_FIELDS
-        }
-        return SacConfig(**values, ensemble_size=ensemble_size)
-    except (TypeError, ValueError) as exc:
+        fields = {name: values[name] for name in SAC_DEFAULTS}
+        return SacConfig(**fields, ensemble_size=ensemble_size)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
@@ -237,6 +230,11 @@ def _ensemble_score(mode, task_parts, *, sampler, mu, n_members, bins, sigma,
     # One fixed spawn layout regardless of mode, so each mode sees the same
     # seed stream no matter which other modes run alongside it.
     pol_ss, pol_act, rp_init, rp_act, rp_ss, rs_ss = as_seed_sequence(seed).spawn(6)
+    if mode == "random-sampling":
+        model = train_random_ensemble(
+            train, valid, n_members=n_members, learner_factory=learner_factory, seed=rs_ss
+        )
+        return aucprc(model.predict_proba(test.features), test.labels)
     if mode == "policy":
         source = PolicyActionSource(sampler, seed=pol_act)
         subset_ss = pol_ss
@@ -244,16 +242,9 @@ def _ensemble_score(mode, task_parts, *, sampler, mu, n_members, bins, sigma,
     elif mode == "random-policy":
         source = PolicyActionSource(random_sampler(bins, sigma, rp_init), seed=rp_act)
         subset_ss = rp_ss
-    elif mode == "constant":
+    else:  # constant
         source = ConstantActionSource(mu)
         subset_ss = pol_ss
-    elif mode == "random-sampling":
-        model = train_random_ensemble(
-            train, valid, n_members=n_members, learner_factory=learner_factory, seed=rs_ss
-        )
-        return aucprc(model.predict_proba(test.features), test.labels)
-    else:
-        raise ConfigError(f"unknown mode {mode!r}; choose from {MODES}")
     model, _ = train_ensemble(
         train,
         valid,
@@ -327,7 +318,7 @@ def _sweep(ds, run, modes, points, baseline=None):
     summary rows (see _summary_rows) and the raw rows, mode-major within each
     point, each led by the point's value.
     """
-    meta_seed = run.numbers["meta_seed"]
+    meta_seed = run.values["meta_seed"]
     summary_rows, raw_rows = [], []
     for value, sac, ratio in points:
         train, valid, _ = _split_task(ds, run.split, meta_seed)
@@ -366,29 +357,29 @@ def _write_results(run, args, tables, **parsed) -> None:
 
 
 def cmd_generate_toy(run, args) -> int:
-    numbers = run.numbers
+    values = run.values
     try:
         spec = ToySpec(
-            n_majority=numbers["majority"],
-            n_minority=numbers["minority"],
-            overlap=numbers["overlap"],
-            seed=strict_int(run.config["seed"]),
+            n_majority=values["majority"],
+            n_minority=values["minority"],
+            overlap=values["overlap"],
+            seed=values["seed"],
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    save_csv(make_toy(spec), run.config["out"])
-    print(f"wrote {run.config['out']}")
+    save_csv(make_toy(spec), values["out"])
+    print(f"wrote {values['out']}")
     return 0
 
 
 def cmd_meta_train(run, args) -> int:
     if len(run.seeds) != 1:
         raise ConfigError("meta-train takes exactly one seed")
-    sac = _sac_config(run.config, ensemble_size=run.numbers["k"])
+    sac = _sac_config(run.values, ensemble_size=run.values["k"])
     tasks = []
     for path in args.tasks:
         ds = load_csv(path, run.config["label_column"])
-        train, valid, _ = _split_task(ds, run.split, run.numbers["split_seed"])
+        train, valid, _ = _split_task(ds, run.split, run.values["split_seed"])
         tasks.append((train, valid))
 
     log_rows = []
@@ -418,24 +409,26 @@ def cmd_meta_train(run, args) -> int:
 
 
 def cmd_train(run, args) -> int:
-    mode = run.config["mode"]
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}; choose from {MODES}")
+    values = run.values
+    mode = values["mode"]
     sampler = None
     if mode == "policy":
         if run.config["sampler"] is None:
             raise ConfigError("--sampler is required for policy mode")
         sampler = load_sampler(run.config["sampler"])
     ds = load_csv(args.task, run.config["label_column"])
-    scores = _score_arms(ds, run, [(mode, mode, sampler)], **run.numbers)
+    scores = _score_arms(
+        ds, run, [(mode, mode, sampler)],
+        k=values["k"], mu=values["mu"], bins=values["bins"], sigma=values["sigma"],
+    )
     rows = [[seed, score] for seed, score in zip(run.seeds, scores[mode])]
     _write_results(run, args, [("train_results.csv", ["seed", "test_aucprc"], rows)])
     return 0
 
 
 def cmd_ablation(run, args) -> int:
-    k_list = run.numbers["k"]
-    points = [(k, _sac_config(run.config, ensemble_size=k), None) for k in k_list]
+    k_list = run.values["k"]
+    points = [(k, _sac_config(run.values, ensemble_size=k), None) for k in k_list]
     ds = load_csv(args.task, run.config["label_column"])
     modes = ("policy", "random-policy", "random-sampling")
     summary_rows, raw_rows = _sweep(ds, run, modes, points, baseline="policy")
@@ -453,8 +446,8 @@ def cmd_ablation(run, args) -> int:
 
 
 def cmd_noise_sweep(run, args) -> int:
-    ratios = run.numbers["ratios"]
-    sac = _sac_config(run.config, ensemble_size=run.numbers["k"])
+    ratios = run.values["ratios"]
+    sac = _sac_config(run.values, ensemble_size=run.values["k"])
     ds = load_csv(args.task, run.config["label_column"])
     points = [(ratio, sac, ratio) for ratio in ratios]
     summary_rows, raw_rows = _sweep(ds, run, ("policy", "random-sampling"), points)
@@ -477,7 +470,7 @@ def cmd_transfer(run, args) -> int:
     if run.config["reference_sampler"] is not None:
         arms.append(("reference", "policy", load_sampler(run.config["reference_sampler"])))
     ds = load_csv(args.task, run.config["label_column"])
-    scores = _score_arms(ds, run, arms, **run.numbers)
+    scores = _score_arms(ds, run, arms, k=run.values["k"])
     raw_rows = [
         [label, seed, scores[label][i]] for i, seed in enumerate(run.seeds) for label in scores
     ]
@@ -503,10 +496,10 @@ def _task_defaults(**own) -> dict:
 _TEN_SEEDS = "0,1,2,3,4,5,6,7,8,9"
 
 # (name, positional, handler, help, defaults): each defaults key is a config
-# key and a flag. generate-toy's seed default is text because its flag is.
+# key and a flag; a number key whose default is text holds a comma list.
 COMMANDS = (
     ("generate-toy", None, cmd_generate_toy, "write a synthetic arc-vs-blob task as CSV",
-     {"majority": 2000, "minority": 200, "overlap": 0.5, "seed": "0", "out": None}),
+     {"majority": 2000, "minority": 200, "overlap": 0.5, "seed": 0, "out": None}),
     ("meta-train", "tasks", cmd_meta_train, "train a sampling policy on one or more tasks",
      {**_task_defaults(split_seed=0, seed="0", k=10), **SAC_DEFAULTS}),
     ("train", "task", cmd_train, "train cascade ensembles and report test AUCPRC per seed",
@@ -520,11 +513,6 @@ COMMANDS = (
      _task_defaults(seed=_TEN_SEEDS, k=5, sampler=None, reference_sampler=None)),
 )
 
-def _flag_type(key, default):
-    """A SAC field's cast, else int or float as the default is, else text (None)."""
-    cast = _SAC_CASTS.get(key, type(default))
-    return cast if cast in (int, float) else None
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="metasampler", description=__doc__)
@@ -534,13 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
         if positional is not None:
             p.add_argument(positional, nargs="+" if positional == "tasks" else None)
         p.add_argument("--config")
-        for key, default in defaults.items():
-            p.add_argument(
-                "--" + key.replace("_", "-"),
-                dest=key,
-                type=_flag_type(key, default),
-                choices=MODES if key == "mode" else None,
-            )
+        for key in defaults:
+            p.add_argument("--" + key.replace("_", "-"), dest=key)
         p.set_defaults(handler=handler, defaults=defaults)
     return parser
 

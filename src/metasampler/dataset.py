@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     ClassTooSmallError,
     ColumnNotFoundError,
+    DataError,
     EmptyDataError,
     FeatureParseError,
     LabelDomainError,
@@ -131,13 +132,18 @@ def load_csv(path, label_column="label") -> LabeledDataset:
     """Read a comma-separated, header-first, UTF-8 table into a dataset.
 
     `label_column` selects the label by header name or integer position; all
-    remaining columns are features. Row order is preserved.
+    remaining columns are features. Row order is preserved. A missing file
+    raises FileNotFoundError; one that cannot be read as UTF-8 text (a
+    directory, say) raises DataError.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read as UTF-8 text: {exc}") from None
     if not rows:
         raise EmptyDataError(f"{path}: file is empty")
     header, data = rows[0], rows[1:]

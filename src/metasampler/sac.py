@@ -259,16 +259,13 @@ def action_log_prob(sampler: MetaSampler, state, action: float) -> float:
 class PolicyActionSource:
     """Adapts a MetaSampler to the ensemble action-source interface."""
 
-    def __init__(self, sampler: MetaSampler, seed=None, deterministic=False):
+    def __init__(self, sampler: MetaSampler, seed=None):
+        if seed is None:
+            raise ValueError("policy actions need a seed")
         self._sampler = sampler
-        self._deterministic = deterministic
-        if not deterministic and seed is None:
-            raise ValueError("stochastic policy actions need a seed")
-        self._rng = as_generator(seed) if seed is not None else None
+        self._rng = as_generator(seed)
 
     def action(self, state) -> float:
-        if self._deterministic:
-            return deterministic_action(self._sampler, state)
         action, _ = sample_action(self._sampler, state, self._rng)
         return action
 
@@ -479,9 +476,9 @@ def save_sampler(sampler: MetaSampler, path) -> None:
 def load_sampler(path) -> MetaSampler:
     """Read a saved sampler.
 
-    A file that is not a sampler document (bad JSON, a missing key, a wrong
-    version, mismatched shapes) raises SamplerFormatError; one with non-finite
-    parameters raises NumericalError.
+    A file that cannot be read (a directory, say) or is not a sampler document
+    (bad JSON, a missing key, a wrong version, mismatched shapes) raises
+    SamplerFormatError; one with non-finite parameters raises NumericalError.
     """
     path = Path(path)
     if not path.exists():
@@ -492,3 +489,5 @@ def load_sampler(path) -> MetaSampler:
         raise SamplerFormatError(f"sampler file {path} lacks key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise SamplerFormatError(f"sampler file {path} is malformed: {exc}") from None
+    except OSError as exc:
+        raise SamplerFormatError(f"sampler file {path} cannot be read: {exc}") from None

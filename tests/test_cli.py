@@ -493,15 +493,142 @@ class TestValueRanges:
         assert "must be text" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
-    def test_label_column_position_in_config_file(self, tmp_path, task_csv):
+    def test_label_column_position_in_config_file(self, tmp_path, capsys, task_csv):
+        # a position means the same from the file as from --label-column: a header name
         argv = ["train", str(task_csv), "--mode", "random-sampling", "--k", "3", "--seed", "0"]
-        assert main([*argv, "--out", str(tmp_path / "named")]) == 0
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"label_column": 2}))
-        assert main([*argv, "--config", str(config), "--out", str(tmp_path / "position")]) == 0
-        _, _, named = read_result_csv(tmp_path / "named" / "train_results.csv")
-        _, _, position = read_result_csv(tmp_path / "position" / "train_results.csv")
-        assert position == named
+        assert main([*argv, "--config", str(config), "--out", str(tmp_path / "position")]) == 1
+        assert "must be text" in capsys.readouterr().err
+        assert not (tmp_path / "position").exists()
+
+
+# (command, fixed flags, key, flag text, config-file value) of each parity case
+PARITY_CASES = {
+    "k": ("train", ["--mode", "random-sampling", "--seed", "0"], "k", "3", 3),
+    "k-integral-float": ("train", ["--mode", "random-sampling", "--seed", "0"], "k", "3", 3.0),
+    "mu": ("train", ["--mode", "constant", "--k", "3", "--seed", "0"], "mu", "0.8", 0.8),
+    "bins": ("train", ["--mode", "random-policy", "--k", "3", "--seed", "0"], "bins", "4", 4),
+    "sigma": ("train", ["--mode", "random-policy", "--k", "3", "--seed", "0"], "sigma", "0.3", 0.3),
+    "sac-int": ("meta-train", TINY_SAC, "lr_decay_steps", "2", 2),
+    "sac-float": ("meta-train", TINY_SAC, "gamma", "0.9", 0.9),
+    "episodes": ("meta-train", TINY_SAC, "episodes", "2", 2),
+    "split-seed": ("meta-train", TINY_SAC, "split_seed", "3", 3),
+    "meta-seed": ("noise-sweep", [*TINY_SAC, "--seed", "0", "--ratios", "0"], "meta_seed", "1", 1),
+}
+
+
+class TestFlagAndConfigFileParity:
+    """A flag and the same value in a config file give byte-identical result files."""
+
+    @staticmethod
+    def outputs(argv, out):
+        assert main([*argv, "--out", str(out)]) == 0
+        return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("case", list(PARITY_CASES))
+    def test_number_key(self, tmp_path, task_csv, case):
+        command, fixed, key, text, file_value = PARITY_CASES[case]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: file_value}))
+        argv = [command, str(task_csv), *fixed]
+        out = tmp_path / "out"  # the out path is recorded, so both runs share it
+        from_flag = self.outputs([*argv, "--" + key.replace("_", "-"), text], out)
+        from_file = self.outputs([*argv, "--config", str(config)], out)
+        assert from_file == from_flag
+        result_csv = next(path for path in out.iterdir() if path.suffix == ".csv")
+        assert json.dumps(read_result_csv(result_csv)[0][key]) == text  # the number that ran
+
+    def test_label_column(self, tmp_path, task_csv):
+        renamed = tmp_path / "renamed.csv"
+        header, rest = task_csv.read_text().split("\n", 1)
+        assert header == "x0,x1,label"
+        renamed.write_text("x0,x1,target\n" + rest)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"label_column": "target"}))
+        argv = ["train", str(renamed), "--mode", "random-sampling", "--k", "3", "--seed", "0"]
+        out = tmp_path / "out"
+        from_flag = self.outputs([*argv, "--label-column", "target"], out)
+        from_file = self.outputs([*argv, "--config", str(config)], out)
+        assert from_file == from_flag
+
+
+class TestNegativeSeeds:
+    """Every seed key refuses a negative value before any task file is read."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate-toy", "--seed", "-1"],
+            ["train", "--mode", "random-sampling", "--seed", "-3"],
+            ["transfer", "--seed", "0,-1"],
+            ["meta-train", "--split-seed", "-1"],
+            ["ablation", "--meta-seed", "-2"],
+        ],
+        ids=["toy-seed", "seed", "seed-list", "split-seed", "meta-seed"],
+    )
+    def test_negative_seed_flag(self, tmp_path, capsys, argv):
+        command, *flags = argv
+        # an absent task file would exit 2 if it were read first
+        task = [] if command == "generate-toy" else [str(tmp_path / "absent.csv")]
+        out = tmp_path / "out"
+        assert main([command, *task, *flags, "--out", str(out)]) == 1
+        assert "must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_in_config_file(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": -1}))
+        out = tmp_path / "toy.csv"
+        assert main(["generate-toy", "--config", str(config), "--out", str(out)]) == 1
+        assert "must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestUnreadableInputs:
+    """A config file, task CSV or sampler that cannot be read exits with a one-line message."""
+
+    @staticmethod
+    def not_utf8(path, text):
+        path.write_bytes(text.encode() + b"\xff\xfe\n")
+        return path
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_config_file(self, tmp_path, capsys, kind):
+        config = tmp_path / "config"
+        if kind == "directory":
+            config.mkdir()
+        else:
+            self.not_utf8(config, '{"majority": 40}')
+        out = tmp_path / "toy.csv"
+        assert main(["generate-toy", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_task_csv(self, tmp_path, capsys, task_csv, kind):
+        task = tmp_path / "task.csv"
+        if kind == "directory":
+            task.mkdir()
+        else:
+            self.not_utf8(task, task_csv.read_text())
+        out = tmp_path / "out"
+        argv = ["train", str(task), "--mode", "random-sampling", "--seed", "0"]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "transfer"])
+    def test_sampler_directory(self, tmp_path, capsys, task_csv, command):
+        sampler = tmp_path / "sampler"
+        sampler.mkdir()
+        out = tmp_path / "out"
+        assert main(sampler_argv(command, task_csv, sampler, out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and err.count("\n") == 1
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -578,28 +705,28 @@ class TestNumericalFailureExitCode:
 
 
 SAC_FLAGS = {
-    "--gamma": ("gamma", float),
-    "--tau": ("tau", float),
-    "--alpha": ("alpha", float),
-    "--lr": ("lr", float),
-    "--lr-decay-steps": ("lr_decay_steps", int),
-    "--lr-decay-ratio": ("lr_decay_ratio", float),
-    "--batch-size": ("batch_size", int),
-    "--replay-capacity": ("replay_capacity", int),
-    "--gradient-steps": ("gradient_steps", int),
-    "--random-steps": ("random_steps", int),
-    "--episodes": ("episodes", int),
-    "--bins": ("bins", int),
-    "--sigma": ("sigma", float),
+    "--gamma": ("gamma", None),
+    "--tau": ("tau", None),
+    "--alpha": ("alpha", None),
+    "--lr": ("lr", None),
+    "--lr-decay-steps": ("lr_decay_steps", None),
+    "--lr-decay-ratio": ("lr_decay_ratio", None),
+    "--batch-size": ("batch_size", None),
+    "--replay-capacity": ("replay_capacity", None),
+    "--gradient-steps": ("gradient_steps", None),
+    "--random-steps": ("random_steps", None),
+    "--episodes": ("episodes", None),
+    "--bins": ("bins", None),
+    "--sigma": ("sigma", None),
 }
 
-# option string -> (dest, type) of every flag, in order; None is plain text
+# option string -> (dest, type) of every flag, in order; every flag is plain text
 FLAG_SURFACE = {
     "generate-toy": {
         "--config": ("config", None),
-        "--majority": ("majority", int),
-        "--minority": ("minority", int),
-        "--overlap": ("overlap", float),
+        "--majority": ("majority", None),
+        "--minority": ("minority", None),
+        "--overlap": ("overlap", None),
         "--seed": ("seed", None),
         "--out": ("out", None),
     },
@@ -607,9 +734,9 @@ FLAG_SURFACE = {
         "--config": ("config", None),
         "--label-column": ("label_column", None),
         "--split": ("split", None),
-        "--split-seed": ("split_seed", int),
+        "--split-seed": ("split_seed", None),
         "--seed": ("seed", None),
-        "--k": ("k", int),
+        "--k": ("k", None),
         "--base-learner": ("base_learner", None),
         "--out": ("out", None),
         **SAC_FLAGS,
@@ -619,12 +746,12 @@ FLAG_SURFACE = {
         "--label-column": ("label_column", None),
         "--split": ("split", None),
         "--seed": ("seed", None),
-        "--k": ("k", int),
+        "--k": ("k", None),
         "--mode": ("mode", None),
         "--sampler": ("sampler", None),
-        "--mu": ("mu", float),
-        "--bins": ("bins", int),
-        "--sigma": ("sigma", float),
+        "--mu": ("mu", None),
+        "--bins": ("bins", None),
+        "--sigma": ("sigma", None),
         "--base-learner": ("base_learner", None),
         "--out": ("out", None),
     },
@@ -633,7 +760,7 @@ FLAG_SURFACE = {
         "--label-column": ("label_column", None),
         "--split": ("split", None),
         "--seed": ("seed", None),
-        "--meta-seed": ("meta_seed", int),
+        "--meta-seed": ("meta_seed", None),
         "--k": ("k", None),
         "--base-learner": ("base_learner", None),
         "--out": ("out", None),
@@ -644,8 +771,8 @@ FLAG_SURFACE = {
         "--label-column": ("label_column", None),
         "--split": ("split", None),
         "--seed": ("seed", None),
-        "--meta-seed": ("meta_seed", int),
-        "--k": ("k", int),
+        "--meta-seed": ("meta_seed", None),
+        "--k": ("k", None),
         "--ratios": ("ratios", None),
         "--base-learner": ("base_learner", None),
         "--out": ("out", None),
@@ -656,7 +783,7 @@ FLAG_SURFACE = {
         "--label-column": ("label_column", None),
         "--split": ("split", None),
         "--seed": ("seed", None),
-        "--k": ("k", int),
+        "--k": ("k", None),
         "--sampler": ("sampler", None),
         "--reference-sampler": ("reference_sampler", None),
         "--base-learner": ("base_learner", None),
@@ -692,12 +819,7 @@ class TestFlagSurface:
             positionals = [(a.dest, a.nargs) for a in actions if not a.option_strings]
             assert positionals == POSITIONALS[command], command
             for a in flags:
-                if a.dest == "mode":
-                    assert tuple(a.choices) == (
-                        "policy", "random-policy", "random-sampling", "constant",
-                    )
-                else:
-                    assert a.choices is None, (command, a.dest)
+                assert a.choices is None, (command, a.dest)
 
 
 class TestConsoleScript:

@@ -526,12 +526,6 @@ class TestPolicyActionSource:
         b = PolicyActionSource(sampler, seed=4)
         assert [a.action(state) for _ in range(5)] == [b.action(state) for _ in range(5)]
 
-    def test_deterministic_matches_direct_call(self, rng):
-        sampler = random_sampler(5, 0.2, seed=1)
-        state = rng.random(10)
-        source = PolicyActionSource(sampler, deterministic=True)
-        assert source.action(state) == deterministic_action(sampler, state)
-
 
 class TestSamplerIO:
     def test_round_trip_preserves_actions(self, tmp_path, rng):
