@@ -158,6 +158,21 @@ def _parse(key, value, default):
     return values if is_list else values[0]
 
 
+def _check_out(out: Path, is_file: bool) -> None:
+    """Refuse an --out that cannot be written, before any work.
+
+    generate-toy writes --out as a file; every other command writes its files
+    in --out as a directory. Neither may name or sit under an existing file.
+    """
+    if is_file and out.is_dir():
+        raise ConfigError(f"--out {out} is a directory, not a file")
+    existing = out.parent if is_file else out
+    while not existing.exists():
+        existing = existing.parent
+    if not existing.is_dir():
+        raise ConfigError(f"--out {out} cannot be written: {existing} is a file")
+
+
 def _resolve(args, defaults: dict) -> _Run:
     """Merge CLI flags over config-file values over defaults, then parse each value once."""
     file_config = _load_config_file(args.config) if args.config else {}
@@ -174,6 +189,7 @@ def _resolve(args, defaults: dict) -> _Run:
     if values["out"] is None:
         raise ConfigError("--out is required")
     run = _Run(config, values, Path(values["out"]))
+    _check_out(run.out, is_file=args.command == "generate-toy")
     if "split" in values:
         run.seeds = values["seed"]
         if len(values["split"]) != 3:

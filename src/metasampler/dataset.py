@@ -90,8 +90,19 @@ class LabeledDataset:
         return self.majority_count / self.minority_count
 
     def subset(self, indices) -> "LabeledDataset":
+        """The rows at `indices`, in that order.
+
+        The rows were validated when this dataset was built, so only the index
+        is checked; the arrays are read-only and contiguous, as in any dataset.
+        """
         idx = np.asarray(indices, dtype=np.intp)
-        return LabeledDataset(self.features[idx], self.labels[idx])
+        if idx.ndim != 1 or len(idx) < 2:
+            raise ValueError(f"need a 1-D index of at least 2 rows, got shape {idx.shape}")
+        sub = object.__new__(LabeledDataset)
+        for name, values in (("features", self.features[idx]), ("labels", self.labels[idx])):
+            values.setflags(write=False)
+            object.__setattr__(sub, name, values)
+        return sub
 
 
 @dataclass(frozen=True)

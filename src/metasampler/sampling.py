@@ -11,14 +11,16 @@ errors read from running sums of member scores, so each member scores the
 training and validation rows once. `meta_state` and `meta_sample` are the
 model-taking forms: they score the rows with the given model and call the
 cores.
+
+The weighted subset draws its majority rows one at a time without
+replacement, each pick renormalizing over the weight left. The weights sit in
+a binary tree of pairwise sums, so a pick costs O(log n). Up to rounding at
+a row boundary, the picks equal those of a cumulative sum over all rows
+recomputed before every pick.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from functools import reduce
-from itertools import accumulate
-from operator import add
 
 import numpy as np
 
@@ -78,43 +80,50 @@ def _sequential_weighted_draw(weights, n_pick, rng):
 
     Pick i takes the i-th of n_pick uniforms u from `rng` and chooses the first
     row whose cumulative weight exceeds u times the remaining total, or the
-    last row with weight left when rounding puts that target at the end; the
-    chosen row's weight is then zeroed. The cumulative weights are kept in two
-    levels: rows are cut into blocks of about sqrt(n), a pick bisects the
-    running sum of the block totals and then the running sum inside one block,
-    and only that block's total is recomputed. A pick costs O(sqrt(n)) instead
-    of the O(n) of one cumulative sum over all rows, and chooses the same row
-    as that sum except when u lands within rounding of a boundary.
+    last row with weight left when rounding puts that target at the total; the
+    chosen row's weight is then zeroed. The weights are the leaves of a binary
+    tree of pairwise sums (Wong & Easton 1980), padded with zeros to a power of
+    two and stored heap-ordered in one flat array: node j has children 2j and
+    2j + 1, and node 1 holds the total. A pick descends from the root in
+    O(log n) and recomputes each sum on the picked leaf's path from its two
+    children, never by subtraction, so exhausted rows add exact zeros. It
+    chooses the same row as one cumulative sum over all rows except when u
+    lands within rounding of a boundary.
     """
-    values = np.asarray(weights, dtype=np.float64).tolist()
-    size = max(1, math.isqrt(len(values)))
-    blocks = [values[start:start + size] for start in range(0, len(values), size)]
-    # sequential sums, as a cumulative sum adds: builtin sum() is compensated from Python 3.12
-    totals = [reduce(add, block, 0.0) for block in blocks]
-    ends = list(accumulate(totals))
-    picks = np.empty(n_pick, dtype=np.intp)
-    for i, u in enumerate(rng.random(n_pick).tolist()):
-        target = u * ends[-1]
-        b = bisect_right(ends, target)
-        if b < len(blocks):
-            rest = target - ends[b - 1] if b else target
-        else:  # rounding put the target at or past the total: the last row with weight
-            b -= 1
-            while totals[b] == 0.0:
-                b -= 1
-            rest = math.inf
-        block = blocks[b]
-        running = list(accumulate(block))
-        k = min(bisect_right(running, rest), len(block) - 1)
-        while block[k] == 0.0:  # guard against landing on an exhausted cell
-            k -= 1
-        block[k] = 0.0
-        picks[i] = b * size + k
-        # The sums before the picked row and before its block are unchanged, and
-        # the zeroed cell adds nothing, so these equal sums recomputed from scratch.
-        totals[b] = reduce(add, block[k + 1:], running[k - 1] if k else 0.0)
-        ends[b:] = accumulate(totals[b + 1:], initial=ends[b - 1] + totals[b] if b else totals[b])
-    return picks
+    leaves = np.asarray(weights, dtype=np.float64)
+    size = 1 << max(len(leaves) - 1, 0).bit_length()
+    sums = np.zeros(2 * size)
+    sums[size:size + len(leaves)] = leaves
+    width = size
+    while width > 1:
+        np.add(sums[width:2 * width:2], sums[width + 1:2 * width:2], out=sums[width // 2:width])
+        width //= 2
+    tree = memoryview(sums)  # scalar reads and writes without numpy's per-item cost
+    picks = []
+    for u in rng.random(n_pick).tolist():
+        target = u * tree[1]
+        node = 1
+        if target < tree[1]:
+            while node < size:
+                node *= 2
+                left = tree[node]
+                # right only when the target passes the left sum and weight is
+                # left there: rounding must not lead onto an exhausted row
+                if target >= left and tree[node + 1] > 0.0:
+                    target -= left
+                    node += 1
+        else:  # rounding put the target at the total: the last row with weight
+            while node < size:
+                node = 2 * node + (tree[2 * node + 1] > 0.0)
+        picks.append(node - size)
+        tree[node] = parent_sum = 0.0
+        # each parent is again its two children's sum; addition commutes, so
+        # it is the same float the build's left + right would give
+        while node > 1:
+            parent_sum += tree[node ^ 1]
+            node >>= 1
+            tree[node] = parent_sum
+    return np.array(picks, dtype=np.intp)
 
 
 def sample_from_errors(

@@ -704,6 +704,40 @@ class TestNumericalFailureExitCode:
         assert not out.exists()
 
 
+class TestUnwritableOut:
+    """An --out that cannot be written exits 1 with one line, before any task is read."""
+
+    @staticmethod
+    def assert_config_error(capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and err.count("\n") == 1
+
+    def test_generate_toy_onto_a_directory(self, tmp_path, capsys):
+        argv = ["generate-toy", "--majority", "20", "--minority", "4", "--out", str(tmp_path)]
+        self.assert_config_error(capsys, argv)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_generate_toy_under_a_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("keep\n")
+        self.assert_config_error(capsys, ["generate-toy", "--out", str(blocker / "toy.csv")])
+        assert blocker.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("command", ["train", "meta-train"])
+    @pytest.mark.parametrize("task", ["task", "missing"])
+    @pytest.mark.parametrize("where", ["file", "under-file"])
+    def test_results_onto_a_file(self, tmp_path, capsys, task_csv, command, task, where):
+        blocker = tmp_path / "out"
+        blocker.write_text("keep\n")
+        out = blocker if where == "file" else blocker / "run"
+        # a missing task would be a data error (exit 2) were it read first
+        path = task_csv if task == "task" else tmp_path / "missing.csv"
+        flags = ["--mode", "random-sampling"] if command == "train" else TINY_SAC
+        self.assert_config_error(capsys, [command, str(path), *flags, "--out", str(out)])
+        assert blocker.read_text() == "keep\n"
+
+
 SAC_FLAGS = {
     "--gamma": ("gamma", None),
     "--tau": ("tau", None),

@@ -129,6 +129,27 @@ class TestDatasetValidation:
         assert sub.features.ravel().tolist() == [1.0, 3.0]
         assert sub.labels.tolist() == [0, 0]
 
+    def test_subset_equals_a_validated_dataset_of_the_same_rows(self):
+        rng = np.random.default_rng(3)
+        ds = make_dataset(rng.random((40, 3)), rng.integers(0, 2, 40))
+        idx = [7, 0, 31, 7, -1]
+        sub = ds.subset(idx)
+        validated = LabeledDataset(ds.features[idx], ds.labels[idx])
+        assert np.array_equal(sub.features, validated.features)
+        assert np.array_equal(sub.labels, validated.labels)
+        for array, dtype in ((sub.features, np.float64), (sub.labels, np.int64)):
+            assert array.dtype == dtype and array.flags.c_contiguous
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            sub.features[0, 0] = 9.0
+        assert sub.features.shape == (5, 3) and len(sub) == 5
+
+    @pytest.mark.parametrize("idx", [[0], [], [[0, 1], [2, 3]]])
+    def test_subset_needs_a_flat_index_of_two_rows(self, idx):
+        ds = make_dataset([[1.0], [2.0], [3.0], [4.0]], [0, 1, 0, 1])
+        with pytest.raises(ValueError):
+            ds.subset(idx)
+
 
 class TestStratifiedSplit:
     def test_exact_fraction_counts(self):

@@ -226,9 +226,9 @@ class TestIncrementalScoring:
         ],
         ids=["constant", "random", "all_floor"],
     )
-    # 36 minority training rows against 180 majority rows (blocks of 13, the
-    # last one ragged), 36 (returned whole), 37 (all but one drawn; blocks of
-    # 6 and a last one of one row) and 600 (25 whole blocks of 24)
+    # 36 minority training rows against 180 majority rows (a draw tree padded
+    # to 256 leaves), 36 (returned whole), 37 (all but one drawn; 64 leaves)
+    # and 600 (1,024 leaves)
     @pytest.mark.parametrize("n_majority", [300, 60, 61, 1000])
     def test_matches_rescoring_cascade_exactly(self, learner, n_members, make_source, n_majority):
         train, valid, test = toy_parts(overlap=0.6, seed=7, n_majority=n_majority, n_minority=60)

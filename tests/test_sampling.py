@@ -243,6 +243,52 @@ class TestSequentialWeightedDraw:
         assert picks.tolist() == list(range(49, 0, -1))
         assert np.array_equal(picks, cumsum_draw(weights, 49, Ones()))
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 1023, 1024, 1025])
+    def test_sizes_around_powers_of_two(self, n):
+        # the tree pads the weights with zeros up to the next power of two
+        meta = np.random.default_rng(n)
+        for seed, n_pick in enumerate(sorted({1, n // 2, n - 1, n})):
+            weights = draw_weights(meta.random(n), float(meta.random()), 0.2)
+            self.assert_matches_cumsum_draw(weights, n_pick, seed=seed)
+
+    @pytest.mark.parametrize("n", [2, 17, 64, 65])
+    def test_picks_every_row_of_a_padded_tree(self, n):
+        weights = draw_weights(np.random.default_rng(n).random(n), 0.3, 0.1)
+        picks = _sequential_weighted_draw(weights, n, np.random.default_rng(4))
+        assert sorted(picks.tolist()) == list(range(n))
+        self.assert_matches_cumsum_draw(weights, n, seed=4)
+
+    def test_all_weights_at_the_floor(self):
+        weights = draw_weights(np.ones(1000), 0.0, 0.01)
+        assert np.all(weights == weights[0])
+        picks = _sequential_weighted_draw(weights, 300, np.random.default_rng(6))
+        assert len(set(picks.tolist())) == 300
+        self.assert_matches_cumsum_draw(weights, 300, seed=6)
+
+    def test_matches_cumsum_draw_at_the_size_of_the_large_cascade(self):
+        errors = np.random.default_rng(9).random(95_000)
+        self.assert_matches_cumsum_draw(draw_weights(errors, 0.5, 0.2), 5_000, seed=9)
+
+    def test_target_at_the_total_after_the_last_rows_are_exhausted(self):
+        class Scripted:
+            """A uniform source that hands out fixed values in order."""
+
+            def __init__(self, values):
+                self.values = list(values)
+
+            def random(self, size=None):
+                if size is None:
+                    return self.values.pop(0)
+                taken, self.values = self.values[:size], self.values[size:]
+                return np.array(taken)
+
+        # 65 rows pad to 128 leaves; 0.99999 lands in the last row with weight
+        us = [0.99999, 0.99999, 0.99999, 1.0, 0.0, 1.0, 1.0]
+        weights = draw_weights(np.random.default_rng(2).random(65), 0.5, 0.2)
+        picks = _sequential_weighted_draw(weights, len(us), Scripted(us))
+        assert picks.tolist() == [64, 63, 62, 61, 0, 60, 59]
+        assert np.array_equal(picks, cumsum_draw(weights, len(us), Scripted(us)))
+
 
 class TestRandomBalancedSubset:
     def test_balanced_and_deterministic(self):
