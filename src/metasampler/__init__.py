@@ -37,7 +37,7 @@ from .errors import (
     SingleClassError,
 )
 from .learners import DecisionTree, GaussianNaiveBayes
-from .metrics import PrCurve, aucprc, classification_errors, pr_curve
+from .metrics import aucprc, classification_errors
 from .neural import (
     AdamState,
     Mlp,
@@ -55,13 +55,13 @@ from .sac import (
     PolicyActionSource,
     ReplayMemory,
     SacConfig,
-    action_log_prob,
     deterministic_action,
     load_sampler,
     meta_train,
     random_sampler,
     sample_action,
     save_sampler,
+    score_arms,
 )
 from .sampling import (
     error_histogram,
@@ -92,7 +92,6 @@ __all__ = [
     "Mlp",
     "NumericalError",
     "PolicyActionSource",
-    "PrCurve",
     "RandomActionSource",
     "ReplayMemory",
     "SacConfig",
@@ -101,7 +100,6 @@ __all__ = [
     "SplitSpec",
     "ToySpec",
     "adam_step",
-    "action_log_prob",
     "aucprc",
     "classification_errors",
     "decay_learning_rate",
@@ -120,12 +118,12 @@ __all__ = [
     "mlp_forward",
     "mlp_from_document",
     "mlp_to_document",
-    "pr_curve",
     "random_balanced_subset",
     "random_sampler",
     "sample_action",
     "save_csv",
     "save_sampler",
+    "score_arms",
     "soft_update",
     "stratified_split",
     "train_ensemble",

@@ -8,6 +8,8 @@ defaults. Every flag is plain text, and each value, from a flag or the file,
 goes through the one parse of its key (its cast and range) before any task or
 sampler file is read, so a flag and a config-file entry mean the same thing.
 Seeds must be non-negative, and --label-column names a header of the task CSV.
+train, ablation, noise-sweep and transfer score their arms through the
+library's score_arms, so a result CSV holds the scores it returns.
 Result CSVs open with a comment row recording the resolved configuration,
 each single number as it ran, so identical configs and seeds reproduce output
 files byte for byte.
@@ -38,22 +40,12 @@ from .dataset import (
     save_csv,
     stratified_split,
 )
-from .ensemble import ConstantActionSource, train_ensemble, train_random_ensemble
 from .errors import ConfigError, DataError, NumericalError
 from .learners import DecisionTree, GaussianNaiveBayes
-from .metrics import aucprc
-from .rng import as_seed_sequence, strict_float, strict_int
-from .sac import (
-    PolicyActionSource,
-    SacConfig,
-    load_sampler,
-    meta_train,
-    random_sampler,
-    save_sampler,
-)
+from .rng import strict_float, strict_int
+from .sac import MODES, SacConfig, load_sampler, meta_train, save_sampler, score_arms
 
 LEARNERS = {"tree": DecisionTree, "gnb": GaussianNaiveBayes}
-MODES = ("policy", "random-policy", "random-sampling", "constant")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -230,50 +222,6 @@ def _sac_config(values: dict, ensemble_size: int) -> SacConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _split_task(ds, split_spec, seed):
-    try:
-        return stratified_split(ds, split_spec, seed)
-    except DataError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _ensemble_score(mode, task_parts, *, sampler, mu, n_members, bins, sigma,
-                    learner_factory, seed) -> float:
-    """Train one ensemble under `mode` and score it on the test split."""
-    train, valid, test = task_parts
-    # One fixed spawn layout regardless of mode, so each mode sees the same
-    # seed stream no matter which other modes run alongside it.
-    pol_ss, pol_act, rp_init, rp_act, rp_ss, rs_ss = as_seed_sequence(seed).spawn(6)
-    if mode == "random-sampling":
-        model = train_random_ensemble(
-            train, valid, n_members=n_members, learner_factory=learner_factory, seed=rs_ss
-        )
-        return aucprc(model.predict_proba(test.features), test.labels)
-    if mode == "policy":
-        source = PolicyActionSource(sampler, seed=pol_act)
-        subset_ss = pol_ss
-        bins, sigma = sampler.bins, sampler.sigma
-    elif mode == "random-policy":
-        source = PolicyActionSource(random_sampler(bins, sigma, rp_init), seed=rp_act)
-        subset_ss = rp_ss
-    else:  # constant
-        source = ConstantActionSource(mu)
-        subset_ss = pol_ss
-    model, _ = train_ensemble(
-        train,
-        valid,
-        source,
-        sigma=sigma,
-        bins=bins,
-        n_members=n_members,
-        learner_factory=learner_factory,
-        seed=subset_ss,
-    )
-    return aucprc(model.predict_proba(test.features), test.labels)
-
-
 def _summary(scores) -> tuple:
     arr = np.asarray(scores, dtype=np.float64)
     std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
@@ -297,58 +245,23 @@ def _summary_rows(scores, baseline=None) -> list:
     return rows
 
 
-def _score_arms(ds, run, arms, *, k, ratio=None, mu=None, bins=None, sigma=None):
-    """Test AUCPRC per seed of each (label, mode, sampler) arm: {label: [score per seed]}.
-
-    Each seed splits the task once for all arms; with `ratio`, its train part
-    first gets flip noise at that ratio. The knobs are named after the config
-    keys that set them (k is the ensemble size); a mode ignores those it does
-    not use.
-    """
-    scores = {label: [] for label, _, _ in arms}
-    for seed in run.seeds:
-        train, valid, test = _split_task(ds, run.split, seed)
-        if ratio is not None:
-            train = inject_flip_noise(train, ratio, seed)
-        for label, mode, sampler in arms:
-            scores[label].append(
-                _ensemble_score(
-                    mode,
-                    (train, valid, test),
-                    sampler=sampler,
-                    mu=mu,
-                    n_members=k,
-                    bins=bins,
-                    sigma=sigma,
-                    learner_factory=run.factory,
-                    seed=seed,
-                )
-            )
-    return scores
-
-
 def _sweep(ds, run, modes, points, baseline=None):
     """Meta-train at --meta-seed, then score `modes`, at each (value, SacConfig, ratio) point.
 
-    A point's ratio, unless None, flip-noises the train parts first. Returns the
-    summary rows (see _summary_rows) and the raw rows, mode-major within each
-    point, each led by the point's value.
+    A point's ratio flip-noises the train parts first (0 leaves them as they
+    are). Returns the summary rows (see _summary_rows) and the raw rows,
+    mode-major within each point, each led by the point's value.
     """
     meta_seed = run.values["meta_seed"]
     summary_rows, raw_rows = [], []
     for value, sac, ratio in points:
-        train, valid, _ = _split_task(ds, run.split, meta_seed)
-        if ratio is not None:
-            train = inject_flip_noise(train, ratio, meta_seed)
+        train, valid, _ = stratified_split(ds, run.split, meta_seed)
+        train = inject_flip_noise(train, ratio, meta_seed)
         sampler = meta_train([(train, valid)], sac, meta_seed, learner_factory=run.factory)
-        scores = _score_arms(
-            ds,
-            run,
-            [(mode, mode, sampler) for mode in modes],
-            k=sac.ensemble_size,
-            ratio=ratio,
-            bins=sac.bins,
-            sigma=sac.sigma,
+        scores = score_arms(
+            ds, run.split, run.seeds, [(mode, mode, sampler) for mode in modes],
+            n_members=sac.ensemble_size, noise_ratio=ratio, bins=sac.bins, sigma=sac.sigma,
+            learner_factory=run.factory,
         )
         raw_rows += [
             [value, mode, seed, score]
@@ -395,7 +308,7 @@ def cmd_meta_train(run, args) -> int:
     tasks = []
     for path in args.tasks:
         ds = load_csv(path, run.config["label_column"])
-        train, valid, _ = _split_task(ds, run.split, run.values["split_seed"])
+        train, valid, _ = stratified_split(ds, run.split, run.values["split_seed"])
         tasks.append((train, valid))
 
     log_rows = []
@@ -433,9 +346,9 @@ def cmd_train(run, args) -> int:
             raise ConfigError("--sampler is required for policy mode")
         sampler = load_sampler(run.config["sampler"])
     ds = load_csv(args.task, run.config["label_column"])
-    scores = _score_arms(
-        ds, run, [(mode, mode, sampler)],
-        k=values["k"], mu=values["mu"], bins=values["bins"], sigma=values["sigma"],
+    scores = score_arms(
+        ds, run.split, run.seeds, [(mode, mode, sampler)], n_members=values["k"],
+        mu=values["mu"], bins=values["bins"], sigma=values["sigma"], learner_factory=run.factory,
     )
     rows = [[seed, score] for seed, score in zip(run.seeds, scores[mode])]
     _write_results(run, args, [("train_results.csv", ["seed", "test_aucprc"], rows)])
@@ -444,7 +357,7 @@ def cmd_train(run, args) -> int:
 
 def cmd_ablation(run, args) -> int:
     k_list = run.values["k"]
-    points = [(k, _sac_config(run.values, ensemble_size=k), None) for k in k_list]
+    points = [(k, _sac_config(run.values, ensemble_size=k), 0.0) for k in k_list]
     ds = load_csv(args.task, run.config["label_column"])
     modes = ("policy", "random-policy", "random-sampling")
     summary_rows, raw_rows = _sweep(ds, run, modes, points, baseline="policy")
@@ -486,7 +399,9 @@ def cmd_transfer(run, args) -> int:
     if run.config["reference_sampler"] is not None:
         arms.append(("reference", "policy", load_sampler(run.config["reference_sampler"])))
     ds = load_csv(args.task, run.config["label_column"])
-    scores = _score_arms(ds, run, arms, k=run.values["k"])
+    scores = score_arms(
+        ds, run.split, run.seeds, arms, n_members=run.values["k"], learner_factory=run.factory
+    )
     raw_rows = [
         [label, seed, scores[label][i]] for i, seed in enumerate(run.seeds) for label in scores
     ]

@@ -145,7 +145,8 @@ def load_csv(path, label_column="label") -> LabeledDataset:
     `label_column` selects the label by header name or integer position; all
     remaining columns are features. Row order is preserved. A missing file
     raises FileNotFoundError; one that cannot be read as UTF-8 text (a
-    directory, say) raises DataError.
+    directory, say) raises DataError, and one whose header holds no column
+    besides the label raises EmptyDataError.
     """
     path = Path(path)
     if not path.exists():
@@ -170,6 +171,8 @@ def load_csv(path, label_column="label") -> LabeledDataset:
             label_idx = header.index(label_column)
         except ValueError:
             raise ColumnNotFoundError(f"{path}: no column named {label_column!r}") from None
+    if len(header) < 2:
+        raise EmptyDataError(f"{path}: no feature columns, only the label column")
 
     n, width = len(data), len(header)
     features = np.empty((n, width - 1), dtype=np.float64)

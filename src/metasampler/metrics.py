@@ -6,26 +6,10 @@ precision at each group weighted by the recall increment it contributes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataset import LabeledDataset
 from .errors import SingleClassError
-
-
-@dataclass(frozen=True)
-class PrCurve:
-    """One (recall, precision) point per distinct score threshold, recall-sorted."""
-
-    recall: np.ndarray
-    precision: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "recall", np.asarray(self.recall, dtype=np.float64))
-        object.__setattr__(self, "precision", np.asarray(self.precision, dtype=np.float64))
-        if self.recall.shape != self.precision.shape or self.recall.ndim != 1:
-            raise ValueError("recall and precision must be 1-D arrays of equal length")
 
 
 def classification_errors(model, ds: LabeledDataset) -> np.ndarray:
@@ -36,8 +20,12 @@ def classification_errors(model, ds: LabeledDataset) -> np.ndarray:
     return np.abs(scores - ds.labels)
 
 
-def _group_counts(scores, labels):
-    """Cumulative (true positives, predicted positives) at each distinct threshold."""
+def aucprc(scores, labels) -> float:
+    """Average precision over distinct thresholds.
+
+    Integer cumulative counts keep the two boundary identities exact: a perfect
+    ranking scores 1.0 and all-equal scores give the positive prevalence.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.ndim != 1 or scores.shape != labels.shape:
@@ -55,21 +43,12 @@ def _group_counts(scores, labels):
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
     sorted_labels = labels[order]
-    # last index of every tie group
+    # last index of every tie group, and the cumulative true and predicted
+    # positives at each distinct threshold
     group_end = np.flatnonzero(np.diff(sorted_scores) != 0.0)
     group_end = np.append(group_end, scores.size - 1)
     tp = np.cumsum(sorted_labels)[group_end]
     pp = group_end + 1
-    return tp, pp, n_pos
-
-
-def aucprc(scores, labels) -> float:
-    """Average precision over distinct thresholds.
-
-    Integer cumulative counts keep the two boundary identities exact: a perfect
-    ranking scores 1.0 and all-equal scores give the positive prevalence.
-    """
-    tp, pp, n_pos = _group_counts(scores, labels)
     if tp.size == 1:
         # single threshold: area is recall 1 times precision = prevalence
         return float(tp[0] / pp[0])
@@ -78,8 +57,3 @@ def aucprc(scores, labels) -> float:
     terms = (tp - tp_prev) * tp / pp
     return float(terms.sum() / n_pos)
 
-
-def pr_curve(scores, labels) -> PrCurve:
-    """PR curve points, one per distinct threshold, recall non-decreasing."""
-    tp, pp, n_pos = _group_counts(scores, labels)
-    return PrCurve(recall=tp / n_pos, precision=tp / pp)

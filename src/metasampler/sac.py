@@ -22,9 +22,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ensemble import EnsembleStep, train_ensemble
+from .dataset import inject_flip_noise, stratified_split
+from .ensemble import ConstantActionSource, EnsembleStep, train_ensemble, train_random_ensemble
 from .errors import NumericalError, SamplerFormatError
 from .learners import DecisionTree
+from .metrics import aucprc
 from .neural import (
     AdamState,
     Mlp,
@@ -44,6 +46,7 @@ LOG_STD_MAX = 2.0
 LOG_2PI = math.log(2.0 * math.pi)
 SAMPLER_FORMAT_VERSION = 1
 HIDDEN_WIDTH = 50
+MODES = ("policy", "random-policy", "random-sampling", "constant")  # score_arms' arm modes
 
 
 @dataclass(frozen=True)
@@ -243,19 +246,6 @@ def deterministic_action(sampler: MetaSampler, state) -> float:
     return float(0.5 * (np.tanh(mean[0]) + 1.0))
 
 
-def action_log_prob(sampler: MetaSampler, state, action: float) -> float:
-    """Log-density of a given action in (0, 1) under the current policy."""
-    if not 0.0 < action < 1.0:
-        raise ValueError(f"interior action required, got {action}")
-    state = np.asarray(state, dtype=np.float64)
-    mean, _, log_std, _ = _policy_heads(sampler.policy, state[None, :])
-    u = math.atanh(2.0 * action - 1.0)
-    eps = (u - mean[0]) / np.exp(log_std[0])
-    return float(
-        -0.5 * eps * eps - log_std[0] - 0.5 * LOG_2PI - _log_half_jacobian(u)
-    )
-
-
 class PolicyActionSource:
     """Adapts a MetaSampler to the ensemble action-source interface."""
 
@@ -445,6 +435,57 @@ def meta_train(tasks, config: SacConfig, seed, learner_factory=DecisionTree,
         )
         episode += 1
     return sampler
+
+
+def score_arms(ds, split, seeds, arms, *, n_members, noise_ratio=0.0, mu=0.5, bins=5,
+               sigma=0.2, learner_factory=DecisionTree) -> dict:
+    """Test AUCPRC per seed of each (label, mode, sampler) arm: {label: [score per seed]}.
+
+    Labels must be distinct. Each seed splits `ds` once for all arms and
+    flip-noises the train part at `noise_ratio` (0 leaves it as it is). Each
+    arm then trains one cascade of `n_members` on (train, valid) and scores it
+    on test. The modes: "policy" samples actions from the arm's sampler, with
+    its bins and sigma; "random-policy" from an untrained sampler with `bins`
+    and `sigma`; "random-sampling" fits every member on a random balanced
+    subset; and "constant" takes action `mu` at every step. A mode ignores the
+    knobs it does not use. Every arm spawns the same six streams from the
+    seed, so its scores do not depend on which other arms run beside it.
+    """
+    arms = list(arms)
+    for label, mode, sampler in arms:
+        if mode not in MODES:
+            raise ValueError(f"arm {label!r}: unknown mode {mode!r}; choose from {MODES}")
+        if mode == "policy" and sampler is None:
+            raise ValueError(f"arm {label!r}: policy mode needs a sampler")
+    scores = {label: [] for label, _, _ in arms}
+    if len(scores) != len(arms):
+        raise ValueError("arm labels must be distinct")
+    for seed in seeds:
+        train, valid, test = stratified_split(ds, split, seed)
+        train = inject_flip_noise(train, noise_ratio, seed)
+        for label, mode, sampler in arms:
+            pol_ss, pol_act, rp_init, rp_act, rp_ss, rs_ss = as_seed_sequence(seed).spawn(6)
+            if mode == "random-sampling":
+                model = train_random_ensemble(
+                    train, valid, n_members=n_members, learner_factory=learner_factory,
+                    seed=rs_ss,
+                )
+            else:
+                arm_bins, arm_sigma, subset_ss = bins, sigma, pol_ss
+                if mode == "policy":
+                    source = PolicyActionSource(sampler, seed=pol_act)
+                    arm_bins, arm_sigma = sampler.bins, sampler.sigma
+                elif mode == "random-policy":
+                    source = PolicyActionSource(random_sampler(bins, sigma, rp_init), seed=rp_act)
+                    subset_ss = rp_ss
+                else:
+                    source = ConstantActionSource(mu)
+                model, _ = train_ensemble(
+                    train, valid, source, sigma=arm_sigma, bins=arm_bins, n_members=n_members,
+                    learner_factory=learner_factory, seed=subset_ss,
+                )
+            scores[label].append(aucprc(model.predict_proba(test.features), test.labels))
+    return scores
 
 
 def sampler_to_document(sampler: MetaSampler) -> dict:

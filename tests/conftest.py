@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from metasampler import LabeledDataset
+from metasampler import LabeledDataset, mlp_forward
+from metasampler.sac import LOG_STD_MAX, LOG_STD_MIN
 
 
 def brute_average_precision(scores, labels):
@@ -59,6 +62,22 @@ def make_dataset(features, labels):
     return LabeledDataset(
         np.asarray(features, dtype=np.float64), np.asarray(labels, dtype=np.int64)
     )
+
+
+def action_log_prob(sampler, state, action):
+    """Density oracle for sample_action: log-density of an action in (0, 1) under the policy.
+
+    The action is a = (tanh(u) + 1) / 2 with u ~ N(mean, std) from the policy's
+    heads, so its density is N(u; mean, std) / (da/du), and da/du = 2a(1 - a).
+    """
+    if not 0.0 < action < 1.0:
+        raise ValueError(f"interior action required, got {action}")
+    heads, _ = mlp_forward(sampler.policy, np.asarray(state, dtype=np.float64)[None, :])
+    mean = float(heads[0, 0])
+    log_std = min(max(float(heads[0, 1]), LOG_STD_MIN), LOG_STD_MAX)
+    z = (math.atanh(2.0 * action - 1.0) - mean) / math.exp(log_std)
+    log_normal = -0.5 * z * z - log_std - 0.5 * math.log(2.0 * math.pi)
+    return log_normal - math.log(2.0 * action * (1.0 - action))
 
 
 def fd_param_gradients(loss_fn, params, h=1e-5):

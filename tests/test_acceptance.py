@@ -25,10 +25,10 @@ from metasampler import (
     meta_train,
     mlp_backward,
     mlp_forward,
+    score_arms,
     stratified_split,
 )
-from metasampler.cli import _ensemble_score, main
-from metasampler.learners import DecisionTree
+from metasampler.cli import main
 from metasampler.sac import (
     HIDDEN_WIDTH,
     Batch,
@@ -80,26 +80,10 @@ def train_sampler(ds, noise_ratio=0.0):
     return meta_train([(train, valid)], SacConfig(ensemble_size=K), seed=META_SEED)
 
 
-def mode_scores(ds, mode, sampler=None, noise_ratio=0.0, seeds=EVAL_SEEDS):
-    """Test-split AUCPRC per evaluation seed under one training mode."""
-    scores = []
-    for seed in seeds:
-        train, valid, test = stratified_split(ds, SPLIT, seed)
-        train = inject_flip_noise(train, noise_ratio, seed)
-        scores.append(
-            _ensemble_score(
-                mode,
-                (train, valid, test),
-                sampler=sampler,
-                mu=0.5,
-                n_members=K,
-                bins=5,
-                sigma=0.2,
-                learner_factory=DecisionTree,
-                seed=seed,
-            )
-        )
-    return np.asarray(scores)
+def mode_scores(ds, arms, noise_ratio=0.0):
+    """Test-split AUCPRC per evaluation seed of each (label, mode, sampler) arm, as arrays."""
+    scores = score_arms(ds, SPLIT, EVAL_SEEDS, arms, n_members=K, noise_ratio=noise_ratio)
+    return {label: np.asarray(arm_scores) for label, arm_scores in scores.items()}
 
 
 @pytest.fixture(scope="module")
@@ -122,11 +106,11 @@ def mid_scores(mid_dataset):
     """Clean-task sampler plus per-mode scores, with the wall time it all took."""
     t0 = time.perf_counter()
     sampler = train_sampler(mid_dataset)
-    scores = {
-        "policy": mode_scores(mid_dataset, "policy", sampler=sampler),
-        "random-policy": mode_scores(mid_dataset, "random-policy"),
-        "random-sampling": mode_scores(mid_dataset, "random-sampling"),
-    }
+    scores = mode_scores(mid_dataset, [
+        ("policy", "policy", sampler),
+        ("random-policy", "random-policy", None),
+        ("random-sampling", "random-sampling", None),
+    ])
     return scores, time.perf_counter() - t0
 
 
@@ -382,8 +366,12 @@ def test_criterion_08_noise_robustness(mid_dataset, mid_scores):
     assert margins[0] >= 0.0
     for ratio in NOISE_RATIOS[1:]:
         sampler = train_sampler(mid_dataset, noise_ratio=ratio)
-        policy = mode_scores(mid_dataset, "policy", sampler=sampler, noise_ratio=ratio)
-        random_sampling = mode_scores(mid_dataset, "random-sampling", noise_ratio=ratio)
+        scores = mode_scores(
+            mid_dataset,
+            [("policy", "policy", sampler), ("random-sampling", "random-sampling", None)],
+            noise_ratio=ratio,
+        )
+        policy, random_sampling = scores["policy"], scores["random-sampling"]
         margin = float(policy.mean() - random_sampling.mean())
         assert margin >= 0.0, f"policy lost to random sampling at ratio {ratio}"
         means.append(float(policy.mean()))
@@ -400,8 +388,11 @@ def test_criterion_08_noise_robustness(mid_dataset, mid_scores):
 
 def test_criterion_09_sampler_transfers(task_a, task_b):
     sampler_a = train_sampler(task_a)
-    cross = float(mode_scores(task_b, "policy", sampler=sampler_a).mean())
-    random_policy_b = float(mode_scores(task_b, "random-policy").mean())
+    scores_b = mode_scores(
+        task_b, [("cross", "policy", sampler_a), ("random-policy", "random-policy", None)]
+    )
+    cross = float(scores_b["cross"].mean())
+    random_policy_b = float(scores_b["random-policy"].mean())
     assert cross >= random_policy_b
 
     rng = np.random.default_rng(7)
@@ -412,8 +403,11 @@ def test_criterion_09_sampler_transfers(task_a, task_b):
                    replace=False),
     ]))
     sampler_sub = train_sampler(task_a.subset(sub_idx))
-    full = float(mode_scores(task_a, "policy", sampler=sampler_a).mean())
-    sub = float(mode_scores(task_a, "policy", sampler=sampler_sub).mean())
+    scores_a = mode_scores(
+        task_a, [("full", "policy", sampler_a), ("sub", "policy", sampler_sub)]
+    )
+    full = float(scores_a["full"].mean())
+    sub = float(scores_a["sub"].mean())
     assert full - sub <= 0.02
     print(
         f"ACCEPTANCE PASS: criterion 9: cross-task {cross:.4f} >= random-policy"

@@ -620,6 +620,17 @@ class TestUnreadableInputs:
         assert err.startswith("data error") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_task_csv_without_feature_columns(self, tmp_path, capsys):
+        task = tmp_path / "task.csv"
+        task.write_text("label\n0\n1\n0\n1\n0\n0\n1\n0\n0\n1\n")
+        out = tmp_path / "out"
+        argv = ["train", str(task), "--mode", "random-sampling", "--k", "2", "--seed", "0"]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and "no feature columns" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "transfer"])
     def test_sampler_directory(self, tmp_path, capsys, task_csv, command):
         sampler = tmp_path / "sampler"

@@ -59,6 +59,11 @@ class TestLoadCsv:
         with pytest.raises(EmptyDataError):
             load_csv(path)
 
+    def test_label_column_only(self, tmp_path):
+        path = write(tmp_path, "label\n0\n1\n0\n1\n")
+        with pytest.raises(EmptyDataError, match="no feature columns"):
+            load_csv(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "nope.csv")

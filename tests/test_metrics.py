@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metasampler import SingleClassError, aucprc, classification_errors, pr_curve
+from metasampler import SingleClassError, aucprc, classification_errors
 from conftest import FixedModel, brute_average_precision, make_dataset
 
 
@@ -66,43 +66,3 @@ class TestAucprc:
         with pytest.raises(ValueError):
             aucprc(np.array([np.nan, 0.2]), np.array([1, 0]))
 
-
-class TestPrCurve:
-    def test_perfect_ranking_precision_one_everywhere(self):
-        curve = pr_curve(np.array([0.9, 0.8, 0.2, 0.1]), np.array([1, 1, 0, 0]))
-        assert np.all(curve.precision[curve.recall <= 0.5] == 1.0)
-        assert curve.recall[-1] == 1.0
-
-    def test_all_equal_single_point(self):
-        curve = pr_curve(np.full(5, 0.3), np.array([1, 1, 0, 0, 0]))
-        assert curve.recall.tolist() == [1.0]
-        assert curve.precision.tolist() == [0.4]
-
-    def test_matches_oracle_points(self, rng):
-        scores = rng.integers(0, 6, size=15).astype(np.float64) / 5.0
-        labels = (rng.random(15) < 0.4).astype(np.int64)
-        labels[0] = 1
-        labels[1] = 0
-        curve = pr_curve(scores, labels)
-        n_pos = int(labels.sum())
-        oracle = []
-        for t in sorted(set(scores.tolist()), reverse=True):
-            predicted = scores >= t
-            tp = int(np.sum(predicted & (labels == 1)))
-            oracle.append((tp / n_pos, tp / int(predicted.sum())))
-        got = list(zip(curve.recall.tolist(), curve.precision.tolist()))
-        assert len(got) == len(oracle)
-        for (gr, gp), (wr, wp) in zip(got, oracle):
-            assert gr == pytest.approx(wr, abs=1e-12)
-            assert gp == pytest.approx(wp, abs=1e-12)
-
-    def test_curve_area_equals_aucprc(self, rng):
-        scores = rng.random(15)
-        labels = (rng.random(15) < 0.4).astype(np.int64)
-        labels[0] = 1
-        labels[1] = 0
-        curve = pr_curve(scores, labels)
-        increments = np.diff(np.concatenate([[0.0], curve.recall]))
-        assert float(np.sum(increments * curve.precision)) == pytest.approx(
-            aucprc(scores, labels), abs=1e-12
-        )

@@ -15,7 +15,6 @@ from metasampler import (
     SamplerFormatError,
     SplitSpec,
     ToySpec,
-    action_log_prob,
     deterministic_action,
     init_mlp,
     load_sampler,
@@ -23,9 +22,12 @@ from metasampler import (
     meta_train,
     random_sampler,
     sample_action,
+    save_csv,
     save_sampler,
+    score_arms,
     stratified_split,
 )
+from metasampler.cli import main
 from metasampler.neural import AdamState, adam_step
 from metasampler.rng import as_generator, as_seed_sequence
 from metasampler.sac import (
@@ -41,7 +43,7 @@ from metasampler.sac import (
     strict_int,
     v_loss_and_grads,
 )
-from conftest import fd_param_gradients, max_relative_error
+from conftest import action_log_prob, fd_param_gradients, max_relative_error
 
 
 def bias_policy(mean_bias, log_std_bias, bins=5):
@@ -525,6 +527,51 @@ class TestPolicyActionSource:
         a = PolicyActionSource(sampler, seed=4)
         b = PolicyActionSource(sampler, seed=4)
         assert [a.action(state) for _ in range(5)] == [b.action(state) for _ in range(5)]
+
+
+class TestScoreArms:
+    SEEDS = (0, 1)
+
+    @pytest.fixture(scope="class")
+    def task(self):
+        return make_toy(ToySpec(60, 12, 0.5, seed=3))
+
+    @staticmethod
+    def arms():
+        # an untrained sampler stands in for a learned one
+        sampler = random_sampler(5, 0.2, seed=1)
+        return [(mode, mode, sampler) for mode in
+                ("policy", "random-policy", "random-sampling", "constant")]
+
+    def scores(self, task, arms):
+        return score_arms(task, SplitSpec(), self.SEEDS, arms, n_members=3)
+
+    def test_each_arm_scores_the_same_alone_or_beside_the_others(self, task):
+        together = self.scores(task, self.arms())
+        assert together == self.scores(task, self.arms()[::-1])
+        for arm in self.arms():
+            alone = self.scores(task, [arm])
+            assert alone == {arm[0]: together[arm[0]]}
+            assert len(alone[arm[0]]) == len(self.SEEDS)
+
+    def test_random_sampling_arm_matches_train_cli(self, tmp_path, task):
+        save_csv(task, tmp_path / "task.csv")
+        out = tmp_path / "run"
+        assert main([
+            "train", str(tmp_path / "task.csv"), "--mode", "random-sampling", "--k", "3",
+            "--seed", ",".join(map(str, self.SEEDS)), "--out", str(out),
+        ]) == 0
+        lines = (out / "train_results.csv").read_text().splitlines()[2:]
+        cli = [float(line.split(",")[1]) for line in lines]
+        assert cli == self.scores(task, self.arms()[2:3])["random-sampling"]
+
+    def test_rejects_unknown_mode_policy_without_sampler_and_repeated_label(self, task):
+        with pytest.raises(ValueError, match="unknown mode"):
+            self.scores(task, [("x", "greedy", None)])
+        with pytest.raises(ValueError, match="needs a sampler"):
+            self.scores(task, [("p", "policy", None)])
+        with pytest.raises(ValueError, match="distinct"):
+            self.scores(task, [("a", "constant", None), ("a", "random-sampling", None)])
 
 
 class TestSamplerIO:
