@@ -26,7 +26,6 @@ import dataclasses
 import json
 import math
 import sys
-import typing
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +42,7 @@ from .dataset import (
 from .errors import ConfigError, DataError, NumericalError
 from .learners import DecisionTree, GaussianNaiveBayes
 from .rng import strict_float, strict_int
-from .sac import MODES, SacConfig, load_sampler, meta_train, save_sampler, score_arms
+from .sac import _INT_FIELDS, MODES, SacConfig, load_sampler, meta_train, save_sampler, score_arms
 
 LEARNERS = {"tree": DecisionTree, "gnb": GaussianNaiveBayes}
 
@@ -76,19 +75,9 @@ def _load_config_file(path) -> dict:
     return doc
 
 
-def _sac_fields():
-    """(name, type, default) of each SacConfig field a flag sets; --k sets the ensemble size."""
-    hints = typing.get_type_hints(SacConfig)
-    for f in dataclasses.fields(SacConfig):
-        if f.name != "ensemble_size":
-            # an optional field takes the type it makes optional
-            kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
-            yield f.name, next(t for t in kinds if t is not type(None)), f.default
-
-
-_SAC_FIELDS = tuple(_sac_fields())
-SAC_DEFAULTS = {name: default for name, _, default in _SAC_FIELDS}
-_CASTS = {int: strict_int, float: strict_float}  # a number type -> the cast of its values
+# every SacConfig field a flag sets; --k sets the ensemble size
+SAC_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SacConfig)
+                if f.name != "ensemble_size"}
 _SEED = (strict_int, lambda v: v >= 0, "non-negative")
 
 # The parse of every number key: key -> (cast, test, wording), the test being
@@ -96,7 +85,8 @@ _SEED = (strict_int, lambda v: v >= 0, "non-negative")
 # list, each entry cast and checked. Every other key holds text. strict_int
 # refuses booleans and fractions, strict_float refuses booleans.
 _NUMBERS = {
-    **{name: (_CASTS[kind], None, None) for name, kind, _ in _SAC_FIELDS},
+    **{name: (strict_int if name in _INT_FIELDS else strict_float, None, None)
+       for name in SAC_DEFAULTS},
     "majority": (strict_int, None, None),
     "minority": (strict_int, None, None),
     "overlap": (strict_float, None, None),

@@ -1,13 +1,14 @@
 """Minimal fully-connected networks on raw numpy.
 
-Each network owns one contiguous float64 vector `params`, layer by layer:
-weights (fan_in, fan_out) row-major, then biases; `weights[i]` and
-`biases[i]` are views into it. Gradients and Adam moments share that layout,
-so Adam, Polyak soft updates and finiteness checks act on whole vectors.
-Forward passes cache layer inputs and pre-activations; the backward pass
-replays them in reverse for exact gradients of any scalar loss expressed as
-an output gradient. Also: stepped learning-rate decay and a versioned JSON
-round-trip.
+Every network has one shape: relu hidden layers and a linear head. Each
+owns one contiguous float64 vector `params`, layer by layer: weights
+(fan_in, fan_out) row-major, then biases; `weights[i]` and `biases[i]` are
+views into it. Gradients and Adam moments share that layout, so Adam, Polyak
+soft updates and finiteness checks act on whole vectors. A forward pass of a
+(batch, in) matrix returns each layer's output, which is all the backward
+pass reads: it masks each hidden layer where that output is positive and
+needs no pre-activations. Also: stepped learning-rate decay and a versioned
+JSON round-trip.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ import numpy as np
 from .errors import NumericalError
 from .rng import as_generator
 
-ACTIVATIONS = ("relu", "linear", "tanh")
 FORMAT_VERSION = 1
 
 ADAM_BETA1 = 0.9
@@ -38,28 +38,26 @@ def _layer_views(flat, layer_sizes):
     return weights, biases
 
 
+def _activation_names(layer_sizes):
+    """The shape every network has, as a document records it: relu layers, a linear head."""
+    return ["relu"] * (len(layer_sizes) - 2) + ["linear"]
+
+
 class Mlp:
-    """Dense layers over one flat `params` vector; weights[i] has shape (fan_in, fan_out).
+    """Relu layers and a linear head on one flat `params` vector; weights[i] is (fan_in, fan_out).
 
     Without `params` the network starts at zero; a given float64 vector is
     used in place, not copied.
     """
 
-    def __init__(self, layer_sizes, activations, params=None):
+    def __init__(self, layer_sizes, params=None):
+        if any(isinstance(s, (bool, np.bool_)) for s in layer_sizes):
+            raise TypeError(f"layer sizes must be integers, got {layer_sizes}")
         self.layer_sizes = [operator.index(s) for s in layer_sizes]
-        self.activations = list(activations)
         if len(self.layer_sizes) < 2:
             raise ValueError("need at least an input and an output size")
         if any(s < 1 for s in self.layer_sizes):
             raise ValueError(f"layer sizes must be positive, got {self.layer_sizes}")
-        if len(self.activations) != len(self.layer_sizes) - 1:
-            raise ValueError(
-                f"{len(self.layer_sizes) - 1} layers need {len(self.layer_sizes) - 1} "
-                f"activations, got {len(self.activations)}"
-            )
-        for act in self.activations:
-            if act not in ACTIVATIONS:
-                raise ValueError(f"unknown activation {act!r}")
         sizes = self.layer_sizes
         size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
         self.params = np.zeros(size) if params is None else np.ascontiguousarray(params, np.float64)
@@ -68,12 +66,12 @@ class Mlp:
         self.weights, self.biases = _layer_views(self.params, sizes)
 
     def copy(self) -> "Mlp":
-        return Mlp(self.layer_sizes, self.activations, self.params.copy())
+        return Mlp(self.layer_sizes, self.params.copy())
 
 
-def init_mlp(layer_sizes, activations, seed) -> Mlp:
+def init_mlp(layer_sizes, seed) -> Mlp:
     """Uniform +-1/sqrt(fan_in) weights, zero biases."""
-    net = Mlp(layer_sizes, activations)
+    net = Mlp(layer_sizes)
     rng = as_generator(seed)
     for w in net.weights:
         bound = 1.0 / np.sqrt(w.shape[0])
@@ -81,61 +79,37 @@ def init_mlp(layer_sizes, activations, seed) -> Mlp:
     return net
 
 
-def _apply(act, z):
-    if act == "relu":
-        return np.maximum(0.0, z)
-    if act == "tanh":
-        return np.tanh(z)
-    return z
-
-
-def _apply_grad(act, z, out):
-    if act == "relu":
-        return (z > 0.0).astype(np.float64)
-    if act == "tanh":
-        return 1.0 - out * out
-    return np.ones_like(z)
-
-
 def mlp_forward(net: Mlp, x):
-    """Returns (output, cache); accepts a single vector or a (batch, in) matrix."""
+    """(output, acts) of a (batch, in) matrix: acts[0] is x, acts[i + 1] is layer i's output."""
     a = np.asarray(x, dtype=np.float64)
-    single = a.ndim == 1
-    if single:
-        a = a[None, :]
-    if a.shape[1] != net.layer_sizes[0]:
-        raise ValueError(
-            f"input width {a.shape[1]} does not match network input {net.layer_sizes[0]}"
-        )
-    inputs, pre, post = [], [], []
-    for w, b, act in zip(net.weights, net.biases, net.activations):
-        inputs.append(a)
-        z = a @ w + b
-        a = _apply(act, z)
-        pre.append(z)
-        post.append(a)
+    if a.ndim != 2 or a.shape[1] != net.layer_sizes[0]:
+        raise ValueError(f"input of shape {a.shape} is not a (batch, {net.layer_sizes[0]}) matrix")
+    acts = [a]
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        a = np.maximum(0.0, a @ w + b)
+        acts.append(a)
+    a = a @ net.weights[-1] + net.biases[-1]
+    acts.append(a)
     if not np.isfinite(a).all():
         raise NumericalError("non-finite network output")
-    cache = {"inputs": inputs, "pre": pre, "post": post, "single": single}
-    return (a[0] if single else a), cache
+    return a, acts
 
 
-def mlp_backward(net: Mlp, cache, grad_output):
-    """Backpropagate an output gradient through a cached forward pass.
+def mlp_backward(net: Mlp, acts, grad_output):
+    """Backpropagate an output gradient through the activations of a forward pass.
 
     Returns (grads, grad_input) where grads is one flat vector laid out like net.params.
     """
     g = np.asarray(grad_output, dtype=np.float64)
-    if cache["single"]:
-        g = g[None, :]
     grads = np.empty_like(net.params)
     grad_weights, grad_biases = _layer_views(grads, net.layer_sizes)
     for layer in reversed(range(len(net.weights))):
-        g = g * _apply_grad(net.activations[layer], cache["pre"][layer], cache["post"][layer])
-        np.matmul(cache["inputs"][layer].T, g, out=grad_weights[layer])
+        if layer < len(net.weights) - 1:
+            g = g * (acts[layer + 1] > 0.0)  # relu: max(0, z) > 0 exactly where z > 0
+        np.matmul(acts[layer].T, g, out=grad_weights[layer])
         g.sum(axis=0, out=grad_biases[layer])
         g = g @ net.weights[layer].T
-    return grads, (g[0] if cache["single"] else g)
+    return grads, g
 
 
 @dataclass
@@ -194,7 +168,7 @@ def mlp_to_document(net: Mlp) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "layer_sizes": list(net.layer_sizes),
-        "activations": list(net.activations),
+        "activations": _activation_names(net.layer_sizes),
         "weights": [w.tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
     }
@@ -204,7 +178,10 @@ def mlp_from_document(doc: dict) -> Mlp:
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {version!r}")
-    net = Mlp(doc["layer_sizes"], doc["activations"])
+    net = Mlp(doc["layer_sizes"])
+    names = _activation_names(net.layer_sizes)
+    if doc["activations"] != names:
+        raise ValueError(f"activations must be {names}, got {doc['activations']!r}")
     if len(doc["weights"]) != len(net.weights) or len(doc["biases"]) != len(net.biases):
         raise ValueError("layer count mismatch")
     for i, (w, b) in enumerate(zip(doc["weights"], doc["biases"])):

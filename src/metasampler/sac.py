@@ -173,7 +173,7 @@ class MetaSampler:
 
 def random_sampler(bins: int, sigma: float, seed) -> MetaSampler:
     """Freshly initialized, untrained sampling policy (an ablation baseline)."""
-    policy = init_mlp([2 * bins, HIDDEN_WIDTH, 2], ["relu", "linear"], seed)
+    policy = init_mlp([2 * bins, HIDDEN_WIDTH, 2], seed)
     return MetaSampler(policy=policy, bins=bins, sigma=sigma)
 
 
@@ -202,31 +202,32 @@ def _log_half_jacobian(u):
 
 
 def _policy_heads(policy: Mlp, states):
-    out, cache = mlp_forward(policy, states)
+    out, acts = mlp_forward(policy, states)
     mean = out[:, 0]
     raw_log_std = out[:, 1]
     log_std = np.clip(raw_log_std, LOG_STD_MIN, LOG_STD_MAX)
-    return mean, raw_log_std, log_std, cache
+    return mean, raw_log_std, log_std, acts
 
 
 def _sample_with_noise(policy: Mlp, states, eps):
-    """Reparameterized squashed sample for fixed standard-normal noise."""
-    mean, raw_log_std, log_std, cache = _policy_heads(policy, states)
+    """Reparameterized squashed sample for fixed standard-normal noise.
+
+    Holds only what callers read: the actions and their log-probs, the terms
+    of the actor gradient, and the policy's activations for its backward pass.
+    """
+    mean, raw_log_std, log_std, acts = _policy_heads(policy, states)
     std = np.exp(log_std)
     u = mean + std * eps
     tanh_u = np.tanh(u)
     actions = 0.5 * (tanh_u + 1.0)
     log_prob = -0.5 * eps * eps - log_std - 0.5 * LOG_2PI - _log_half_jacobian(u)
     return {
-        "mean": mean,
         "raw_log_std": raw_log_std,
-        "log_std": log_std,
         "std": std,
-        "u": u,
         "tanh_u": tanh_u,
         "actions": actions,
         "log_prob": log_prob,
-        "cache": cache,
+        "acts": acts,
     }
 
 
@@ -277,13 +278,13 @@ def policy_loss_and_grads(policy: Mlp, q_net: Mlp, states, eps, alpha: float):
     """
     sample = _sample_with_noise(policy, states, eps)
     q_in = np.column_stack((states, sample["actions"]))
-    q_vals, q_cache = mlp_forward(q_net, q_in)
+    q_vals, q_acts = mlp_forward(q_net, q_in)
     q_vals = q_vals[:, 0]
     n = len(q_vals)
     loss = float(np.mean(alpha * sample["log_prob"] - q_vals))
 
     # d(loss)/d(action) via the critic's input gradient
-    _, q_input_grad = mlp_backward(q_net, q_cache, np.full((n, 1), -1.0 / n))
+    _, q_input_grad = mlp_backward(q_net, q_acts, np.full((n, 1), -1.0 / n))
     dloss_daction = q_input_grad[:, -1]
 
     tanh_u = sample["tanh_u"]
@@ -293,17 +294,17 @@ def policy_loss_and_grads(policy: Mlp, q_net: Mlp, states, eps, alpha: float):
     dloss_dlogstd = -alpha / n + dloss_du * sample["std"] * eps
     clamp_active = (sample["raw_log_std"] > LOG_STD_MIN) & (sample["raw_log_std"] < LOG_STD_MAX)
     head_grads = np.column_stack((dloss_dmean, dloss_dlogstd * clamp_active))
-    grads, _ = mlp_backward(policy, sample["cache"], head_grads)
+    grads, _ = mlp_backward(policy, sample["acts"], head_grads)
     aux = {"actions": sample["actions"], "log_prob": sample["log_prob"], "q_values": q_vals}
     return loss, grads, aux
 
 
 def v_loss_and_grads(v_net: Mlp, states, v_targets):
     """Loss 0.5 * mean((net(states) - targets)^2) and its gradient; targets are held fixed."""
-    v_pred, cache = mlp_forward(v_net, states)
+    v_pred, acts = mlp_forward(v_net, states)
     diff = v_pred[:, 0] - v_targets
     loss = 0.5 * float(np.mean(diff * diff))
-    grads, _ = mlp_backward(v_net, cache, (diff / diff.size)[:, None])
+    grads, _ = mlp_backward(v_net, acts, (diff / diff.size)[:, None])
     return loss, grads
 
 
@@ -380,11 +381,10 @@ def meta_train(tasks, config: SacConfig, seed, learner_factory=DecisionTree,
 
     sampler = random_sampler(config.bins, config.sigma, policy_ss)
     state_size = config.state_size
-    v = init_mlp([state_size, HIDDEN_WIDTH, HIDDEN_WIDTH, 1], ["relu", "relu", "linear"], v_ss)
+    v = init_mlp([state_size, HIDDEN_WIDTH, HIDDEN_WIDTH, 1], v_ss)
     nets = SacNets(
         policy=sampler.policy,
-        q=init_mlp([state_size + 1, HIDDEN_WIDTH, HIDDEN_WIDTH, 1],
-                   ["relu", "relu", "linear"], q_ss),
+        q=init_mlp([state_size + 1, HIDDEN_WIDTH, HIDDEN_WIDTH, 1], q_ss),
         v=v,
         target_v=v.copy(),
     )

@@ -139,11 +139,11 @@ def relu_kink_margin(net, x):
     its mask mid-difference and the comparison is meaningless there. Cases
     are resampled until this margin far exceeds what h can move.
     """
-    _, cache = mlp_forward(net, x)
+    _, acts = mlp_forward(net, x)
+    # every layer but the linear head is a relu; its pre-activation is a @ w + b
     return min(
-        float(np.abs(z).min())
-        for z, act in zip(cache["pre"], net.activations)
-        if act == "relu"
+        float(np.abs(a @ w + b).min())
+        for a, w, b in zip(acts[:-2], net.weights[:-1], net.biases[:-1])
     )
 
 
@@ -154,9 +154,8 @@ def test_criterion_02_gradients_match_finite_differences():
     worst_net = 0.0
     for case in range(100):
         sizes = CHECKED_LAYOUTS[case % len(CHECKED_LAYOUTS)]
-        activations = ["relu"] * (len(sizes) - 2) + ["linear"]
         while True:
-            net = init_mlp(sizes, activations, seed=rng)
+            net = init_mlp(sizes, seed=rng)
             x = rng.standard_normal((2, sizes[0]))
             if relu_kink_margin(net, x) > 1e-3:
                 break
@@ -166,8 +165,8 @@ def test_criterion_02_gradients_match_finite_differences():
             out, _ = mlp_forward(net, x)
             return 0.5 * float(np.sum((out - y) ** 2))
 
-        out, cache = mlp_forward(net, x)
-        analytic, _ = mlp_backward(net, cache, out - y)
+        out, acts = mlp_forward(net, x)
+        analytic, _ = mlp_backward(net, acts, out - y)
         numeric = fd_param_gradients(loss, [net.params])
         # central differences carry ~1e-10 absolute roundoff (ulp(loss)/2h),
         # so entries below noise/rtol = 1e-6 cannot be certified to 1e-4
@@ -178,11 +177,9 @@ def test_criterion_02_gradients_match_finite_differences():
     worst_loss = 0.0
     for _ in range(12):
         while True:
-            policy = init_mlp([10, HIDDEN_WIDTH, 2], ["relu", "linear"], rng)
-            q = init_mlp([11, HIDDEN_WIDTH, HIDDEN_WIDTH, 1],
-                         ["relu", "relu", "linear"], rng)
-            v = init_mlp([10, HIDDEN_WIDTH, HIDDEN_WIDTH, 1],
-                         ["relu", "relu", "linear"], rng)
+            policy = init_mlp([10, HIDDEN_WIDTH, 2], rng)
+            q = init_mlp([11, HIDDEN_WIDTH, HIDDEN_WIDTH, 1], rng)
+            v = init_mlp([10, HIDDEN_WIDTH, HIDDEN_WIDTH, 1], rng)
             batch = Batch(
                 states=rng.random((8, 10)),
                 actions=rng.random(8),
@@ -322,11 +319,9 @@ def test_criterion_06_target_update_is_exact_polyak_step():
             terminal=bool(rng.random() < 0.2),
         ))
     nets = SacNets(
-        policy=init_mlp([config.state_size, HIDDEN_WIDTH, 2], ["relu", "linear"], rng),
-        q=init_mlp([config.state_size + 1, HIDDEN_WIDTH, HIDDEN_WIDTH, 1],
-                   ["relu", "relu", "linear"], rng),
-        v=init_mlp([config.state_size, HIDDEN_WIDTH, HIDDEN_WIDTH, 1],
-                   ["relu", "relu", "linear"], rng),
+        policy=init_mlp([config.state_size, HIDDEN_WIDTH, 2], rng),
+        q=init_mlp([config.state_size + 1, HIDDEN_WIDTH, HIDDEN_WIDTH, 1], rng),
+        v=init_mlp([config.state_size, HIDDEN_WIDTH, HIDDEN_WIDTH, 1], rng),
         target_v=None,
     )
     nets.target_v = nets.v.copy()

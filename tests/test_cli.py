@@ -653,6 +653,15 @@ def bad_sampler_files(workdir, sampler_path):
         "infinite-sigma": json.dumps({**doc, "sigma": "X"}).replace('"X"', "1e400"),
         "fractional-bins": json.dumps({**doc, "bins": 5.5}),
         "boolean-sigma": json.dumps({**doc, "sigma": True}),
+        # the network shape is fixed: relu hidden layers, a linear head
+        "tanh-activations": json.dumps(
+            {**doc, "policy": {**doc["policy"], "activations": ["tanh", "linear"]}}
+        ),
+        # weights shaped for a hidden width of 1, which True must not stand for
+        "boolean-layer-size": json.dumps({**doc, "policy": {
+            **doc["policy"], "layer_sizes": [10, True, 2], "weights": [[[0.1]] * 10, [[0.1, 0.2]]],
+            "biases": [[0.0], [0.0, 0.0]],
+        }}),
     }
     doc["policy"]["weights"][0][0][0] = float("nan")
     files["nan-weight"] = json.dumps(doc)
@@ -674,14 +683,16 @@ def sampler_argv(command, task, sampler, out):
 class TestSamplerFiles:
     @pytest.mark.parametrize("command", ["train", "transfer"])
     @pytest.mark.parametrize(
-        "kind", ["not-json", "no-policy", "infinite-sigma", "fractional-bins", "boolean-sigma"]
+        "kind", ["not-json", "no-policy", "infinite-sigma", "fractional-bins", "boolean-sigma",
+                 "tanh-activations", "boolean-layer-size"]
     )
     def test_malformed_sampler_is_data_error(
         self, tmp_path, capsys, task_csv, bad_sampler_files, command, kind
     ):
         out = tmp_path / "out"
         assert main(sampler_argv(command, task_csv, bad_sampler_files[kind], out)) == 2
-        assert "data error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and err.count("\n") == 1
         assert not out.exists()
 
 

@@ -18,76 +18,87 @@ from metasampler import (
     mlp_to_document,
     soft_update,
 )
-from metasampler.neural import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, _apply_grad
+from metasampler.neural import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from conftest import fd_param_gradients, max_relative_error
 
 
-def tiny_net(weight, bias, activation="linear"):
-    return Mlp([1, 1], [activation], np.array([float(weight), float(bias)]))
+def tiny_net(weight, bias):
+    """One linear layer from 1 input to 1 output."""
+    return Mlp([1, 1], np.array([float(weight), float(bias)]))
 
 
 class TestForward:
     def test_zero_weights_zero_output(self):
-        net = init_mlp([3, 4, 1], ["relu", "linear"], seed=0)
+        net = init_mlp([3, 4, 1], seed=0)
         for w in net.weights:
             w[...] = 0.0
-        out, _ = mlp_forward(net, np.ones(3))
-        assert out.tolist() == [0.0]
+        out, _ = mlp_forward(net, np.ones((1, 3)))
+        assert out.tolist() == [[0.0]]
 
     def test_identity_passthrough(self):
-        out, _ = mlp_forward(tiny_net(1.0, 0.0), np.array([0.7]))
-        assert out[0] == 0.7
+        out, _ = mlp_forward(tiny_net(1.0, 0.0), np.array([[0.7]]))
+        assert out[0, 0] == 0.7
 
     def test_deterministic(self, rng):
-        net = init_mlp([4, 8, 2], ["relu", "linear"], seed=5)
-        x = rng.standard_normal(4)
+        net = init_mlp([4, 8, 2], seed=5)
+        x = rng.standard_normal((1, 4))
         a, _ = mlp_forward(net, x)
         b, _ = mlp_forward(net, x)
         assert np.array_equal(a, b)
 
     def test_batch_rows_match_single_vectors(self, rng):
-        net = init_mlp([3, 6, 2], ["relu", "linear"], seed=7)
+        net = init_mlp([3, 6, 2], seed=7)
         batch = rng.standard_normal((5, 3))
         out, _ = mlp_forward(net, batch)
         for i in range(5):
-            row, _ = mlp_forward(net, batch[i])
+            (row,), _ = mlp_forward(net, batch[i:i + 1])
             # batched and single-row matmuls take different BLAS paths
             np.testing.assert_allclose(out[i], row, rtol=0.0, atol=1e-12)
 
     def test_width_mismatch_rejected(self):
-        net = init_mlp([3, 2], ["linear"], seed=0)
+        net = init_mlp([3, 2], seed=0)
         with pytest.raises(ValueError):
-            mlp_forward(net, np.zeros(4))
+            mlp_forward(net, np.zeros((1, 4)))
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 1, 3)], ids=["vector", "3-d"])
+    def test_only_a_matrix_is_accepted(self, shape):
+        net = init_mlp([3, 2], seed=0)
+        with pytest.raises(ValueError):
+            mlp_forward(net, np.zeros(shape))
 
     def test_init_validates(self):
         with pytest.raises(ValueError):
-            init_mlp([3], ["linear"], seed=0)
+            init_mlp([3], seed=0)
         with pytest.raises(ValueError):
-            init_mlp([3, 2], ["relu", "linear"], seed=0)
-        with pytest.raises(ValueError):
-            init_mlp([3, 2], ["softmax"], seed=0)
+            init_mlp([3, 0], seed=0)
+
+    @pytest.mark.parametrize("sizes", [[True, 1], [10, True, 2], [np.bool_(True), 1]])
+    def test_boolean_layer_size_refused(self, sizes):
+        with pytest.raises(TypeError):
+            Mlp(sizes)
 
 
 class TestBackward:
     def test_linear_weight_grad_is_input(self):
         net = tiny_net(0.3, 0.1)
-        x = np.array([2.5])
-        _, cache = mlp_forward(net, x)
-        grads, grad_in = mlp_backward(net, cache, np.array([1.0]))
+        x = np.array([[2.5]])
+        _, acts = mlp_forward(net, x)
+        grads, grad_in = mlp_backward(net, acts, np.array([[1.0]]))
         assert grads[0] == 2.5            # dL/dw = x
         assert grads[1] == 1.0            # dL/db
-        assert grad_in[0] == 0.3          # dL/dx = w
+        assert grad_in[0, 0] == 0.3       # dL/dx = w
 
     def test_relu_dead_unit_gets_zero_grad(self):
-        net = tiny_net(1.0, 0.0, activation="relu")
-        _, cache = mlp_forward(net, np.array([-2.0]))
-        grads, grad_in = mlp_backward(net, cache, np.array([1.0]))
+        # one relu unit (w = 1, b = 0) feeding a linear head (w = 1, b = 0)
+        net = Mlp([1, 1, 1], np.array([1.0, 0.0, 1.0, 0.0]))
+        _, acts = mlp_forward(net, np.array([[-2.0]]))
+        grads, grad_in = mlp_backward(net, acts, np.array([[1.0]]))
         assert grads[0] == 0.0
         assert grads[1] == 0.0
-        assert grad_in[0] == 0.0
+        assert grad_in[0, 0] == 0.0
 
     def test_matches_finite_differences(self, rng):
-        net = init_mlp([4, 6, 6, 1], ["relu", "relu", "linear"], seed=3)
+        net = init_mlp([4, 6, 6, 1], seed=3)
         x = rng.standard_normal((8, 4))
         y = rng.standard_normal((8, 1))
 
@@ -95,21 +106,21 @@ class TestBackward:
             out, _ = mlp_forward(net, x)
             return 0.5 * float(np.sum((out - y) ** 2))
 
-        out, cache = mlp_forward(net, x)
-        analytic, _ = mlp_backward(net, cache, out - y)
+        out, acts = mlp_forward(net, x)
+        analytic, _ = mlp_backward(net, acts, out - y)
         numeric = fd_param_gradients(loss, [net.params])
         assert max_relative_error([analytic], numeric) < 1e-5
 
     def test_batch_grad_is_sum_of_rows(self, rng):
-        net = init_mlp([3, 5, 2], ["relu", "linear"], seed=9)
+        net = init_mlp([3, 5, 2], seed=9)
         x = rng.standard_normal((4, 3))
         g = rng.standard_normal((4, 2))
-        _, cache = mlp_forward(net, x)
-        batch_grads, _ = mlp_backward(net, cache, g)
+        _, acts = mlp_forward(net, x)
+        batch_grads, _ = mlp_backward(net, acts, g)
         summed = np.zeros_like(net.params)
         for i in range(4):
-            _, row_cache = mlp_forward(net, x[i])
-            row_grads, _ = mlp_backward(net, row_cache, g[i])
+            _, row_acts = mlp_forward(net, x[i:i + 1])
+            row_grads, _ = mlp_backward(net, row_acts, g[i:i + 1])
             summed += row_grads
         assert max_relative_error([batch_grads], [summed]) < 1e-10
 
@@ -160,22 +171,22 @@ class TestAdam:
 
 class TestSoftUpdate:
     def test_tau_one_copies_source(self):
-        target = init_mlp([2, 3, 1], ["relu", "linear"], seed=0)
-        source = init_mlp([2, 3, 1], ["relu", "linear"], seed=1)
+        target = init_mlp([2, 3, 1], seed=0)
+        source = init_mlp([2, 3, 1], seed=1)
         soft_update(target, source, tau=1.0)
         assert np.array_equal(target.params, source.params)
 
     def test_tau_zero_leaves_target(self):
-        target = init_mlp([2, 3, 1], ["relu", "linear"], seed=0)
+        target = init_mlp([2, 3, 1], seed=0)
         before = target.params.copy()
-        source = init_mlp([2, 3, 1], ["relu", "linear"], seed=1)
+        source = init_mlp([2, 3, 1], seed=1)
         soft_update(target, source, tau=0.0)
         assert np.array_equal(target.params, before)
 
     def test_blend_is_bit_exact(self):
         tau = 0.01
-        target = init_mlp([3, 4, 2], ["relu", "linear"], seed=2)
-        source = init_mlp([3, 4, 2], ["relu", "linear"], seed=3)
+        target = init_mlp([3, 4, 2], seed=2)
+        source = init_mlp([3, 4, 2], seed=3)
         expected = tau * source.params + (1.0 - tau) * target.params
         soft_update(target, source, tau)
         assert np.array_equal(target.params, expected)
@@ -222,10 +233,10 @@ class TestDecay:
 
 class TestSerialization:
     def test_json_round_trip_bit_exact(self):
-        net = init_mlp([4, 7, 3, 1], ["relu", "tanh", "linear"], seed=13)
+        net = init_mlp([4, 7, 3, 1], seed=13)
         doc = json.loads(json.dumps(mlp_to_document(net)))
+        assert doc["activations"] == ["relu", "relu", "linear"]
         back = mlp_from_document(doc)
-        assert back.activations == net.activations
         assert back.layer_sizes == net.layer_sizes
         assert back.params.tobytes() == net.params.tobytes()
 
@@ -241,19 +252,32 @@ class TestSerialization:
             mlp_from_document(doc)
 
     def test_rejects_shape_mismatch(self):
-        doc = mlp_to_document(init_mlp([2, 3], ["linear"], seed=0))
+        doc = mlp_to_document(init_mlp([2, 3], seed=0))
         doc["weights"][0] = [[1.0, 2.0]]
         with pytest.raises(ValueError):
             mlp_from_document(doc)
 
-    def test_rejects_unknown_activation(self):
-        doc = mlp_to_document(tiny_net(1.0, 0.0))
-        doc["activations"] = ["softmax"]
+    @pytest.mark.parametrize(
+        "activations",
+        [["softmax", "linear"], ["tanh", "linear"], ["relu", "relu"], ["linear", "linear"],
+         ["relu"], ["relu", "relu", "linear"], "relu,linear"],
+        ids=["unknown", "tanh", "relu-head", "linear-hidden", "too-short", "too-long", "text"],
+    )
+    def test_rejects_any_other_shape(self, activations):
+        doc = mlp_to_document(init_mlp([2, 3, 1], seed=0))
+        assert doc["activations"] == ["relu", "linear"]
+        doc["activations"] = activations
         with pytest.raises(ValueError):
             mlp_from_document(doc)
 
+    def test_requires_activations(self):
+        doc = mlp_to_document(tiny_net(1.0, 0.0))
+        del doc["activations"]
+        with pytest.raises(KeyError):
+            mlp_from_document(doc)
+
     def test_document_restores_param_bytes_in_views(self, rng):
-        net = init_mlp([5, 9, 2], ["tanh", "linear"], seed=21)
+        net = init_mlp([5, 9, 2], seed=21)
         net.params += rng.standard_normal(net.params.size)
         back = mlp_from_document(json.loads(json.dumps(mlp_to_document(net))))
         assert back.params.tobytes() == net.params.tobytes()
@@ -261,37 +285,38 @@ class TestSerialization:
             assert np.shares_memory(w, back.params) and np.shares_memory(b, back.params)
 
     def test_refuses_non_finite_bias(self):
-        doc = mlp_to_document(init_mlp([2, 3], ["linear"], seed=0))
+        doc = mlp_to_document(init_mlp([2, 3], seed=0))
         doc["biases"][0][2] = float("inf")
         with pytest.raises(NumericalError):
             mlp_from_document(doc)
 
     def test_rejects_layer_count_mismatch(self):
-        doc = mlp_to_document(init_mlp([2, 3, 1], ["relu", "linear"], seed=0))
+        doc = mlp_to_document(init_mlp([2, 3, 1], seed=0))
         doc["weights"] = doc["weights"][:1]
         with pytest.raises(ValueError):
             mlp_from_document(doc)
 
-    # sha256 of json.dumps(mlp_to_document(init_mlp(...)), sort_keys=True), taken
-    # when parameters were still a list of separate weight and bias arrays: the
-    # flat vector must draw the same uniforms in the same order
+    # sha256 of json.dumps(mlp_to_document(init_mlp(...)), sort_keys=True): the
+    # [10, 50, 2] digest was taken when parameters were still a list of separate
+    # weight and bias arrays, the [4, 7, 3, 1] digest when each layer still named
+    # its activation. Both must draw the same uniforms in the same order.
     @pytest.mark.parametrize(
-        "sizes, activations, seed, digest",
+        "sizes, seed, digest",
         [
-            ([4, 7, 3, 1], ["relu", "tanh", "linear"], 13,
-             "87bfc63d640bb7f2b7a44496ef46387df1122dddb35e32a8e403a1768dcaf0c3"),
-            ([10, 50, 2], ["relu", "linear"], 0,
+            ([4, 7, 3, 1], 13,
+             "145626557e0e225d187f22df45fa29ff1e72e03c1ee1b8968937b9f7f3e14a1f"),
+            ([10, 50, 2], 0,
              "ab75ec22baf18df39e010a06a736d03e96b96c38b24883f30fe47f231994fc77"),
         ],
     )
-    def test_init_document_is_pinned(self, sizes, activations, seed, digest):
-        doc = mlp_to_document(init_mlp(sizes, activations, seed))
+    def test_init_document_is_pinned(self, sizes, seed, digest):
+        doc = mlp_to_document(init_mlp(sizes, seed))
         assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest
 
 
 class TestFlatLayout:
     def test_views_share_memory_with_params(self):
-        net = init_mlp([3, 5, 2], ["relu", "linear"], seed=4)
+        net = init_mlp([3, 5, 2], seed=4)
         for w, b in zip(net.weights, net.biases):
             assert np.shares_memory(w, net.params) and np.shares_memory(b, net.params)
         net.params[:] = np.arange(net.params.size)
@@ -302,23 +327,23 @@ class TestFlatLayout:
         assert net.biases[0].tolist() == [15.0, 16.0, 17.0, 18.0, 19.0]
 
     def test_writes_through_views_reach_params(self):
-        net = init_mlp([2, 3], ["linear"], seed=0)
+        net = init_mlp([2, 3], seed=0)
         net.weights[0][1, 2] = 7.5
         net.biases[0][0] = -1.25
         assert net.params[5] == 7.5 and net.params[6] == -1.25
 
     def test_given_vector_is_used_in_place(self):
         params = np.zeros(9)
-        net = Mlp([2, 3], ["linear"], params)
+        net = Mlp([2, 3], params)
         params[0] = 4.0
         assert net.weights[0][0, 0] == 4.0
 
     def test_copy_is_independent(self):
-        net = init_mlp([3, 4, 1], ["relu", "linear"], seed=8)
+        net = init_mlp([3, 4, 1], seed=8)
         before = net.params.copy()
         twin = net.copy()
         assert twin.params.tobytes() == net.params.tobytes()
-        assert twin.layer_sizes == net.layer_sizes and twin.activations == net.activations
+        assert twin.layer_sizes == net.layer_sizes
         twin.params += 1.0
         twin.weights[0][0, 0] = 99.0
         assert np.array_equal(net.params, before)
@@ -326,23 +351,83 @@ class TestFlatLayout:
         assert all(np.shares_memory(w, twin.params) for w in twin.weights)
 
     def test_gradient_is_laid_out_like_params(self, rng):
-        net = init_mlp([2, 3, 1], ["linear", "linear"], seed=1)
+        net = init_mlp([2, 3, 1], seed=1)
         x = rng.standard_normal((4, 2))
-        _, cache = mlp_forward(net, x)
-        grads, _ = mlp_backward(net, cache, np.ones((4, 1)))
+        _, acts = mlp_forward(net, x)
+        grads, _ = mlp_backward(net, acts, np.ones((4, 1)))
         assert grads.shape == net.params.shape
         # last layer: dL/dW2 = sum over rows of hidden activations, dL/db2 = rows
-        hidden = x @ net.weights[0] + net.biases[0]
+        hidden = np.maximum(0.0, x @ net.weights[0] + net.biases[0])
         assert np.allclose(grads[9:12], hidden.sum(axis=0), rtol=0.0, atol=1e-12)
         assert grads[12] == 4.0
 
     def test_parameter_count_validated(self):
         with pytest.raises(ValueError):
-            Mlp([2, 3], ["linear"], np.zeros(8))
+            Mlp([2, 3], np.zeros(8))
         with pytest.raises(ValueError):
-            Mlp([2, 3], ["linear"], np.zeros((3, 3)))
+            Mlp([2, 3], np.zeros((3, 3)))
         with pytest.raises(TypeError):
-            Mlp([2.0, 3], ["linear"])
+            Mlp([2.0, 3])
+
+
+# Verbatim copies of the passes that named each layer's activation and cached
+# its inputs, pre-activations and outputs in a dict, kept as oracles: they
+# read a network through ReferenceNet, which names the fixed shape. The
+# forward and backward passes must match them bit for bit.
+
+@dataclass
+class ReferenceNet:
+    """What the reference passes read of a network: its layers and their activation names."""
+
+    layer_sizes: list
+    weights: list
+    biases: list
+    activations: list
+
+
+def reference_net(net):
+    """`net` with the activation names its fixed shape stands for."""
+    names = ["relu"] * (len(net.layer_sizes) - 2) + ["linear"]
+    return ReferenceNet(net.layer_sizes, net.weights, net.biases, names)
+
+
+def _apply(act, z):
+    if act == "relu":
+        return np.maximum(0.0, z)
+    if act == "tanh":
+        return np.tanh(z)
+    return z
+
+
+def _apply_grad(act, z, out):
+    if act == "relu":
+        return (z > 0.0).astype(np.float64)
+    if act == "tanh":
+        return 1.0 - out * out
+    return np.ones_like(z)
+
+
+def reference_mlp_forward(net, x):
+    """Returns (output, cache); accepts a single vector or a (batch, in) matrix."""
+    a = np.asarray(x, dtype=np.float64)
+    single = a.ndim == 1
+    if single:
+        a = a[None, :]
+    if a.shape[1] != net.layer_sizes[0]:
+        raise ValueError(
+            f"input width {a.shape[1]} does not match network input {net.layer_sizes[0]}"
+        )
+    inputs, pre, post = [], [], []
+    for w, b, act in zip(net.weights, net.biases, net.activations):
+        inputs.append(a)
+        z = a @ w + b
+        a = _apply(act, z)
+        pre.append(z)
+        post.append(a)
+    if not np.isfinite(a).all():
+        raise NumericalError("non-finite network output")
+    cache = {"inputs": inputs, "pre": pre, "post": post, "single": single}
+    return (a[0] if single else a), cache
 
 
 # Verbatim copies of the list-based network updates that the flat parameter
@@ -419,27 +504,68 @@ def reference_soft_update(target, source, tau: float) -> None:
 
 
 def random_layout(rng):
-    sizes = [int(s) for s in rng.integers(1, 13, size=int(rng.integers(2, 5)))]
-    activations = [str(a) for a in rng.choice(["relu", "tanh", "linear"], size=len(sizes) - 1)]
-    return sizes, activations
+    """Layer sizes of 1 to 3 layers, each 1 to 12 wide."""
+    return [int(s) for s in rng.integers(1, 13, size=int(rng.integers(2, 5)))]
 
 
 def as_list(net_like, flat):
     """`flat` split into the reference's interleaved per-layer arrays."""
-    return reference_parameters(Mlp(net_like.layer_sizes, net_like.activations, flat))
+    return reference_parameters(Mlp(net_like.layer_sizes, flat))
+
+
+def assert_passes_match_reference(net, x, g_out):
+    """Output, every activation, flat and input gradients equal the dict-cache oracle's bytes."""
+    ref = reference_net(net)
+    out, acts = mlp_forward(net, x)
+    ref_out, cache = reference_mlp_forward(ref, x)
+    assert out.shape == ref_out.shape and out.tobytes() == ref_out.tobytes()
+    assert len(acts) == len(cache["post"]) + 1
+    assert acts[0].tobytes() == cache["inputs"][0].tobytes()
+    for got, want in zip(acts[1:], cache["post"]):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    flat, flat_in = mlp_backward(net, acts, g_out)
+    expected, expected_in = reference_mlp_backward(ref, cache, g_out)
+    for got, want in zip(as_list(net, flat), expected):
+        assert got.tobytes() == want.tobytes()
+    assert flat_in.shape == expected_in.shape and flat_in.tobytes() == expected_in.tobytes()
+
+
+class TestPassesMatchCacheOracle:
+    @pytest.mark.parametrize("case", range(24))
+    def test_random_layouts(self, case):
+        rng = np.random.default_rng(400 + case)
+        sizes = random_layout(rng)
+        net = init_mlp(sizes, rng)
+        net.params[...] = rng.standard_normal(net.params.size)  # biases of both signs too
+        x = rng.standard_normal((int(rng.integers(1, 9)), sizes[0]))
+        assert_passes_match_reference(net, x, rng.standard_normal((len(x), sizes[-1])))
+
+    @pytest.mark.parametrize(
+        "sizes, batch",
+        [([3, 2], 1), ([1, 1], 4), ([1, 1, 1], 1), ([4, 6, 1], 1), ([2, 3, 3, 2], 1),
+         ([10, 50, 2], 1), ([10, 50, 2], 64), ([11, 50, 50, 1], 64)],
+    )
+    def test_edge_layouts(self, sizes, batch):
+        """One-layer nets, batch 1, the SAC layouts, and exact relu kinks at a zero row."""
+        rng = np.random.default_rng(sum(sizes) * 100 + batch)
+        net = init_mlp(sizes, rng)  # zero biases: the zero row sits on every first-layer kink
+        x = rng.standard_normal((batch, sizes[0]))
+        x[0] = 0.0
+        assert_passes_match_reference(net, x, rng.standard_normal((batch, sizes[-1])))
 
 
 class TestFlatMatchesListOracle:
     @pytest.mark.parametrize("case", range(8))
     def test_backward_matches_reference(self, case):
         rng = np.random.default_rng(100 + case)
-        sizes, activations = random_layout(rng)
-        net = init_mlp(sizes, activations, rng)
+        sizes = random_layout(rng)
+        net = init_mlp(sizes, rng)
         x = rng.standard_normal((int(rng.integers(1, 9)), sizes[0]))
         g_out = rng.standard_normal((len(x), sizes[-1]))
-        _, cache = mlp_forward(net, x)
-        flat, flat_in = mlp_backward(net, cache, g_out)
-        expected, expected_in = reference_mlp_backward(net, cache, g_out)
+        _, acts = mlp_forward(net, x)
+        flat, flat_in = mlp_backward(net, acts, g_out)
+        _, cache = reference_mlp_forward(reference_net(net), x)
+        expected, expected_in = reference_mlp_backward(reference_net(net), cache, g_out)
         for got, want in zip(as_list(net, flat), expected):
             assert got.tobytes() == want.tobytes()
         assert flat_in.tobytes() == expected_in.tobytes()
@@ -447,8 +573,8 @@ class TestFlatMatchesListOracle:
     @pytest.mark.parametrize("case", range(8))
     def test_adam_matches_reference(self, case):
         rng = np.random.default_rng(200 + case)
-        sizes, activations = random_layout(rng)
-        net = init_mlp(sizes, activations, rng)
+        sizes = random_layout(rng)
+        net = init_mlp(sizes, rng)
         ref = net.copy()
         state = AdamState.for_params(net.params, lr=1e-2)
         ref_state = ReferenceAdamState.for_params(reference_parameters(ref), lr=1e-2)
@@ -466,9 +592,9 @@ class TestFlatMatchesListOracle:
     @pytest.mark.parametrize("case", range(8))
     def test_soft_update_matches_reference(self, case):
         rng = np.random.default_rng(300 + case)
-        sizes, activations = random_layout(rng)
-        target = init_mlp(sizes, activations, rng)
-        source = init_mlp(sizes, activations, rng)
+        sizes = random_layout(rng)
+        target = init_mlp(sizes, rng)
+        source = init_mlp(sizes, rng)
         ref_target = target.copy()
         for step in range(12):
             tau = float(rng.choice([0.0, 0.01, rng.random(), 1.0]))
@@ -479,7 +605,7 @@ class TestFlatMatchesListOracle:
 
     def test_sac_sized_training_matches_reference(self, rng):
         """Backward, Adam and Polyak together on the SAC value-net layout."""
-        net = init_mlp([10, 50, 50, 1], ["relu", "relu", "linear"], seed=3)
+        net = init_mlp([10, 50, 50, 1], seed=3)
         target = net.copy()
         ref, ref_target = net.copy(), net.copy()
         state = AdamState.for_params(net.params, lr=1e-3)
@@ -487,11 +613,11 @@ class TestFlatMatchesListOracle:
         for _ in range(20):
             x = rng.random((64, 10))
             y = rng.standard_normal(64)
-            out, cache = mlp_forward(net, x)
-            grads, _ = mlp_backward(net, cache, ((out[:, 0] - y) / 64)[:, None])
-            ref_out, ref_cache = mlp_forward(ref, x)
+            out, acts = mlp_forward(net, x)
+            grads, _ = mlp_backward(net, acts, ((out[:, 0] - y) / 64)[:, None])
+            ref_out, ref_cache = reference_mlp_forward(reference_net(ref), x)
             ref_grads, _ = reference_mlp_backward(
-                ref, ref_cache, ((ref_out[:, 0] - y) / 64)[:, None]
+                reference_net(ref), ref_cache, ((ref_out[:, 0] - y) / 64)[:, None]
             )
             adam_step(net.params, grads, state)
             reference_adam_step(reference_parameters(ref), ref_grads, ref_state)

@@ -48,7 +48,7 @@ from conftest import action_log_prob, fd_param_gradients, max_relative_error
 
 def bias_policy(mean_bias, log_std_bias, bins=5):
     """Zero-weight policy whose heads are the output biases, for any state."""
-    net = init_mlp([2 * bins, HIDDEN_WIDTH, 2], ["relu", "linear"], seed=0)
+    net = init_mlp([2 * bins, HIDDEN_WIDTH, 2], seed=0)
     for w in net.weights:
         w[...] = 0.0
     net.biases[-1][:] = [mean_bias, log_std_bias]
@@ -264,9 +264,9 @@ def small_nets(bins=2, seed=0):
     state_size = 2 * bins
     ss = np.random.SeedSequence(seed).spawn(3)
     nets = SacNets(
-        policy=init_mlp([state_size, 8, 2], ["relu", "linear"], ss[0]),
-        q=init_mlp([state_size + 1, 8, 8, 1], ["relu", "relu", "linear"], ss[1]),
-        v=init_mlp([state_size, 8, 8, 1], ["relu", "relu", "linear"], ss[2]),
+        policy=init_mlp([state_size, 8, 2], ss[0]),
+        q=init_mlp([state_size + 1, 8, 8, 1], ss[1]),
+        v=init_mlp([state_size, 8, 8, 1], ss[2]),
         target_v=None,
     )
     nets.target_v = nets.v.copy()
@@ -398,11 +398,9 @@ class TestSacUpdate:
                 next_state=states[(i + 1) % 4], terminal=True,
             ))
         nets = SacNets(
-            policy=init_mlp([config.state_size, HIDDEN_WIDTH, 2], ["relu", "linear"], 1),
-            q=init_mlp([config.state_size + 1, HIDDEN_WIDTH, HIDDEN_WIDTH, 1],
-                       ["relu", "relu", "linear"], 2),
-            v=init_mlp([config.state_size, HIDDEN_WIDTH, HIDDEN_WIDTH, 1],
-                       ["relu", "relu", "linear"], 3),
+            policy=init_mlp([config.state_size, HIDDEN_WIDTH, 2], 1),
+            q=init_mlp([config.state_size + 1, HIDDEN_WIDTH, HIDDEN_WIDTH, 1], 2),
+            v=init_mlp([config.state_size, HIDDEN_WIDTH, HIDDEN_WIDTH, 1], 3),
             target_v=None,
         )
         nets.target_v = nets.v.copy()
@@ -586,7 +584,7 @@ class TestSamplerIO:
             assert deterministic_action(back, state) == deterministic_action(sampler, state)
 
     def test_bins_mismatch_rejected(self):
-        policy = init_mlp([10, HIDDEN_WIDTH, 2], ["relu", "linear"], seed=0)
+        policy = init_mlp([10, HIDDEN_WIDTH, 2], seed=0)
         with pytest.raises(ValueError):
             MetaSampler(policy=policy, bins=4, sigma=0.2)
 
@@ -607,7 +605,7 @@ class TestSamplerIO:
             load_sampler(path)
 
     def test_infinite_sigma_rejected(self):
-        policy = init_mlp([10, HIDDEN_WIDTH, 2], ["relu", "linear"], seed=0)
+        policy = init_mlp([10, HIDDEN_WIDTH, 2], seed=0)
         with pytest.raises(ValueError):
             MetaSampler(policy=policy, bins=5, sigma=float("inf"))
 
@@ -624,6 +622,33 @@ class TestSamplerIO:
         path.write_text(json.dumps(doc).replace('"PLACEHOLDER"', text))
         with pytest.raises(SamplerFormatError):
             load_sampler(path)
+
+    # a boolean size is not the integer 1, even with weights shaped for 1
+    ONE_WIDE = {"layer_sizes": [10, True, 2], "weights": [[[0.1]] * 10, [[0.1, 0.2]]],
+                "biases": [[0.0], [0.0, 0.0]]}
+
+    @pytest.mark.parametrize(
+        "edit",
+        [{"activations": ["tanh", "linear"]}, {"activations": ["relu", "relu"]},
+         {"activations": ["linear"]}, ONE_WIDE],
+        ids=["tanh", "relu-head", "short-activation-list", "boolean-layer-size"],
+    )
+    def test_policy_shape_is_format_error(self, tmp_path, edit):
+        path = tmp_path / "sampler.json"
+        save_sampler(random_sampler(5, 0.2, seed=2), path)
+        doc = json.loads(path.read_text())
+        doc["policy"].update(edit)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SamplerFormatError):
+            load_sampler(path)
+
+    def test_integer_layer_size_one_loads(self, tmp_path):
+        path = tmp_path / "sampler.json"
+        save_sampler(random_sampler(5, 0.2, seed=2), path)
+        doc = json.loads(path.read_text())
+        doc["policy"].update(self.ONE_WIDE, layer_sizes=[10, 1, 2])
+        path.write_text(json.dumps(doc))
+        assert load_sampler(path).policy.layer_sizes == [10, 1, 2]
 
     def test_integral_float_bins_loads(self, tmp_path):
         path = tmp_path / "sampler.json"
