@@ -6,9 +6,11 @@ label 0 the majority. The imbalance ratio is |majority| / |minority|.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -99,7 +101,10 @@ class LabeledDataset:
         if idx.ndim != 1 or len(idx) < 2:
             raise ValueError(f"need a 1-D index of at least 2 rows, got shape {idx.shape}")
         sub = object.__new__(LabeledDataset)
-        for name, values in (("features", self.features[idx]), ("labels", self.labels[idx])):
+        for name, values in (
+            ("features", np.take(self.features, idx, axis=0)),
+            ("labels", np.take(self.labels, idx)),
+        ):
             values.setflags(write=False)
             object.__setattr__(sub, name, values)
         return sub
@@ -143,16 +148,73 @@ def load_csv(path, label_column="label") -> LabeledDataset:
     """Read a comma-separated, header-first, UTF-8 table into a dataset.
 
     `label_column` selects the label by header name or integer position; all
-    remaining columns are features. Row order is preserved. A missing file
-    raises FileNotFoundError; one that cannot be read as UTF-8 text (a
+    remaining columns are features. Row order is preserved, and a leading
+    byte-order mark (as in Excel's "CSV UTF-8" export) is dropped. A missing
+    file raises FileNotFoundError; one that cannot be read as UTF-8 text (a
     directory, say) raises DataError, and one whose header holds no column
     besides the label raises EmptyDataError.
+
+    The rows are parsed in one streaming pass into a single float buffer, so
+    memory stays a small multiple of the arrays returned. That pass only
+    detects that a file is invalid; `_raise_load_error` then re-reads it to
+    name the first fault in a fixed order (see there).
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
+    values = None
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            width = len(header)
+            label_idx = _label_index(header, label_column)
+            if label_idx is not None and width >= 2:
+                cells = itertools.chain.from_iterable(_rows_of_width(reader, width))
+                values = np.fromiter(map(float, cells), np.float64).reshape(-1, width)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read as UTF-8 text: {exc}") from None
+    except ValueError:  # a ragged row or a cell float() rejects
+        pass
+    if values is not None and len(values) >= 2:
+        labels = values[:, label_idx]
+        features = np.delete(values, label_idx, axis=1)
+        if (
+            np.isin(labels, (0.0, 1.0)).all()
+            and np.isfinite(features).all()
+            and 0 < np.count_nonzero(labels) < len(labels)
+        ):
+            return LabeledDataset(features, labels.astype(np.int64))
+    _raise_load_error(path, label_column)
+
+
+def _label_index(header, label_column):
+    """Position of `label_column` (a name or an int position) in `header`, or None."""
+    if isinstance(label_column, int):
+        idx = label_column if label_column >= 0 else len(header) + label_column
+        return idx if 0 <= idx < len(header) else None
+    return header.index(label_column) if label_column in header else None
+
+
+def _rows_of_width(reader, width):
+    """The rows of `reader`, raising ValueError at the first one not `width` cells wide."""
+    for row in reader:
+        if len(row) != width:
+            raise ValueError(f"row of {len(row)} cells, expected {width}")
+        yield row
+
+
+def _raise_load_error(path: Path, label_column) -> NoReturn:
+    """Raise the error of the first fault in a CSV that `load_csv` rejected.
+
+    Re-reads the whole file and checks, in this order: the file is not empty;
+    it has at least 2 data rows; the label column exists; some column besides
+    it exists; then row by row, each row's width, its label, and its features
+    left to right; finally, that both classes occur. Never returns: a file
+    that passes every check changed between the two reads, a DataError too.
+    """
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: cannot read as UTF-8 text: {exc}") from None
@@ -161,22 +223,16 @@ def load_csv(path, label_column="label") -> LabeledDataset:
     header, data = rows[0], rows[1:]
     if len(data) < 2:
         raise EmptyDataError(f"{path}: need at least 2 data rows, got {len(data)}")
-
-    if isinstance(label_column, int):
-        label_idx = label_column if label_column >= 0 else len(header) + label_column
-        if not 0 <= label_idx < len(header):
+    label_idx = _label_index(header, label_column)
+    if label_idx is None:
+        if isinstance(label_column, int):
             raise ColumnNotFoundError(f"{path}: label column index {label_column} out of range")
-    else:
-        try:
-            label_idx = header.index(label_column)
-        except ValueError:
-            raise ColumnNotFoundError(f"{path}: no column named {label_column!r}") from None
+        raise ColumnNotFoundError(f"{path}: no column named {label_column!r}")
     if len(header) < 2:
         raise EmptyDataError(f"{path}: no feature columns, only the label column")
 
-    n, width = len(data), len(header)
-    features = np.empty((n, width - 1), dtype=np.float64)
-    labels = np.empty(n, dtype=np.int64)
+    width = len(header)
+    classes = set()
     for i, row in enumerate(data):
         if len(row) != width:
             raise FeatureParseError(f"{path}: row {i + 2} has {len(row)} cells, expected {width}")
@@ -187,8 +243,7 @@ def load_csv(path, label_column="label") -> LabeledDataset:
             raise LabelDomainError(f"{path}: row {i + 2} label {cell!r} is not 0 or 1") from None
         if label_val not in (0.0, 1.0):
             raise LabelDomainError(f"{path}: row {i + 2} label {cell!r} is not 0 or 1")
-        labels[i] = int(label_val)
-        col = 0
+        classes.add(label_val)
         for j, raw in enumerate(row):
             if j == label_idx:
                 continue
@@ -202,12 +257,9 @@ def load_csv(path, label_column="label") -> LabeledDataset:
                 raise FeatureParseError(
                     f"{path}: row {i + 2}, column {header[j]!r}: non-finite value {raw!r}"
                 )
-            features[i, col] = value
-            col += 1
-
-    if len(np.unique(labels)) < 2:
+    if len(classes) < 2:
         raise SingleClassError(f"{path}: file contains a single class")
-    return LabeledDataset(features, labels)
+    raise DataError(f"{path}: changed while it was being read")
 
 
 def save_csv(ds: LabeledDataset, path, label_column="label") -> None:

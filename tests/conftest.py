@@ -1,9 +1,20 @@
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from metasampler import LabeledDataset, mlp_forward
+from metasampler import (
+    ColumnNotFoundError,
+    DataError,
+    EmptyDataError,
+    FeatureParseError,
+    LabelDomainError,
+    LabeledDataset,
+    SingleClassError,
+    mlp_forward,
+)
 from metasampler.sac import LOG_STD_MAX, LOG_STD_MIN
 
 
@@ -78,6 +89,75 @@ def action_log_prob(sampler, state, action):
     z = (math.atanh(2.0 * action - 1.0) - mean) / math.exp(log_std)
     log_normal = -0.5 * z * z - log_std - 0.5 * math.log(2.0 * math.pi)
     return log_normal - math.log(2.0 * action * (1.0 - action))
+
+
+def per_cell_load_csv(path, label_column="label") -> LabeledDataset:
+    """Oracle for load_csv: the per-cell loader it replaced, kept verbatim.
+
+    It reads the whole file as rows of strings and converts one cell at a
+    time. It opens the file as plain UTF-8, so a leading byte-order mark stays
+    part of the first header name.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"no such file: {path}")
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read as UTF-8 text: {exc}") from None
+    if not rows:
+        raise EmptyDataError(f"{path}: file is empty")
+    header, data = rows[0], rows[1:]
+    if len(data) < 2:
+        raise EmptyDataError(f"{path}: need at least 2 data rows, got {len(data)}")
+
+    if isinstance(label_column, int):
+        label_idx = label_column if label_column >= 0 else len(header) + label_column
+        if not 0 <= label_idx < len(header):
+            raise ColumnNotFoundError(f"{path}: label column index {label_column} out of range")
+    else:
+        try:
+            label_idx = header.index(label_column)
+        except ValueError:
+            raise ColumnNotFoundError(f"{path}: no column named {label_column!r}") from None
+    if len(header) < 2:
+        raise EmptyDataError(f"{path}: no feature columns, only the label column")
+
+    n, width = len(data), len(header)
+    features = np.empty((n, width - 1), dtype=np.float64)
+    labels = np.empty(n, dtype=np.int64)
+    for i, row in enumerate(data):
+        if len(row) != width:
+            raise FeatureParseError(f"{path}: row {i + 2} has {len(row)} cells, expected {width}")
+        cell = row[label_idx]
+        try:
+            label_val = float(cell)
+        except ValueError:
+            raise LabelDomainError(f"{path}: row {i + 2} label {cell!r} is not 0 or 1") from None
+        if label_val not in (0.0, 1.0):
+            raise LabelDomainError(f"{path}: row {i + 2} label {cell!r} is not 0 or 1")
+        labels[i] = int(label_val)
+        col = 0
+        for j, raw in enumerate(row):
+            if j == label_idx:
+                continue
+            try:
+                value = float(raw)
+            except ValueError:
+                raise FeatureParseError(
+                    f"{path}: row {i + 2}, column {header[j]!r}: {raw!r} is not numeric"
+                ) from None
+            if not math.isfinite(value):
+                raise FeatureParseError(
+                    f"{path}: row {i + 2}, column {header[j]!r}: non-finite value {raw!r}"
+                )
+            features[i, col] = value
+            col += 1
+
+    if len(np.unique(labels)) < 2:
+        raise SingleClassError(f"{path}: file contains a single class")
+    return LabeledDataset(features, labels)
 
 
 def fd_param_gradients(loss_fn, params, h=1e-5):

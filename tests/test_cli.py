@@ -202,6 +202,21 @@ class TestTrain:
         for row in rows:
             assert 0.0 <= float(row[1]) <= 1.0
 
+    def test_task_csv_with_byte_order_mark(self, tmp_path, task_csv):
+        # Excel's "CSV UTF-8" export starts with U+FEFF; with the label first, an
+        # undropped mark would hide the label column's name
+        rows = [line.split(",") for line in task_csv.read_text().splitlines()]
+        task = tmp_path / "bom.csv"
+        text = "\ufeff" + "".join(",".join([row[-1], *row[:-1]]) + "\n" for row in rows)
+        task.write_bytes(text.encode("utf-8"))
+        out = tmp_path / "run"
+        assert main([
+            "train", str(task), "--mode", "random-sampling",
+            "--k", "2", "--seed", "0", "--out", str(out),
+        ]) == 0
+        _, _, rows = read_result_csv(out / "train_results.csv")
+        assert [row[0] for row in rows] == ["0"]
+
     def test_policy_mode_uses_saved_sampler(self, tmp_path, task_csv, sampler_path):
         out = tmp_path / "run"
         assert main([

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from metasampler import (
     ClassTooSmallError,
     ColumnNotFoundError,
+    DataError,
     DecisionTree,
     EmptyDataError,
     FeatureParseError,
@@ -21,7 +23,8 @@ from metasampler import (
     save_csv,
     stratified_split,
 )
-from conftest import make_dataset
+from conftest import make_dataset, per_cell_load_csv
+from metasampler.dataset import _raise_load_error
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -109,6 +112,123 @@ class TestLoadCsv:
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.labels, ds.labels)
 
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufefflabel,x0\n1,0.5\n0,0.2\n0,0.3\n".encode("utf-8"))
+        ds = load_csv(path)
+        assert ds.labels.tolist() == [1, 0, 0]
+        assert ds.features.ravel().tolist() == [0.5, 0.2, 0.3]
+
+
+def many_rows_csv(n_rows):
+    """A 3-column table of `n_rows` rows, label in the middle, cells in mixed notations."""
+    rng = np.random.default_rng(8192)
+    values = rng.standard_normal((n_rows, 2)) * 10.0 ** rng.integers(-5, 6, (n_rows, 2))
+    labels = rng.integers(0, 2, n_rows)
+    lines = ["a,label,b"]
+    for (x, y), label in zip(values, labels):
+        lines.append(f"{float(x)!r},{label},{y:.6e}")
+    return "\n".join(lines) + "\n"
+
+
+VALID_CSVS = {
+    "quoted-cells": ('"a","b","label"\n"1.5","-2",0\n"3","4e2","1"\n', "label"),
+    "space-padded-cells": ("a,b,label\n 1 , 2.5 ,0\n3,  4 , 1 \n", "label"),
+    "underscore-digits": ("a,label\n1_000,0\n2_0.5,1\n-3,0\n", "label"),
+    "exponents": ("a,b,label\n1e-3,-2E+4,1\n.5e1,7e-300,0\n", "label"),
+    "minus-zero-and-one-point-zero-labels": ("a,label\n-0,-0\n2,1.0\n3,0.0\n4,1\n", "label"),
+    "crlf-line-ends": ("a,b,label\r\n1,2,0\r\n3,4,1\r\n5,6,0\r\n", "label"),
+    "label-first": ("label,a,b\n0,1,2\n1,3,4\n0,5,6\n", "label"),
+    "label-in-the-middle": ("a,label,b\n1,0,2\n3,1,4\n5,0,6\n", "label"),
+    "label-last-by-position": ("a,b,label\n1,2,0\n3,4,1\n5,6,0\n", 2),
+    "label-at-a-negative-position": ("a,label,b\n1,0,2\n3,1,4\n5,0,6\n", -2),
+    "label-first-by-position": ("y,a,b\n0,1,2\n1,3,4\n", 0),
+    "one-feature": ("a,label\n0.25,1\n-1.5,0\n", "label"),
+    "more-than-8192-rows": (many_rows_csv(9000), "label"),
+}
+
+
+class TestLoadCsvMatchesPerCellOracle:
+    """The streaming loader returns the per-cell loader's arrays byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(VALID_CSVS))
+    def test_valid_file(self, tmp_path, name):
+        text, label_column = VALID_CSVS[name]
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        ds = load_csv(path, label_column)
+        oracle = per_cell_load_csv(path, label_column)
+        for got, want in ((ds.features, oracle.features), (ds.labels, oracle.labels)):
+            assert got.tobytes() == want.tobytes()
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags.c_contiguous and not got.flags.writeable
+
+
+class TestLoadCsvErrorOrder:
+    """With two faults in one file, the one earlier in the documented order is raised."""
+
+    CASES = {
+        "one-data-row-and-no-label-column": (
+            "a,b\n1,2\n", EmptyDataError, "need at least 2 data rows, got 1",
+        ),
+        "bad-cell-row-3-then-ragged-row-5": (
+            "a,label\n1,0\nx,1\n4,0\n5,0,9\n",
+            FeatureParseError, "row 3, column 'a': 'x' is not numeric",
+        ),
+        "ragged-row-3-then-bad-cell-row-5": (
+            "a,label\n1,0\n2\n4,1\nx,0\n", FeatureParseError, "row 3 has 1 cells, expected 2",
+        ),
+        "bad-label-and-bad-feature-in-one-row": (
+            "a,label\n1,0\nx,2\n3,1\n", LabelDomainError, "row 3 label '2' is not 0 or 1",
+        ),
+        "inf-and-nan-features": (
+            "a,b,label\n1,2,0\ninf,nan,1\n3,4,0\n",
+            FeatureParseError, "row 3, column 'a': non-finite value 'inf'",
+        ),
+        "one-class-only": ("a,label\n1,0\n2,0\n3,0\n", SingleClassError, "single class"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_earlier_fault_wins(self, tmp_path, name):
+        text, error, message = self.CASES[name]
+        path = write(tmp_path, text)
+        with pytest.raises(error, match=message) as got:
+            load_csv(path)
+        with pytest.raises(error) as want:
+            per_cell_load_csv(path)
+        assert str(got.value) == str(want.value)
+
+    def test_a_file_without_faults_is_reported_as_changed(self, tmp_path):
+        path = write(tmp_path, "a,label\n1,0\n2,1\n")
+        with pytest.raises(DataError, match="changed while it was being read"):
+            _raise_load_error(path, "label")
+
+
+class TestLoadCsvMemory:
+    """Peak traced memory while loading stays a small multiple of the arrays returned."""
+
+    @pytest.mark.parametrize(
+        "ds",
+        [
+            make_toy(ToySpec(n_majority=18000, n_minority=2000, seed=0)),
+            make_dataset(
+                np.random.default_rng(5).standard_normal((5000, 20)),
+                np.random.default_rng(6).integers(0, 2, 5000),
+            ),
+        ],
+        ids=["20000x2", "5000x20"],
+    )
+    def test_peak_under_eight_times_output(self, tmp_path, ds):
+        path = tmp_path / "data.csv"
+        save_csv(ds, path)
+        tracemalloc.start()
+        try:
+            back = load_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (back.features.nbytes + back.labels.nbytes)
+
 
 class TestDatasetValidation:
     def test_rejects_label_outside_binary(self):
@@ -148,6 +268,17 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             sub.features[0, 0] = 9.0
         assert sub.features.shape == (5, 3) and len(sub) == 5
+
+    def test_subset_gathers_as_fancy_indexing(self):
+        rng = np.random.default_rng(4)
+        ds = make_dataset(rng.random((50, 3)), rng.integers(0, 2, 50))
+        for idx in ([-1, -50, 3], [42, 7, 7, 0, 19], rng.permutation(50)):
+            sub = ds.subset(idx)
+            assert sub.features.tobytes() == ds.features[idx].tobytes()
+            assert sub.labels.tobytes() == ds.labels[idx].tobytes()
+        for idx in ([0, 50], [-51, 1]):
+            with pytest.raises(IndexError):
+                ds.subset(idx)
 
     @pytest.mark.parametrize("idx", [[0], [], [[0, 1], [2, 3]]])
     def test_subset_needs_a_flat_index_of_two_rows(self, idx):
