@@ -6,11 +6,10 @@ label 0 the majority. The imbalance ratio is |majority| / |minority|.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -148,35 +147,49 @@ def load_csv(path, label_column="label") -> LabeledDataset:
     """Read a comma-separated, header-first, UTF-8 table into a dataset.
 
     `label_column` selects the label by header name or integer position; all
-    remaining columns are features. Row order is preserved, and a leading
-    byte-order mark (as in Excel's "CSV UTF-8" export) is dropped. A missing
-    file raises FileNotFoundError; one that cannot be read as UTF-8 text (a
-    directory, say) raises DataError, and one whose header holds no column
-    besides the label raises EmptyDataError.
+    remaining columns are features. A name must occur exactly once in the
+    header (else ColumnNotFoundError), and a bool is refused (TypeError),
+    though Python counts it as an integer. Row order is preserved, and a
+    leading byte-order mark (as in Excel's "CSV UTF-8" export) is dropped. A
+    missing file raises FileNotFoundError; one that cannot be read as UTF-8
+    text (a directory, say) raises DataError, and one whose header holds no
+    column besides the label raises EmptyDataError.
 
-    The rows are parsed in one streaming pass into a single float buffer, so
-    memory stays a small multiple of the arrays returned. That pass only
-    detects that a file is invalid; `_raise_load_error` then re-reads it to
-    name the first fault in a fixed order (see there).
+    Two paths read the rows, and both return the arrays `float()` makes of
+    each cell. The fast one hands the text after the header to numpy's C
+    reader in one call. Its array stands only when it has one row per line
+    below the header and every label is 0 or 1, every feature finite and both
+    classes present. Any other file, invalid or not, goes to
+    `_load_csv_rows`, the row-by-row reference path, which returns the
+    dataset or raises the error of the file's first fault.
     """
+    if isinstance(label_column, bool):
+        raise TypeError(
+            f"label_column must be a header name or an int position, not {label_column!r}"
+        )
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
     values = None
     try:
+        rows = _c_reader_rows(path)
         with path.open(newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            width = len(header)
+            header = next(csv.reader(fh), [])
             label_idx = _label_index(header, label_column)
-            if label_idx is not None and width >= 2:
-                cells = itertools.chain.from_iterable(_rows_of_width(reader, width))
-                values = np.fromiter(map(float, cells), np.float64).reshape(-1, width)
-    except (OSError, UnicodeDecodeError) as exc:
+            if rows >= 2 and label_idx is not None and len(header) >= 2:
+                with warnings.catch_warnings():
+                    # a body of blank lines alone is no data to numpy, which warns;
+                    # the shape check below turns that file away
+                    warnings.simplefilter("ignore", UserWarning)
+                    values = np.loadtxt(
+                        fh, delimiter=",", quotechar='"', comments=None,
+                        dtype=np.float64, ndmin=2,
+                    )
+    except OSError as exc:
         raise DataError(f"{path}: cannot read as UTF-8 text: {exc}") from None
-    except ValueError:  # a ragged row or a cell float() rejects
+    except ValueError:  # bad UTF-8, a ragged row or a cell the C reader refuses
         pass
-    if values is not None and len(values) >= 2:
+    if values is not None and values.shape == (rows, len(header)):
         labels = values[:, label_idx]
         features = np.delete(values, label_idx, axis=1)
         if (
@@ -185,33 +198,59 @@ def load_csv(path, label_column="label") -> LabeledDataset:
             and 0 < np.count_nonzero(labels) < len(labels)
         ):
             return LabeledDataset(features, labels.astype(np.int64))
-    _raise_load_error(path, label_column)
+    return _load_csv_rows(path, label_column)
+
+
+_CHUNK_BYTES = 1 << 20
+# ASCII separators: numpy's C reader strips them around a number as
+# whitespace, but float() refuses them
+_SEPARATOR_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _c_reader_rows(path: Path) -> int:
+    """Lines below the header in `path`, as csv splits them, or 0.
+
+    Lines end at \\n, \\r\\n or a lone \\r, as in both csv and numpy's C
+    reader. That reader skips a blank line, which csv reads as a row of no
+    cells, and it joins a quoted line break into one row, as csv does; either
+    leaves it fewer rows than this count. So a C-reader array with exactly
+    this many rows holds csv's rows. Returns 0 (no usable count) for a file
+    holding a byte in _SEPARATOR_BYTES.
+    """
+    ends, last = 0, b""
+    with path.open("rb") as fh:
+        while chunk := fh.read(_CHUNK_BYTES):
+            if any(byte in chunk for byte in _SEPARATOR_BYTES):
+                return 0
+            ends += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+            if b"\r" in chunk:
+                ends += chunk.count(b"\r") - chunk.count(b"\r\n")
+            if last == b"\r" and chunk.startswith(b"\n"):
+                ends -= 1  # a \r\n split between two chunks
+            last = chunk[-1:]
+    lines = ends + (last not in (b"", b"\n", b"\r"))
+    return max(lines - 1, 0)
 
 
 def _label_index(header, label_column):
-    """Position of `label_column` (a name or an int position) in `header`, or None."""
+    """Position of `label_column` (a name or an int position) in `header`, or None.
+
+    None also for a name that occurs more than once.
+    """
     if isinstance(label_column, int):
         idx = label_column if label_column >= 0 else len(header) + label_column
         return idx if 0 <= idx < len(header) else None
-    return header.index(label_column) if label_column in header else None
+    return header.index(label_column) if header.count(label_column) == 1 else None
 
 
-def _rows_of_width(reader, width):
-    """The rows of `reader`, raising ValueError at the first one not `width` cells wide."""
-    for row in reader:
-        if len(row) != width:
-            raise ValueError(f"row of {len(row)} cells, expected {width}")
-        yield row
+def _load_csv_rows(path: Path, label_column) -> LabeledDataset:
+    """Read a CSV row by row with `float()` per cell: the reference path of `load_csv`.
 
-
-def _raise_load_error(path: Path, label_column) -> NoReturn:
-    """Raise the error of the first fault in a CSV that `load_csv` rejected.
-
-    Re-reads the whole file and checks, in this order: the file is not empty;
-    it has at least 2 data rows; the label column exists; some column besides
-    it exists; then row by row, each row's width, its label, and its features
-    left to right; finally, that both classes occur. Never returns: a file
-    that passes every check changed between the two reads, a DataError too.
+    Reads the whole file, then checks, in this order: the file is not empty;
+    it has at least 2 data rows; the label column exists (and a name occurs
+    once); some column besides it exists; then row by row, each row's width,
+    its label, and its features left to right; finally, that both classes
+    occur. Raises the error of the first check that fails.
     """
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
@@ -227,12 +266,17 @@ def _raise_load_error(path: Path, label_column) -> NoReturn:
     if label_idx is None:
         if isinstance(label_column, int):
             raise ColumnNotFoundError(f"{path}: label column index {label_column} out of range")
+        if label_column in header:
+            raise ColumnNotFoundError(
+                f"{path}: {header.count(label_column)} columns named {label_column!r}"
+            )
         raise ColumnNotFoundError(f"{path}: no column named {label_column!r}")
     if len(header) < 2:
         raise EmptyDataError(f"{path}: no feature columns, only the label column")
 
     width = len(header)
-    classes = set()
+    features = np.empty((len(data), width - 1), dtype=np.float64)
+    labels = np.empty(len(data), dtype=np.int64)
     for i, row in enumerate(data):
         if len(row) != width:
             raise FeatureParseError(f"{path}: row {i + 2} has {len(row)} cells, expected {width}")
@@ -243,7 +287,8 @@ def _raise_load_error(path: Path, label_column) -> NoReturn:
             raise LabelDomainError(f"{path}: row {i + 2} label {cell!r} is not 0 or 1") from None
         if label_val not in (0.0, 1.0):
             raise LabelDomainError(f"{path}: row {i + 2} label {cell!r} is not 0 or 1")
-        classes.add(label_val)
+        labels[i] = label_val
+        values = []
         for j, raw in enumerate(row):
             if j == label_idx:
                 continue
@@ -257,21 +302,39 @@ def _raise_load_error(path: Path, label_column) -> NoReturn:
                 raise FeatureParseError(
                     f"{path}: row {i + 2}, column {header[j]!r}: non-finite value {raw!r}"
                 )
-    if len(classes) < 2:
+            values.append(value)
+        features[i] = values
+    if np.all(labels == labels[0]):
         raise SingleClassError(f"{path}: file contains a single class")
-    raise DataError(f"{path}: changed while it was being read")
+    return LabeledDataset(features, labels)
+
+
+_SAVE_BLOCK_ROWS = 256
 
 
 def save_csv(ds: LabeledDataset, path, label_column="label") -> None:
-    """Write a dataset as CSV (features x0..x{d-1}, then the label column)."""
+    """Write a dataset as CSV (features x0..x{d-1}, then the label column).
+
+    Each feature is written as `repr(float)`, which reads back to the same
+    bits, and each label as 0 or 1. A `label_column` equal to one of the
+    feature names is a ValueError: the file could not be read back.
+    """
+    names = [f"x{j}" for j in range(ds.n_features)]
+    if label_column in names:
+        raise ValueError(f"label column {label_column!r} is also a feature name")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    header = [f"x{j}" for j in range(ds.n_features)] + [label_column]
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row, label in zip(ds.features, ds.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        writer.writerow(names + [label_column])
+        # a few rows at a time as Python lists: all rows at once take about 25
+        # times the arrays' bytes, and the allocator keeps part of that
+        for start in range(0, len(ds), _SAVE_BLOCK_ROWS):
+            block = slice(start, start + _SAVE_BLOCK_ROWS)
+            rows = ds.features[block].tolist()
+            for row, label in zip(rows, ds.labels[block].tolist()):
+                row.append(label)
+            writer.writerows(rows)
 
 
 def stratified_split(ds: LabeledDataset, spec: SplitSpec, seed):

@@ -160,6 +160,18 @@ def per_cell_load_csv(path, label_column="label") -> LabeledDataset:
     return LabeledDataset(features, labels)
 
 
+def per_row_save_csv(ds: LabeledDataset, path, label_column="label") -> None:
+    """Oracle for save_csv: the per-row writer it replaced, kept verbatim."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    header = [f"x{j}" for j in range(ds.n_features)] + [label_column]
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row, label in zip(ds.features, ds.labels):
+            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+
+
 def fd_param_gradients(loss_fn, params, h=1e-5):
     """Central finite differences of a scalar loss over every parameter entry."""
     grads = []

@@ -217,6 +217,17 @@ class TestTrain:
         _, _, rows = read_result_csv(out / "train_results.csv")
         assert [row[0] for row in rows] == ["0"]
 
+    def test_label_name_in_two_columns_is_a_data_error(self, tmp_path, task_csv):
+        # the header save_csv(ds, path, label_column="x0") used to write; the first
+        # x0 column holds the labels here, so reading it as the label ran without error
+        rows = [line.split(",") for line in task_csv.read_text().splitlines()[1:]]
+        task = tmp_path / "twice.csv"
+        task.write_text("x0,x1,x0\n" + "".join(f"{y},{x1},{y}\n" for _, x1, y in rows))
+        assert main([
+            "train", str(task), "--label-column", "x0", "--mode", "random-sampling",
+            "--k", "2", "--seed", "0", "--out", str(tmp_path / "run"),
+        ]) == 2
+
     def test_policy_mode_uses_saved_sampler(self, tmp_path, task_csv, sampler_path):
         out = tmp_path / "run"
         assert main([

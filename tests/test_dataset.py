@@ -1,5 +1,8 @@
+import csv
+import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,14 +26,23 @@ from metasampler import (
     save_csv,
     stratified_split,
 )
-from conftest import make_dataset, per_cell_load_csv
-from metasampler.dataset import _raise_load_error
+from conftest import make_dataset, per_cell_load_csv, per_row_save_csv
+from metasampler import dataset
+from metasampler.dataset import _c_reader_rows, _load_csv_rows
 
 
 def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def assert_same_dataset(ds, oracle):
+    """Byte-equal arrays of one dtype and shape, contiguous and read-only as load_csv's."""
+    for got, want in ((ds.features, oracle.features), (ds.labels, oracle.labels)):
+        assert got.tobytes() == want.tobytes()
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous and not got.flags.writeable
 
 
 class TestLoadCsv:
@@ -119,6 +131,20 @@ class TestLoadCsv:
         assert ds.labels.tolist() == [1, 0, 0]
         assert ds.features.ravel().tolist() == [0.5, 0.2, 0.3]
 
+    def test_label_name_in_two_columns_is_refused(self, tmp_path):
+        # the header save_csv(ds, path, label_column="x0") used to write
+        path = write(tmp_path, "x0,x1,x0\n0.5,0.25,0\n1.5,0.75,1\n2.5,1.25,0\n")
+        with pytest.raises(ColumnNotFoundError, match="2 columns named 'x0'"):
+            load_csv(path, label_column="x0")
+        by_position = load_csv(path, label_column=2)
+        assert by_position.features.tolist() == [[0.5, 0.25], [1.5, 0.75], [2.5, 1.25]]
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_label_column_is_refused(self, tmp_path, flag):
+        path = write(tmp_path, "a,b,label\n1,0,0\n2,1,1\n3,0,0\n")
+        with pytest.raises(TypeError, match="label_column"):
+            load_csv(path, label_column=flag)
+
 
 def many_rows_csv(n_rows):
     """A 3-column table of `n_rows` rows, label in the middle, cells in mixed notations."""
@@ -149,19 +175,22 @@ VALID_CSVS = {
 
 
 class TestLoadCsvMatchesPerCellOracle:
-    """The streaming loader returns the per-cell loader's arrays byte for byte."""
+    """Both paths of the loader return the per-cell loader's arrays byte for byte."""
 
     @pytest.mark.parametrize("name", sorted(VALID_CSVS))
     def test_valid_file(self, tmp_path, name):
         text, label_column = VALID_CSVS[name]
         path = tmp_path / "data.csv"
         path.write_bytes(text.encode("utf-8"))
-        ds = load_csv(path, label_column)
+        assert_same_dataset(load_csv(path, label_column), per_cell_load_csv(path, label_column))
+
+    @pytest.mark.parametrize("name", sorted(VALID_CSVS))
+    def test_row_path_on_a_valid_file(self, tmp_path, name):
+        text, label_column = VALID_CSVS[name]
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
         oracle = per_cell_load_csv(path, label_column)
-        for got, want in ((ds.features, oracle.features), (ds.labels, oracle.labels)):
-            assert got.tobytes() == want.tobytes()
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.flags.c_contiguous and not got.flags.writeable
+        assert_same_dataset(_load_csv_rows(path, label_column), oracle)
 
 
 class TestLoadCsvErrorOrder:
@@ -198,10 +227,188 @@ class TestLoadCsvErrorOrder:
             per_cell_load_csv(path)
         assert str(got.value) == str(want.value)
 
-    def test_a_file_without_faults_is_reported_as_changed(self, tmp_path):
-        path = write(tmp_path, "a,label\n1,0\n2,1\n")
-        with pytest.raises(DataError, match="changed while it was being read"):
-            _raise_load_error(path, "label")
+
+def corpus_text(rng):
+    """One small CSV (file bytes, label column) mixing what a task file may and may not hold.
+
+    Header names are unique: the per-cell oracle predates the rule that a label
+    name occurring twice is an error.
+    """
+    def chance(p):
+        return rng.random() < p
+
+    def pick(options):
+        return options[rng.integers(len(options))]
+
+    width = int(rng.integers(2, 5))
+    label_at = int(rng.integers(width))
+    header = [f"f{j}" for j in range(width)]
+    header[label_at] = "label"
+    rows = [header]
+    for _ in range(1 if chance(0.05) else int(rng.integers(2, 7))):
+        rows.append([
+            pick([repr(float(rng.normal())), str(rng.integers(-50, 50)), f"{rng.normal():.3e}"])
+            for _ in range(width)
+        ])
+    one_class = chance(0.05)
+    for i, row in enumerate(rows[1:]):
+        row[label_at] = str(i) if i < 2 and not one_class else pick(["0", "1"])
+        if chance(0.04):
+            row[label_at] = pick(["-0", "1.0", "2", "0.5", "nan"])
+    quoted, padded = chance(0.3), chance(0.2)
+    for row in rows[1:]:
+        for j, cell in enumerate(row):
+            if padded and chance(0.3):
+                cell = pick([" ", "\xa0", "  "]) + cell + pick(["", " ", "\xa0"])
+            row[j] = f'"{cell}"' if quoted else cell
+    features = [(i, j) for i in range(1, len(rows)) for j in range(width) if j != label_at]
+    if chance(0.2):
+        # a cell float() reads but the C reader does not, or not within one line
+        i, j = features[rng.integers(len(features))]
+        rows[i][j] = pick(["1_000", "1_0.5", "١", "-٣.٥", '"3\n"', '"\r\n6"'])
+    if chance(0.15):
+        i, j = features[rng.integers(len(features))]
+        rows[i][j] = pick(
+            ["x", "", "inf", "nan", "-inf", "1e400", "1\x1c", '"1,5"', '"4\r\n5"', ' "2"']
+        )
+    if chance(0.05):
+        # a ragged row: one cell more or one fewer
+        row = rows[int(rng.integers(1, len(rows)))]
+        row.append("7") if chance(0.5) else row.pop()
+    if chance(0.03):
+        # every data row narrower than the header
+        rows[1:] = [row[:-1] for row in rows[1:]]
+    lines = [",".join(row) for row in rows]
+    if chance(0.06):
+        lines.insert(int(rng.integers(1, len(lines) + 1)), pick(["", " ", "  "]))
+    line_end = pick(["\n", "\r\n", "\r", "mixed"])
+    text = ""
+    for i, line in enumerate(lines):
+        text += line
+        if i < len(lines) - 1 or chance(0.7):
+            text += pick(["\n", "\r\n", "\r"]) if line_end == "mixed" else line_end
+    data = text.encode("utf-8")
+    if chance(0.03):
+        data = data.replace(b"1", b"\xff", 1)  # not UTF-8
+    if chance(0.2):
+        data = b"\xef\xbb\xbf" + data
+    return data, pick(["label", label_at, label_at - width])
+
+
+def load_outcome(load, path, label_column):
+    """The dataset `load` returns, or the type and message of what it raises."""
+    try:
+        return load(path, label_column)
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+class TestLoadCsvDifferentialCorpus:
+    """Seeded small files: load_csv agrees with the per-cell oracle on each, valid or not."""
+
+    def test_corpus(self, tmp_path, monkeypatch):
+        row_path_calls = []
+
+        def counted_row_path(*args):
+            row_path_calls.append(args)
+            return _load_csv_rows(*args)
+
+        monkeypatch.setattr(dataset, "_load_csv_rows", counted_row_path)
+        rng = np.random.default_rng(1515)
+        path = tmp_path / "data.csv"
+        tally = {"c-reader": 0, "row-path": 0, "refused": 0}
+        for _ in range(400):
+            data, label_column = corpus_text(rng)
+            path.write_bytes(data)
+            calls = len(row_path_calls)
+            got = load_outcome(load_csv, path, label_column)
+            # the oracle keeps a byte-order mark in the first name: give it the text without
+            path.write_bytes(data.removeprefix(b"\xef\xbb\xbf"))
+            want = load_outcome(per_cell_load_csv, path, label_column)
+            if isinstance(want, tuple):
+                assert got == want, data
+                tally["refused"] += 1
+            else:
+                assert isinstance(got, LabeledDataset), (data, got)
+                assert_same_dataset(got, want)
+                tally["row-path" if len(row_path_calls) > calls else "c-reader"] += 1
+        # the corpus reaches every outcome often enough to mean something
+        assert min(tally.values()) >= 40, tally
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("a,label\n", EmptyDataError),
+            ("a,label\n1,0\n", EmptyDataError),
+            ("a,label\n\n\n", FeatureParseError),
+            ("a,label\r\n\r\n\r\n\r\n", FeatureParseError),
+        ],
+        ids=["header-only", "one-row", "blank-body", "blank-crlf-body"],
+    )
+    def test_no_numpy_warning_escapes(self, tmp_path, text, error):
+        path = write(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                load_csv(path)
+
+
+class TestCReaderRows:
+    """The line count that guards the C reader's array, against csv's own rows."""
+
+    TEXTS = [
+        "a,b\n1,2\n3,4\n",
+        "a,b\r\n1,2\r\n3,4",
+        "a,b\r1,2\r3,4\r",
+        "a,b\r\n1,2\r3,4\n5,6\r\n\r\n",
+        "a,b\n\n\n",
+        "\r\n",
+        "a",
+        "",
+    ]
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 2, 3, 5, 1 << 20])
+    def test_rows_below_the_header(self, tmp_path, monkeypatch, chunk_bytes):
+        monkeypatch.setattr(dataset, "_CHUNK_BYTES", chunk_bytes)
+        for text in self.TEXTS:
+            path = tmp_path / "data.csv"
+            path.write_bytes(text.encode("utf-8"))
+            records = list(csv.reader(io.StringIO(text, newline="")))
+            assert _c_reader_rows(path) == max(len(records) - 1, 0), text
+
+    def test_a_lone_cr_does_not_hide_a_blank_line(self, tmp_path):
+        # counting \n alone, the lone \r and the blank line the C reader skips cancel out
+        path = write(tmp_path, "a,label\r1,0\n\n2,1\n3,0\n")
+        with pytest.raises(FeatureParseError, match="row 3 has 0 cells, expected 2"):
+            load_csv(path)
+
+    def test_separator_bytes_give_no_count(self, tmp_path):
+        path = write(tmp_path, "a,label\n1\x1c,0\n2,1\n3,0\n")
+        assert _c_reader_rows(path) == 0
+        with pytest.raises(FeatureParseError, match=r"'1\\x1c' is not numeric"):
+            load_csv(path)
+
+
+class TestSaveCsv:
+    SPECIAL = [5e-324, -0.0, 1.7e308, -1.7e308, math.nextafter(1.0, 2.0), 1e-7]
+
+    @pytest.mark.parametrize("label_column", ["label", "y"])
+    def test_bytes_match_the_per_row_writer(self, tmp_path, label_column):
+        toy = make_toy(ToySpec(n_majority=560, n_minority=40, seed=3))  # blocks of rows
+        special = make_dataset(np.array([self.SPECIAL, self.SPECIAL[::-1]]).T, [0, 1, 1, 0, 1, 0])
+        for ds in (toy, special):
+            save_csv(ds, tmp_path / "new.csv", label_column)
+            per_row_save_csv(ds, tmp_path / "old.csv", label_column)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+            assert_same_dataset(load_csv(tmp_path / "new.csv", label_column), ds)
+
+    def test_label_named_like_a_feature_is_refused(self, tmp_path):
+        ds = make_dataset([[1.0, 2.0], [3.0, 4.0]], [0, 1])
+        with pytest.raises(ValueError, match="'x1' is also a feature name"):
+            save_csv(ds, tmp_path / "data.csv", label_column="x1")
+        assert not (tmp_path / "data.csv").exists()
+        save_csv(ds, tmp_path / "data.csv", label_column="x2")
+        assert load_csv(tmp_path / "data.csv", "x2").labels.tolist() == [0, 1]
 
 
 class TestLoadCsvMemory:
