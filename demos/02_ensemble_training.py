@@ -5,9 +5,9 @@ Cascade ensembles and the sampling action
 Trains small cascades under different fixed sampling centers and inspects
 the per-member trace that meta-training later learns from.
 """
+import numpy as np
+
 from metasampler import (
-    ConstantActionSource,
-    RandomActionSource,
     SplitSpec,
     ToySpec,
     aucprc,
@@ -23,17 +23,19 @@ train, valid, test = stratified_split(ds, SplitSpec(), seed=0)
 # Each new member trains on a balanced subset: every minority row plus an
 # equal number of majority rows, drawn with weights from a Gaussian centered
 # at the action mu over the current ensemble's errors. mu near 0 prefers
-# already-solved majority rows, mu near 1 prefers the hardest ones.
+# already-solved majority rows, mu near 1 prefers the hardest ones. The
+# action is any function of the current state: here a constant, or a draw.
 print("fixed sampling centers, 10 members each:")
 for mu in (0.0, 0.25, 0.5, 0.75, 1.0):
     model, _ = train_ensemble(
-        train, valid, ConstantActionSource(mu), n_members=10, seed=0
+        train, valid, lambda state: mu, n_members=10, seed=0
     )
     auc = aucprc(model.predict_proba(test.features), test.labels)
     print(f"  mu={mu:.2f}: test AUCPRC {auc:.4f}")
 
+rng = np.random.default_rng(0)
 model, _ = train_ensemble(
-    train, valid, RandomActionSource(seed=0), n_members=10, seed=0
+    train, valid, lambda state: float(rng.random()), n_members=10, seed=0
 )
 print(f"  random mu: test AUCPRC "
       f"{aucprc(model.predict_proba(test.features), test.labels):.4f}")
@@ -46,7 +48,7 @@ print(f"  uniform subsets (no error weighting): test AUCPRC "
 # the first, with the error-histogram state, the action taken, and the change
 # in validation AUCPRC as reward. Rewards telescope to the total improvement.
 model, steps = train_ensemble(
-    train, valid, ConstantActionSource(0.5), n_members=6, seed=0
+    train, valid, lambda state: 0.5, n_members=6, seed=0
 )
 print()
 print("trace under mu=0.5:")

@@ -17,10 +17,8 @@ from .dataset import (
     stratified_split,
 )
 from .ensemble import (
-    ConstantActionSource,
     EnsembleModel,
     EnsembleStep,
-    RandomActionSource,
     train_ensemble,
     train_random_ensemble,
 )
@@ -78,7 +76,6 @@ __all__ = [
     "ClassTooSmallError",
     "ColumnNotFoundError",
     "ConfigError",
-    "ConstantActionSource",
     "DataError",
     "DecisionTree",
     "EmptyDataError",
@@ -92,7 +89,6 @@ __all__ = [
     "Mlp",
     "NumericalError",
     "PolicyActionSource",
-    "RandomActionSource",
     "ReplayMemory",
     "SacConfig",
     "SamplerFormatError",

@@ -161,7 +161,8 @@ def load_csv(path, label_column="label") -> LabeledDataset:
     below the header and every label is 0 or 1, every feature finite and both
     classes present. Any other file, invalid or not, goes to
     `_load_csv_rows`, the row-by-row reference path, which returns the
-    dataset or raises the error of the file's first fault.
+    dataset or raises the error of the file's first fault (DataError for
+    text that csv cannot read, such as a cell over its field size limit).
     """
     if isinstance(label_column, bool):
         raise TypeError(
@@ -187,7 +188,7 @@ def load_csv(path, label_column="label") -> LabeledDataset:
                     )
     except OSError as exc:
         raise DataError(f"{path}: cannot read as UTF-8 text: {exc}") from None
-    except ValueError:  # bad UTF-8, a ragged row or a cell the C reader refuses
+    except (ValueError, csv.Error):  # bad UTF-8, a ragged row, a cell csv or numpy refuses
         pass
     if values is not None and values.shape == (rows, len(header)):
         labels = values[:, label_idx]
@@ -257,6 +258,8 @@ def _load_csv_rows(path: Path, label_column) -> LabeledDataset:
             rows = list(csv.reader(fh))
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: cannot read as UTF-8 text: {exc}") from None
+    except csv.Error as exc:  # a cell over csv's field size limit, say
+        raise DataError(f"{path}: cannot read as CSV: {exc}") from None
     if not rows:
         raise EmptyDataError(f"{path}: file is empty")
     header, data = rows[0], rows[1:]

@@ -1,10 +1,10 @@
-"""Cascade ensemble training driven by a per-step action source.
+"""Cascade ensemble training driven by a per-step action.
 
 The first member is fit on a uniformly drawn balanced subset. Every further
-member is fit on a meta-sampled subset whose Gaussian center comes from the
-action source, which sees the current meta-state. The trace of states,
-actions and validation scores is a first-class output so callers can turn
-episodes into reinforcement-learning transitions.
+member is fit on a meta-sampled subset whose Gaussian center is
+``actions(state)``, for any callable `actions` from the current meta-state to
+[0, 1]. The trace of states, actions and validation scores is a first-class
+output so callers can turn episodes into reinforcement-learning transitions.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from .dataset import LabeledDataset
 from .errors import SingleClassError
 from .learners import DecisionTree
 from .metrics import aucprc
-from .rng import as_generator, as_seed_sequence, strict_int
+from .rng import as_seed_sequence, strict_int
 from .sampling import random_balanced_subset, sample_from_errors, state_from_errors
 
 
@@ -27,42 +27,19 @@ class EnsembleModel:
     members: list = field(default_factory=list)
 
     def predict_proba(self, features):
+        """Mean member probability of each row of a (rows, features) matrix."""
         if not self.members:
             raise RuntimeError("ensemble has no members")
         x = np.asarray(features, dtype=np.float64)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
+        if x.ndim != 2:
+            raise ValueError(f"expected a (rows, features) matrix, got shape {x.shape}")
         acc = np.zeros(len(x), dtype=np.float64)
         for member in self.members:
             acc += member.predict_proba(x)
-        acc /= len(self.members)
-        return float(acc[0]) if single else acc
+        return acc / len(self.members)
 
     def __len__(self) -> int:
         return len(self.members)
-
-
-class ConstantActionSource:
-    """Always emits the same Gaussian center."""
-
-    def __init__(self, mu: float):
-        if not 0.0 <= mu <= 1.0:
-            raise ValueError(f"mu must be in [0, 1], got {mu}")
-        self.mu = float(mu)
-
-    def action(self, state) -> float:
-        return self.mu
-
-
-class RandomActionSource:
-    """Emits centers uniformly from [0, 1]."""
-
-    def __init__(self, seed):
-        self._rng = as_generator(seed)
-
-    def action(self, state) -> float:
-        return float(self._rng.random())
 
 
 @dataclass(frozen=True)
@@ -105,11 +82,11 @@ def train_ensemble(
     seed=0,
     on_step=None,
 ):
-    """Train a cascade of n_members learners, guided by `actions`.
+    """Train a cascade of n_members learners, centering draws on `actions(state)`.
 
     Per-member subset draws use seeds split counter-style from `seed`, so
-    member t's subset is reproducible regardless of what the action source
-    does. Returns (model, steps); `steps` has one EnsembleStep per added
+    member t's subset is reproducible regardless of what `actions` returns.
+    Returns (model, steps); `steps` has one EnsembleStep per added
     member after the first, so it is empty when n_members == 1.
 
     Each member scores the training and validation rows once, when it is
@@ -141,9 +118,9 @@ def train_ensemble(
     train_errors, auc, state = add_member(random_balanced_subset(train, draw_seeds[0]))
     steps = []
     for t in range(1, n_members):
-        mu = float(actions.action(state))
+        mu = float(actions(state))
         if not 0.0 <= mu <= 1.0:
-            raise ValueError(f"action source produced {mu}, outside [0, 1]")
+            raise ValueError(f"actions produced {mu}, outside [0, 1]")
         subset = sample_from_errors(train, train_errors[majority], mu, sigma, draw_seeds[t])
         train_errors, auc_after, next_state = add_member(subset)
         step = EnsembleStep(

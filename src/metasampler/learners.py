@@ -1,8 +1,8 @@
 """Base learners: a depth-unlimited CART tree and Gaussian naive Bayes.
 
-Both expose ``fit(ds)`` and ``predict_proba(features)`` returning the
-probability of the positive class, as a float for a single row or a vector
-for a matrix of rows.
+Both expose ``fit(ds)`` and ``predict_proba(features)``, which takes a
+``(rows, features)`` matrix and returns the vector of each row's probability
+of the positive class.
 """
 from __future__ import annotations
 
@@ -17,12 +17,9 @@ _PREDICT_BLOCK = 8192  # rows per block of the predict descent; see DecisionTree
 
 def _as_matrix(features, n_features):
     x = np.asarray(features, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != n_features:
-        raise ValueError(f"expected rows with {n_features} features, got shape {x.shape}")
-    return x, single
+        raise ValueError(f"expected a (rows, {n_features}) matrix, got shape {x.shape}")
+    return x
 
 
 class DecisionTree:
@@ -152,7 +149,7 @@ class DecisionTree:
     def predict_proba(self, features):
         if self.feature is None:
             raise RuntimeError("tree is not fitted")
-        x, single = _as_matrix(features, self.n_features_in)
+        x = _as_matrix(features, self.n_features_in)
         out = np.empty(len(x))
         row_offsets = np.arange(min(len(x), _PREDICT_BLOCK)) * x.shape[1]
         for start in range(0, len(x), _PREDICT_BLOCK):
@@ -167,7 +164,7 @@ class DecisionTree:
                 node += goes_left
                 node = self._children[node]
             out[start : start + len(rows)] = self.value[node]
-        return float(out[0]) if single else out
+        return out
 
 
 class GaussianNaiveBayes:
@@ -198,7 +195,7 @@ class GaussianNaiveBayes:
     def predict_proba(self, features):
         if self.mean is None:
             raise RuntimeError("model is not fitted")
-        x, single = _as_matrix(features, self.mean.shape[1])
+        x = _as_matrix(features, self.mean.shape[1])
         # log joint per class, shape (n, 2)
         log_joint = np.stack(
             [
@@ -214,5 +211,4 @@ class GaussianNaiveBayes:
         )
         shift = log_joint.max(axis=1, keepdims=True)
         norm = np.exp(log_joint - shift)
-        out = norm[:, 1] / norm.sum(axis=1)
-        return float(out[0]) if single else out
+        return norm[:, 1] / norm.sum(axis=1)

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import inject_flip_noise, stratified_split
-from .ensemble import ConstantActionSource, EnsembleStep, train_ensemble, train_random_ensemble
+from .ensemble import EnsembleStep, train_ensemble, train_random_ensemble
 from .errors import NumericalError, SamplerFormatError
 from .learners import DecisionTree
 from .metrics import aucprc
@@ -248,7 +248,7 @@ def deterministic_action(sampler: MetaSampler, state) -> float:
 
 
 class PolicyActionSource:
-    """Adapts a MetaSampler to the ensemble action-source interface."""
+    """The actions of a MetaSampler: calling it with a state samples one action."""
 
     def __init__(self, sampler: MetaSampler, seed=None):
         if seed is None:
@@ -256,7 +256,7 @@ class PolicyActionSource:
         self._sampler = sampler
         self._rng = as_generator(seed)
 
-    def action(self, state) -> float:
+    def __call__(self, state) -> float:
         action, _ = sample_action(self._sampler, state, self._rng)
         return action
 
@@ -341,21 +341,6 @@ def sac_update(replay: ReplayMemory, nets: SacNets, optim: SacOptimizers,
     return losses
 
 
-class _EpisodeActions:
-    """Uniform random actions while `warmup()` holds, policy samples afterwards."""
-
-    def __init__(self, sampler, rng, warmup):
-        self._sampler = sampler
-        self._rng = rng
-        self._warmup = warmup
-
-    def action(self, state) -> float:
-        if self._warmup():
-            return float(self._rng.random())
-        action, _ = sample_action(self._sampler, state, self._rng)
-        return action
-
-
 def meta_train(tasks, config: SacConfig, seed, learner_factory=DecisionTree,
                on_step=None) -> MetaSampler:
     """Train the sampling policy over one or more (train, valid) tasks.
@@ -398,6 +383,13 @@ def meta_train(tasks, config: SacConfig, seed, learner_factory=DecisionTree,
 
     env_steps = updates = episode = 0
 
+    def actions(state):
+        """Uniform until config.random_steps steps have run, then a policy sample."""
+        if env_steps < config.random_steps:
+            return float(action_rng.random())
+        action, _ = sample_action(sampler, state, action_rng)
+        return action
+
     def after_step(step):
         nonlocal env_steps, updates
         replay.push(step)
@@ -419,9 +411,7 @@ def meta_train(tasks, config: SacConfig, seed, learner_factory=DecisionTree,
         episode_start = env_steps
         train, valid = tasks[task_index]
         action_ss, subset_ss = episode_root.spawn(1)[0].spawn(2)
-        actions = _EpisodeActions(
-            sampler, as_generator(action_ss), lambda: env_steps < config.random_steps
-        )
+        action_rng = as_generator(action_ss)
         train_ensemble(
             train,
             valid,
@@ -447,8 +437,8 @@ def score_arms(ds, split, seeds, arms, *, n_members, noise_ratio=0.0, mu=0.5, bi
     on test. The modes: "policy" samples actions from the arm's sampler, with
     its bins and sigma; "random-policy" from an untrained sampler with `bins`
     and `sigma`; "random-sampling" fits every member on a random balanced
-    subset; and "constant" takes action `mu` at every step. A mode ignores the
-    knobs it does not use. Every arm spawns the same six streams from the
+    subset; and "constant" takes action `mu`, which must lie in [0, 1], at
+    every step. A mode ignores the knobs it does not use. Every arm spawns the same six streams from the
     seed, so its scores do not depend on which other arms run beside it.
     """
     arms = list(arms)
@@ -457,6 +447,8 @@ def score_arms(ds, split, seeds, arms, *, n_members, noise_ratio=0.0, mu=0.5, bi
             raise ValueError(f"arm {label!r}: unknown mode {mode!r}; choose from {MODES}")
         if mode == "policy" and sampler is None:
             raise ValueError(f"arm {label!r}: policy mode needs a sampler")
+        if mode == "constant" and not 0.0 <= mu <= 1.0:
+            raise ValueError(f"arm {label!r}: mu must be in [0, 1], got {mu}")
     scores = {label: [] for label, _, _ in arms}
     if len(scores) != len(arms):
         raise ValueError("arm labels must be distinct")
@@ -473,15 +465,15 @@ def score_arms(ds, split, seeds, arms, *, n_members, noise_ratio=0.0, mu=0.5, bi
             else:
                 arm_bins, arm_sigma, subset_ss = bins, sigma, pol_ss
                 if mode == "policy":
-                    source = PolicyActionSource(sampler, seed=pol_act)
+                    actions = PolicyActionSource(sampler, seed=pol_act)
                     arm_bins, arm_sigma = sampler.bins, sampler.sigma
                 elif mode == "random-policy":
-                    source = PolicyActionSource(random_sampler(bins, sigma, rp_init), seed=rp_act)
+                    actions = PolicyActionSource(random_sampler(bins, sigma, rp_init), seed=rp_act)
                     subset_ss = rp_ss
                 else:
-                    source = ConstantActionSource(mu)
+                    actions = lambda state: mu
                 model, _ = train_ensemble(
-                    train, valid, source, sigma=arm_sigma, bins=arm_bins, n_members=n_members,
+                    train, valid, actions, sigma=arm_sigma, bins=arm_bins, n_members=n_members,
                     learner_factory=learner_factory, seed=subset_ss,
                 )
             scores[label].append(aucprc(model.predict_proba(test.features), test.labels))

@@ -59,14 +59,11 @@ class FixedModel:
         self._probs = np.asarray(probs, dtype=np.float64)
 
     def predict_proba(self, features):
-        x = np.asarray(features, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[None, :]
-        out = np.empty(len(x))
-        for i, row in enumerate(x):
+        out = np.empty(len(features))
+        for i, row in enumerate(np.asarray(features, dtype=np.float64)):
             matches = np.flatnonzero((self._features == row).all(axis=1))
             out[i] = self._probs[matches[0]]
-        return out if len(out) > 1 else float(out[0])
+        return out
 
 
 def make_dataset(features, labels):

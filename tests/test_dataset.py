@@ -98,6 +98,21 @@ class TestLoadCsv:
         with pytest.raises(FeatureParseError):
             load_csv(path)
 
+    # csv refuses a cell over its field size limit (131,072 characters); this
+    # header cell or this feature cell (which float() reads as inf) is one
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a" * 140_000 + ",label\n1,0\n2,1\n3,0\n",
+            "a,label\n1" + "0" * 140_000 + ",0\n2,1\n3,0\n",
+        ],
+        ids=["header", "feature"],
+    )
+    def test_cell_over_csv_field_limit(self, tmp_path, text):
+        path = write(tmp_path, text)
+        with pytest.raises(DataError, match="cannot read as CSV"):
+            load_csv(path)
+
     def test_label_column_by_name_and_position(self, tmp_path):
         path = write(tmp_path, "y,a\n0,1\n1,2\n0,3\n")
         ds = load_csv(path, label_column="y")

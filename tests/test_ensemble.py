@@ -3,12 +3,10 @@ import pytest
 from numpy.random import SeedSequence
 
 from metasampler import (
-    ConstantActionSource,
     DecisionTree,
     EnsembleModel,
     EnsembleStep,
     GaussianNaiveBayes,
-    RandomActionSource,
     SacConfig,
     SplitSpec,
     ToySpec,
@@ -25,6 +23,12 @@ from metasampler import (
 )
 from metasampler.sampling import WEIGHT_FLOOR
 from conftest import FixedModel, make_dataset
+
+
+def uniform_actions(seed):
+    """Actions drawn uniformly from [0, 1], one np.random.default_rng(seed).random() per step."""
+    rng = np.random.default_rng(seed)
+    return lambda state: float(rng.random())
 
 
 def toy_parts(overlap=0.0, seed=4, n_majority=300, n_minority=50):
@@ -44,7 +48,13 @@ class TestEnsembleModel:
         model = EnsembleModel(
             [FixedModel(features, [0.2]), FixedModel(features, [0.8])]
         )
-        assert model.predict_proba(np.array([0.0])) == pytest.approx(0.5)
+        assert model.predict_proba(np.array([[0.0]])).tolist() == [pytest.approx(0.5)]
+
+    def test_one_dimensional_input_refused(self):
+        features = np.array([[0.0]])
+        model = EnsembleModel([FixedModel(features, [0.2])])
+        with pytest.raises(ValueError, match="matrix"):
+            model.predict_proba(np.array([0.0]))
 
     def test_output_in_unit_interval(self, rng):
         features = rng.standard_normal((5, 1))
@@ -55,42 +65,37 @@ class TestEnsembleModel:
         assert np.all((0.0 <= out) & (out <= 1.0))
 
 
-class TestActionSources:
-    def test_constant_returns_mu(self):
-        source = ConstantActionSource(0.3)
-        assert source.action(np.zeros(10)) == 0.3
+class TestActions:
+    def test_actions_see_each_step_state(self):
+        train, valid, _ = toy_parts(overlap=0.5)
+        seen = []
 
-    def test_constant_validates_mu(self):
-        with pytest.raises(ValueError):
-            ConstantActionSource(1.5)
+        def actions(state):
+            seen.append(state)
+            return 0.3
 
-    def test_random_in_unit_interval(self):
-        source = RandomActionSource(5)
-        actions = [source.action(np.zeros(10)) for _ in range(100)]
-        assert all(0.0 <= a <= 1.0 for a in actions)
-
-    def test_random_seeded_reproducible(self):
-        a = RandomActionSource(9)
-        b = RandomActionSource(9)
-        assert [a.action(None) for _ in range(5)] == [b.action(None) for _ in range(5)]
+        _, steps = train_ensemble(train, valid, actions, n_members=5, seed=0)
+        assert len(seen) == len(steps) == 4
+        assert all(np.array_equal(state, s.state) for state, s in zip(seen, steps))
+        assert all(s.action == 0.3 for s in steps)
 
 
 class TestTrainEnsemble:
     def test_single_member_no_trace(self):
         train, valid, _ = toy_parts()
-        model, steps = train_ensemble(train, valid, ConstantActionSource(0.5), n_members=1, seed=0)
+        model, steps = train_ensemble(train, valid, lambda state: 0.5, n_members=1, seed=0)
         assert len(model) == 1
         assert steps == []
 
     def test_separable_reaches_perfect_validation(self):
         train, valid, _ = toy_parts(overlap=0.0)
-        model, steps = train_ensemble(train, valid, ConstantActionSource(0.5), n_members=5, seed=0)
+        model, steps = train_ensemble(train, valid, lambda state: 0.5, n_members=5, seed=0)
         score = aucprc(model.predict_proba(valid.features), valid.labels)
         assert score == pytest.approx(1.0, abs=1e-9)
 
     def test_trace_length_and_terminal_flag(self):
         train, valid, _ = toy_parts(overlap=0.5)
-        model, steps = train_ensemble(train, valid, ConstantActionSource(0.5), n_members=6, seed=1)
+        model, steps = train_ensemble(train, valid, lambda state: 0.5, n_members=6, seed=1)
         assert len(model) == 6
         assert len(steps) == 5
         assert [s.terminal for s in steps] == [False] * 4 + [True]
@@ -99,30 +104,30 @@ class TestTrainEnsemble:
 
     def test_rewards_telescope_exactly(self):
         train, valid, _ = toy_parts(overlap=0.6, seed=2)
-        _, steps = train_ensemble(train, valid, ConstantActionSource(0.4), n_members=8, seed=3)
+        _, steps = train_ensemble(train, valid, lambda state: 0.4, n_members=8, seed=3)
         total = sum(s.reward for s in steps)
         assert total == steps[-1].auc_after - steps[0].auc_before
 
     def test_states_chain(self):
         train, valid, _ = toy_parts(overlap=0.5)
-        _, steps = train_ensemble(train, valid, ConstantActionSource(0.5), n_members=4, seed=5)
+        _, steps = train_ensemble(train, valid, lambda state: 0.5, n_members=4, seed=5)
         for prev, nxt in zip(steps, steps[1:]):
             assert np.array_equal(prev.next_state, nxt.state)
             assert prev.auc_after == nxt.auc_before
 
     def test_seed_reproducibility(self):
         train, valid, _ = toy_parts(overlap=0.5)
-        m1, s1 = train_ensemble(train, valid, RandomActionSource(3), n_members=5, seed=11)
-        m2, s2 = train_ensemble(train, valid, RandomActionSource(3), n_members=5, seed=11)
+        m1, s1 = train_ensemble(train, valid, uniform_actions(3), n_members=5, seed=11)
+        m2, s2 = train_ensemble(train, valid, uniform_actions(3), n_members=5, seed=11)
         x = valid.features
         assert np.array_equal(m1.predict_proba(x), m2.predict_proba(x))
         assert [a.action for a in s1] == [a.action for a in s2]
 
     def test_fresh_seed_sequences_match_int_seed(self):
         train, valid, _ = toy_parts(overlap=0.5)
-        m1, _ = train_ensemble(train, valid, ConstantActionSource(0.5), n_members=4, seed=21)
+        m1, _ = train_ensemble(train, valid, lambda state: 0.5, n_members=4, seed=21)
         m2, _ = train_ensemble(
-            train, valid, ConstantActionSource(0.5), n_members=4, seed=SeedSequence(21)
+            train, valid, lambda state: 0.5, n_members=4, seed=SeedSequence(21)
         )
         x = valid.features
         assert np.array_equal(m1.predict_proba(x), m2.predict_proba(x))
@@ -131,36 +136,32 @@ class TestTrainEnsemble:
         train, valid, _ = toy_parts(overlap=0.5)
         seen = []
         _, steps = train_ensemble(
-            train, valid, ConstantActionSource(0.5), n_members=5, seed=2, on_step=seen.append
+            train, valid, lambda state: 0.5, n_members=5, seed=2, on_step=seen.append
         )
         assert seen == steps
 
     def test_action_out_of_range_rejected(self):
         train, valid, _ = toy_parts(overlap=0.5)
-
-        class Wild:
-            def action(self, state):
-                return 1.7
-
-        with pytest.raises(ValueError):
-            train_ensemble(train, valid, Wild(), n_members=3, seed=0)
+        for mu in (-0.1, 1.7, float("nan")):
+            with pytest.raises(ValueError, match="outside"):
+                train_ensemble(train, valid, lambda state: mu, n_members=3, seed=0)
 
     def test_feature_width_mismatch_rejected(self):
         train, valid, _ = toy_parts(overlap=0.5)
         bad_valid = make_dataset(np.zeros((4, 3)), [0, 1, 0, 1])
         with pytest.raises(ValueError):
-            train_ensemble(train, bad_valid, ConstantActionSource(0.5), n_members=3, seed=0)
+            train_ensemble(train, bad_valid, lambda state: 0.5, n_members=3, seed=0)
 
     def test_n_members_validated(self):
         train, valid, _ = toy_parts()
         with pytest.raises(ValueError):
-            train_ensemble(train, valid, ConstantActionSource(0.5), n_members=0, seed=0)
+            train_ensemble(train, valid, lambda state: 0.5, n_members=0, seed=0)
 
     @pytest.mark.parametrize("n_members", [True, 2.5, "3.5"])
     def test_non_integer_n_members_rejected(self, n_members):
         train, valid, _ = toy_parts()
         with pytest.raises(ValueError):
-            train_ensemble(train, valid, ConstantActionSource(0.5), n_members=n_members, seed=0)
+            train_ensemble(train, valid, lambda state: 0.5, n_members=n_members, seed=0)
         with pytest.raises(ValueError):
             train_random_ensemble(train, valid, n_members=n_members, seed=0)
 
@@ -168,9 +169,9 @@ class TestTrainEnsemble:
     def test_integral_n_members_accepted(self, n_members):
         train, valid, _ = toy_parts()
         model, steps = train_ensemble(
-            train, valid, ConstantActionSource(0.5), n_members=n_members, seed=0
+            train, valid, lambda state: 0.5, n_members=n_members, seed=0
         )
-        _, ref_steps = train_ensemble(train, valid, ConstantActionSource(0.5), n_members=3, seed=0)
+        _, ref_steps = train_ensemble(train, valid, lambda state: 0.5, n_members=3, seed=0)
         assert len(model) == 3
         assert_same_steps(steps, ref_steps)
         assert len(train_random_ensemble(train, valid, n_members=n_members, seed=0)) == 3
@@ -187,7 +188,7 @@ def rescoring_cascade(train, valid, actions, n_members, learner_factory, seed, s
     auc = aucprc(model.predict_proba(valid.features), valid.labels)
     state = meta_state(model, train, valid, bins)
     for t in range(1, n_members):
-        mu = float(actions.action(state))
+        mu = float(actions(state))
         subset = meta_sample(train, model, mu, sigma, draw_seeds[t])
         members.append(learner_factory().fit(subset))
         model = EnsembleModel(members[: t + 1])
@@ -220,9 +221,9 @@ class TestIncrementalScoring:
     @pytest.mark.parametrize(
         "make_source",
         [
-            lambda: (ConstantActionSource(0.35), 0.2),
-            lambda: (RandomActionSource(13), 0.2),
-            lambda: (ConstantActionSource(FLOOR_MU), FLOOR_SIGMA),
+            lambda: (lambda state: 0.35, 0.2),
+            lambda: (uniform_actions(13), 0.2),
+            lambda: (lambda state: FLOOR_MU, FLOOR_SIGMA),
         ],
         ids=["constant", "random", "all_floor"],
     )
@@ -294,7 +295,7 @@ class TestIncrementalScoring:
             made.append(CountingTree())
             return made[-1]
 
-        train_ensemble(train, valid, RandomActionSource(1), n_members=8, learner_factory=factory, seed=4)
+        train_ensemble(train, valid, uniform_actions(1), n_members=8, learner_factory=factory, seed=4)
         assert [tree.rows_scored for tree in made] == [len(train) + len(valid)] * 8
 
 
@@ -338,7 +339,7 @@ class TestCascadeEdgeCases:
                 return super().fit(subset)
 
         model, steps = train_ensemble(
-            train, valid, RandomActionSource(5), n_members=4, learner_factory=Recording, seed=11
+            train, valid, uniform_actions(5), n_members=4, learner_factory=Recording, seed=11
         )
         assert len(steps) == 3 and len(subsets) == 4
         for step in steps:
@@ -356,7 +357,7 @@ class TestCascadeEdgeCases:
             assert all(n <= available.get(row, 0) for row, n in row_counts(subset).items())
 
         again, again_steps = train_ensemble(
-            train, valid, RandomActionSource(5), n_members=4, seed=11
+            train, valid, uniform_actions(5), n_members=4, seed=11
         )
         assert_same_steps(again_steps, steps)
         assert np.array_equal(again.predict_proba(test.features), scores)

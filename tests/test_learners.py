@@ -11,7 +11,6 @@ from metasampler import (
     random_balanced_subset,
     stratified_split,
 )
-from metasampler.learners import _as_matrix
 from conftest import make_dataset
 
 
@@ -93,11 +92,16 @@ class TestDecisionTree:
         assert tree.depth == 1
         assert tree.predict_proba(np.array(features)).tolist() == [0.0, 1.0]
 
-    def test_single_row_prediction_returns_float(self):
+    def test_one_row_matrix_returns_vector(self):
         tree = fit_tree([[0.0], [4.0]], [0, 1])
-        out = tree.predict_proba(np.array([3.0]))
-        assert isinstance(out, float)
-        assert out == 1.0
+        out = tree.predict_proba(np.array([[3.0]]))
+        assert isinstance(out, np.ndarray)
+        assert out.tolist() == [1.0]
+
+    def test_one_dimensional_input_refused(self):
+        tree = fit_tree([[0.0, 1.0], [4.0, 2.0]], [0, 1])
+        with pytest.raises(ValueError, match="matrix"):
+            tree.predict_proba(np.array([3.0, 1.0]))
 
     def test_feature_width_checked(self):
         tree = fit_tree([[0.0, 1.0], [4.0, 2.0]], [0, 1])
@@ -272,7 +276,9 @@ def reference_predict_proba(tree, features):
     """The level-by-level compacting descent that the row-blocked one replaced, verbatim."""
     if tree.feature is None:
         raise RuntimeError("tree is not fitted")
-    x, single = _as_matrix(features, tree.n_features_in)
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != tree.n_features_in:
+        raise ValueError(f"expected a (rows, {tree.n_features_in}) matrix, got shape {x.shape}")
     node = np.zeros(len(x), dtype=np.intp)
     active = tree.feature[node] != _LEAF
     while active.any():
@@ -281,8 +287,7 @@ def reference_predict_proba(tree, features):
         goes_left = x[rows, tree.feature[cur]] < tree.threshold[cur]
         node[rows] = np.where(goes_left, tree.left[cur], tree.right[cur])
         active[rows] = tree.feature[node[rows]] != _LEAF
-    out = tree.value[node]
-    return float(out[0]) if single else out
+    return tree.value[node]
 
 
 def reference_depth(tree):
@@ -298,11 +303,8 @@ def reference_depth(tree):
 
 def assert_same_bytes(got, want):
     assert type(got) is type(want)
-    if isinstance(want, float):
-        assert np.float64(got).tobytes() == np.float64(want).tobytes()
-    else:
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def mid_toy_rows(n, seed):
@@ -368,12 +370,13 @@ class TestPredictMatchesReference:
         assert_same_bytes(tree.predict_proba(x), reference_predict_proba(tree, x))
 
     @pytest.mark.parametrize("ds", ORACLE_PARAMS[-3:])
-    def test_single_row_returns_python_float(self, ds):
+    def test_one_row_matrices(self, ds):
         tree = DecisionTree().fit(ds)
         for row in ds.features[:20]:
-            got = tree.predict_proba(row)
-            assert type(got) is float
-            assert_same_bytes(got, reference_predict_proba(tree, row))
+            x = row[None, :]
+            got = tree.predict_proba(x)
+            assert got.shape == (1,)
+            assert_same_bytes(got, reference_predict_proba(tree, x))
 
     def test_empty_input(self):
         tree = fit_tree([[0.0], [4.0]], [0, 1])
@@ -389,8 +392,9 @@ class TestGaussianNaiveBayes:
         labels = np.array([0] * 50 + [1] * 50)
         model = GaussianNaiveBayes()
         model.fit(make_dataset(features, labels))
-        assert model.predict_proba(np.array([-5.0])) < 0.01
-        assert model.predict_proba(np.array([5.0])) > 0.99
+        low, high = model.predict_proba(np.array([[-5.0], [5.0]]))
+        assert low < 0.01
+        assert high > 0.99
 
     def test_matches_closed_form_posterior(self, rng):
         features = rng.standard_normal((30, 2))
@@ -409,14 +413,14 @@ class TestGaussianNaiveBayes:
             ll = -0.5 * np.sum(np.log(2.0 * np.pi * var) + (query - mean) ** 2 / var)
             logs[c] = np.log(len(rows) / len(labels)) + ll
         want = 1.0 / (1.0 + np.exp(logs[0] - logs[1]))
-        assert model.predict_proba(query) == pytest.approx(want, abs=1e-12)
+        assert model.predict_proba(query[None, :]).tolist() == [pytest.approx(want, abs=1e-12)]
 
     def test_symmetric_midpoint(self):
         features = np.array([[-2.0], [-1.0], [1.0], [2.0]])
         labels = np.array([0, 0, 1, 1])
         model = GaussianNaiveBayes()
         model.fit(make_dataset(features, labels))
-        assert model.predict_proba(np.array([0.0])) == pytest.approx(0.5, abs=1e-9)
+        assert model.predict_proba(np.array([[0.0]])).tolist() == [pytest.approx(0.5, abs=1e-9)]
 
     def test_zero_variance_feature_no_nan(self):
         features = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
@@ -425,6 +429,11 @@ class TestGaussianNaiveBayes:
         model.fit(make_dataset(features, labels))
         out = model.predict_proba(features)
         assert np.all(np.isfinite(out))
+
+    def test_one_dimensional_input_refused(self):
+        model = GaussianNaiveBayes().fit(make_dataset([[0.0, 1.0], [4.0, 2.0]], [0, 1]))
+        with pytest.raises(ValueError, match="matrix"):
+            model.predict_proba(np.array([3.0, 1.0]))
 
     def test_single_class_rejected(self):
         ds = make_dataset([[0.0], [1.0], [2.0]], [0, 0, 1])

@@ -524,7 +524,14 @@ class TestPolicyActionSource:
         state = rng.random(10)
         a = PolicyActionSource(sampler, seed=4)
         b = PolicyActionSource(sampler, seed=4)
-        assert [a.action(state) for _ in range(5)] == [b.action(state) for _ in range(5)]
+        assert [a(state) for _ in range(5)] == [b(state) for _ in range(5)]
+
+    def test_calls_draw_like_sample_action_on_one_generator(self, rng):
+        sampler = random_sampler(5, 0.2, seed=0)
+        states = rng.random((5, 10))
+        source = PolicyActionSource(sampler, seed=4)
+        gen = as_generator(4)
+        assert [source(s) for s in states] == [sample_action(sampler, s, gen)[0] for s in states]
 
 
 class TestScoreArms:
@@ -570,6 +577,18 @@ class TestScoreArms:
             self.scores(task, [("p", "policy", None)])
         with pytest.raises(ValueError, match="distinct"):
             self.scores(task, [("a", "constant", None), ("a", "random-sampling", None)])
+
+    @pytest.mark.parametrize("mu", [-0.1, 1.5, float("nan")])
+    def test_constant_arm_refuses_mu_outside_unit_interval_before_any_split(
+        self, task, mu, monkeypatch
+    ):
+        def no_split(*args, **kwargs):
+            raise AssertionError("split before the arms were checked")
+
+        monkeypatch.setattr("metasampler.sac.stratified_split", no_split)
+        # one member takes no action, so only the arm check can refuse mu
+        with pytest.raises(ValueError, match="mu must be in"):
+            score_arms(task, SplitSpec(), self.SEEDS, [("c", "constant", None)], n_members=1, mu=mu)
 
 
 class TestSamplerIO:
