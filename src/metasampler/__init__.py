@@ -45,6 +45,7 @@ from .neural import (
     mlp_backward,
     mlp_forward,
     mlp_from_document,
+    mlp_input_grad,
     mlp_to_document,
     soft_update,
 )
@@ -113,6 +114,7 @@ __all__ = [
     "mlp_backward",
     "mlp_forward",
     "mlp_from_document",
+    "mlp_input_grad",
     "mlp_to_document",
     "random_balanced_subset",
     "random_sampler",

@@ -157,9 +157,10 @@ def load_csv(path, label_column="label") -> LabeledDataset:
 
     Two paths read the rows, and both return the arrays `float()` makes of
     each cell. The fast one hands the text after the header to numpy's C
-    reader in one call. Its array stands only when it has one row per line
-    below the header and every label is 0 or 1, every feature finite and both
-    classes present. Any other file, invalid or not, goes to
+    reader in one call, unless some run between separators is longer than
+    csv's field size limit. Its array stands only when it has one row per
+    line below the header and every label is 0 or 1, every feature finite and
+    both classes present. Any other file, invalid or not, goes to
     `_load_csv_rows`, the row-by-row reference path, which returns the
     dataset or raises the error of the file's first fault (DataError for
     text that csv cannot read, such as a cell over its field size limit).
@@ -216,21 +217,54 @@ def _c_reader_rows(path: Path) -> int:
     cells, and it joins a quoted line break into one row, as csv does; either
     leaves it fewer rows than this count. So a C-reader array with exactly
     this many rows holds csv's rows. Returns 0 (no usable count) for a file
-    holding a byte in _SEPARATOR_BYTES.
+    holding a byte in _SEPARATOR_BYTES, and for one with a run of more than
+    `csv.field_size_limit()` bytes between separators: a cell that long is a
+    fault csv reports and numpy's reader does not.
     """
-    ends, last = 0, b""
+    ends, last, offset, longest_line, line_start = 0, b"", 0, 0, 0
     with path.open("rb") as fh:
         while chunk := fh.read(_CHUNK_BYTES):
             if any(byte in chunk for byte in _SEPARATOR_BYTES):
                 return 0
-            ends += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+            at = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n")) + offset
+            ends += len(at)
+            longest_line, line_start = _longest_run(at, longest_line, line_start)
             if b"\r" in chunk:
                 ends += chunk.count(b"\r") - chunk.count(b"\r\n")
             if last == b"\r" and chunk.startswith(b"\n"):
                 ends -= 1  # a \r\n split between two chunks
             last = chunk[-1:]
+            offset += len(chunk)
+    limit = csv.field_size_limit()
+    # no cell is longer than its line, so most files need no second pass
+    if max(longest_line, offset - line_start) > limit and _longest_cell(path) > limit:
+        return 0
     lines = ends + (last not in (b"", b"\n", b"\r"))
     return max(lines - 1, 0)
+
+
+def _longest_run(at, longest, start):
+    """(longest, start) updated by the next ascending separator offsets `at`.
+
+    `start` is the offset just after the last separator seen, and `longest`
+    the most bytes seen between two separators.
+    """
+    if len(at):
+        longest = max(longest, int(at[0]) - start, int(np.diff(at).max(initial=1)) - 1)
+        start = int(at[-1]) + 1
+    return longest, start
+
+
+def _longest_cell(path: Path) -> int:
+    """Most bytes in `path` between two separators (comma, \\n, \\r) or a file end."""
+    longest, start, offset = 0, 0, 0
+    with path.open("rb") as fh:
+        while chunk := fh.read(_CHUNK_BYTES):
+            buf = np.frombuffer(chunk, np.uint8)
+            at = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")) | (buf == ord("\r")))
+            longest, start = _longest_run(at + offset, longest, start)
+            offset += len(chunk)
+    return max(longest, offset - start)
 
 
 def _label_index(header, label_column):

@@ -50,22 +50,27 @@ class DecisionTree:
     row sets are disjoint, so its blocks total at most ``n * d`` ids. Each
     stack entry carries its level, so ``fit`` records ``depth``.
 
-    ``fit`` ends by deriving the one traversal table of ``predict_proba``
-    from the public node arrays: a ``(nodes, 2)`` child table, held flat,
-    whose row ``node`` lists the right child, then the left one. A leaf
-    points to itself on both sides, so a row that reaches a leaf stays
-    there whatever it compares; ``feature`` and ``threshold`` serve as they
-    are, a leaf's -1 feature reading the value just before the row's own,
-    which the self-loop ignores. ``predict_proba`` walks blocks of at most
-    8,192 rows (``_PREDICT_BLOCK``) for exactly ``depth`` levels. A level
-    is a few whole-block operations: gather each row's split feature and
-    value, gather the threshold, compare, and step to entry
-    ``2 * node + (value < threshold)`` of the child table. Finished rows
-    are not compacted away, so nothing is scattered back. Each float64 or
-    intp temporary of a block is 64 KiB, below glibc's default 128 KiB
-    mmap threshold, so no level maps and faults in fresh pages. Every row
-    lands in the leaf that following ``left``/``right`` node by node
-    reaches, a NaN value going right.
+    ``fit`` ends by deriving the three tables of ``predict_proba`` from the
+    public node arrays, indexed by the doubled id ``s = 2 * node``. Entry
+    ``s + (value < threshold)`` of ``_children`` is the doubled id of the
+    right child, then of the left one, and a leaf points to itself on both
+    sides, so a row that reaches a leaf stays there whatever it compares.
+    ``_feature2`` and ``_threshold2`` repeat each node's ``feature`` and
+    ``threshold`` twice, so entry ``s`` holds node ``s >> 1``'s. A leaf's
+    -1 feature reads the value just before the row's own, which the
+    self-loop ignores. ``predict_proba`` walks blocks of at most 8,192 rows
+    (``_PREDICT_BLOCK``) for exactly ``depth`` levels. A level is five
+    whole-block steps: gather each row's split feature, offset it to the
+    row's cell, compare the gathered value with the gathered threshold, add
+    the result to ``s``, and gather ``s``'s child. Each gather is a 1-D
+    ``take`` with ``mode="clip"``, which is faster than a fancy index and
+    changes nothing: every index is in range except a leaf's ``-1 + 0`` on
+    a block's first row, whose read the self-loop discards. A block ends
+    with ``value.take(s >> 1)``. Finished rows are not compacted away, so
+    nothing is scattered back. Each float64 or intp temporary of a block is
+    64 KiB, below glibc's default 128 KiB mmap threshold, so no level maps
+    and faults in fresh pages. Every row lands in the leaf that following
+    ``left``/``right`` node by node reaches, a NaN value going right.
     """
 
     def __init__(self):
@@ -140,10 +145,12 @@ class DecisionTree:
         self.depth = depth
         split = self.feature != _LEAF
         nodes = np.arange(len(feature))
-        # row 2 * node + (value < threshold): the right child, then the left one
-        self._children = np.stack(
+        # entry s + (value < threshold) of doubled id s = 2 * node: the right child, then the left
+        self._children = 2 * np.stack(
             [np.where(split, self.right, nodes), np.where(split, self.left, nodes)], axis=1
         ).ravel()
+        self._feature2 = np.repeat(self.feature, 2)
+        self._threshold2 = np.repeat(self.threshold, 2)
         return self
 
     def predict_proba(self, features):
@@ -152,18 +159,19 @@ class DecisionTree:
         x = _as_matrix(features, self.n_features_in)
         out = np.empty(len(x))
         row_offsets = np.arange(min(len(x), _PREDICT_BLOCK)) * x.shape[1]
+        children, feature2, threshold2 = self._children, self._feature2, self._threshold2
         for start in range(0, len(x), _PREDICT_BLOCK):
             rows = x[start : start + _PREDICT_BLOCK]
             flat, offsets = rows.ravel(), row_offsets[: len(rows)]
-            node = np.zeros(len(rows), dtype=np.intp)
+            s = np.zeros(len(rows), dtype=np.intp)  # doubled node ids
             for _ in range(self.depth):
-                at = self.feature[node]  # a leaf's -1 reads a value its self-loop ignores
+                # a leaf's -1 feature reads a value its self-loop ignores
+                at = feature2.take(s, mode="clip")
                 at += offsets
-                goes_left = flat[at] < self.threshold[node]
-                node += node
-                node += goes_left
-                node = self._children[node]
-            out[start : start + len(rows)] = self.value[node]
+                goes_left = flat.take(at, mode="clip") < threshold2.take(s, mode="clip")
+                s += goes_left
+                s = children.take(s, mode="clip")
+            out[start : start + len(rows)] = self.value.take(s >> 1)
         return out
 
 

@@ -98,7 +98,9 @@ def mlp_forward(net: Mlp, x):
 def mlp_backward(net: Mlp, acts, grad_output):
     """Backpropagate an output gradient through the activations of a forward pass.
 
-    Returns (grads, grad_input) where grads is one flat vector laid out like net.params.
+    Returns the parameter gradient as one flat vector laid out like
+    net.params; the gradient of the input, which no parameter needs, is
+    not formed (see `mlp_input_grad`).
     """
     g = np.asarray(grad_output, dtype=np.float64)
     grads = np.empty_like(net.params)
@@ -108,8 +110,23 @@ def mlp_backward(net: Mlp, acts, grad_output):
             g = g * (acts[layer + 1] > 0.0)  # relu: max(0, z) > 0 exactly where z > 0
         np.matmul(acts[layer].T, g, out=grad_weights[layer])
         g.sum(axis=0, out=grad_biases[layer])
+        if layer:
+            g = g @ net.weights[layer].T
+    return grads
+
+
+def mlp_input_grad(net: Mlp, acts, grad_output):
+    """Backpropagate an output gradient to the input of a forward pass, skipping parameters.
+
+    The same products as `mlp_backward`'s input chain, so the (batch, in)
+    result has the bits a full backward pass would give.
+    """
+    g = np.asarray(grad_output, dtype=np.float64)
+    for layer in reversed(range(len(net.weights))):
+        if layer < len(net.weights) - 1:
+            g = g * (acts[layer + 1] > 0.0)
         g = g @ net.weights[layer].T
-    return grads, g
+    return g
 
 
 @dataclass

@@ -36,6 +36,7 @@ from .neural import (
     mlp_backward,
     mlp_forward,
     mlp_from_document,
+    mlp_input_grad,
     mlp_to_document,
     soft_update,
 )
@@ -284,8 +285,7 @@ def policy_loss_and_grads(policy: Mlp, q_net: Mlp, states, eps, alpha: float):
     loss = float(np.mean(alpha * sample["log_prob"] - q_vals))
 
     # d(loss)/d(action) via the critic's input gradient
-    _, q_input_grad = mlp_backward(q_net, q_acts, np.full((n, 1), -1.0 / n))
-    dloss_daction = q_input_grad[:, -1]
+    dloss_daction = mlp_input_grad(q_net, q_acts, np.full((n, 1), -1.0 / n))[:, -1]
 
     tanh_u = sample["tanh_u"]
     dact_du = 0.5 * (1.0 - tanh_u * tanh_u)
@@ -294,7 +294,7 @@ def policy_loss_and_grads(policy: Mlp, q_net: Mlp, states, eps, alpha: float):
     dloss_dlogstd = -alpha / n + dloss_du * sample["std"] * eps
     clamp_active = (sample["raw_log_std"] > LOG_STD_MIN) & (sample["raw_log_std"] < LOG_STD_MAX)
     head_grads = np.column_stack((dloss_dmean, dloss_dlogstd * clamp_active))
-    grads, _ = mlp_backward(policy, sample["acts"], head_grads)
+    grads = mlp_backward(policy, sample["acts"], head_grads)
     aux = {"actions": sample["actions"], "log_prob": sample["log_prob"], "q_values": q_vals}
     return loss, grads, aux
 
@@ -304,7 +304,7 @@ def v_loss_and_grads(v_net: Mlp, states, v_targets):
     v_pred, acts = mlp_forward(v_net, states)
     diff = v_pred[:, 0] - v_targets
     loss = 0.5 * float(np.mean(diff * diff))
-    grads, _ = mlp_backward(v_net, acts, (diff / diff.size)[:, None])
+    grads = mlp_backward(v_net, acts, (diff / diff.size)[:, None])
     return loss, grads
 
 

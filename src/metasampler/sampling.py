@@ -132,14 +132,20 @@ def sample_from_errors(
     """Balanced subset: all minority rows plus |P| majority rows drawn by error proximity.
 
     `majority_errors` holds the current ensemble error of each majority row,
-    in the order of `train.majority_indices`. Majority rows are weighted with
-    a Gaussian centered at mu over these errors (floored at 1e-12 before
-    normalization) and drawn without replacement. If the majority is not
-    larger than the minority the whole dataset is returned unchanged.
+    in the order of `train.majority_indices`; any other shape raises
+    ValueError. Majority rows are weighted with a Gaussian centered at mu
+    over these errors (floored at 1e-12 before normalization) and drawn
+    without replacement. If the majority is not larger than the minority the
+    whole dataset is returned unchanged.
     """
     p_idx, n_idx = train.minority_indices, train.majority_indices
     if len(p_idx) == 0 or len(n_idx) == 0:
         raise SingleClassError("meta-sampling needs both classes")
+    if np.shape(majority_errors) != n_idx.shape:
+        raise ValueError(
+            f"need one error per majority row, shape {n_idx.shape},"
+            f" got {np.shape(majority_errors)}"
+        )
     if len(n_idx) <= len(p_idx):
         return train
     rng = as_generator(seed)

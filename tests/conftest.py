@@ -169,6 +169,44 @@ def per_row_save_csv(ds: LabeledDataset, path, label_column="label") -> None:
             writer.writerow([repr(float(v)) for v in row] + [int(label)])
 
 
+def forward_only(net, x):
+    """Output of a relu...linear network on a (batch, in) matrix, forward products only.
+
+    The same matrix products as `mlp_forward`, without its input checks, its
+    kept activations and its finiteness check: what a finite-difference
+    closure needs, evaluated thousands of times per case.
+    """
+    a = x
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        a = np.maximum(0.0, a @ w + b)
+    return a @ net.weights[-1] + net.biases[-1]
+
+
+def regression_loss(net, x, targets):
+    """0.5 * mean((net(x) - targets)^2): the value loss, and the critic loss at fixed targets."""
+    diff = forward_only(net, x)[:, 0] - targets
+    return 0.5 * float(np.mean(diff * diff))
+
+
+def q_targets(target_v, batch, gamma):
+    """The critic's regression targets r + gamma * (1 - terminal) * V_target(s'); no q in them."""
+    v_next = forward_only(target_v, batch.next_states)[:, 0]
+    return batch.rewards + gamma * (1.0 - batch.terminals) * v_next
+
+
+def policy_loss(policy, q_net, states, eps, alpha):
+    """mean(alpha * log pi(a|s) - Q(s, a)) for the squashed reparameterized actions of `eps`."""
+    heads = forward_only(policy, states)
+    log_std = np.clip(heads[:, 1], LOG_STD_MIN, LOG_STD_MAX)
+    u = heads[:, 0] + np.exp(log_std) * eps
+    actions = 0.5 * (np.tanh(u) + 1.0)
+    # log(da/du) = log(0.5 * (1 - tanh(u)^2)) = log 2 - 2u - 2 softplus(-2u), stable in u
+    log_jacobian = math.log(2.0) - 2.0 * u - 2.0 * np.logaddexp(0.0, -2.0 * u)
+    log_prob = -0.5 * eps * eps - log_std - 0.5 * math.log(2.0 * math.pi) - log_jacobian
+    q = forward_only(q_net, np.column_stack((states, actions)))[:, 0]
+    return float(np.mean(alpha * log_prob - q))
+
+
 def fd_param_gradients(loss_fn, params, h=1e-5):
     """Central finite differences of a scalar loss over every parameter entry."""
     grads = []

@@ -4,7 +4,7 @@ One test per shipped guarantee, ordered from arithmetic oracles up to the
 desk-scale experiments. Each test prints a single PASS line with its measured
 numbers, so `pytest -v -s tests/test_acceptance.py` doubles as the acceptance
 report. The experiment tests (7-9) train real samplers at the full reference
-budget and take a few minutes together.
+budget and take about half a minute together on a 2-core VM.
 """
 import time
 
@@ -46,8 +46,12 @@ from conftest import (
     brute_average_precision,
     brute_histogram,
     fd_param_gradients,
+    forward_only,
     make_dataset,
     max_relative_error,
+    policy_loss,
+    q_targets,
+    regression_loss,
 )
 
 MID_TOY = ToySpec(n_majority=2000, n_minority=200, overlap=0.7, seed=11)
@@ -147,6 +151,10 @@ def relu_kink_margin(net, x):
     )
 
 
+def assert_same_loss(library, oracle):
+    assert abs(library - oracle) <= 1e-12 * abs(library), (library, oracle)
+
+
 def test_criterion_02_gradients_match_finite_differences():
     t0 = time.perf_counter()
     rng = np.random.default_rng(202)
@@ -162,11 +170,11 @@ def test_criterion_02_gradients_match_finite_differences():
         y = rng.standard_normal((2, sizes[-1]))
 
         def loss(net=net, x=x, y=y):
-            out, _ = mlp_forward(net, x)
-            return 0.5 * float(np.sum((out - y) ** 2))
+            return 0.5 * float(np.sum((forward_only(net, x) - y) ** 2))
 
         out, acts = mlp_forward(net, x)
-        analytic, _ = mlp_backward(net, acts, out - y)
+        assert_same_loss(0.5 * float(np.sum((out - y) ** 2)), loss())
+        analytic = mlp_backward(net, acts, out - y)
         numeric = fd_param_gradients(loss, [net.params])
         # central differences carry ~1e-10 absolute roundoff (ulp(loss)/2h),
         # so entries below noise/rtol = 1e-6 cannot be certified to 1e-4
@@ -206,25 +214,26 @@ def test_criterion_02_gradients_match_finite_differences():
         target_v = v.copy()
         v_targets = rng.standard_normal(8)
 
-        analytic = q_loss_and_grads(q, target_v, batch, gamma=0.99)[1]
+        # each closure evaluates its loss through the forward-only oracle, which
+        # must equal the library's loss at the unperturbed point
+        q_in = np.column_stack((batch.states, batch.actions))
+        targets = q_targets(target_v, batch, gamma=0.99)  # constant in q
+        library_loss, analytic = q_loss_and_grads(q, target_v, batch, gamma=0.99)
+        assert_same_loss(library_loss, regression_loss(q, q_in, targets))
+        numeric = fd_param_gradients(lambda q=q: regression_loss(q, q_in, targets), [q.params])
+        worst_loss = max(worst_loss, max_relative_error([analytic], numeric))
+
+        library_loss, analytic = v_loss_and_grads(v, batch.states, v_targets)
+        assert_same_loss(library_loss, regression_loss(v, batch.states, v_targets))
         numeric = fd_param_gradients(
-            lambda q=q: q_loss_and_grads(q, target_v, batch, gamma=0.99)[0],
-            [q.params],
+            lambda v=v: regression_loss(v, batch.states, v_targets), [v.params]
         )
         worst_loss = max(worst_loss, max_relative_error([analytic], numeric))
 
-        analytic = v_loss_and_grads(v, batch.states, v_targets)[1]
+        library_loss, analytic, _ = policy_loss_and_grads(policy, q, batch.states, eps, alpha=0.1)
+        assert_same_loss(library_loss, policy_loss(policy, q, batch.states, eps, alpha=0.1))
         numeric = fd_param_gradients(
-            lambda v=v: v_loss_and_grads(v, batch.states, v_targets)[0],
-            [v.params],
-        )
-        worst_loss = max(worst_loss, max_relative_error([analytic], numeric))
-
-        analytic = policy_loss_and_grads(policy, q, batch.states, eps, alpha=0.1)[1]
-        numeric = fd_param_gradients(
-            lambda policy=policy: policy_loss_and_grads(
-                policy, q, batch.states, eps, alpha=0.1
-            )[0],
+            lambda policy=policy: policy_loss(policy, q, batch.states, eps, alpha=0.1),
             [policy.params],
         )
         worst_loss = max(worst_loss, max_relative_error([analytic], numeric))

@@ -632,22 +632,29 @@ class TestUnreadableInputs:
         assert err.startswith("configuration error") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("kind", ["directory", "not-utf8", "cell-over-csv-limit"])
+    @pytest.mark.parametrize(
+        "kind", ["directory", "not-utf8", "cell-over-csv-limit", "finite-cell-over-csv-limit"]
+    )
     def test_task_csv(self, tmp_path, capsys, task_csv, kind):
         task = tmp_path / "task.csv"
+        text = task_csv.read_text()
         if kind == "directory":
             task.mkdir()
         elif kind == "not-utf8":
-            self.not_utf8(task, task_csv.read_text())
-        else:  # the first column's name is longer than csv's 131,072-character field limit
-            text = task_csv.read_text()
+            self.not_utf8(task, text)
+        elif kind == "cell-over-csv-limit":
+            # the first column's name is longer than csv's 131,072-character field limit
             task.write_text("x" * 140_000 + text[text.index(","):])
+        else:  # so is the first feature cell, though it reads as a finite 0.0...01
+            body = text.index("\n") + 1
+            cell = "0." + "0" * 140_000 + "1"
+            task.write_text(text[:body] + cell + text[text.index(",", body):])
         out = tmp_path / "out"
         argv = ["train", str(task), "--mode", "random-sampling", "--seed", "0"]
         assert main([*argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error") and err.count("\n") == 1
-        assert ("cannot read as CSV" in err) == (kind == "cell-over-csv-limit")
+        assert ("cannot read as CSV" in err) == kind.endswith("cell-over-csv-limit")
         assert not out.exists()
 
     def test_task_csv_without_feature_columns(self, tmp_path, capsys):

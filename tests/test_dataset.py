@@ -99,19 +99,22 @@ class TestLoadCsv:
             load_csv(path)
 
     # csv refuses a cell over its field size limit (131,072 characters); this
-    # header cell or this feature cell (which float() reads as inf) is one
+    # header cell, this feature cell (which float() reads as inf) or this
+    # finite one (which numpy's C reader would read as 0.0) is one
     @pytest.mark.parametrize(
         "text",
         [
             "a" * 140_000 + ",label\n1,0\n2,1\n3,0\n",
             "a,label\n1" + "0" * 140_000 + ",0\n2,1\n3,0\n",
+            "a,label\n0." + "0" * 140_000 + "1,0\n2,1\n3,0\n",
         ],
-        ids=["header", "feature"],
+        ids=["header", "feature", "finite-feature"],
     )
     def test_cell_over_csv_field_limit(self, tmp_path, text):
         path = write(tmp_path, text)
-        with pytest.raises(DataError, match="cannot read as CSV"):
-            load_csv(path)
+        for load in (load_csv, lambda path: _load_csv_rows(path, "label")):
+            with pytest.raises(DataError, match="cannot read as CSV"):
+                load(path)
 
     def test_label_column_by_name_and_position(self, tmp_path):
         path = write(tmp_path, "y,a\n0,1\n1,2\n0,3\n")
@@ -396,6 +399,33 @@ class TestCReaderRows:
         path = write(tmp_path, "a,label\r1,0\n\n2,1\n3,0\n")
         with pytest.raises(FeatureParseError, match="row 3 has 0 cells, expected 2"):
             load_csv(path)
+
+    # cells of up to 8 bytes pass a limit of 8, 9 bytes do not, wherever they sit
+    FIELD_LIMIT_TEXTS = [
+        "a,b\n12345678,1\n",
+        "a,b\n123456789,1\n",
+        "a,b\n1,123456789",
+        "a,b\r\n1,2\r\n123456789\r\n",
+        "a,b\r1,2\r123456789\r",
+        "a,b,c,d,e\n1,2,3,4,5\n6,7,8,9,0\n",  # lines over the limit, short cells
+        "abcdefghi,b\n1,2\n",
+    ]
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 2, 3, 5, 1 << 20])
+    def test_cell_over_the_field_limit_gives_no_count(self, tmp_path, monkeypatch, chunk_bytes):
+        monkeypatch.setattr(dataset, "_CHUNK_BYTES", chunk_bytes)
+        old_limit = csv.field_size_limit(8)
+        try:
+            for text in self.FIELD_LIMIT_TEXTS:
+                path = write(tmp_path, text)
+                try:
+                    records = list(csv.reader(io.StringIO(text, newline="")))
+                except csv.Error:
+                    assert _c_reader_rows(path) == 0, text
+                else:
+                    assert _c_reader_rows(path) == len(records) - 1, text
+        finally:
+            csv.field_size_limit(old_limit)
 
     def test_separator_bytes_give_no_count(self, tmp_path):
         path = write(tmp_path, "a,label\n1\x1c,0\n2,1\n3,0\n")

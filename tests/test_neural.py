@@ -15,6 +15,7 @@ from metasampler import (
     mlp_backward,
     mlp_forward,
     mlp_from_document,
+    mlp_input_grad,
     mlp_to_document,
     soft_update,
 )
@@ -83,7 +84,8 @@ class TestBackward:
         net = tiny_net(0.3, 0.1)
         x = np.array([[2.5]])
         _, acts = mlp_forward(net, x)
-        grads, grad_in = mlp_backward(net, acts, np.array([[1.0]]))
+        grads = mlp_backward(net, acts, np.array([[1.0]]))
+        grad_in = mlp_input_grad(net, acts, np.array([[1.0]]))
         assert grads[0] == 2.5            # dL/dw = x
         assert grads[1] == 1.0            # dL/db
         assert grad_in[0, 0] == 0.3       # dL/dx = w
@@ -92,7 +94,8 @@ class TestBackward:
         # one relu unit (w = 1, b = 0) feeding a linear head (w = 1, b = 0)
         net = Mlp([1, 1, 1], np.array([1.0, 0.0, 1.0, 0.0]))
         _, acts = mlp_forward(net, np.array([[-2.0]]))
-        grads, grad_in = mlp_backward(net, acts, np.array([[1.0]]))
+        grads = mlp_backward(net, acts, np.array([[1.0]]))
+        grad_in = mlp_input_grad(net, acts, np.array([[1.0]]))
         assert grads[0] == 0.0
         assert grads[1] == 0.0
         assert grad_in[0, 0] == 0.0
@@ -107,7 +110,7 @@ class TestBackward:
             return 0.5 * float(np.sum((out - y) ** 2))
 
         out, acts = mlp_forward(net, x)
-        analytic, _ = mlp_backward(net, acts, out - y)
+        analytic = mlp_backward(net, acts, out - y)
         numeric = fd_param_gradients(loss, [net.params])
         assert max_relative_error([analytic], numeric) < 1e-5
 
@@ -116,11 +119,11 @@ class TestBackward:
         x = rng.standard_normal((4, 3))
         g = rng.standard_normal((4, 2))
         _, acts = mlp_forward(net, x)
-        batch_grads, _ = mlp_backward(net, acts, g)
+        batch_grads = mlp_backward(net, acts, g)
         summed = np.zeros_like(net.params)
         for i in range(4):
             _, row_acts = mlp_forward(net, x[i:i + 1])
-            row_grads, _ = mlp_backward(net, row_acts, g[i:i + 1])
+            row_grads = mlp_backward(net, row_acts, g[i:i + 1])
             summed += row_grads
         assert max_relative_error([batch_grads], [summed]) < 1e-10
 
@@ -354,7 +357,7 @@ class TestFlatLayout:
         net = init_mlp([2, 3, 1], seed=1)
         x = rng.standard_normal((4, 2))
         _, acts = mlp_forward(net, x)
-        grads, _ = mlp_backward(net, acts, np.ones((4, 1)))
+        grads = mlp_backward(net, acts, np.ones((4, 1)))
         assert grads.shape == net.params.shape
         # last layer: dL/dW2 = sum over rows of hidden activations, dL/db2 = rows
         hidden = np.maximum(0.0, x @ net.weights[0] + net.biases[0])
@@ -523,7 +526,7 @@ def assert_passes_match_reference(net, x, g_out):
     assert acts[0].tobytes() == cache["inputs"][0].tobytes()
     for got, want in zip(acts[1:], cache["post"]):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    flat, flat_in = mlp_backward(net, acts, g_out)
+    flat, flat_in = mlp_backward(net, acts, g_out), mlp_input_grad(net, acts, g_out)
     expected, expected_in = reference_mlp_backward(ref, cache, g_out)
     for got, want in zip(as_list(net, flat), expected):
         assert got.tobytes() == want.tobytes()
@@ -563,7 +566,7 @@ class TestFlatMatchesListOracle:
         x = rng.standard_normal((int(rng.integers(1, 9)), sizes[0]))
         g_out = rng.standard_normal((len(x), sizes[-1]))
         _, acts = mlp_forward(net, x)
-        flat, flat_in = mlp_backward(net, acts, g_out)
+        flat, flat_in = mlp_backward(net, acts, g_out), mlp_input_grad(net, acts, g_out)
         _, cache = reference_mlp_forward(reference_net(net), x)
         expected, expected_in = reference_mlp_backward(reference_net(net), cache, g_out)
         for got, want in zip(as_list(net, flat), expected):
@@ -614,7 +617,7 @@ class TestFlatMatchesListOracle:
             x = rng.random((64, 10))
             y = rng.standard_normal(64)
             out, acts = mlp_forward(net, x)
-            grads, _ = mlp_backward(net, acts, ((out[:, 0] - y) / 64)[:, None])
+            grads = mlp_backward(net, acts, ((out[:, 0] - y) / 64)[:, None])
             ref_out, ref_cache = reference_mlp_forward(reference_net(ref), x)
             ref_grads, _ = reference_mlp_backward(
                 reference_net(ref), ref_cache, ((ref_out[:, 0] - y) / 64)[:, None]

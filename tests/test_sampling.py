@@ -12,7 +12,7 @@ from metasampler import (
     meta_state,
     random_balanced_subset,
 )
-from metasampler.sampling import WEIGHT_FLOOR, _sequential_weighted_draw
+from metasampler.sampling import WEIGHT_FLOOR, _sequential_weighted_draw, sample_from_errors
 from conftest import FixedModel, brute_histogram, make_dataset
 
 
@@ -171,6 +171,34 @@ class TestMetaSample:
         model = FixedModel(ds.features, np.zeros(30))
         with pytest.raises(SingleClassError):
             meta_sample(ds.subset(ds.majority_indices[:4].tolist() + [4, 5]), model, 0.5, 0.2, 0)
+
+
+class TestSampleFromErrors:
+    def make_task(self):
+        # majority rows 0..199 (label 0), minority rows 200..219 (label 1)
+        features = np.arange(220, dtype=np.float64)[:, None]
+        return make_dataset(features, [0] * 200 + [1] * 20)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (150,),  # would draw only from the first 150 majority rows
+            (5,),  # fewer errors than picks: would repeat rows
+            (230,),  # would index past the majority
+            (200, 1),
+            (),
+        ],
+        ids=["150", "5", "230", "200x1", "scalar"],
+    )
+    def test_other_shapes_refused(self, shape):
+        ds = self.make_task()
+        with pytest.raises(ValueError, match="one error per majority row"):
+            sample_from_errors(ds, np.full(shape, 0.5), mu=0.5, sigma=0.2, seed=0)
+
+    def test_refused_before_the_small_majority_shortcut(self):
+        ds = make_dataset(np.arange(6, dtype=np.float64)[:, None], [0, 0, 0, 1, 1, 1])
+        with pytest.raises(ValueError, match="one error per majority row"):
+            sample_from_errors(ds, np.zeros(2), mu=0.5, sigma=0.2, seed=0)
 
 
 def cumsum_draw(weights, n_pick, rng):
