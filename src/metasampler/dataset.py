@@ -32,17 +32,32 @@ ARC_NOISE = 0.05
 BLOB_STD = 0.15
 BLOB_DIRECTION = math.pi / 4
 
+# dtype kinds a dataset accepts: bool, signed and unsigned integer, real float
+_REAL_KINDS = "biuf"
+
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Immutable (features, labels) pair with labels in {0, 1}."""
+    """Immutable (features, labels) pair with labels in {0, 1}.
+
+    Features are stored as float64 and labels as int8, one byte per row, so a
+    row of d features costs 8·d + 1 bytes. Both arrays are contiguous and
+    read-only. The given arrays are checked before they are cast: features
+    must have a bool, integer or real-float dtype, labels too, and every
+    label must equal 0 or 1. Anything else (a label of 0.5 or 256, a string
+    label, a complex feature) is a ValueError, never a silent rounding.
+    """
 
     features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        features = np.ascontiguousarray(self.features, dtype=np.float64)
-        labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+        features, labels = np.asarray(self.features), np.asarray(self.labels)
+        if features.dtype.kind not in _REAL_KINDS:
+            raise ValueError(f"features must be real numbers, got dtype {features.dtype}")
+        if labels.dtype.kind not in _REAL_KINDS:
+            raise ValueError(f"labels must be 0 or 1, got dtype {labels.dtype}")
+        features = np.ascontiguousarray(features, dtype=np.float64)
         if features.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {features.shape}")
         n, d = features.shape
@@ -56,6 +71,7 @@ class LabeledDataset:
             raise ValueError("features contain non-finite values")
         if not np.isin(labels, (0, 1)).all():
             raise ValueError("labels must be 0 or 1")
+        labels = np.ascontiguousarray(labels, dtype=np.int8)
         features.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "features", features)
@@ -199,7 +215,7 @@ def load_csv(path, label_column="label") -> LabeledDataset:
             and np.isfinite(features).all()
             and 0 < np.count_nonzero(labels) < len(labels)
         ):
-            return LabeledDataset(features, labels.astype(np.int64))
+            return LabeledDataset(features, labels.astype(np.int8))
     return _load_csv_rows(path, label_column)
 
 
@@ -313,7 +329,7 @@ def _load_csv_rows(path: Path, label_column) -> LabeledDataset:
 
     width = len(header)
     features = np.empty((len(data), width - 1), dtype=np.float64)
-    labels = np.empty(len(data), dtype=np.int64)
+    labels = np.empty(len(data), dtype=np.int8)
     for i, row in enumerate(data):
         if len(row) != width:
             raise FeatureParseError(f"{path}: row {i + 2} has {len(row)} cells, expected {width}")
@@ -424,7 +440,7 @@ def make_toy(spec: ToySpec) -> LabeledDataset:
 
     features = np.vstack((majority, minority))
     labels = np.concatenate(
-        (np.zeros(spec.n_majority, dtype=np.int64), np.ones(spec.n_minority, dtype=np.int64))
+        (np.zeros(spec.n_majority, dtype=np.int8), np.ones(spec.n_minority, dtype=np.int8))
     )
     return LabeledDataset(features, labels)
 

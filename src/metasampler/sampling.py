@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .dataset import LabeledDataset
-from .errors import SingleClassError
+from .errors import NumericalError, SingleClassError
 from .metrics import classification_errors
 from .rng import as_generator
 
@@ -135,8 +135,10 @@ def sample_from_errors(
     in the order of `train.majority_indices`; any other shape raises
     ValueError. Majority rows are weighted with a Gaussian centered at mu
     over these errors (floored at 1e-12 before normalization) and drawn
-    without replacement. If the majority is not larger than the minority the
-    whole dataset is returned unchanged.
+    without replacement. A Gaussian whose peak 1 / (sigma sqrt(2 pi)) is
+    not finite (a subnormal sigma), or weights whose sum is not, raise
+    NumericalError: no row could be weighted. If the majority is not larger
+    than the minority the whole dataset is returned unchanged.
     """
     p_idx, n_idx = train.minority_indices, train.majority_indices
     if len(p_idx) == 0 or len(n_idx) == 0:
@@ -149,8 +151,13 @@ def sample_from_errors(
     if len(n_idx) <= len(p_idx):
         return train
     rng = as_generator(seed)
-    weights = np.maximum(gaussian_weight(majority_errors, mu, sigma), WEIGHT_FLOOR)
-    weights = weights / weights.sum()
+    with np.errstate(all="ignore"):  # overflow is reported below, as NumericalError
+        peak = gaussian_weight(mu, mu, sigma)
+        weights = np.maximum(gaussian_weight(majority_errors, mu, sigma), WEIGHT_FLOOR)
+        total = weights.sum()
+    if not (math.isfinite(peak) and math.isfinite(total)):
+        raise NumericalError(f"non-finite sampling weights (mu={mu}, sigma={sigma})")
+    weights = weights / total
     picks = _sequential_weighted_draw(weights, len(p_idx), rng)
     return train.subset(np.sort(np.concatenate((n_idx[picks], p_idx))))
 

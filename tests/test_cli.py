@@ -753,6 +753,17 @@ class TestNumericalFailureExitCode:
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_subnormal_sigma(self, tmp_path, capsys, task_csv):
+        out = tmp_path / "out"
+        assert main([
+            "train", str(task_csv), "--mode", "constant", "--mu", "0.5",
+            "--sigma", "1e-320", "--k", "3", "--out", str(out),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: non-finite sampling weights")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "transfer"])
     def test_non_finite_sampler_file(
         self, tmp_path, capsys, task_csv, bad_sampler_files, command

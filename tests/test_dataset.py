@@ -447,6 +447,16 @@ class TestSaveCsv:
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
             assert_same_dataset(load_csv(tmp_path / "new.csv", label_column), ds)
 
+    @pytest.mark.parametrize("label_column", ["label", "y"])
+    def test_load_and_save_again_gives_the_same_bytes(self, tmp_path, label_column):
+        toy = make_toy(ToySpec(n_majority=560, n_minority=40, seed=4))
+        special = make_dataset(np.array([self.SPECIAL, self.SPECIAL[::-1]]).T, [1, 0, 0, 1, 0, 1])
+        for ds in (toy, special):
+            save_csv(ds, tmp_path / "first.csv", label_column)
+            save_csv(load_csv(tmp_path / "first.csv", label_column), tmp_path / "again.csv",
+                     label_column)
+            assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
+
     def test_label_named_like_a_feature_is_refused(self, tmp_path):
         ds = make_dataset([[1.0, 2.0], [3.0, 4.0]], [0, 1])
         with pytest.raises(ValueError, match="'x1' is also a feature name"):
@@ -487,6 +497,85 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             make_dataset([[1.0], [2.0]], [0, 2])
 
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [0.5, 1, 0],  # a cast would truncate each of these to 0
+            [0.9, 1, 0],
+            [1e-300, 1, 0],
+            np.array([256, 1, 0]),  # an int8 cast would wrap these to 0 and 1
+            np.array([-255, 1, 0]),
+            ["0", "1", "0"],  # a cast would parse the strings
+            [np.nan, 1, 0],
+            [0j, 1, 0],
+            np.array([None, 1, 0], dtype=object),
+        ],
+        ids=["0.5", "0.9", "1e-300", "256", "-255", "strings", "nan", "complex", "object"],
+    )
+    def test_labels_checked_before_the_cast(self, labels):
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            LabeledDataset(np.zeros((3, 1)), labels)
+
+    @pytest.mark.parametrize(
+        "features",
+        [
+            np.array([[1 + 2j], [3.0], [4.0]]),  # a cast would drop the imaginary part
+            np.array([[1 + 0j], [3.0], [4.0]]),
+            [["1.5"], ["2"], ["3"]],
+            np.array([[1.0], [None], [3.0]], dtype=object),
+        ],
+        ids=["complex", "complex-zero-imaginary", "strings", "object"],
+    )
+    def test_features_checked_before_the_cast(self, features):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning either
+            with pytest.raises(ValueError, match="features must be real numbers"):
+                LabeledDataset(features, [0, 1, 0])
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [0, 1, 0],
+            np.array([0, 1, 0], dtype=np.uint64),
+            [0.0, 1.0, -0.0],
+            np.array([0, 1, 0], dtype=np.float16),
+            [False, True, False],
+        ],
+        ids=["int", "uint64", "float", "float16", "bool"],
+    )
+    def test_real_zero_one_labels_are_accepted(self, labels):
+        ds = LabeledDataset(np.array([[1], [2], [3]]), labels)
+        assert ds.labels.tolist() == [0, 1, 0] and ds.labels.dtype == np.int8
+        assert ds.features.tolist() == [[1.0], [2.0], [3.0]]
+
+    def test_every_dataset_holds_one_byte_labels(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(11)
+        features = rng.standard_normal((60, 2))
+        labels = np.array([0, 1] * 30)
+        built = {
+            "int64": LabeledDataset(features, labels.astype(np.int64)),
+            "float": LabeledDataset(features, labels.astype(np.float64)),
+            "bool": LabeledDataset(features, labels.astype(bool)),
+        }
+        ds = built["int64"]
+        built["subset"] = ds.subset([5, 0, 7, 7])
+        for name, part in zip(("train", "valid", "test"), stratified_split(ds, SplitSpec(), 0)):
+            built[name] = part
+        built["flip-noise"] = inject_flip_noise(ds, 0.2, seed=0)
+        built["make_toy"] = make_toy(ToySpec(n_majority=50, n_minority=10))
+        path = tmp_path / "data.csv"
+        save_csv(ds, path)
+        built["load_csv-rows"] = _load_csv_rows(path, "label")
+        with monkeypatch.context() as m:  # the fast path alone must return the dataset
+            m.setattr(dataset, "_load_csv_rows", lambda *args: pytest.fail("row path taken"))
+            built["load_csv-fast"] = load_csv(path)
+        for name, got in built.items():
+            assert got.labels.dtype == np.int8, name
+            assert got.labels.nbytes == len(got), name
+            assert got.labels.flags.c_contiguous and not got.labels.flags.writeable, name
+        for name in ("float", "bool", "load_csv-rows", "load_csv-fast"):
+            assert built[name].labels.tobytes() == ds.labels.tobytes(), name
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             make_dataset([[np.inf], [2.0]], [0, 1])
@@ -514,7 +603,7 @@ class TestDatasetValidation:
         validated = LabeledDataset(ds.features[idx], ds.labels[idx])
         assert np.array_equal(sub.features, validated.features)
         assert np.array_equal(sub.labels, validated.labels)
-        for array, dtype in ((sub.features, np.float64), (sub.labels, np.int64)):
+        for array, dtype in ((sub.features, np.float64), (sub.labels, np.int8)):
             assert array.dtype == dtype and array.flags.c_contiguous
             assert not array.flags.writeable
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from metasampler import (
     EnsembleStep,
     MetaSampler,
+    NumericalError,
     PolicyActionSource,
     ReplayMemory,
     SacConfig,
@@ -447,6 +448,11 @@ class TestMetaTrain:
         a = meta_train([toy_task(overlap=0.5)], config, seed=9)
         b = meta_train([toy_task(overlap=0.5)], config, seed=9)
         assert np.array_equal(a.policy.params, b.policy.params)
+
+    def test_subnormal_sigma_raises_numerical_error(self):
+        config = SacConfig(**self.small, sigma=1e-320)
+        with pytest.raises(NumericalError, match="non-finite sampling weights"):
+            meta_train([toy_task(overlap=0.5)], config, seed=0)
 
     def test_empty_task_list_rejected(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import norm
 
 from metasampler import (
+    NumericalError,
     SingleClassError,
     error_histogram,
     gaussian_weight,
@@ -194,6 +195,20 @@ class TestSampleFromErrors:
         ds = self.make_task()
         with pytest.raises(ValueError, match="one error per majority row"):
             sample_from_errors(ds, np.full(shape, 0.5), mu=0.5, sigma=0.2, seed=0)
+
+    @pytest.mark.parametrize(
+        "sigma, errors",
+        [
+            (1e-320, np.full(200, 0.5)),  # the peak overflows to inf, and inf / inf is NaN
+            (1e-320, np.linspace(0.0, 0.4, 200)),  # every weight is 0 below an infinite peak
+            (3e-309, np.full(200, 0.5)),  # a finite peak, but 200 of them overflow the sum
+        ],
+        ids=["peak-weights", "no-peak-weight", "sum"],
+    )
+    def test_non_finite_weights_raise_numerical_error(self, sigma, errors):
+        # RuntimeWarning is an error under the suite's settings: no warning may escape either
+        with pytest.raises(NumericalError, match="non-finite sampling weights"):
+            sample_from_errors(self.make_task(), errors, mu=0.5, sigma=sigma, seed=0)
 
     def test_refused_before_the_small_majority_shortcut(self):
         ds = make_dataset(np.arange(6, dtype=np.float64)[:, None], [0, 0, 0, 1, 1, 1])
