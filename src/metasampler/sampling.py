@@ -62,16 +62,23 @@ def meta_state(model, train: LabeledDataset, valid: LabeledDataset, bins: int) -
 
 
 def gaussian_weight(x, mu: float, sigma: float):
-    """Gaussian density (1 / (sigma sqrt(2 pi))) exp(-((x - mu) / sigma)^2 / 2)."""
+    """Gaussian density (1 / (sigma sqrt(2 pi))) exp(-((x - mu) / sigma)^2 / 2).
+
+    A sigma so small (subnormal) that the peak 1 / (sigma sqrt(2 pi)) is not
+    finite raises NumericalError: no x could be weighted.
+    """
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must be in [0, 1], got {mu}")
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    scale = sigma * math.sqrt(2.0 * math.pi)
+    if not math.isfinite(1.0 / scale):
+        raise NumericalError(f"non-finite sampling weights (mu={mu}, sigma={sigma})")
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
     z = (x - mu) / sigma
-    out = np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
+    out = np.exp(-0.5 * z * z) / scale
     return float(out) if out.ndim == 0 else out
 
 
@@ -151,11 +158,10 @@ def sample_from_errors(
     if len(n_idx) <= len(p_idx):
         return train
     rng = as_generator(seed)
-    with np.errstate(all="ignore"):  # overflow is reported below, as NumericalError
-        peak = gaussian_weight(mu, mu, sigma)
+    with np.errstate(all="ignore"):  # z * z may overflow (weight 0), the sum too (raised below)
         weights = np.maximum(gaussian_weight(majority_errors, mu, sigma), WEIGHT_FLOOR)
         total = weights.sum()
-    if not (math.isfinite(peak) and math.isfinite(total)):
+    if not math.isfinite(total):
         raise NumericalError(f"non-finite sampling weights (mu={mu}, sigma={sigma})")
     weights = weights / total
     picks = _sequential_weighted_draw(weights, len(p_idx), rng)

@@ -11,6 +11,7 @@ from metasampler import (
     random_balanced_subset,
     stratified_split,
 )
+from metasampler.learners import _PREDICT_BLOCK
 from conftest import make_dataset
 
 
@@ -382,6 +383,78 @@ class TestPredictMatchesReference:
         tree = fit_tree([[0.0], [4.0]], [0, 1])
         x = np.zeros((0, 1))
         assert_same_bytes(tree.predict_proba(x), reference_predict_proba(tree, x))
+
+
+def leaf_levels(tree, x):
+    """Level of the leaf each row reaches, following left/right node by node."""
+    levels = np.zeros(len(x), dtype=np.intp)
+    for i, row in enumerate(x):
+        node = 0
+        while tree.feature[node] != _LEAF:
+            goes_left = row[tree.feature[node]] < tree.threshold[node]
+            node = tree.left[node] if goes_left else tree.right[node]
+            levels[i] += 1
+    return levels
+
+
+class TestPredictCompaction:
+    """predict_proba drops the rows already at a leaf once, after depth // 2 levels."""
+
+    @pytest.fixture(scope="class")
+    def deep(self):
+        """A 12-level tree on the whole MID task, 20,000 query rows and their leaf levels."""
+        tree = DecisionTree().fit(make_toy(MID_TOY))
+        assert tree.depth == 12
+        pool = mid_toy_rows(20_000, seed=5)
+        return tree, pool, leaf_levels(tree, pool)
+
+    def test_every_row_at_a_leaf_by_half_depth(self, deep):
+        tree, pool, levels = deep
+        x = pool[levels <= tree.depth // 2]  # nothing is left to walk after the compaction
+        assert len(x) > _PREDICT_BLOCK
+        assert_same_bytes(tree.predict_proba(x), reference_predict_proba(tree, x))
+
+    def test_no_row_at_a_leaf_at_half_depth(self, deep):
+        tree, pool, levels = deep
+        walking = levels > tree.depth // 2
+        assert (levels[walking] == tree.depth).any()  # some rows walk every level
+        x = pool[walking]
+        assert_same_bytes(tree.predict_proba(x), reference_predict_proba(tree, x))
+
+    def test_rows_landing_on_a_leaf_at_half_depth(self, deep):
+        tree, pool, levels = deep
+        at_half = levels == tree.depth // 2
+        assert at_half.sum() > 100
+        for x in (pool[at_half], pool[at_half | (levels == tree.depth)], pool[::7]):
+            assert_same_bytes(tree.predict_proba(x), reference_predict_proba(tree, x))
+
+    @pytest.mark.parametrize("n", [8_191, 8_192, 8_193])
+    def test_block_edges_on_a_deep_tree(self, deep, n):
+        tree, pool, levels = deep
+        # rows that walk every level sit first and last in each block, around mixed ones
+        idx = np.flatnonzero(levels != tree.depth)[:n]
+        edges = [i for i in (0, _PREDICT_BLOCK - 1, _PREDICT_BLOCK, n - 1) if i < n]
+        idx[edges] = np.flatnonzero(levels == tree.depth)[: len(edges)]
+        x = pool[idx]
+        assert len(x) == n
+        assert_same_bytes(tree.predict_proba(x), reference_predict_proba(tree, x))
+
+    @pytest.mark.parametrize(
+        "labels, depth",
+        [([0, 1], 1), ([0, 1, 0], 2), ([0, 1, 0, 1], 3)],
+        ids=["depth1", "depth2", "depth3"],
+    )
+    def test_shallow_trees(self, labels, depth):
+        # depth 0, a root leaf, is test_pure_tree_across_block_edges
+        tree = fit_tree(np.arange(len(labels), dtype=np.float64)[:, None], labels)
+        assert tree.depth == depth
+        cuts = tree.threshold[tree.feature != _LEAF]
+        x = np.concatenate(
+            (np.linspace(-1.0, len(labels), 61), cuts, np.nextafter(cuts, -np.inf), [np.nan])
+        )[:, None]
+        got = tree.predict_proba(x)
+        assert_same_bytes(got, reference_predict_proba(tree, x))
+        assert set(got.tolist()) == {0.0, 1.0}
 
 
 class TestGaussianNaiveBayes:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,21 @@ class TestGaussianWeight:
     def test_sigma_must_be_finite_and_positive(self, sigma):
         with pytest.raises(ValueError):
             gaussian_weight(0.5, mu=0.5, sigma=sigma)
+
+    @pytest.mark.parametrize("sigma", [1e-320, 5e-324, 2.2e-309])
+    @pytest.mark.parametrize("x", [0.5, np.array([0.5, 0.2])], ids=["scalar", "vector"])
+    def test_peak_overflow_raises_numerical_error(self, sigma, x):
+        # 1 / (sigma sqrt(2 pi)) overflows below sigma ~ 2.22e-309, with a warning and no error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^non-finite sampling weights"):
+                gaussian_weight(x, mu=0.5, sigma=sigma)
+
+    def test_smallest_sigmas_with_a_finite_peak_still_weigh(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            peak = gaussian_weight(0.5, mu=0.5, sigma=2.3e-309)
+        assert math.isfinite(peak) and peak > 1.7e308
 
 
 class TestMetaSample:
