@@ -1,7 +1,9 @@
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -347,6 +349,58 @@ class TestTransfer:
         assert [row[0] for row in rows] == ["transfer", "reference"]
         # same sampler on both sides: identical seeds give identical scores
         assert float(rows[0][3]) == 0.0
+
+
+class TestPinnedOutputBytes:
+    """Every file the six subcommands write, pinned by its sha256.
+
+    The commands run in a temporary working directory on relative paths, so
+    the comment rows hold no temporary directory. Like the hashes of
+    test_sac.py's TestMetaTrain::test_pinned_fingerprints, the digests pin
+    float arithmetic that runs through numpy's BLAS: a build that rounds a
+    matrix product differently changes the sampler and every policy score.
+    """
+
+    RUNS = [
+        ["generate-toy", "--majority", "300", "--minority", "40", "--seed", "3",
+         "--out", "task.csv"],
+        ["generate-toy", "--majority", "300", "--minority", "40", "--overlap", "0.6",
+         "--seed", "4", "--out", "other.csv"],
+        ["meta-train", "task.csv", "--out", "meta", *TINY_SAC],
+        ["train", "task.csv", "--sampler", "meta/sampler.json", "--k", "3", "--seed", "0,1",
+         "--out", "train"],
+        ["ablation", "task.csv", "--k", "3,4", "--seed", "0,1", "--out", "ablation",
+         *TINY_SAC[2:]],
+        ["noise-sweep", "task.csv", "--k", "3", "--ratios", "0,0.25", "--seed", "0,1",
+         "--out", "noise", *TINY_SAC[2:]],
+        ["transfer", "other.csv", "--sampler", "meta/sampler.json",
+         "--reference-sampler", "meta/sampler.json", "--k", "3", "--seed", "0,1",
+         "--out", "transfer"],
+    ]
+
+    DIGESTS = {
+        "ablation/ablation_raw.csv": "e6f53ee659f692943fb99d4e2bc36b66e03c4c490d5db4c9c6a3baaa6e87e45d",
+        "ablation/ablation_summary.csv": "287250a95d98d63b4cb0720064190be9004de975cc6ca1ff2c12c1fd779d6238",
+        "meta/meta_train_log.csv": "922b4f7c1da791ee313bcdeb8e11d3302669e0bed5593e772194f4606eae3e27",
+        "meta/sampler.json": "5a1fe7a8fe1695633b47935112752de704d9ddddfd01c713d170f892862f73aa",
+        "noise/noise_raw.csv": "a5efa747b54ba7b34cfbb46ef281b72d727a73364675f1fa021e0b11c40a856d",
+        "noise/noise_summary.csv": "11caca1aa120c7c0a694c7a45bc1592fdbac8fecf7b2ae42724d99008d912de4",
+        "other.csv": "4648684e689939939cc15213c826ab8d5c09f69ef76af7e8b544145f4f62e0ad",
+        "task.csv": "e1a9167a3ce7b31c24ab62e0c17dcdb16e7b81da48457909d3a12054d5674a2a",
+        "train/train_results.csv": "b8d21e1008cb343be749c70f11513926f56aa1fe185830c26975e31aabae0f3b",
+        "transfer/transfer_raw.csv": "846d46dbb352ba52a31ad3aace4859cf76d86964b328f61ab7a3119b26bb2bce",
+        "transfer/transfer_summary.csv": "c10d95a8a2bda67ce09c19f8fb2e4de3d9368d22cef88cd4d2e6b5807ee8e455",
+    }
+
+    def test_output_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for argv in self.RUNS:
+            assert main(argv) == 0, argv
+        written = {
+            path.as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(Path().rglob("*")) if path.is_file()
+        }
+        assert written == self.DIGESTS
 
 
 def run_cli(argv):
