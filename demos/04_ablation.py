@@ -38,7 +38,7 @@ rc = main([
 assert rc == 0
 
 print()
-with open(out / "ablation_summary.csv") as f:
+with open(out / "ablation_summary.csv", encoding="utf-8") as f:
     rows = [r for r in csv.reader(f) if not r[0].startswith("#")]
 header, body = rows[0], rows[1:]
 print("  ".join(f"{h:>16}" for h in header))

@@ -31,7 +31,7 @@ for path, overlap, seed in ((task_a, "0.3", "11"), (task_b, "0.6", "23")):
 
 
 def show(path, columns):
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         rows = [r for r in csv.reader(f) if not r[0].startswith("#")]
     keep = [rows[0].index(c) for c in columns]
     print("  ".join(f"{rows[0][i]:>16}" for i in keep))

@@ -185,10 +185,6 @@ def _resolve(args, defaults: dict) -> _Run:
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
@@ -235,13 +231,16 @@ def _summary_rows(scores, baseline=None) -> list:
     return rows
 
 
-def _sweep(ds, run, modes, points, baseline=None):
+def _sweep(run, args, name, column, modes, points, baseline=None, **parsed) -> int:
     """Meta-train at --meta-seed, then score `modes`, at each (value, SacConfig, ratio) point.
 
     A point's ratio flip-noises the train parts first (0 leaves them as they
-    are). Returns the summary rows (see _summary_rows) and the raw rows,
-    mode-major within each point, each led by the point's value.
+    are). Writes <name>_summary.csv, a row per point and mode (see
+    _summary_rows), and <name>_raw.csv, a row per point, mode and seed,
+    mode-major within each point; a row's first cell, headed `column`, is
+    its point's value. `parsed` goes to _write_results.
     """
+    ds = load_csv(args.task, run.config["label_column"])
     meta_seed = run.values["meta_seed"]
     summary_rows, raw_rows = [], []
     for value, sac, ratio in points:
@@ -259,7 +258,14 @@ def _sweep(ds, run, modes, points, baseline=None):
             for seed, score in zip(run.seeds, scores[mode])
         ]
         summary_rows += [[value, *row] for row in _summary_rows(scores, baseline)]
-    return summary_rows, raw_rows
+    summary_header = [column, "mode", "mean_aucprc", "std_aucprc"]
+    summary_header += ["delta_pct"] if baseline is not None else []
+    tables = [
+        (f"{name}_summary.csv", summary_header, summary_rows),
+        (f"{name}_raw.csv", [column, "mode", "seed", "test_aucprc"], raw_rows),
+    ]
+    _write_results(run, args, tables, **parsed)
+    return 0
 
 
 def _write_results(run, args, tables, **parsed) -> None:
@@ -348,38 +354,16 @@ def cmd_train(run, args) -> int:
 def cmd_ablation(run, args) -> int:
     k_list = run.values["k"]
     points = [(k, _sac_config(run.values, ensemble_size=k), 0.0) for k in k_list]
-    ds = load_csv(args.task, run.config["label_column"])
     modes = ("policy", "random-policy", "random-sampling")
-    summary_rows, raw_rows = _sweep(ds, run, modes, points, baseline="policy")
-    _write_results(
-        run,
-        args,
-        [
-            ("ablation_summary.csv", ["k", "mode", "mean_aucprc", "std_aucprc", "delta_pct"],
-             summary_rows),
-            ("ablation_raw.csv", ["k", "mode", "seed", "test_aucprc"], raw_rows),
-        ],
-        k=k_list,
-    )
-    return 0
+    return _sweep(run, args, "ablation", "k", modes, points, baseline="policy", k=k_list)
 
 
 def cmd_noise_sweep(run, args) -> int:
     ratios = run.values["ratios"]
     sac = _sac_config(run.values, ensemble_size=run.values["k"])
-    ds = load_csv(args.task, run.config["label_column"])
     points = [(ratio, sac, ratio) for ratio in ratios]
-    summary_rows, raw_rows = _sweep(ds, run, ("policy", "random-sampling"), points)
-    _write_results(
-        run,
-        args,
-        [
-            ("noise_summary.csv", ["ratio", "mode", "mean_aucprc", "std_aucprc"], summary_rows),
-            ("noise_raw.csv", ["ratio", "mode", "seed", "test_aucprc"], raw_rows),
-        ],
-        ratios=ratios,
-    )
-    return 0
+    modes = ("policy", "random-sampling")
+    return _sweep(run, args, "noise", "ratio", modes, points, ratios=ratios)
 
 
 def cmd_transfer(run, args) -> int:

@@ -174,12 +174,13 @@ def load_csv(path, label_column="label") -> LabeledDataset:
     Two paths read the rows, and both return the arrays `float()` makes of
     each cell. The fast one hands the text after the header to numpy's C
     reader in one call, unless some run between separators is longer than
-    csv's field size limit. Its array stands only when it has one row per
-    line below the header and every label is 0 or 1, every feature finite and
-    both classes present. Any other file, invalid or not, goes to
-    `_load_csv_rows`, the row-by-row reference path, which returns the
-    dataset or raises the error of the file's first fault (DataError for
-    text that csv cannot read, such as a cell over its field size limit).
+    csv's field size limit. Its array is used only when it has one row per
+    line below the header, both classes occur and `LabeledDataset`, the one
+    judge of valid labels and features, accepts it. Any other file, invalid
+    or not, goes to `_load_csv_rows`, the row-by-row reference path, which
+    returns the dataset or raises the error of the file's first fault
+    (DataError for text that csv cannot read, such as a cell over its field
+    size limit).
     """
     if isinstance(label_column, bool):
         raise TypeError(
@@ -209,13 +210,11 @@ def load_csv(path, label_column="label") -> LabeledDataset:
         pass
     if values is not None and values.shape == (rows, len(header)):
         labels = values[:, label_idx]
-        features = np.delete(values, label_idx, axis=1)
-        if (
-            np.isin(labels, (0.0, 1.0)).all()
-            and np.isfinite(features).all()
-            and 0 < np.count_nonzero(labels) < len(labels)
-        ):
-            return LabeledDataset(features, labels.astype(np.int8))
+        if 0 < np.count_nonzero(labels) < len(labels):
+            try:
+                return LabeledDataset(np.delete(values, label_idx, axis=1), labels)
+            except ValueError:  # a label other than 0 or 1, a non-finite feature
+                pass
     return _load_csv_rows(path, label_column)
 
 

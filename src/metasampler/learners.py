@@ -48,7 +48,9 @@ class DecisionTree:
     threshold. A child's row and positive counts come from the parent's
     cumulative sums. The depth-first stack holds only pending nodes, whose
     row sets are disjoint, so its blocks total at most ``n * d`` ids. Each
-    stack entry carries its level, so ``fit`` records ``depth``.
+    stack entry carries its level, so ``fit`` records ``depth``. A split
+    appends its two children together, so its right child is always its left
+    child + 1, and ``fit`` keeps only the ``left`` links while it grows.
 
     ``fit`` ends by deriving the three tables of ``predict_proba`` from the
     public node arrays, indexed by the doubled id ``s = 2 * node``. Entry
@@ -73,12 +75,12 @@ class DecisionTree:
     the first ``depth // 2`` levels a block is compacted once: the rows with
     ``_children[s] != s`` are still at a split, and only they walk the
     remaining levels, on their own ids and offsets, which are then
-    scattered back into ``s``. A tree with ``depth // 2 == 0`` is not
-    compacted. Each compaction costs a mask, its indices, two gathers and a
-    scatter over the block, so there is one, not one per level: a second
-    one, at three quarters of the depth, was 2-4 % faster on 105k rows but
-    up to 5 % slower on 440-row and 8 % on 2,200-row calls, the size of
-    most calls a cascade makes. A block ends with
+    scattered back into ``s``. A tree less than two levels deep walks no
+    level before it compacts. Each compaction costs a mask, its indices,
+    two gathers and a scatter over the block, so there is one, not one per
+    level: a second one, at three quarters of the depth, was 2-4 % faster on
+    105k rows but up to 5 % slower on 440-row and 8 % on 2,200-row calls,
+    the size of most calls a cascade makes. A block ends with
     ``value.take(s >> 1)``. Each float64 or intp temporary of a block is at
     most 64 KiB, below glibc's default 128 KiB mmap threshold, so no level
     maps and faults in fresh pages. Every row makes the same comparisons
@@ -105,7 +107,7 @@ class DecisionTree:
         ramp = np.arange(1.0, n)
         marked = np.zeros(n, dtype=bool)
         pos = int(y.sum())
-        feature, threshold, left, right, value = [_LEAF], [np.nan], [_LEAF], [_LEAF], [pos / n]
+        feature, threshold, left, value = [_LEAF], [np.nan], [_LEAF], [pos / n]
         depth = 0
         # pending (node, level, sorted row-id block, positives), only for impure nodes
         stack = [(0, 0, np.argsort(x, axis=0, kind="stable").T.copy(), pos)] if 0 < pos < n else []
@@ -136,7 +138,7 @@ class DecisionTree:
             goes_left = marked[rows]
             marked[left_rows] = False
             pos_left = int(counts[0, feat, k])
-            left[node], right[node] = len(feature), len(feature) + 1
+            left[node] = len(feature)  # the right child is appended next to it
             depth = max(depth, level + 1)
             for size, child_pos, block in (
                 (k + 1, pos_left, rows[goes_left]),
@@ -147,16 +149,15 @@ class DecisionTree:
                 feature.append(_LEAF)
                 threshold.append(np.nan)
                 left.append(_LEAF)
-                right.append(_LEAF)
                 value.append(child_pos / size)
 
         self.feature = np.asarray(feature, dtype=np.intp)
         self.threshold = np.asarray(threshold, dtype=np.float64)
         self.left = np.asarray(left, dtype=np.intp)
-        self.right = np.asarray(right, dtype=np.intp)
         self.value = np.asarray(value, dtype=np.float64)
         self.depth = depth
         split = self.feature != _LEAF
+        self.right = np.where(split, self.left + 1, _LEAF)
         nodes = np.arange(len(feature))
         # entry s + (value < threshold) of doubled id s = 2 * node: the right child, then the left
         self._children = 2 * np.stack(
@@ -173,19 +174,14 @@ class DecisionTree:
         out = np.empty(len(x))
         row_offsets = np.arange(min(len(x), _PREDICT_BLOCK)) * x.shape[1]
         half = self.depth // 2
+        rest = self.depth - half
         for start in range(0, len(x), _PREDICT_BLOCK):
             rows = x[start : start + _PREDICT_BLOCK]
             flat, offsets = rows.ravel(), row_offsets[: len(rows)]
-            s = np.zeros(len(rows), dtype=np.intp)  # doubled node ids
-            if half:
-                s = self._descend(s, flat, offsets, half)
-                # a leaf points to itself: only the rows still at a split walk on
-                active = (self._children.take(s) != s).nonzero()[0]
-                s[active] = self._descend(
-                    s.take(active), flat, offsets.take(active), self.depth - half
-                )
-            else:
-                s = self._descend(s, flat, offsets, self.depth)
+            s = self._descend(np.zeros(len(rows), dtype=np.intp), flat, offsets, half)
+            # a leaf points to itself: only the rows still at a split walk on
+            active = (self._children.take(s) != s).nonzero()[0]
+            s[active] = self._descend(s.take(active), flat, offsets.take(active), rest)
             out[start : start + len(rows)] = self.value.take(s >> 1)
         return out
 

@@ -503,7 +503,8 @@ def sampler_from_document(doc: dict) -> MetaSampler:
 def save_sampler(sampler: MetaSampler, path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(sampler_to_document(sampler), indent=2, sort_keys=True))
+    document = json.dumps(sampler_to_document(sampler), indent=2, sort_keys=True)
+    path.write_text(document, encoding="utf-8")
 
 
 def load_sampler(path) -> MetaSampler:
@@ -517,7 +518,7 @@ def load_sampler(path) -> MetaSampler:
     if not path.exists():
         raise FileNotFoundError(f"no such sampler file: {path}")
     try:
-        return sampler_from_document(json.loads(path.read_text()))
+        return sampler_from_document(json.loads(path.read_text(encoding="utf-8")))
     except KeyError as exc:
         raise SamplerFormatError(f"sampler file {path} lacks key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:

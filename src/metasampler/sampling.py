@@ -77,8 +77,9 @@ def gaussian_weight(x, mu: float, sigma: float):
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
-    z = (x - mu) / sigma
-    out = np.exp(-0.5 * z * z) / scale
+    with np.errstate(over="ignore"):  # z or z * z overflows only where the weight is 0
+        z = (x - mu) / sigma
+        out = np.exp(-0.5 * z * z) / scale
     return float(out) if out.ndim == 0 else out
 
 
@@ -158,8 +159,8 @@ def sample_from_errors(
     if len(n_idx) <= len(p_idx):
         return train
     rng = as_generator(seed)
-    with np.errstate(all="ignore"):  # z * z may overflow (weight 0), the sum too (raised below)
-        weights = np.maximum(gaussian_weight(majority_errors, mu, sigma), WEIGHT_FLOOR)
+    weights = np.maximum(gaussian_weight(majority_errors, mu, sigma), WEIGHT_FLOOR)
+    with np.errstate(over="ignore"):  # an overflowing sum is raised below
         total = weights.sum()
     if not math.isfinite(total):
         raise NumericalError(f"non-finite sampling weights (mu={mu}, sigma={sigma})")

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from metasampler import (
     score_arms,
     stratified_split,
 )
+import metasampler
 from metasampler.cli import main
 from metasampler.neural import AdamState, adam_step
 from metasampler.rng import as_generator, as_seed_sequence
@@ -682,6 +687,22 @@ class TestSamplerIO:
         doc["bins"] = 5.0
         path.write_text(json.dumps(doc))
         assert load_sampler(path).bins == 5
+
+    def test_files_are_opened_as_utf8(self, tmp_path):
+        # with -X warn_default_encoding, text opened in the locale's encoding warns
+        code = (
+            "import sys\n"
+            "from metasampler import load_sampler, random_sampler, save_sampler\n"
+            "save_sampler(random_sampler(5, 0.2, seed=2), sys.argv[1])\n"
+            "assert load_sampler(sys.argv[1]).bins == 5\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-c", code, str(tmp_path / "sampler.json")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(metasampler.__file__).parents[1])},
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestStrictInt:

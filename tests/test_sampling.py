@@ -138,6 +138,15 @@ class TestGaussianWeight:
             peak = gaussian_weight(0.5, mu=0.5, sigma=2.3e-309)
         assert math.isfinite(peak) and peak > 1.7e308
 
+    def test_tiny_normal_sigma_weighs_far_rows_zero_without_warning(self):
+        # z = (x - mu) / sigma overflows to inf, or z * z does; exp(-inf) is the exact 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            far = gaussian_weight(0.0, mu=0.5, sigma=1e-160)
+            near_and_far = gaussian_weight(np.array([0.5, 0.0, 1.0]), mu=0.5, sigma=1e-160)
+        assert far == 0.0
+        assert near_and_far[0] > 1e159 and near_and_far[1:].tolist() == [0.0, 0.0]
+
 
 class TestMetaSample:
     def make_task(self):
