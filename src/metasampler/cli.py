@@ -235,10 +235,9 @@ def _sweep(run, args, name, column, modes, points, baseline=None, **parsed) -> i
     """Meta-train at --meta-seed, then score `modes`, at each (value, SacConfig, ratio) point.
 
     A point's ratio flip-noises the train parts first (0 leaves them as they
-    are). Writes <name>_summary.csv, a row per point and mode (see
-    _summary_rows), and <name>_raw.csv, a row per point, mode and seed,
-    mode-major within each point; a row's first cell, headed `column`, is
-    its point's value. `parsed` goes to _write_results.
+    are). Writes <name>_summary.csv (see _summary_rows) and <name>_raw.csv,
+    mode-major within each point; each row starts with its point's value,
+    headed `column`. `parsed` goes to _write_results.
     """
     ds = load_csv(args.task, run.config["label_column"])
     meta_seed = run.values["meta_seed"]

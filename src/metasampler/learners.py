@@ -75,8 +75,7 @@ class DecisionTree:
     the first ``depth // 2`` levels a block is compacted once: the rows with
     ``_children[s] != s`` are still at a split, and only they walk the
     remaining levels, on their own ids and offsets, which are then
-    scattered back into ``s``. A tree less than two levels deep walks no
-    level before it compacts. Each compaction costs a mask, its indices,
+    scattered back into ``s``. Each compaction costs a mask, its indices,
     two gathers and a scatter over the block, so there is one, not one per
     level: a second one, at three quarters of the depth, was 2-4 % faster on
     105k rows but up to 5 % slower on 440-row and 8 % on 2,200-row calls,
