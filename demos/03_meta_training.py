@@ -53,9 +53,11 @@ for episode in sorted(episode_rewards):
 # mu at every step, against the uniform-subset baseline on the same seeds.
 policy_scores, random_scores = [], []
 for seed in range(5):
+    # the policy reads histograms of the sampler's bins and acts through its sigma
     source = PolicyActionSource(sampler, seed=seed)
     model, _ = train_ensemble(
-        train, valid, source, n_members=config.ensemble_size, seed=seed
+        train, valid, source, sigma=sampler.sigma, bins=sampler.bins,
+        n_members=config.ensemble_size, seed=seed,
     )
     policy_scores.append(aucprc(model.predict_proba(test.features), test.labels))
     model = train_random_ensemble(

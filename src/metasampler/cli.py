@@ -17,7 +17,7 @@ files byte for byte.
 Exit codes: 0 success, 1 configuration error (including a config file that
 cannot be read), 2 data error (including a task CSV or sampler file that cannot
 be read, or a malformed sampler file), 3 numerical failure (including a sampler
-file with non-finite parameters).
+file with non-finite parameters, and a sigma whose Gaussian peak overflows).
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ from .dataset import (
 from .errors import ConfigError, DataError, NumericalError
 from .learners import DecisionTree, GaussianNaiveBayes
 from .rng import strict_float, strict_int
-from .sac import _INT_FIELDS, MODES, SacConfig, load_sampler, meta_train, save_sampler, score_arms
+from .sac import MODES, SacConfig, load_sampler, meta_train, save_sampler, score_arms
 
 LEARNERS = {"tree": DecisionTree, "gnb": GaussianNaiveBayes}
 
@@ -76,8 +76,8 @@ def _load_config_file(path) -> dict:
 
 
 # every SacConfig field a flag sets; --k sets the ensemble size
-SAC_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SacConfig)
-                if f.name != "ensemble_size"}
+_SAC_FIELDS = [f for f in dataclasses.fields(SacConfig) if f.name != "ensemble_size"]
+SAC_DEFAULTS = {f.name: f.default for f in _SAC_FIELDS}
 _SEED = (strict_int, lambda v: v >= 0, "non-negative")
 
 # The parse of every number key: key -> (cast, test, wording), the test being
@@ -85,8 +85,9 @@ _SEED = (strict_int, lambda v: v >= 0, "non-negative")
 # list, each entry cast and checked. Every other key holds text. strict_int
 # refuses booleans and fractions, strict_float refuses booleans.
 _NUMBERS = {
-    **{name: (strict_int if name in _INT_FIELDS else strict_float, None, None)
-       for name in SAC_DEFAULTS},
+    # a field annotated int, or int | None, is an integer key
+    **{f.name: (strict_int if f.type.startswith("int") else strict_float, None, None)
+       for f in _SAC_FIELDS},
     "majority": (strict_int, None, None),
     "minority": (strict_int, None, None),
     "overlap": (strict_float, None, None),

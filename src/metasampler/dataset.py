@@ -22,7 +22,7 @@ from .errors import (
     LabelDomainError,
     SingleClassError,
 )
-from .rng import as_generator
+from .rng import as_generator, check_integer
 
 # Geometry of the synthetic task: majority sits on a noisy "∩"-shaped arc band,
 # minority is a Gaussian blob whose center slides from the arc's pocket onto the
@@ -143,7 +143,7 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class ToySpec:
-    """Synthetic arc-vs-blob task: size, class ratio and boundary overlap."""
+    """Synthetic arc-vs-blob task: integer class sizes (not bools) and boundary overlap."""
 
     n_majority: int = 2000
     n_minority: int = 200
@@ -151,6 +151,8 @@ class ToySpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_integer("n_majority", self.n_majority)
+        check_integer("n_minority", self.n_minority)
         if self.n_minority < 2:
             raise ValueError("need at least 2 minority instances")
         if self.n_majority < self.n_minority:
@@ -162,19 +164,19 @@ class ToySpec:
 def load_csv(path, label_column="label") -> LabeledDataset:
     """Read a comma-separated, header-first, UTF-8 table into a dataset.
 
-    `label_column` selects the label by header name or integer position; all
-    remaining columns are features. A name must occur exactly once in the
-    header (else ColumnNotFoundError), and a bool is refused (TypeError),
-    though Python counts it as an integer. Row order is preserved, and a
-    leading byte-order mark (as in Excel's "CSV UTF-8" export) is dropped. A
-    missing file raises FileNotFoundError; one that cannot be read as UTF-8
-    text (a directory, say) raises DataError, and one whose header holds no
-    column besides the label raises EmptyDataError.
+    `label_column` selects the label by header name or integer position (a
+    numpy integer too); all remaining columns are features. A name must occur
+    exactly once in the header (else ColumnNotFoundError), and a bool is
+    refused (TypeError), though Python counts it as an integer. Row order is
+    preserved, and a leading byte-order mark (as in Excel's "CSV UTF-8"
+    export) is dropped. A missing file raises FileNotFoundError; one that
+    cannot be read as UTF-8 text (a directory, say) raises DataError, and one
+    whose header holds no column besides the label raises EmptyDataError.
 
     Two paths read the rows, and both return the arrays `float()` makes of
     each cell. The fast one hands the text after the header to numpy's C
-    reader in one call, unless some run between separators is longer than
-    csv's field size limit. Its array is used only when it has one row per
+    reader in one call, unless some line is longer than csv's field size
+    limit (128 KiB). Its array is used only when it has one row per
     line below the header, both classes occur and `LabeledDataset`, the one
     judge of valid labels and features, accepts it. Any other file, invalid
     or not, goes to `_load_csv_rows`, the row-by-row reference path, which
@@ -186,6 +188,8 @@ def load_csv(path, label_column="label") -> LabeledDataset:
         raise TypeError(
             f"label_column must be a header name or an int position, not {label_column!r}"
         )
+    if isinstance(label_column, (int, np.integer)):
+        label_column = int(label_column)
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
@@ -232,54 +236,37 @@ def _c_reader_rows(path: Path) -> int:
     cells, and it joins a quoted line break into one row, as csv does; either
     leaves it fewer rows than this count. So a C-reader array with exactly
     this many rows holds csv's rows. Returns 0 (no usable count) for a file
-    holding a byte in _SEPARATOR_BYTES, and for one with a run of more than
-    `csv.field_size_limit()` bytes between separators: a cell that long is a
-    fault csv reports and numpy's reader does not.
+    holding a byte in _SEPARATOR_BYTES, and for one with a line longer than
+    `csv.field_size_limit()` bytes, which may hold a cell csv refuses and
+    numpy's reader takes. One pass of chunks measures lines at \\n, or at
+    \\r in a chunk without \\n; a lone \\r elsewhere only lengthens a line.
     """
     ends, last, offset, longest_line, line_start = 0, b"", 0, 0, 0
     with path.open("rb") as fh:
         while chunk := fh.read(_CHUNK_BYTES):
             if any(byte in chunk for byte in _SEPARATOR_BYTES):
                 return 0
-            at = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n")) + offset
+            buf = np.frombuffer(chunk, np.uint8)
+            at = np.flatnonzero(buf == ord("\n"))
             ends += len(at)
-            longest_line, line_start = _longest_run(at, longest_line, line_start)
             if b"\r" in chunk:
                 ends += chunk.count(b"\r") - chunk.count(b"\r\n")
+                if not len(at):  # each \r here ends a line, alone or before a \n
+                    at = np.flatnonzero(buf == ord("\r"))
             if last == b"\r" and chunk.startswith(b"\n"):
                 ends -= 1  # a \r\n split between two chunks
+            if len(at):
+                at += offset
+                longest_line = max(
+                    longest_line, int(at[0]) - line_start, int(np.diff(at).max(initial=1)) - 1
+                )
+                line_start = int(at[-1]) + 1
             last = chunk[-1:]
             offset += len(chunk)
-    limit = csv.field_size_limit()
-    # no cell is longer than its line, so most files need no second pass
-    if max(longest_line, offset - line_start) > limit and _longest_cell(path) > limit:
+    if max(longest_line, offset - line_start) > csv.field_size_limit():
         return 0
     lines = ends + (last not in (b"", b"\n", b"\r"))
     return max(lines - 1, 0)
-
-
-def _longest_run(at, longest, start):
-    """(longest, start) updated by the next ascending separator offsets `at`.
-
-    `start` is the offset just after the last separator seen, and `longest`
-    the most bytes seen between two separators.
-    """
-    if len(at):
-        longest = max(longest, int(at[0]) - start, int(np.diff(at).max(initial=1)) - 1)
-        start = int(at[-1]) + 1
-    return longest, start
-
-
-def _longest_cell(path: Path) -> int:
-    """Most bytes in `path` between two separators (comma, \\n, \\r) or a file end."""
-    longest, start, offset = 0, 0, 0
-    with path.open("rb") as fh:
-        while chunk := fh.read(_CHUNK_BYTES):
-            buf = np.frombuffer(chunk, np.uint8)
-            at = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")) | (buf == ord("\r")))
-            longest, start = _longest_run(at + offset, longest, start)
-            offset += len(chunk)
-    return max(longest, offset - start)
 
 
 def _label_index(header, label_column):

@@ -8,6 +8,8 @@ refused rather than run as seed 2 or 1.
 """
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 
@@ -18,6 +20,12 @@ def strict_int(value) -> int:
     ):
         raise ValueError(f"not an integer: {value!r}")
     return int(value)
+
+
+def check_integer(name: str, value) -> None:
+    """ValueError naming `name` unless `value` is an integer (numpy's too), not a bool or 3.0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def strict_float(value) -> float:

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -40,7 +39,8 @@ from .neural import (
     mlp_to_document,
     soft_update,
 )
-from .rng import as_generator, as_seed_sequence, strict_float, strict_int
+from .rng import as_generator, as_seed_sequence, check_integer, strict_float, strict_int
+from .sampling import gaussian_scale
 
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
@@ -52,7 +52,10 @@ MODES = ("policy", "random-policy", "random-sampling", "constant")  # score_arms
 
 @dataclass(frozen=True)
 class SacConfig:
-    """Meta-training hyperparameters; defaults are the reference values."""
+    """Meta-training hyperparameters; defaults are the reference values.
+
+    A field annotated int holds an integer, not a bool; sigma passes gaussian_scale.
+    """
 
     gamma: float = 0.99
     tau: float = 0.01
@@ -70,12 +73,10 @@ class SacConfig:
     sigma: float = 0.2
 
     def __post_init__(self):
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if (value is not None or name != "episodes") and (
-                isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            ):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.type == "int" or (field.type == "int | None" and value is not None):
+                check_integer(field.name, value)
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if not 0.0 < self.tau <= 1.0:
@@ -98,18 +99,11 @@ class SacConfig:
             raise ValueError("meta-training needs ensembles of at least 2 members")
         if self.bins < 1:
             raise ValueError(f"bins must be positive, got {self.bins}")
-        if not 0.0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
+        gaussian_scale(self.sigma)
 
     @property
     def state_size(self) -> int:
         return 2 * self.bins
-
-
-_INT_FIELDS = (
-    "lr_decay_steps", "batch_size", "replay_capacity", "gradient_steps", "random_steps",
-    "episodes", "ensemble_size", "bins",
-)  # SacConfig's integer fields; episodes may also be None
 
 
 class Batch(NamedTuple):
@@ -156,7 +150,10 @@ class ReplayMemory:
 
 @dataclass
 class MetaSampler:
-    """Trained sampling policy plus the histogram/sampling parameters it expects."""
+    """Trained sampling policy plus the histogram/sampling parameters it expects.
+
+    Its sigma passes gaussian_scale, so one whose peak overflows never loads.
+    """
 
     policy: Mlp
     bins: int
@@ -168,8 +165,7 @@ class MetaSampler:
             raise ValueError(f"policy input {sizes[0]} does not match 2 * {self.bins} bins")
         if sizes[-1] != 2:
             raise ValueError("policy must end in two heads (mean, log-std)")
-        if not 0.0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
+        gaussian_scale(self.sigma)
 
 
 def random_sampler(bins: int, sigma: float, seed) -> MetaSampler:

@@ -61,19 +61,25 @@ def meta_state(model, train: LabeledDataset, valid: LabeledDataset, bins: int) -
     )
 
 
-def gaussian_weight(x, mu: float, sigma: float):
-    """Gaussian density (1 / (sigma sqrt(2 pi))) exp(-((x - mu) / sigma)^2 / 2).
+def gaussian_scale(sigma) -> float:
+    """sigma sqrt(2 pi), the Gaussian's divisor: the one check of a sigma.
 
-    A sigma so small (subnormal) that the peak 1 / (sigma sqrt(2 pi)) is not
-    finite raises NumericalError: no x could be weighted.
+    ValueError unless sigma is finite and positive; NumericalError if it is so
+    small (subnormal) that the peak 1 / (sigma sqrt(2 pi)) overflows.
     """
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must be in [0, 1], got {mu}")
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
     scale = sigma * math.sqrt(2.0 * math.pi)
     if not math.isfinite(1.0 / scale):
-        raise NumericalError(f"non-finite sampling weights (mu={mu}, sigma={sigma})")
+        raise NumericalError(f"non-finite sampling weights (sigma={sigma})")
+    return scale
+
+
+def gaussian_weight(x, mu: float, sigma: float):
+    """Gaussian density exp(-((x - mu) / sigma)^2 / 2) / gaussian_scale(sigma), mu in [0, 1]."""
+    if not 0.0 <= mu <= 1.0:
+        raise ValueError(f"mu must be in [0, 1], got {mu}")
+    scale = gaussian_scale(sigma)
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from metasampler import load_sampler
+from metasampler import DecisionTree, load_sampler
 from metasampler.cli import build_parser, main
 
 TINY_SAC = [
@@ -21,7 +21,7 @@ TINY_SAC = [
 
 def read_result_csv(path):
     """Split a result CSV into (config dict, header list, data rows)."""
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("# config: ")
     config = json.loads(lines[0][len("# config: "):])
     header = lines[1].split(",")
@@ -65,7 +65,7 @@ class TestGenerateToy:
     def test_default_spec_row_count(self, tmp_path):
         path = tmp_path / "toy.csv"
         assert main(["generate-toy", "--out", str(path)]) == 0
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2201  # header + 2000 majority + 200 minority
 
     def test_seed_reproducibility(self, tmp_path):
@@ -89,7 +89,9 @@ class TestGenerateToy:
 class TestConfigMerge:
     def test_flag_beats_config_file(self, tmp_path):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"overlap": 0.9, "majority": 40, "minority": 8}))
+        config.write_text(
+            json.dumps({"overlap": 0.9, "majority": 40, "minority": 8}), encoding="utf-8"
+        )
         from_both = tmp_path / "both.csv"
         from_flag = tmp_path / "flag.csv"
         assert main([
@@ -104,7 +106,7 @@ class TestConfigMerge:
 
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"overlp": 0.9}))
+        config.write_text(json.dumps({"overlp": 0.9}), encoding="utf-8")
         assert main([
             "generate-toy", "--config", str(config), "--out", str(tmp_path / "x.csv"),
         ]) == 1
@@ -117,14 +119,14 @@ class TestConfigMerge:
 
     def test_malformed_config_file(self, tmp_path):
         config = tmp_path / "config.json"
-        config.write_text("{not json")
+        config.write_text("{not json", encoding="utf-8")
         assert main([
             "generate-toy", "--config", str(config), "--out", str(tmp_path / "x.csv"),
         ]) == 1
 
     def test_non_object_config_file(self, tmp_path):
         config = tmp_path / "config.json"
-        config.write_text("[1, 2]")
+        config.write_text("[1, 2]", encoding="utf-8")
         assert main([
             "generate-toy", "--config", str(config), "--out", str(tmp_path / "x.csv"),
         ]) == 1
@@ -132,7 +134,7 @@ class TestConfigMerge:
     @pytest.mark.parametrize("value", [None, [64], "many"])
     def test_bad_sac_value_in_config_file(self, tmp_path, value):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"batch_size": value}))
+        config.write_text(json.dumps({"batch_size": value}), encoding="utf-8")
         assert main([
             "meta-train", str(tmp_path / "task.csv"), "--config", str(config),
             "--out", str(tmp_path / "out"),
@@ -184,7 +186,7 @@ class TestMetaTrain:
 
     def test_bad_labels_are_data_errors(self, tmp_path):
         bad = tmp_path / "bad.csv"
-        bad.write_text("f0,f1,label\n0.0,1.0,0\n1.0,0.0,2\n2.0,1.0,1\n")
+        bad.write_text("f0,f1,label\n0.0,1.0,0\n1.0,0.0,2\n2.0,1.0,1\n", encoding="utf-8")
         assert main([
             "meta-train", str(bad), "--out", str(tmp_path / "m"), *TINY_SAC,
         ]) == 2
@@ -207,7 +209,7 @@ class TestTrain:
     def test_task_csv_with_byte_order_mark(self, tmp_path, task_csv):
         # Excel's "CSV UTF-8" export starts with U+FEFF; with the label first, an
         # undropped mark would hide the label column's name
-        rows = [line.split(",") for line in task_csv.read_text().splitlines()]
+        rows = [line.split(",") for line in task_csv.read_text(encoding="utf-8").splitlines()]
         task = tmp_path / "bom.csv"
         text = "\ufeff" + "".join(",".join([row[-1], *row[:-1]]) + "\n" for row in rows)
         task.write_bytes(text.encode("utf-8"))
@@ -222,9 +224,11 @@ class TestTrain:
     def test_label_name_in_two_columns_is_a_data_error(self, tmp_path, task_csv):
         # the header save_csv(ds, path, label_column="x0") used to write; the first
         # x0 column holds the labels here, so reading it as the label ran without error
-        rows = [line.split(",") for line in task_csv.read_text().splitlines()[1:]]
+        rows = [line.split(",") for line in task_csv.read_text(encoding="utf-8").splitlines()[1:]]
         task = tmp_path / "twice.csv"
-        task.write_text("x0,x1,x0\n" + "".join(f"{y},{x1},{y}\n" for _, x1, y in rows))
+        task.write_text(
+            "x0,x1,x0\n" + "".join(f"{y},{x1},{y}\n" for _, x1, y in rows), encoding="utf-8"
+        )
         assert main([
             "train", str(task), "--label-column", "x0", "--mode", "random-sampling",
             "--k", "2", "--seed", "0", "--out", str(tmp_path / "run"),
@@ -406,7 +410,8 @@ class TestPinnedOutputBytes:
 def run_cli(argv):
     """Run the console entry point in a fresh interpreter; return the finished process."""
     return subprocess.run(
-        [sys.executable, "-m", "metasampler.cli", *argv], capture_output=True, text=True
+        [sys.executable, "-m", "metasampler.cli", *argv],
+        capture_output=True, text=True, encoding="utf-8",
     )
 
 
@@ -444,7 +449,7 @@ class TestValueRanges:
     )
     def test_non_number_in_config_file(self, tmp_path, task_csv, command, doc):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(doc))
+        config.write_text(json.dumps(doc), encoding="utf-8")
         task = [] if command == "generate-toy" else [str(task_csv)]
         out = tmp_path / "out"
         result = run_cli([command, *task, "--config", str(config), "--out", str(out)])
@@ -475,7 +480,7 @@ class TestValueRanges:
     def test_non_integer_in_config_file(self, tmp_path, capsys, task_csv, command, doc):
         # each run would succeed with the value truncated, so only the cast can refuse it
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(doc))
+        config.write_text(json.dumps(doc), encoding="utf-8")
         task = [] if command == "generate-toy" else [str(task_csv)]
         flags = {
             "train": ["--mode", "random-policy"],
@@ -505,7 +510,7 @@ class TestValueRanges:
     def test_boolean_float_in_config_file(self, tmp_path, capsys, task_csv, command, doc):
         # each run would succeed with the boolean read as 1.0 or 0.0
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(doc))
+        config.write_text(json.dumps(doc), encoding="utf-8")
         task = [] if command == "generate-toy" else [str(task_csv)]
         flags = {
             "train": ["--mode", "constant" if "mu" in doc else "random-policy"],
@@ -521,7 +526,7 @@ class TestValueRanges:
 
     def test_non_finite_sac_float_in_config_file(self, tmp_path, capsys, task_csv):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"alpha": "nan"}))
+        config.write_text(json.dumps({"alpha": "nan"}), encoding="utf-8")
         out = tmp_path / "out"
         argv = ["meta-train", str(task_csv), "--config", str(config), *TINY_SAC, "--out", str(out)]
         assert main(argv) == 1
@@ -530,7 +535,7 @@ class TestValueRanges:
 
     def test_integral_float_in_config_file_runs(self, tmp_path, task_csv):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"k": 3.0, "bins": 4.0}))
+        config.write_text(json.dumps({"k": 3.0, "bins": 4.0}), encoding="utf-8")
         out = tmp_path / "out"
         assert main([
             "train", str(task_csv), "--mode", "random-policy", "--config", str(config),
@@ -564,7 +569,7 @@ class TestValueRanges:
     def test_non_text_in_config_file(self, tmp_path, capsys, task_csv, command, doc):
         # before: a traceback, or (label_column true) column 1 silently read as the label
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(doc))
+        config.write_text(json.dumps(doc), encoding="utf-8")
         task = [] if command == "generate-toy" else [str(task_csv)]
         out = [] if "out" in doc else ["--out", str(tmp_path / "out")]
         seeds = [] if command in ("generate-toy", "meta-train") else ["--seed", "0"]
@@ -577,7 +582,7 @@ class TestValueRanges:
         # a position means the same from the file as from --label-column: a header name
         argv = ["train", str(task_csv), "--mode", "random-sampling", "--k", "3", "--seed", "0"]
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"label_column": 2}))
+        config.write_text(json.dumps({"label_column": 2}), encoding="utf-8")
         assert main([*argv, "--config", str(config), "--out", str(tmp_path / "position")]) == 1
         assert "must be text" in capsys.readouterr().err
         assert not (tmp_path / "position").exists()
@@ -610,7 +615,7 @@ class TestFlagAndConfigFileParity:
     def test_number_key(self, tmp_path, task_csv, case):
         command, fixed, key, text, file_value = PARITY_CASES[case]
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({key: file_value}))
+        config.write_text(json.dumps({key: file_value}), encoding="utf-8")
         argv = [command, str(task_csv), *fixed]
         out = tmp_path / "out"  # the out path is recorded, so both runs share it
         from_flag = self.outputs([*argv, "--" + key.replace("_", "-"), text], out)
@@ -621,11 +626,11 @@ class TestFlagAndConfigFileParity:
 
     def test_label_column(self, tmp_path, task_csv):
         renamed = tmp_path / "renamed.csv"
-        header, rest = task_csv.read_text().split("\n", 1)
+        header, rest = task_csv.read_text(encoding="utf-8").split("\n", 1)
         assert header == "x0,x1,label"
-        renamed.write_text("x0,x1,target\n" + rest)
+        renamed.write_text("x0,x1,target\n" + rest, encoding="utf-8")
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"label_column": "target"}))
+        config.write_text(json.dumps({"label_column": "target"}), encoding="utf-8")
         argv = ["train", str(renamed), "--mode", "random-sampling", "--k", "3", "--seed", "0"]
         out = tmp_path / "out"
         from_flag = self.outputs([*argv, "--label-column", "target"], out)
@@ -658,7 +663,7 @@ class TestNegativeSeeds:
 
     def test_negative_seed_in_config_file(self, tmp_path, capsys):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"seed": -1}))
+        config.write_text(json.dumps({"seed": -1}), encoding="utf-8")
         out = tmp_path / "toy.csv"
         assert main(["generate-toy", "--config", str(config), "--out", str(out)]) == 1
         assert "must be non-negative" in capsys.readouterr().err
@@ -691,18 +696,18 @@ class TestUnreadableInputs:
     )
     def test_task_csv(self, tmp_path, capsys, task_csv, kind):
         task = tmp_path / "task.csv"
-        text = task_csv.read_text()
+        text = task_csv.read_text(encoding="utf-8")
         if kind == "directory":
             task.mkdir()
         elif kind == "not-utf8":
             self.not_utf8(task, text)
         elif kind == "cell-over-csv-limit":
             # the first column's name is longer than csv's 131,072-character field limit
-            task.write_text("x" * 140_000 + text[text.index(","):])
+            task.write_text("x" * 140_000 + text[text.index(","):], encoding="utf-8")
         else:  # so is the first feature cell, though it reads as a finite 0.0...01
             body = text.index("\n") + 1
             cell = "0." + "0" * 140_000 + "1"
-            task.write_text(text[:body] + cell + text[text.index(",", body):])
+            task.write_text(text[:body] + cell + text[text.index(",", body):], encoding="utf-8")
         out = tmp_path / "out"
         argv = ["train", str(task), "--mode", "random-sampling", "--seed", "0"]
         assert main([*argv, "--out", str(out)]) == 2
@@ -713,7 +718,7 @@ class TestUnreadableInputs:
 
     def test_task_csv_without_feature_columns(self, tmp_path, capsys):
         task = tmp_path / "task.csv"
-        task.write_text("label\n0\n1\n0\n1\n0\n0\n1\n0\n0\n1\n")
+        task.write_text("label\n0\n1\n0\n1\n0\n0\n1\n0\n0\n1\n", encoding="utf-8")
         out = tmp_path / "out"
         argv = ["train", str(task), "--mode", "random-sampling", "--k", "2", "--seed", "0"]
         assert main([*argv, "--out", str(out)]) == 2
@@ -736,7 +741,7 @@ class TestUnreadableInputs:
 @pytest.fixture(scope="module")
 def bad_sampler_files(workdir, sampler_path):
     """Sampler files that are not JSON, lack the policy, hold a bad scalar or a NaN weight."""
-    doc = json.loads(sampler_path.read_text())
+    doc = json.loads(sampler_path.read_text(encoding="utf-8"))
     files = {
         "not-json": "{not json",
         "no-policy": json.dumps({key: v for key, v in doc.items() if key != "policy"}),
@@ -744,6 +749,8 @@ def bad_sampler_files(workdir, sampler_path):
         "infinite-sigma": json.dumps({**doc, "sigma": "X"}).replace('"X"', "1e400"),
         "fractional-bins": json.dumps({**doc, "bins": 5.5}),
         "boolean-sigma": json.dumps({**doc, "sigma": True}),
+        # finite and positive, but the Gaussian's peak 1 / (sigma sqrt(2 pi)) overflows
+        "subnormal-sigma": json.dumps({**doc, "sigma": 1e-320}),
         # the network shape is fixed: relu hidden layers, a linear head
         "tanh-activations": json.dumps(
             {**doc, "policy": {**doc["policy"], "activations": ["tanh", "linear"]}}
@@ -759,7 +766,7 @@ def bad_sampler_files(workdir, sampler_path):
     paths = {}
     for name, text in files.items():
         paths[name] = workdir / f"sampler-{name}.json"
-        paths[name].write_text(text)
+        paths[name].write_text(text, encoding="utf-8")
     return paths
 
 
@@ -818,6 +825,33 @@ class TestNumericalFailureExitCode:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["meta-train", "ablation", "noise-sweep"])
+    def test_subnormal_sigma_in_a_config_fits_no_tree(
+        self, tmp_path, capsys, monkeypatch, task_csv, command
+    ):
+        monkeypatch.setattr(DecisionTree, "fit", lambda *args: pytest.fail("a tree was fit"))
+        out = tmp_path / "out"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"sigma": 1e-320}), encoding="utf-8")
+        assert main([
+            command, str(task_csv), "--config", str(config), "--seed", "0",
+            "--out", str(out), *TINY_SAC,
+        ]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: non-finite sampling weights")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "transfer"])
+    def test_subnormal_sigma_in_a_sampler_file_fits_no_tree(
+        self, tmp_path, capsys, monkeypatch, task_csv, bad_sampler_files, command
+    ):
+        monkeypatch.setattr(DecisionTree, "fit", lambda *args: pytest.fail("a tree was fit"))
+        out = tmp_path / "out"
+        assert main(sampler_argv(command, task_csv, bad_sampler_files["subnormal-sigma"], out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: non-finite sampling weights")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "transfer"])
     def test_non_finite_sampler_file(
         self, tmp_path, capsys, task_csv, bad_sampler_files, command
@@ -844,22 +878,22 @@ class TestUnwritableOut:
 
     def test_generate_toy_under_a_file(self, tmp_path, capsys):
         blocker = tmp_path / "file"
-        blocker.write_text("keep\n")
+        blocker.write_text("keep\n", encoding="utf-8")
         self.assert_config_error(capsys, ["generate-toy", "--out", str(blocker / "toy.csv")])
-        assert blocker.read_text() == "keep\n"
+        assert blocker.read_text(encoding="utf-8") == "keep\n"
 
     @pytest.mark.parametrize("command", ["train", "meta-train"])
     @pytest.mark.parametrize("task", ["task", "missing"])
     @pytest.mark.parametrize("where", ["file", "under-file"])
     def test_results_onto_a_file(self, tmp_path, capsys, task_csv, command, task, where):
         blocker = tmp_path / "out"
-        blocker.write_text("keep\n")
+        blocker.write_text("keep\n", encoding="utf-8")
         out = blocker if where == "file" else blocker / "run"
         # a missing task would be a data error (exit 2) were it read first
         path = task_csv if task == "task" else tmp_path / "missing.csv"
         flags = ["--mode", "random-sampling"] if command == "train" else TINY_SAC
         self.assert_config_error(capsys, [command, str(path), *flags, "--out", str(out)])
-        assert blocker.read_text() == "keep\n"
+        assert blocker.read_text(encoding="utf-8") == "keep\n"
 
 
 SAC_FLAGS = {
@@ -985,13 +1019,14 @@ class TestConsoleScript:
         result = subprocess.run(
             [sys.executable, "-m", "metasampler.cli", "generate-toy",
              "--majority", "30", "--minority", "6", "--out", str(tmp_path / "toy.csv")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, encoding="utf-8",
         )
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "toy.csv").exists()
 
     def test_missing_subcommand_is_config_error(self):
         result = subprocess.run(
-            [sys.executable, "-m", "metasampler.cli"], capture_output=True, text=True
+            [sys.executable, "-m", "metasampler.cli"],
+            capture_output=True, text=True, encoding="utf-8",
         )
         assert result.returncode == 1

@@ -33,7 +33,7 @@ from metasampler.dataset import _c_reader_rows, _load_csv_rows
 
 def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -162,6 +162,33 @@ class TestLoadCsv:
         path = write(tmp_path, "a,b,label\n1,0,0\n2,1,1\n3,0,0\n")
         with pytest.raises(TypeError, match="label_column"):
             load_csv(path, label_column=flag)
+
+
+class TestNumpyIntegerLabelPosition:
+    """A numpy integer is a label position, read as the int of its value on both paths."""
+
+    TEXT = "a,label,b\n1,0,2\n3,1,4\n5,0,6\n"
+    POSITIONS = [np.int64(1), np.int32(1), np.int64(-2), np.int32(-2), np.int16(-2)]
+
+    @pytest.mark.parametrize("position", POSITIONS, ids=repr)
+    def test_fast_path(self, tmp_path, monkeypatch, position):
+        path = write(tmp_path, self.TEXT)
+        oracle = per_cell_load_csv(path, int(position))
+        monkeypatch.setattr(dataset, "_load_csv_rows", lambda *args: pytest.fail("row path taken"))
+        assert_same_dataset(load_csv(path, position), oracle)
+
+    @pytest.mark.parametrize("position", POSITIONS, ids=repr)
+    def test_row_path(self, tmp_path, monkeypatch, position):
+        path = write(tmp_path, self.TEXT)
+        oracle = per_cell_load_csv(path, int(position))
+        monkeypatch.setattr(dataset, "_c_reader_rows", lambda path: 0)
+        assert_same_dataset(load_csv(path, position), oracle)
+
+    @pytest.mark.parametrize("position", [np.int64(3), np.int32(-4)], ids=repr)
+    def test_out_of_range_names_the_int(self, tmp_path, position):
+        path = write(tmp_path, self.TEXT)
+        with pytest.raises(ColumnNotFoundError, match=f"label column index {int(position)} out"):
+            load_csv(path, position)
 
 
 def many_rows_csv(n_rows):
@@ -413,17 +440,20 @@ class TestCReaderRows:
 
     # cells of up to 8 bytes pass a limit of 8, 9 bytes do not, wherever they sit
     FIELD_LIMIT_TEXTS = [
-        "a,b\n12345678,1\n",
+        "a,b\n12345678,1\n",  # a line over the limit, every cell within it
         "a,b\n123456789,1\n",
         "a,b\n1,123456789",
         "a,b\r\n1,2\r\n123456789\r\n",
         "a,b\r1,2\r123456789\r",
         "a,b,c,d,e\n1,2,3,4,5\n6,7,8,9,0\n",  # lines over the limit, short cells
         "abcdefghi,b\n1,2\n",
+        "a,b,c,d,label\n1,2,3,4,0\n5,6,7,8,1\n",  # as above, and a valid task
     ]
 
     @pytest.mark.parametrize("chunk_bytes", [1, 2, 3, 5, 1 << 20])
     def test_cell_over_the_field_limit_gives_no_count(self, tmp_path, monkeypatch, chunk_bytes):
+        # 0 where csv refuses a cell or a line is over the limit, else csv's count;
+        # a file turned away for a long line still loads, through the row path
         monkeypatch.setattr(dataset, "_CHUNK_BYTES", chunk_bytes)
         old_limit = csv.field_size_limit(8)
         try:
@@ -433,8 +463,37 @@ class TestCReaderRows:
                     records = list(csv.reader(io.StringIO(text, newline="")))
                 except csv.Error:
                     assert _c_reader_rows(path) == 0, text
+                    continue
+                if max(map(len, text.splitlines())) > 8:
+                    assert _c_reader_rows(path) == 0, text
+                    got = load_outcome(load_csv, path, -1)
+                    want = load_outcome(per_cell_load_csv, path, -1)
+                    if isinstance(want, tuple):
+                        assert got == want, text
+                    else:
+                        assert_same_dataset(got, want)
                 else:
                     assert _c_reader_rows(path) == len(records) - 1, text
+        finally:
+            csv.field_size_limit(old_limit)
+
+    # read at \n, the whole file is one line over a limit of 8; each lone-\r line fits
+    LONE_CR_TEXT = "a,label\r1.5,0\r2.5,1\r3.5,0\r4.5,1\r5.5,0\r"
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 2, 3, 5, 1 << 20])
+    def test_lone_cr_lines_within_the_limit_keep_the_fast_path(
+        self, tmp_path, monkeypatch, chunk_bytes
+    ):
+        monkeypatch.setattr(dataset, "_CHUNK_BYTES", chunk_bytes)
+        path = write(tmp_path, self.LONE_CR_TEXT)
+        old_limit = csv.field_size_limit(8)
+        try:
+            assert _c_reader_rows(path) == 5
+            oracle = per_cell_load_csv(path)
+            monkeypatch.setattr(
+                dataset, "_load_csv_rows", lambda *args: pytest.fail("row path taken")
+            )
+            assert_same_dataset(load_csv(path), oracle)
         finally:
             csv.field_size_limit(old_limit)
 
@@ -731,6 +790,20 @@ class TestMakeToy:
             ToySpec(100, 20, 1.5, seed=0)
         with pytest.raises(ValueError):
             ToySpec(10, 20, 0.5, seed=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_majority", 100.5), ("n_majority", 2000.0), ("n_majority", True),
+         ("n_minority", 20.5), ("n_minority", 20.0), ("n_minority", np.bool_(True)),
+         ("n_minority", "20")],
+    )
+    def test_non_integer_or_boolean_size_is_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            ToySpec(**{field: value})
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        ds = make_toy(ToySpec(np.int64(100), np.int32(20), 0.5, seed=7))
+        assert_same_dataset(ds, make_toy(ToySpec(100, 20, 0.5, seed=7)))
 
 
 class TestInjectFlipNoise:

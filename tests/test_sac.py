@@ -455,8 +455,8 @@ class TestMetaTrain:
         assert np.array_equal(a.policy.params, b.policy.params)
 
     def test_subnormal_sigma_raises_numerical_error(self):
-        config = SacConfig(**self.small, sigma=1e-320)
         with pytest.raises(NumericalError, match="non-finite sampling weights"):
+            config = SacConfig(**self.small, sigma=1e-320)
             meta_train([toy_task(overlap=0.5)], config, seed=0)
 
     def test_empty_task_list_rejected(self):
@@ -577,7 +577,7 @@ class TestScoreArms:
             "train", str(tmp_path / "task.csv"), "--mode", "random-sampling", "--k", "3",
             "--seed", ",".join(map(str, self.SEEDS)), "--out", str(out),
         ]) == 0
-        lines = (out / "train_results.csv").read_text().splitlines()[2:]
+        lines = (out / "train_results.csv").read_text(encoding="utf-8").splitlines()[2:]
         cli = [float(line.split(",")[1]) for line in lines]
         assert cli == self.scores(task, self.arms()[2:3])["random-sampling"]
 
@@ -628,9 +628,9 @@ class TestSamplerIO:
         save_sampler(sampler, path)
         import json
 
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
         doc["format_version"] = 42
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ValueError):
             load_sampler(path)
 
@@ -638,6 +638,22 @@ class TestSamplerIO:
         policy = init_mlp([10, HIDDEN_WIDTH, 2], seed=0)
         with pytest.raises(ValueError):
             MetaSampler(policy=policy, bins=5, sigma=float("inf"))
+
+    @pytest.mark.parametrize("sigma", [1e-320, 5e-324, 2.2e-309])
+    def test_sigma_whose_peak_overflows_is_numerical_error(self, tmp_path, sigma):
+        # the sampler cannot be built, so none is saved; a file holding one cannot be loaded
+        policy = init_mlp([10, HIDDEN_WIDTH, 2], seed=0)
+        with pytest.raises(NumericalError, match="^non-finite sampling weights"):
+            MetaSampler(policy=policy, bins=5, sigma=sigma)
+        with pytest.raises(NumericalError, match="^non-finite sampling weights"):
+            random_sampler(5, sigma, 0)
+        path = tmp_path / "sampler.json"
+        save_sampler(random_sampler(5, 0.2, seed=2), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["sigma"] = sigma
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(NumericalError, match="^non-finite sampling weights"):
+            load_sampler(path)
 
     @pytest.mark.parametrize(
         "key, text",
@@ -647,9 +663,9 @@ class TestSamplerIO:
     def test_bad_scalar_is_format_error(self, tmp_path, key, text):
         path = tmp_path / "sampler.json"
         save_sampler(random_sampler(5, 0.2, seed=2), path)
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
         doc[key] = "PLACEHOLDER"
-        path.write_text(json.dumps(doc).replace('"PLACEHOLDER"', text))
+        path.write_text(json.dumps(doc).replace('"PLACEHOLDER"', text), encoding="utf-8")
         with pytest.raises(SamplerFormatError):
             load_sampler(path)
 
@@ -666,26 +682,26 @@ class TestSamplerIO:
     def test_policy_shape_is_format_error(self, tmp_path, edit):
         path = tmp_path / "sampler.json"
         save_sampler(random_sampler(5, 0.2, seed=2), path)
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
         doc["policy"].update(edit)
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(SamplerFormatError):
             load_sampler(path)
 
     def test_integer_layer_size_one_loads(self, tmp_path):
         path = tmp_path / "sampler.json"
         save_sampler(random_sampler(5, 0.2, seed=2), path)
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
         doc["policy"].update(self.ONE_WIDE, layer_sizes=[10, 1, 2])
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         assert load_sampler(path).policy.layer_sizes == [10, 1, 2]
 
     def test_integral_float_bins_loads(self, tmp_path):
         path = tmp_path / "sampler.json"
         save_sampler(random_sampler(5, 0.2, seed=2), path)
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
         doc["bins"] = 5.0
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         assert load_sampler(path).bins == 5
 
     def test_files_are_opened_as_utf8(self, tmp_path):
@@ -699,7 +715,7 @@ class TestSamplerIO:
         result = subprocess.run(
             [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
              "-c", code, str(tmp_path / "sampler.json")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, encoding="utf-8",
             env={**os.environ, "PYTHONPATH": str(Path(metasampler.__file__).parents[1])},
         )
         assert result.returncode == 0, result.stderr
@@ -798,6 +814,14 @@ class TestSacConfig:
 
     def test_state_size(self):
         assert SacConfig(bins=7).state_size == 14
+
+    @pytest.mark.parametrize("sigma", [1e-320, 5e-324, 2.2e-309])
+    def test_sigma_whose_peak_overflows_is_numerical_error(self, sigma):
+        with pytest.raises(NumericalError, match="^non-finite sampling weights"):
+            SacConfig(sigma=sigma)
+
+    def test_smallest_sigma_with_a_finite_peak_is_accepted(self):
+        assert SacConfig(sigma=2.3e-309).sigma == 2.3e-309
 
     def test_numpy_integers_and_unset_episodes_accepted(self):
         config = SacConfig(batch_size=np.int64(8), replay_capacity=np.int32(16), episodes=None)
