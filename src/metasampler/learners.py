@@ -67,7 +67,8 @@ class DecisionTree:
     the result to ``s``, and gather ``s``'s child. Each gather is a 1-D
     ``take`` with ``mode="clip"``, which is faster than a fancy index and
     changes nothing: every index is in range except a leaf's ``-1 + 0`` on
-    a block's first row, whose read the self-loop discards.
+    a block's first row (in a group, on each tree's first row), whose read
+    the self-loop discards.
 
     Most rows reach their leaf long before ``depth``: on the 105k rows of
     the large benchmark task, trees 12-13 deep put a row in its leaf after
@@ -85,6 +86,13 @@ class DecisionTree:
     maps and faults in fresh pages. Every row makes the same comparisons
     and lands in the leaf that following ``left``/``right`` node by node
     reaches, a NaN value going right.
+
+    ``_walk`` is the one walk, and ``predict_proba`` is its group of one:
+    the tree's own tables, root 0. An ``EnsembleModel`` whose members all
+    use this ``predict_proba`` walks ``8192 // rows`` of them at once
+    (``tree_probabilities``), adds each tree's probabilities to its sum in
+    member order, and so gives the bytes of one walk per tree; with any
+    other member it calls each member's ``predict_proba``.
     """
 
     def __init__(self):
@@ -172,32 +180,84 @@ class DecisionTree:
         x = _as_matrix(features, self.n_features_in)
         out = np.empty(len(x))
         row_offsets = np.arange(min(len(x), _PREDICT_BLOCK)) * x.shape[1]
-        half = self.depth // 2
-        rest = self.depth - half
+        tables = self._children, self._feature2, self._threshold2, self.value
         for start in range(0, len(x), _PREDICT_BLOCK):
             rows = x[start : start + _PREDICT_BLOCK]
-            flat, offsets = rows.ravel(), row_offsets[: len(rows)]
-            s = self._descend(np.zeros(len(rows), dtype=np.intp), flat, offsets, half)
-            # a leaf points to itself: only the rows still at a split walk on
-            active = (self._children.take(s) != s).nonzero()[0]
-            s[active] = self._descend(s.take(active), flat, offsets.take(active), rest)
-            out[start : start + len(rows)] = self.value.take(s >> 1)
+            s = np.zeros(len(rows), dtype=np.intp)
+            out[start : start + len(rows)] = _walk(
+                tables, self.depth, s, rows.ravel(), row_offsets[: len(rows)]
+            )
         return out
 
-    def _descend(self, s, flat, offsets, levels):
-        """Doubled ids `levels` levels below s, which it may overwrite.
 
-        Row i of s reads its features in flat from offsets[i] on.
-        """
-        children, feature2, threshold2 = self._children, self._feature2, self._threshold2
-        for _ in range(levels):
-            # a leaf's -1 feature reads a value its self-loop ignores
-            at = feature2.take(s, mode="clip")
-            at += offsets
-            goes_left = flat.take(at, mode="clip") < threshold2.take(s, mode="clip")
-            s += goes_left
-            s = children.take(s, mode="clip")
-        return s
+def tree_probabilities(trees, features):
+    """Each tree's ``predict_proba(features)``, bit for bit, in the order of `trees`.
+
+    On n rows the trees walk in groups of ``8192 // n``, so a group's
+    (tree, row) pairs fill at most one ``_PREDICT_BLOCK``; a group of one is
+    the tree's own ``predict_proba``. Larger groups walk tables stacked once
+    per call: each tree's ``_children`` offset by twice the node count of the
+    trees before it, and its ``_feature2``, ``_threshold2`` and ``value``,
+    concatenated. A group's pairs are tree-major, each starts at its tree's
+    doubled root, and the deepest tree sets the number of levels.
+    """
+    for tree in trees:
+        if tree.feature is None:
+            raise RuntimeError("tree is not fitted")
+        x = _as_matrix(features, tree.n_features_in)
+    n = len(x)
+    group = _PREDICT_BLOCK // max(n, 1)
+    if group < 2:
+        for tree in trees:
+            yield DecisionTree.predict_proba(tree, x)
+        return
+    roots = 2 * np.cumsum([0] + [len(tree.value) for tree in trees[:-1]], dtype=np.intp)
+    tables = (
+        np.concatenate([tree._children + root for tree, root in zip(trees, roots)]),
+        np.concatenate([tree._feature2 for tree in trees]),
+        np.concatenate([tree._threshold2 for tree in trees]),
+        np.concatenate([tree.value for tree in trees]),
+    )
+    flat = x.ravel()
+    # pair i * n + r of a group is its tree i at row r, whose features start at r * d
+    offsets = np.tile(np.arange(n) * x.shape[1], group)
+    for start in range(0, len(trees), group):
+        members = trees[start : start + group]
+        depth = max(tree.depth for tree in members)
+        s = roots[start : start + group].repeat(n)
+        yield from _walk(tables, depth, s, flat, offsets[: len(s)]).reshape(len(members), n)
+
+
+def _walk(tables, depth, s, flat, offsets):
+    """Leaf value of each pair after `depth` levels down from doubled ids s.
+
+    `tables` are (_children, _feature2, _threshold2, value); pair i reads its
+    features in flat from offsets[i] on. After depth // 2 levels the pairs
+    are compacted once: a leaf points to itself, so only the pairs still at
+    a split walk the remaining levels.
+    """
+    children, _, _, value = tables
+    half = depth // 2
+    s = _descend(tables, s, flat, offsets, half)
+    active = (children.take(s) != s).nonzero()[0]
+    s[active] = _descend(tables, s.take(active), flat, offsets.take(active), depth - half)
+    return value.take(s >> 1)
+
+
+def _descend(tables, s, flat, offsets, levels):
+    """Doubled ids `levels` levels below s, which it may overwrite.
+
+    Pair i of s reads its features in flat from offsets[i] on.
+    """
+    children, feature2, threshold2 = tables[:3]
+    for _ in range(levels):
+        # a leaf's -1 feature reads a value its self-loop ignores
+        at = feature2.take(s, mode="clip")
+        at += offsets
+        goes_left = flat.take(at, mode="clip") < threshold2.take(s, mode="clip")
+        s += goes_left
+        s = children.take(s, mode="clip")
+    return s
 
 
 class GaussianNaiveBayes:

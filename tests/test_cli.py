@@ -841,6 +841,17 @@ class TestNumericalFailureExitCode:
         assert err.startswith("numerical failure: non-finite sampling weights")
         assert not out.exists()
 
+    def test_subnormal_sigma_fits_no_tree(self, tmp_path, capsys, monkeypatch, task_csv):
+        monkeypatch.setattr(DecisionTree, "fit", lambda *args: pytest.fail("a tree was fit"))
+        out = tmp_path / "out"
+        assert main([
+            "train", str(task_csv), "--mode", "constant", "--mu", "0.5",
+            "--sigma", "1e-320", "--k", "3", "--out", str(out),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: non-finite sampling weights (sigma=1e-320)\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "transfer"])
     def test_subnormal_sigma_in_a_sampler_file_fits_no_tree(
         self, tmp_path, capsys, monkeypatch, task_csv, bad_sampler_files, command

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.random import SeedSequence
@@ -7,6 +9,7 @@ from metasampler import (
     EnsembleModel,
     EnsembleStep,
     GaussianNaiveBayes,
+    NumericalError,
     SacConfig,
     SplitSpec,
     ToySpec,
@@ -21,6 +24,7 @@ from metasampler import (
     train_ensemble,
     train_random_ensemble,
 )
+from metasampler import learners
 from metasampler.sampling import WEIGHT_FLOOR
 from conftest import FixedModel, make_dataset
 
@@ -52,9 +56,10 @@ class TestEnsembleModel:
 
     def test_one_dimensional_input_refused(self):
         features = np.array([[0.0]])
-        model = EnsembleModel([FixedModel(features, [0.2])])
-        with pytest.raises(ValueError, match="matrix"):
-            model.predict_proba(np.array([0.0]))
+        tree = DecisionTree().fit(make_dataset([[0.0], [1.0]], [0, 1]))
+        for members in ([FixedModel(features, [0.2])], [tree, tree]):
+            with pytest.raises(ValueError, match="matrix"):
+                EnsembleModel(members).predict_proba(np.array([0.0]))
 
     def test_output_in_unit_interval(self, rng):
         features = rng.standard_normal((5, 1))
@@ -63,6 +68,140 @@ class TestEnsembleModel:
         ]
         out = EnsembleModel(members).predict_proba(features)
         assert np.all((0.0 <= out) & (out <= 1.0))
+
+
+def member_loop_proba(members, x):
+    """The per-member loop EnsembleModel.predict_proba replaced: a sum in member order over K."""
+    acc = np.zeros(len(x))
+    for member in members:
+        acc += member.predict_proba(x)
+    return acc / len(members)
+
+
+@pytest.fixture(scope="module")
+def tree_pool():
+    """31 trees on 3 features, 0 to 16 levels deep: pure depth-0 trees at positions 1 and 29."""
+    rng = np.random.default_rng(22)
+    x = rng.standard_normal((900, 3))
+    labels = (x[:, 0] + x[:, 1] * x[:, 2] + 0.8 * rng.standard_normal(900) > 0.9).astype(np.int64)
+    trees = []
+    for t in range(31):
+        size = int(rng.integers(8, 900))
+        rows = rng.choice(900, size=size, replace=False)
+        if t in (1, 29):
+            rows = rows[labels[rows] == 0]
+        trees.append(DecisionTree().fit(make_dataset(x[rows], labels[rows])))
+    assert trees[1].depth == trees[29].depth == 0
+    assert max(tree.depth for tree in trees) >= 12
+    return trees
+
+
+def query_rows(n, seed=0):
+    """n rows of 3 features, some of them NaN, +inf or -inf."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 3)) * 1.5
+    special = rng.random((n, 3))
+    x[special < 0.03] = np.nan
+    x[(0.03 <= special) & (special < 0.05)] = np.inf
+    x[(0.05 <= special) & (special < 0.07)] = -np.inf
+    return x
+
+
+class TestGroupedTreePredict:
+    """A tree ensemble scores its members in groups of 8192 // rows trees, with the same bytes."""
+
+    @pytest.mark.parametrize("n_rows", [1, 440, 2200, 2731, 4096, 4097, 8192, 8193, 20000])
+    def test_equals_the_member_loop(self, tree_pool, n_rows):
+        x = query_rows(n_rows, seed=n_rows)
+        if n_rows > 1:
+            assert np.isnan(x).any() and np.isposinf(x).any() and np.isneginf(x).any()
+        for k in (1, 2, 3, 5, 30, 31):
+            members = tree_pool[:k]
+            got = EnsembleModel(members).predict_proba(x)
+            assert got.tobytes() == member_loop_proba(members, x).tobytes(), (n_rows, k)
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 440, 2200, 2731, 4096, 4097, 20000])
+    def test_groups_fill_one_block(self, tree_pool, monkeypatch, n_rows):
+        walked = []  # pairs per walk
+
+        def recording(tables, depth, s, flat, offsets):
+            walked.append(len(s))
+            return walk(tables, depth, s, flat, offsets)
+
+        walk = learners._walk
+        monkeypatch.setattr(learners, "_walk", recording)
+        EnsembleModel(tree_pool[:30]).predict_proba(query_rows(n_rows))
+        group = 8192 // max(n_rows, 1)
+        if group >= 2:  # one walk per group of trees
+            want = [min(group, 30 - start) * n_rows for start in range(0, 30, group)]
+        else:  # each tree alone, in blocks of 8,192 rows
+            want = [min(8192, n_rows - start) for start in range(0, n_rows, 8192)] * 30
+        assert walked == want
+
+    def test_tree_probabilities_rows_are_each_trees_predict(self, tree_pool):
+        members = [*tree_pool[:5], tree_pool[29]]  # deep trees grouped with two depth-0 ones
+        for n_rows in (3, 440, 2731, 9000):
+            x = query_rows(n_rows, seed=1)
+            rows = list(learners.tree_probabilities(members, x))
+            assert len(rows) == len(members)
+            for tree, row in zip(members, rows):
+                assert row.tobytes() == tree.predict_proba(x).tobytes()
+            assert np.all(rows[1] == tree_pool[1].value[0])
+
+    def test_empty_matrix_gives_empty_scores(self, tree_pool):
+        out = EnsembleModel(tree_pool[:30]).predict_proba(np.empty((0, 3)))
+        assert out.shape == (0,) and out.dtype == np.float64
+
+    def test_wrong_width_or_unfitted_member_refused(self, tree_pool):
+        with pytest.raises(ValueError, match="matrix"):
+            EnsembleModel(tree_pool[:3]).predict_proba(np.zeros((5, 2)))
+        with pytest.raises(RuntimeError, match="not fitted"):
+            EnsembleModel([tree_pool[0], DecisionTree()]).predict_proba(np.zeros((5, 3)))
+
+    def test_one_members_scores_alive_at_a_time(self, tree_pool):
+        x = query_rows(200_000)
+        model = EnsembleModel(tree_pool[:3])
+        tracemalloc.start()
+        try:
+            model.predict_proba(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the sum, one member's scores and the walk's block temporaries; two
+        # members' scores at once would be 3 * 8 bytes a row
+        assert peak < 2.75 * 8 * len(x)
+
+    def test_overriding_subclass_scores_through_its_own_predict(self, tree_pool):
+        class CountingTree(DecisionTree):
+            rows_scored = 0
+
+            def predict_proba(self, features):
+                self.rows_scored += len(features)
+                return super().predict_proba(features)
+
+        members = []
+        for tree in tree_pool[:6]:
+            counting = CountingTree()
+            counting.__dict__.update(vars(tree))
+            members.append(counting)
+        x = query_rows(440, seed=2)
+        got = EnsembleModel(members).predict_proba(x)
+        assert [member.rows_scored for member in members] == [440] * 6
+        assert got.tobytes() == member_loop_proba(tree_pool[:6], x).tobytes()
+
+    def test_naive_bayes_and_mixed_members_give_the_loop_bytes(self, tree_pool):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((300, 3))
+        labels = (x[:, 0] > 0.5).astype(np.int64)
+        nbs = [
+            GaussianNaiveBayes().fit(make_dataset(x[rows], labels[rows]))
+            for rows in (rng.choice(300, size=150, replace=False) for _ in range(5))
+        ]
+        query = query_rows(2200, seed=4)
+        query[~np.isfinite(query)] = 0.0
+        for members in (nbs, [tree_pool[0], nbs[0], *tree_pool[2:6], nbs[1]]):
+            got = EnsembleModel(members).predict_proba(query)
+            assert got.tobytes() == member_loop_proba(members, query).tobytes()
 
 
 class TestActions:
@@ -156,6 +295,25 @@ class TestTrainEnsemble:
         train, valid, _ = toy_parts()
         with pytest.raises(ValueError):
             train_ensemble(train, valid, lambda state: 0.5, n_members=0, seed=0)
+
+    @pytest.mark.parametrize(
+        "knobs, error",
+        [
+            ({"sigma": 1e-320}, NumericalError),
+            ({"sigma": float("nan")}, ValueError),
+            ({"sigma": 0.0}, ValueError),
+            ({"sigma": -0.2}, ValueError),
+            ({"bins": 0}, ValueError),
+            ({"bins": -3}, ValueError),
+            ({"bins": float("nan")}, ValueError),
+        ],
+    )
+    @pytest.mark.parametrize("n_members", [1, 3])
+    def test_sigma_and_bins_refused_before_any_fit(self, monkeypatch, knobs, error, n_members):
+        train, valid, _ = toy_parts(overlap=0.5)
+        monkeypatch.setattr(DecisionTree, "fit", lambda *args: pytest.fail("a tree was fit"))
+        with pytest.raises(error):
+            train_ensemble(train, valid, lambda state: 0.5, n_members=n_members, seed=0, **knobs)
 
     @pytest.mark.parametrize("n_members", [True, 2.5, "3.5"])
     def test_non_integer_n_members_rejected(self, n_members):
