@@ -143,7 +143,7 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class ToySpec:
-    """Synthetic arc-vs-blob task: integer class sizes (not bools) and boundary overlap."""
+    """Synthetic arc-vs-blob task: integer class sizes and seed (not bools), and boundary overlap."""
 
     n_majority: int = 2000
     n_minority: int = 200
@@ -151,8 +151,8 @@ class ToySpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_integer("n_majority", self.n_majority)
-        check_integer("n_minority", self.n_minority)
+        for name in ("n_majority", "n_minority", "seed"):
+            check_integer(name, getattr(self, name))
         if self.n_minority < 2:
             raise ValueError("need at least 2 minority instances")
         if self.n_majority < self.n_minority:
@@ -442,11 +442,11 @@ def inject_flip_noise(ds: LabeledDataset, ratio: float, seed) -> LabeledDataset:
     p_idx, n_idx = ds.minority_indices, ds.majority_indices
     if len(p_idx) == 0 or len(n_idx) == 0:
         raise SingleClassError("flip noise needs both classes")
-    if math.ceil(len(p_idx) * ratio) > min(len(p_idx) - 1, len(n_idx) - 1):
+    m = int(math.floor(len(p_idx) * ratio + 0.5))
+    if m > min(len(p_idx) - 1, len(n_idx) - 1):
         raise ClassTooSmallError(
             f"ratio {ratio} would flip an entire class ({len(p_idx)} minority, {len(n_idx)} majority)"
         )
-    m = int(math.floor(len(p_idx) * ratio + 0.5))
     if m == 0:
         return ds
     rng = as_generator(seed)

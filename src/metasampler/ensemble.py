@@ -16,7 +16,7 @@ from .dataset import LabeledDataset
 from .errors import SingleClassError
 from .learners import DecisionTree, tree_probabilities
 from .metrics import aucprc
-from .rng import as_seed_sequence, strict_int
+from .rng import as_seed_sequence, check_integer
 from .sampling import gaussian_scale, random_balanced_subset, sample_from_errors, state_from_errors
 
 
@@ -80,14 +80,14 @@ def _check_task(
     """Refuse a cascade before any member is fit; returns n_members as an int.
 
     `sigma` and `bins`, when given, are the weighted draw's and the meta-state's:
-    `gaussian_scale` checks sigma, and bins must be at least 1.
+    `gaussian_scale` checks sigma, and bins must be an integer of at least 1.
     """
-    n_members = strict_int(n_members)
+    n_members = check_integer("n_members", n_members)
     if n_members < 1:
         raise ValueError(f"need at least one member, got {n_members}")
     if sigma is not None:
         gaussian_scale(sigma)
-    if bins is not None and not bins >= 1:
+    if bins is not None and check_integer("bins", bins) < 1:
         raise ValueError(f"need at least one bin, got {bins}")
     for name, part in (("train", train), ("valid", valid)):
         if part.minority_count == 0 or part.majority_count == 0:

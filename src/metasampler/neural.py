@@ -12,13 +12,12 @@ JSON round-trip.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
-from .rng import as_generator
+from .rng import as_generator, check_integer
 
 FORMAT_VERSION = 1
 
@@ -51,9 +50,7 @@ class Mlp:
     """
 
     def __init__(self, layer_sizes, params=None):
-        if any(isinstance(s, (bool, np.bool_)) for s in layer_sizes):
-            raise TypeError(f"layer sizes must be integers, got {layer_sizes}")
-        self.layer_sizes = [operator.index(s) for s in layer_sizes]
+        self.layer_sizes = [check_integer("layer size", s) for s in layer_sizes]
         if len(self.layer_sizes) < 2:
             raise ValueError("need at least an input and an output size")
         if any(s < 1 for s in self.layer_sizes):

@@ -1,10 +1,11 @@
-"""Small helpers for seed handling, and the strict number casts.
+"""Seed handling and the integer and number checks.
 
-Everything that draws randomness accepts either an int seed, a
+Everything that draws randomness accepts an int seed, a
 ``numpy.random.SeedSequence`` or a ready ``Generator``, so callers can wire
-reproducible streams without the library ever touching global state. An int
-seed goes through ``strict_int``, so a fraction such as 2.9 or a boolean is
-refused rather than run as seed 2 or 1.
+reproducible streams without the library ever touching global state. A seed,
+count or size that a Python caller passes goes through ``check_integer``: an
+int or a numpy integer, never a bool, 2.0 or "7". Only text and JSON that the
+CLI or a sampler file parses go through ``strict_int``, which also casts 3.0.
 """
 from __future__ import annotations
 
@@ -22,10 +23,11 @@ def strict_int(value) -> int:
     return int(value)
 
 
-def check_integer(name: str, value) -> None:
-    """ValueError naming `name` unless `value` is an integer (numpy's too), not a bool or 3.0."""
+def check_integer(name: str, value) -> int:
+    """int(value) of an integer (numpy's too); ValueError naming `name` for a bool, 3.0 or "3"."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def strict_float(value) -> float:
@@ -43,7 +45,7 @@ def as_generator(seed) -> np.random.Generator:
         return seed
     if isinstance(seed, np.random.SeedSequence):
         return np.random.default_rng(seed)
-    return np.random.default_rng(strict_int(seed))
+    return np.random.default_rng(check_integer("seed", seed))
 
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
@@ -51,4 +53,4 @@ def as_seed_sequence(seed) -> np.random.SeedSequence:
         return seed
     if isinstance(seed, np.random.Generator):
         raise TypeError("need an int or SeedSequence, not a Generator")
-    return np.random.SeedSequence(strict_int(seed))
+    return np.random.SeedSequence(check_integer("seed", seed))

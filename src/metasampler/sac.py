@@ -124,9 +124,9 @@ class ReplayMemory:
     """
 
     def __init__(self, capacity: int):
-        if capacity < 1:
+        self.capacity = check_integer("capacity", capacity)
+        if self.capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
         self._rows = None
         self._pushed = 0
 
@@ -160,6 +160,7 @@ class MetaSampler:
     sigma: float
 
     def __post_init__(self):
+        self.bins = check_integer("bins", self.bins)
         sizes = self.policy.layer_sizes
         if sizes[0] != 2 * self.bins:
             raise ValueError(f"policy input {sizes[0]} does not match 2 * {self.bins} bins")
@@ -170,7 +171,7 @@ class MetaSampler:
 
 def random_sampler(bins: int, sigma: float, seed) -> MetaSampler:
     """Freshly initialized, untrained sampling policy (an ablation baseline)."""
-    policy = init_mlp([2 * bins, HIDDEN_WIDTH, 2], seed)
+    policy = init_mlp([2 * check_integer("bins", bins), HIDDEN_WIDTH, 2], seed)
     return MetaSampler(policy=policy, bins=bins, sigma=sigma)
 
 
@@ -245,11 +246,9 @@ def deterministic_action(sampler: MetaSampler, state) -> float:
 
 
 class PolicyActionSource:
-    """The actions of a MetaSampler: calling it with a state samples one action."""
+    """The actions of a MetaSampler, drawn from a given `seed`: each call samples one."""
 
     def __init__(self, sampler: MetaSampler, seed=None):
-        if seed is None:
-            raise ValueError("policy actions need a seed")
         self._sampler = sampler
         self._rng = as_generator(seed)
 
@@ -383,8 +382,7 @@ def meta_train(tasks, config: SacConfig, seed, learner_factory=DecisionTree,
         """Uniform until config.random_steps steps have run, then a policy sample."""
         if env_steps < config.random_steps:
             return float(action_rng.random())
-        action, _ = sample_action(sampler, state, action_rng)
-        return action
+        return policy_actions(state)
 
     def after_step(step):
         nonlocal env_steps, updates
@@ -408,6 +406,7 @@ def meta_train(tasks, config: SacConfig, seed, learner_factory=DecisionTree,
         train, valid = tasks[task_index]
         action_ss, subset_ss = episode_root.spawn(1)[0].spawn(2)
         action_rng = as_generator(action_ss)
+        policy_actions = PolicyActionSource(sampler, seed=action_rng)
         train_ensemble(
             train,
             valid,
@@ -434,9 +433,11 @@ def score_arms(ds, split, seeds, arms, *, n_members, noise_ratio=0.0, mu=0.5, bi
     its bins and sigma; "random-policy" from an untrained sampler with `bins`
     and `sigma`; "random-sampling" fits every member on a random balanced
     subset; and "constant" takes action `mu`, which must lie in [0, 1], at
-    every step. A mode ignores the knobs it does not use. Every arm spawns the same six streams from the
-    seed, so its scores do not depend on which other arms run beside it.
+    every step. A mode ignores the knobs it does not use, but `n_members` and
+    `bins` must be integers whatever the arms. Every arm spawns the same six
+    streams from the seed, so its scores do not depend on which other arms run.
     """
+    n_members, bins = check_integer("n_members", n_members), check_integer("bins", bins)
     arms = list(arms)
     for label, mode, sampler in arms:
         if mode not in MODES:

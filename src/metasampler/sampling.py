@@ -27,7 +27,7 @@ import numpy as np
 from .dataset import LabeledDataset
 from .errors import NumericalError, SingleClassError
 from .metrics import classification_errors
-from .rng import as_generator
+from .rng import as_generator, check_integer
 
 WEIGHT_FLOOR = 1e-12
 
@@ -37,7 +37,7 @@ def error_histogram(errors, bins: int) -> np.ndarray:
 
     Bin i covers [(i-1)/b, i/b) for 1-based i; the last bin also includes 1.0.
     """
-    if bins < 1:
+    if check_integer("bins", bins) < 1:
         raise ValueError(f"need at least one bin, got {bins}")
     errors = np.asarray(errors, dtype=np.float64)
     if errors.ndim != 1 or errors.size == 0:

@@ -8,6 +8,7 @@ import pytest
 from metasampler import (
     ColumnNotFoundError,
     DataError,
+    DecisionTree,
     EmptyDataError,
     FeatureParseError,
     LabelDomainError,
@@ -242,3 +243,9 @@ def max_relative_error(analytic, numeric, floor=1e-7):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def no_tree_fit(monkeypatch):
+    """Fail the test if a DecisionTree is fit while it runs."""
+    monkeypatch.setattr(DecisionTree, "fit", lambda *args: pytest.fail("a tree was fit"))

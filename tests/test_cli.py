@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from metasampler import DecisionTree, load_sampler
+from metasampler import load_sampler
 from metasampler.cli import build_parser, main
 
 TINY_SAC = [
@@ -827,9 +827,8 @@ class TestNumericalFailureExitCode:
 
     @pytest.mark.parametrize("command", ["meta-train", "ablation", "noise-sweep"])
     def test_subnormal_sigma_in_a_config_fits_no_tree(
-        self, tmp_path, capsys, monkeypatch, task_csv, command
+        self, tmp_path, capsys, no_tree_fit, task_csv, command
     ):
-        monkeypatch.setattr(DecisionTree, "fit", lambda *args: pytest.fail("a tree was fit"))
         out = tmp_path / "out"
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"sigma": 1e-320}), encoding="utf-8")
@@ -841,8 +840,7 @@ class TestNumericalFailureExitCode:
         assert err.startswith("numerical failure: non-finite sampling weights")
         assert not out.exists()
 
-    def test_subnormal_sigma_fits_no_tree(self, tmp_path, capsys, monkeypatch, task_csv):
-        monkeypatch.setattr(DecisionTree, "fit", lambda *args: pytest.fail("a tree was fit"))
+    def test_subnormal_sigma_fits_no_tree(self, tmp_path, capsys, no_tree_fit, task_csv):
         out = tmp_path / "out"
         assert main([
             "train", str(task_csv), "--mode", "constant", "--mu", "0.5",
@@ -854,9 +852,8 @@ class TestNumericalFailureExitCode:
 
     @pytest.mark.parametrize("command", ["train", "transfer"])
     def test_subnormal_sigma_in_a_sampler_file_fits_no_tree(
-        self, tmp_path, capsys, monkeypatch, task_csv, bad_sampler_files, command
+        self, tmp_path, capsys, no_tree_fit, task_csv, bad_sampler_files, command
     ):
-        monkeypatch.setattr(DecisionTree, "fit", lambda *args: pytest.fail("a tree was fit"))
         out = tmp_path / "out"
         assert main(sampler_argv(command, task_csv, bad_sampler_files["subnormal-sigma"], out)) == 3
         err = capsys.readouterr().err

@@ -805,6 +805,17 @@ class TestMakeToy:
         ds = make_toy(ToySpec(np.int64(100), np.int32(20), 0.5, seed=7))
         assert_same_dataset(ds, make_toy(ToySpec(100, 20, 0.5, seed=7)))
 
+    @pytest.mark.parametrize("seed", [2.5, 7.0, True, "7"])
+    def test_non_integer_seed_is_refused(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            ToySpec(100, 20, 0.5, seed=seed)
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32])
+    def test_numpy_integer_seed_is_accepted(self, integer):
+        assert_same_dataset(
+            make_toy(ToySpec(100, 20, 0.5, seed=integer(7))), make_toy(ToySpec(100, 20, 0.5, seed=7))
+        )
+
 
 class TestInjectFlipNoise:
     def test_zero_ratio_identity(self):
@@ -846,6 +857,14 @@ class TestInjectFlipNoise:
         ds = make_dataset([[float(i)] for i in range(8)], [0, 0, 0, 0, 1, 1, 1, 1])
         with pytest.raises(ClassTooSmallError):
             inject_flip_noise(ds, 0.9, seed=0)
+
+    @pytest.mark.parametrize("ratio", [0.6, 0.7])
+    def test_refusal_follows_the_rounded_flip_count(self, ratio):
+        # 3 minority rows: round(3 * 0.7) = 2 leaves one row of each class, as 0.6 does
+        ds = make_dataset([[float(i)] for i in range(10)], [0] * 7 + [1] * 3)
+        out = inject_flip_noise(ds, ratio, seed=0)
+        assert np.sum((ds.labels == 1) & (out.labels == 0)) == 2
+        assert np.sum((ds.labels == 0) & (out.labels == 1)) == 2
 
     def test_ratio_domain(self):
         ds = make_dataset([[0.0], [1.0]], [0, 1])

@@ -309,30 +309,38 @@ class TestTrainEnsemble:
         ],
     )
     @pytest.mark.parametrize("n_members", [1, 3])
-    def test_sigma_and_bins_refused_before_any_fit(self, monkeypatch, knobs, error, n_members):
+    def test_sigma_and_bins_refused_before_any_fit(self, no_tree_fit, knobs, error, n_members):
         train, valid, _ = toy_parts(overlap=0.5)
-        monkeypatch.setattr(DecisionTree, "fit", lambda *args: pytest.fail("a tree was fit"))
         with pytest.raises(error):
             train_ensemble(train, valid, lambda state: 0.5, n_members=n_members, seed=0, **knobs)
 
-    @pytest.mark.parametrize("n_members", [True, 2.5, "3.5"])
-    def test_non_integer_n_members_rejected(self, n_members):
+    @pytest.mark.parametrize("n_members", [True, 2.5, "3.5", "3", 3.0])
+    def test_non_integer_n_members_rejected(self, no_tree_fit, n_members):
         train, valid, _ = toy_parts()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n_members must be an integer"):
             train_ensemble(train, valid, lambda state: 0.5, n_members=n_members, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n_members must be an integer"):
             train_random_ensemble(train, valid, n_members=n_members, seed=0)
 
-    @pytest.mark.parametrize("n_members", [3.0, np.int64(3)])
-    def test_integral_n_members_accepted(self, n_members):
+    @pytest.mark.parametrize("bins", [2.5, True, np.float64(3.0)])
+    @pytest.mark.parametrize("n_members", [1, 3])
+    def test_non_integer_bins_rejected(self, no_tree_fit, bins, n_members):
+        train, valid, _ = toy_parts()
+        with pytest.raises(ValueError, match="^bins must be an integer"):
+            train_ensemble(
+                train, valid, lambda state: 0.5, bins=bins, n_members=n_members, seed=0
+            )
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32])
+    def test_numpy_integer_n_members_and_bins_accepted(self, integer):
         train, valid, _ = toy_parts()
         model, steps = train_ensemble(
-            train, valid, lambda state: 0.5, n_members=n_members, seed=0
+            train, valid, lambda state: 0.5, bins=integer(5), n_members=integer(3), seed=0
         )
         _, ref_steps = train_ensemble(train, valid, lambda state: 0.5, n_members=3, seed=0)
         assert len(model) == 3
         assert_same_steps(steps, ref_steps)
-        assert len(train_random_ensemble(train, valid, n_members=n_members, seed=0)) == 3
+        assert len(train_random_ensemble(train, valid, n_members=integer(3), seed=0)) == 3
 
 
 def rescoring_cascade(train, valid, actions, n_members, learner_factory, seed, sigma=0.2, bins=5):

@@ -75,7 +75,7 @@ class TestForward:
 
     @pytest.mark.parametrize("sizes", [[True, 1], [10, True, 2], [np.bool_(True), 1]])
     def test_boolean_layer_size_refused(self, sizes):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             Mlp(sizes)
 
 
@@ -369,7 +369,7 @@ class TestFlatLayout:
             Mlp([2, 3], np.zeros(8))
         with pytest.raises(ValueError):
             Mlp([2, 3], np.zeros((3, 3)))
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             Mlp([2.0, 3])
 
 

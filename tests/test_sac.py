@@ -170,6 +170,18 @@ class TestReplayMemory:
         with pytest.raises(ValueError):
             ReplayMemory(0)
 
+    @pytest.mark.parametrize("capacity", [2.5, 4.0, True, "4"])
+    def test_non_integer_capacity_rejected(self, capacity):
+        with pytest.raises(ValueError, match="^capacity must be an integer"):
+            ReplayMemory(capacity)
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32])
+    def test_numpy_integer_capacity_accepted(self, rng, integer):
+        replay = ReplayMemory(integer(3))
+        for reward in range(5):
+            replay.push(make_transition(rng, 10, reward=float(reward)))
+        assert replay.capacity == 3 and len(replay) == 3
+
     def test_empty_sample_rejected(self, rng):
         replay = ReplayMemory(4)
         with pytest.raises(ValueError):
@@ -581,6 +593,22 @@ class TestScoreArms:
         cli = [float(line.split(",")[1]) for line in lines]
         assert cli == self.scores(task, self.arms()[2:3])["random-sampling"]
 
+    @pytest.mark.parametrize(
+        "knobs, field",
+        [({"bins": 2.5}, "bins"), ({"bins": True}, "bins"), ({"bins": np.float64(3.0)}, "bins"),
+         ({"n_members": "3"}, "n_members"), ({"n_members": 3.0}, "n_members")],
+    )
+    def test_non_integer_knobs_rejected_before_any_fit(self, task, no_tree_fit, knobs, field):
+        # the random-sampling arm runs first and uses neither bins nor a sampler
+        arms = [self.arms()[i] for i in (2, 0, 1, 3)]
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            score_arms(task, SplitSpec(), self.SEEDS, arms, **{"n_members": 3, **knobs})
+
+    def test_numpy_integer_knobs_score_like_ints(self, task):
+        scores = score_arms(task, SplitSpec(), self.SEEDS, self.arms()[1:],
+                            n_members=np.int64(3), bins=np.int32(5))
+        assert scores == self.scores(task, self.arms()[1:])
+
     def test_rejects_unknown_mode_policy_without_sampler_and_repeated_label(self, task):
         with pytest.raises(ValueError, match="unknown mode"):
             self.scores(task, [("x", "greedy", None)])
@@ -617,6 +645,24 @@ class TestSamplerIO:
         policy = init_mlp([10, HIDDEN_WIDTH, 2], seed=0)
         with pytest.raises(ValueError):
             MetaSampler(policy=policy, bins=4, sigma=0.2)
+
+    def test_non_integer_bins_rejected(self):
+        # 2 * 2.5 matches the policy's 5 inputs: only the integer check refuses it
+        with pytest.raises(ValueError, match="^bins must be an integer"):
+            MetaSampler(init_mlp([5, 50, 2], 0), 2.5, 0.2)
+        with pytest.raises(ValueError, match="^bins must be an integer"):
+            random_sampler(2.5, 0.2, 0)
+        with pytest.raises(ValueError, match="^bins must be an integer"):
+            random_sampler(True, 0.2, 0)
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32])
+    def test_numpy_integer_bins_accepted(self, tmp_path, integer):
+        sampler = random_sampler(integer(5), 0.2, seed=6)
+        assert type(sampler.bins) is int
+        assert MetaSampler(sampler.policy, integer(5), 0.2).bins == 5
+        assert np.array_equal(sampler.policy.params, random_sampler(5, 0.2, seed=6).policy.params)
+        save_sampler(sampler, tmp_path / "sampler.json")
+        assert load_sampler(tmp_path / "sampler.json").bins == 5
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -759,14 +805,16 @@ class TestStrictFloat:
 
 
 class TestSeedCasts:
-    @pytest.mark.parametrize("seed", [2.9, 0.5, True, np.bool_(False), "2.9"])
-    def test_fractional_and_boolean_seeds_rejected(self, seed):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        "seed", [2.9, 0.5, True, np.bool_(False), "2.9", 2.0, np.float64(2.0), "7", None]
+    )
+    def test_non_integer_seeds_rejected(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
             as_generator(seed)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
             as_seed_sequence(seed)
 
-    @pytest.mark.parametrize("seed", [2, np.int64(2), 2.0, "2"])
+    @pytest.mark.parametrize("seed", [2, np.int64(2), np.int32(2)])
     def test_integer_seeds_keep_their_streams(self, seed):
         assert np.array_equal(as_generator(seed).random(5), np.random.default_rng(2).random(5))
         assert as_seed_sequence(seed).entropy == np.random.SeedSequence(2).entropy

@@ -52,6 +52,16 @@ class TestErrorHistogram:
         with pytest.raises(ValueError):
             error_histogram(np.array([0.5]), 0)
 
+    @pytest.mark.parametrize("bins", [2.5, True, np.float64(3.0), "3"])
+    def test_non_integer_bins_rejected(self, bins):
+        with pytest.raises(ValueError, match="^bins must be an integer"):
+            error_histogram(np.array([0.1, 0.6]), bins)
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32])
+    def test_numpy_integer_bins_accepted(self, integer):
+        errors = np.array([0.0, 0.3, 0.6, 1.0])
+        assert error_histogram(errors, integer(5)).tolist() == error_histogram(errors, 5).tolist()
+
 
 class TestMetaState:
     def test_perfect_model_both_sets(self):
