@@ -7,11 +7,14 @@ Drives the CLI end to end: generate a task, then run the three-way ablation
 budgets. Outputs land in demos/out/ablation.
 """
 import csv
+import os
 import pathlib
 
 from metasampler.cli import main
 
-out = pathlib.Path(__file__).parent / "out" / "ablation"
+# relative paths, so the result files' config rows read the same in any checkout
+os.chdir(pathlib.Path(__file__).parent)
+out = pathlib.Path("out") / "ablation"
 out.mkdir(parents=True, exist_ok=True)
 task = out / "task.csv"
 

@@ -8,11 +8,14 @@ the training split. Second, whether a sampler trained on one task still
 helps on a task it never saw. Outputs land in demos/out/robustness.
 """
 import csv
+import os
 import pathlib
 
 from metasampler.cli import main
 
-out = pathlib.Path(__file__).parent / "out" / "robustness"
+# relative paths, so the result files' config rows read the same in any checkout
+os.chdir(pathlib.Path(__file__).parent)
+out = pathlib.Path("out") / "robustness"
 out.mkdir(parents=True, exist_ok=True)
 task_a = out / "task_a.csv"
 task_b = out / "task_b.csv"

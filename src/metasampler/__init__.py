@@ -40,7 +40,6 @@ from .neural import (
     AdamState,
     Mlp,
     adam_step,
-    decay_learning_rate,
     init_mlp,
     mlp_backward,
     mlp_forward,
@@ -99,7 +98,6 @@ __all__ = [
     "adam_step",
     "aucprc",
     "classification_errors",
-    "decay_learning_rate",
     "deterministic_action",
     "error_histogram",
     "gaussian_weight",

@@ -110,11 +110,15 @@ class LabeledDataset:
         """The rows at `indices`, in that order.
 
         The rows were validated when this dataset was built, so only the index
-        is checked; the arrays are read-only and contiguous, as in any dataset.
+        is checked: integer positions (negative ones count from the end), not a
+        boolean mask or floats. The arrays are read-only and contiguous, as in
+        any dataset.
         """
-        idx = np.asarray(indices, dtype=np.intp)
+        idx = np.asarray(indices)
         if idx.ndim != 1 or len(idx) < 2:
             raise ValueError(f"need a 1-D index of at least 2 rows, got shape {idx.shape}")
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"need integer row positions, got dtype {idx.dtype}")
         sub = object.__new__(LabeledDataset)
         for name, values in (
             ("features", np.take(self.features, idx, axis=0)),
@@ -166,10 +170,10 @@ def load_csv(path, label_column="label") -> LabeledDataset:
 
     `label_column` selects the label by header name or integer position (a
     numpy integer too); all remaining columns are features. A name must occur
-    exactly once in the header (else ColumnNotFoundError), and a bool is
-    refused (TypeError), though Python counts it as an integer. Row order is
-    preserved, and a leading byte-order mark (as in Excel's "CSV UTF-8"
-    export) is dropped. A missing file raises FileNotFoundError; one that
+    exactly once in the header (else ColumnNotFoundError); a value that is
+    neither text nor an integer, such as True or 1.0, raises ValueError. Row
+    order is preserved, and a leading byte-order mark (as in Excel's "CSV
+    UTF-8" export) is dropped. A missing file raises FileNotFoundError; one that
     cannot be read as UTF-8 text (a directory, say) raises DataError, and one
     whose header holds no column besides the label raises EmptyDataError.
 
@@ -184,12 +188,8 @@ def load_csv(path, label_column="label") -> LabeledDataset:
     (DataError for text that csv cannot read, such as a cell over its field
     size limit).
     """
-    if isinstance(label_column, bool):
-        raise TypeError(
-            f"label_column must be a header name or an int position, not {label_column!r}"
-        )
-    if isinstance(label_column, (int, np.integer)):
-        label_column = int(label_column)
+    if not isinstance(label_column, str):
+        label_column = check_integer("label_column", label_column)
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")

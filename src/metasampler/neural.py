@@ -7,8 +7,8 @@ views into it. Gradients and Adam moments share that layout, so Adam, Polyak
 soft updates and finiteness checks act on whole vectors. A forward pass of a
 (batch, in) matrix returns each layer's output, which is all the backward
 pass reads: it masks each hidden layer where that output is positive and
-needs no pre-activations. Also: stepped learning-rate decay and a versioned
-JSON round-trip.
+needs no pre-activations. Each Adam state carries its stepped learning-rate
+schedule, which only `adam_step` advances. Also: a versioned JSON round-trip.
 """
 from __future__ import annotations
 
@@ -128,23 +128,29 @@ def mlp_input_grad(net: Mlp, acts, grad_output):
 
 @dataclass
 class AdamState:
-    """Adam moments, shaped like the flat parameter vector, plus the learning-rate decay counter."""
+    """Adam moments shaped like the flat parameters; every decay_every steps, lr *= decay_ratio."""
 
     lr: float
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    decay_ticks: int = 0
+    decay_every: int = 1
+    decay_ratio: float = 1.0
 
     @classmethod
-    def for_params(cls, params, lr: float) -> "AdamState":
+    def for_params(cls, params, lr: float, decay_every: int = 1,
+                   decay_ratio: float = 1.0) -> "AdamState":
         if not lr > 0.0:
             raise ValueError(f"learning rate must be positive, got {lr}")
-        return cls(lr=lr, m=np.zeros_like(params), v=np.zeros_like(params))
+        decay_every = check_integer("decay_every", decay_every)
+        if decay_every < 1:
+            raise ValueError(f"decay_every must be positive, got {decay_every}")
+        return cls(lr=lr, m=np.zeros_like(params), v=np.zeros_like(params),
+                   decay_every=decay_every, decay_ratio=decay_ratio)
 
 
 def adam_step(params, grads, state: AdamState) -> None:
-    """One Adam update of a flat parameter vector, in place, with bias correction."""
+    """One bias-corrected Adam update of flat params, in place, then one tick of the lr schedule."""
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ValueError("params, grads and state must have matching shapes")
     if not np.isfinite(grads).all():
@@ -157,6 +163,8 @@ def adam_step(params, grads, state: AdamState) -> None:
     state.v *= ADAM_BETA2
     state.v += (1.0 - ADAM_BETA2) * grads * grads
     params -= state.lr * (state.m / bias1) / (np.sqrt(state.v / bias2) + ADAM_EPS)
+    if state.step % state.decay_every == 0:
+        state.lr *= state.decay_ratio
 
 
 def soft_update(target: Mlp, source: Mlp, tau: float) -> None:
@@ -164,15 +172,6 @@ def soft_update(target: Mlp, source: Mlp, tau: float) -> None:
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
     target.params[...] = tau * source.params + (1.0 - tau) * target.params
-
-
-def decay_learning_rate(state: AdamState, every: int = 10, ratio: float = 0.99) -> None:
-    """One decay tick; every `every` ticks the learning rate is multiplied by `ratio`."""
-    if every < 1:
-        raise ValueError(f"decay interval must be positive, got {every}")
-    state.decay_ticks += 1
-    if state.decay_ticks % every == 0:
-        state.lr *= ratio
 
 
 def mlp_to_document(net: Mlp) -> dict:

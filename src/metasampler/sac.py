@@ -30,7 +30,6 @@ from .neural import (
     AdamState,
     Mlp,
     adam_step,
-    decay_learning_rate,
     init_mlp,
     mlp_backward,
     mlp_forward,
@@ -142,7 +141,7 @@ class ReplayMemory:
         self._pushed += 1
 
     def sample(self, batch_size: int, rng) -> Batch:
-        if not 0 < batch_size <= len(self):
+        if not 0 < check_integer("batch_size", batch_size) <= len(self):
             raise ValueError(f"cannot sample {batch_size} of {len(self)} transitions")
         idx = as_generator(rng).choice(len(self), size=batch_size, replace=False)
         return Batch(*(column[idx] for column in self._rows))
@@ -188,6 +187,13 @@ class SacOptimizers:
     policy: AdamState
     q: AdamState
     v: AdamState
+
+    @classmethod
+    def for_nets(cls, nets: SacNets, config: SacConfig) -> "SacOptimizers":
+        """One Adam state per trained network, each on config's learning-rate schedule."""
+        schedule = (config.lr, config.lr_decay_steps, config.lr_decay_ratio)
+        return cls(*(AdamState.for_params(net.params, *schedule)
+                     for net in (nets.policy, nets.q, nets.v)))
 
 
 def _softplus(x):
@@ -248,7 +254,7 @@ def deterministic_action(sampler: MetaSampler, state) -> float:
 class PolicyActionSource:
     """The actions of a MetaSampler, drawn from a given `seed`: each call samples one."""
 
-    def __init__(self, sampler: MetaSampler, seed=None):
+    def __init__(self, sampler: MetaSampler, seed):
         self._sampler = sampler
         self._rng = as_generator(seed)
 
@@ -309,7 +315,7 @@ def sac_update(replay: ReplayMemory, nets: SacNets, optim: SacOptimizers,
 
     Order: critic step first; then one fresh policy sample shared by the value
     target and the actor loss (both seeing the updated critic); value step,
-    policy step, Polyak target update, and one decay tick per optimizer.
+    policy step and Polyak target update.
     """
     rng = as_generator(rng)
     batch = replay.sample(config.batch_size, rng)
@@ -327,8 +333,6 @@ def sac_update(replay: ReplayMemory, nets: SacNets, optim: SacOptimizers,
     adam_step(nets.v.params, v_grads, optim.v)
     adam_step(nets.policy.params, policy_grads, optim.policy)
     soft_update(nets.target_v, nets.v, config.tau)
-    for state in (optim.q, optim.v, optim.policy):
-        decay_learning_rate(state, config.lr_decay_steps, config.lr_decay_ratio)
 
     losses = {"q_loss": q_loss, "v_loss": v_loss, "policy_loss": policy_loss}
     if not all(math.isfinite(v) for v in losses.values()):
@@ -368,11 +372,7 @@ def meta_train(tasks, config: SacConfig, seed, learner_factory=DecisionTree,
         v=v,
         target_v=v.copy(),
     )
-    optim = SacOptimizers(
-        policy=AdamState.for_params(nets.policy.params, config.lr),
-        q=AdamState.for_params(nets.q.params, config.lr),
-        v=AdamState.for_params(nets.v.params, config.lr),
-    )
+    optim = SacOptimizers.for_nets(nets, config)
     replay = ReplayMemory(config.replay_capacity)
     update_rng = as_generator(update_ss)
 

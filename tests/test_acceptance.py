@@ -40,7 +40,6 @@ from metasampler.sac import (
     sac_update,
     v_loss_and_grads,
 )
-from metasampler.neural import AdamState
 from conftest import (
     FixedModel,
     brute_average_precision,
@@ -334,11 +333,7 @@ def test_criterion_06_target_update_is_exact_polyak_step():
         target_v=None,
     )
     nets.target_v = nets.v.copy()
-    optim = SacOptimizers(
-        policy=AdamState.for_params(nets.policy.params, config.lr),
-        q=AdamState.for_params(nets.q.params, config.lr),
-        v=AdamState.for_params(nets.v.params, config.lr),
-    )
+    optim = SacOptimizers.for_nets(nets, config)
     target_old = nets.target_v.params.copy()
     sac_update(replay, nets, optim, config, rng)
     assert np.array_equal(

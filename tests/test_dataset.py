@@ -160,8 +160,15 @@ class TestLoadCsv:
     @pytest.mark.parametrize("flag", [True, False])
     def test_bool_label_column_is_refused(self, tmp_path, flag):
         path = write(tmp_path, "a,b,label\n1,0,0\n2,1,1\n3,0,0\n")
-        with pytest.raises(TypeError, match="label_column"):
+        with pytest.raises(ValueError, match="label_column"):
             load_csv(path, label_column=flag)
+
+    @pytest.mark.parametrize("value", [1.0, np.float64(2.0), None, [2]])
+    def test_non_integer_label_position_is_refused(self, tmp_path, value):
+        # before: 1.0 read as a header name ("no column named 1.0"), [2] a TypeError
+        path = write(tmp_path, "a,b,label\n1,0,0\n2,1,1\n3,0,0\n")
+        with pytest.raises(ValueError, match="label_column"):
+            load_csv(path, label_column=value)
 
 
 class TestNumpyIntegerLabelPosition:
@@ -690,6 +697,29 @@ class TestDatasetValidation:
         for idx in ([0, 50], [-51, 1]):
             with pytest.raises(IndexError):
                 ds.subset(idx)
+
+    @pytest.mark.parametrize(
+        "idx",
+        [np.array([False, True, True, True]), [True, False], [0.9, 2.7], np.array([0.0, 2.0])],
+        ids=["mask", "bool-list", "floats", "float-array"],
+    )
+    def test_subset_refuses_a_mask_or_floats(self, idx):
+        # before: the mask read as positions 0, 1, 1, 1 and the floats truncated to 0 and 2
+        ds = make_dataset([[1.0], [2.0], [3.0], [4.0]], [0, 1, 0, 1])
+        with pytest.raises(ValueError, match="integer row positions"):
+            ds.subset(idx)
+
+    @pytest.mark.parametrize(
+        "idx",
+        [[1, 2, 3], np.array([1, 2, 3], dtype=np.int32), np.array([1, 2, 3], dtype=np.uint8),
+         [-3, -2, -1]],
+        ids=["int-list", "int32", "uint8", "negative"],
+    )
+    def test_subset_takes_any_integer_positions(self, idx):
+        ds = make_dataset([[1.0], [2.0], [3.0], [4.0]], [0, 1, 0, 1])
+        sub = ds.subset(idx)
+        assert sub.features.ravel().tolist() == [2.0, 3.0, 4.0]
+        assert sub.labels.tolist() == [1, 0, 1]
 
     @pytest.mark.parametrize("idx", [[0], [], [[0, 1], [2, 3]]])
     def test_subset_needs_a_flat_index_of_two_rows(self, idx):

@@ -10,7 +10,6 @@ from metasampler import (
     Mlp,
     NumericalError,
     adam_step,
-    decay_learning_rate,
     init_mlp,
     mlp_backward,
     mlp_forward,
@@ -207,31 +206,41 @@ class TestSoftUpdate:
 
 
 class TestDecay:
+    """The schedule an AdamState carries, driven by adam_step alone."""
+
+    @staticmethod
+    def run(steps, **schedule):
+        params = np.zeros(1)
+        state = AdamState.for_params(params, lr=1e-3, **schedule)
+        for _ in range(steps):
+            adam_step(params, np.zeros(1), state)
+        return state
+
     def test_ten_ticks_one_decay(self):
-        state = AdamState.for_params(np.zeros(1), lr=1e-3)
-        for _ in range(10):
-            decay_learning_rate(state, every=10, ratio=0.99)
-        assert state.lr == 1e-3 * 0.99
+        assert self.run(10, decay_every=10, decay_ratio=0.99).lr == 1e-3 * 0.99
 
     def test_nine_ticks_no_decay(self):
-        state = AdamState.for_params(np.zeros(1), lr=1e-3)
-        for _ in range(9):
-            decay_learning_rate(state, every=10, ratio=0.99)
-        assert state.lr == 1e-3
+        assert self.run(9, decay_every=10, decay_ratio=0.99).lr == 1e-3
 
     def test_hundred_ticks_ten_decays(self):
-        state = AdamState.for_params(np.zeros(1), lr=1e-3)
-        for _ in range(100):
-            decay_learning_rate(state, every=10, ratio=0.99)
         expected = 1e-3
         for _ in range(10):
             expected *= 0.99
-        assert state.lr == expected
+        assert self.run(100, decay_every=10, decay_ratio=0.99).lr == expected
 
-    def test_interval_validated(self):
-        state = AdamState.for_params(np.zeros(1), lr=1e-3)
-        with pytest.raises(ValueError):
-            decay_learning_rate(state, every=0)
+    def test_no_schedule_keeps_the_rate(self):
+        state = self.run(25)
+        assert (state.step, state.lr, state.decay_every, state.decay_ratio) == (25, 1e-3, 1, 1.0)
+
+    @pytest.mark.parametrize("every", [0, -3, 2.5, True, np.float64(10.0), "10"])
+    def test_interval_validated(self, every):
+        # before: 2.5 decayed at ticks 5 and 10 and True at every tick, silently
+        with pytest.raises(ValueError, match="decay_every"):
+            AdamState.for_params(np.zeros(1), lr=1e-3, decay_every=every)
+
+    def test_numpy_integer_interval_accepted(self):
+        state = self.run(10, decay_every=np.int64(10), decay_ratio=0.5)
+        assert type(state.decay_every) is int and state.lr == 1e-3 * 0.5
 
 
 class TestSerialization:
@@ -459,6 +468,15 @@ def reference_mlp_backward(net, cache, grad_output):
     return grads, (g[0] if cache["single"] else g)
 
 
+def reference_decay_learning_rate(state, every: int = 10, ratio: float = 0.99) -> None:
+    """One decay tick; every `every` ticks the learning rate is multiplied by `ratio`."""
+    if every < 1:
+        raise ValueError(f"decay interval must be positive, got {every}")
+    state.decay_ticks += 1
+    if state.decay_ticks % every == 0:
+        state.lr *= ratio
+
+
 @dataclass
 class ReferenceAdamState:
     """Adam moments plus the stepped learning-rate decay counter."""
@@ -579,14 +597,13 @@ class TestFlatMatchesListOracle:
         sizes = random_layout(rng)
         net = init_mlp(sizes, rng)
         ref = net.copy()
-        state = AdamState.for_params(net.params, lr=1e-2)
+        state = AdamState.for_params(net.params, lr=1e-2, decay_every=3, decay_ratio=0.9)
         ref_state = ReferenceAdamState.for_params(reference_parameters(ref), lr=1e-2)
         for step in range(12):
             grads = rng.standard_normal(net.params.size) * 10.0 ** rng.integers(-6, 3)
             adam_step(net.params, grads, state)
             reference_adam_step(reference_parameters(ref), as_list(net, grads.copy()), ref_state)
-            decay_learning_rate(state, every=3, ratio=0.9)
-            decay_learning_rate(ref_state, every=3, ratio=0.9)
+            reference_decay_learning_rate(ref_state, every=3, ratio=0.9)
             assert net.params.tobytes() == ref.params.tobytes(), step
             assert state.m.tobytes() == np.concatenate([m.ravel() for m in ref_state.m]).tobytes()
             assert state.v.tobytes() == np.concatenate([v.ravel() for v in ref_state.v]).tobytes()

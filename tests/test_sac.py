@@ -182,6 +182,21 @@ class TestReplayMemory:
             replay.push(make_transition(rng, 10, reward=float(reward)))
         assert replay.capacity == 3 and len(replay) == 3
 
+    @pytest.mark.parametrize("batch_size", [True, 2.0, "2"])
+    def test_non_integer_batch_size_rejected(self, rng, batch_size):
+        # before: a TypeError from numpy's choice (True, 2.0) or from comparing "2"
+        replay = ReplayMemory(4)
+        for _ in range(4):
+            replay.push(make_transition(rng, 10))
+        with pytest.raises(ValueError, match="^batch_size must be an integer"):
+            replay.sample(batch_size, np.random.default_rng(0))
+
+    def test_numpy_integer_batch_size_accepted(self, rng):
+        replay = ReplayMemory(4)
+        for _ in range(4):
+            replay.push(make_transition(rng, 10))
+        assert len(replay.sample(np.int64(3), np.random.default_rng(0)).rewards) == 3
+
     def test_empty_sample_rejected(self, rng):
         replay = ReplayMemory(4)
         with pytest.raises(ValueError):
@@ -368,12 +383,7 @@ class TestSacUpdate:
         for _ in range(config.replay_capacity):
             replay.push(make_transition(rng, state_size))
         nets = small_nets(bins=2, seed=1)
-        optim = SacOptimizers(
-            policy=AdamState.for_params(nets.policy.params, config.lr),
-            q=AdamState.for_params(nets.q.params, config.lr),
-            v=AdamState.for_params(nets.v.params, config.lr),
-        )
-        return config, replay, nets, optim
+        return config, replay, nets, SacOptimizers.for_nets(nets, config)
 
     def test_returns_finite_losses(self):
         config, replay, nets, optim = self.make_setup()
@@ -392,8 +402,19 @@ class TestSacUpdate:
 
     def test_decay_ticks_advance_all_optimizers(self):
         config, replay, nets, optim = self.make_setup()
-        sac_update(replay, nets, optim, config, np.random.default_rng(4))
-        assert [o.decay_ticks for o in (optim.q, optim.v, optim.policy)] == [1, 1, 1]
+        rng = np.random.default_rng(4)
+        for _ in range(config.lr_decay_steps):
+            sac_update(replay, nets, optim, config, rng)
+        for state in (optim.q, optim.v, optim.policy):
+            assert (state.step, state.lr) == (10, config.lr * config.lr_decay_ratio)
+
+    def test_for_nets_takes_the_config_schedule(self):
+        config = SacConfig(lr=2e-3, lr_decay_steps=7, lr_decay_ratio=0.5, bins=2)
+        nets = small_nets(bins=2, seed=1)
+        optim = SacOptimizers.for_nets(nets, config)
+        for state, net in ((optim.policy, nets.policy), (optim.q, nets.q), (optim.v, nets.v)):
+            assert (state.lr, state.decay_every, state.decay_ratio) == (2e-3, 7, 0.5)
+            assert state.m.shape == state.v.shape == net.params.shape
 
     def test_insufficient_replay_rejected(self):
         config, _, nets, optim = self.make_setup()
@@ -422,11 +443,7 @@ class TestSacUpdate:
             target_v=None,
         )
         nets.target_v = nets.v.copy()
-        optim = SacOptimizers(
-            policy=AdamState.for_params(nets.policy.params, config.lr),
-            q=AdamState.for_params(nets.q.params, config.lr),
-            v=AdamState.for_params(nets.v.params, config.lr),
-        )
+        optim = SacOptimizers.for_nets(nets, config)
         update_rng = np.random.default_rng(7)
         for _ in range(2000):
             losses = sac_update(replay, nets, optim, config, update_rng)
@@ -539,8 +556,10 @@ class TestMetaTrain:
 class TestPolicyActionSource:
     def test_stochastic_requires_seed(self):
         sampler = random_sampler(5, 0.2, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             PolicyActionSource(sampler)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            PolicyActionSource(sampler, seed=None)
 
     def test_stochastic_seeded_reproducible(self, rng):
         sampler = random_sampler(5, 0.2, seed=0)
