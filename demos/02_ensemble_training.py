@@ -25,17 +25,19 @@ train, valid, test = stratified_split(ds, SplitSpec(), seed=0)
 # at the action mu over the current ensemble's errors. mu near 0 prefers
 # already-solved majority rows, mu near 1 prefers the hardest ones. The
 # action is any function of the current state: here a constant, or a draw.
+# The Gaussian's width sigma and the state's histogram bins are SacConfig's
+# defaults, 0.2 and 5.
 print("fixed sampling centers, 10 members each:")
 for mu in (0.0, 0.25, 0.5, 0.75, 1.0):
     model, _ = train_ensemble(
-        train, valid, lambda state: mu, n_members=10, seed=0
+        train, valid, lambda state: mu, sigma=0.2, bins=5, n_members=10, seed=0
     )
     auc = aucprc(model.predict_proba(test.features), test.labels)
     print(f"  mu={mu:.2f}: test AUCPRC {auc:.4f}")
 
 rng = np.random.default_rng(0)
 model, _ = train_ensemble(
-    train, valid, lambda state: float(rng.random()), n_members=10, seed=0
+    train, valid, lambda state: float(rng.random()), sigma=0.2, bins=5, n_members=10, seed=0
 )
 print(f"  random mu: test AUCPRC "
       f"{aucprc(model.predict_proba(test.features), test.labels):.4f}")
@@ -48,7 +50,7 @@ print(f"  uniform subsets (no error weighting): test AUCPRC "
 # the first, with the error-histogram state, the action taken, and the change
 # in validation AUCPRC as reward. Rewards telescope to the total improvement.
 model, steps = train_ensemble(
-    train, valid, lambda state: 0.5, n_members=6, seed=0
+    train, valid, lambda state: 0.5, sigma=0.2, bins=5, n_members=6, seed=0
 )
 print()
 print("trace under mu=0.5:")

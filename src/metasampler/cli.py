@@ -406,9 +406,10 @@ COMMANDS = (
     ("generate-toy", None, cmd_generate_toy, "write a synthetic arc-vs-blob task as CSV",
      {"majority": 2000, "minority": 200, "overlap": 0.5, "seed": 0, "out": None}),
     ("meta-train", "tasks", cmd_meta_train, "train a sampling policy on one or more tasks",
-     {**_task_defaults(split_seed=0, seed="0", k=10), **SAC_DEFAULTS}),
+     {**_task_defaults(split_seed=0, seed="0", k=SacConfig.ensemble_size), **SAC_DEFAULTS}),
     ("train", "task", cmd_train, "train cascade ensembles and report test AUCPRC per seed",
-     _task_defaults(seed="0", k=10, mode="policy", sampler=None, mu=0.5, bins=5, sigma=0.2)),
+     _task_defaults(seed="0", k=SacConfig.ensemble_size, mode="policy", sampler=None, mu=0.5,
+                    bins=SacConfig.bins, sigma=SacConfig.sigma)),
     ("ablation", "task", cmd_ablation, "learned policy vs random policy vs random sampling",
      {**_task_defaults(seed=_TEN_SEEDS, meta_seed=0, k="5"), **SAC_DEFAULTS}),
     ("noise-sweep", "task", cmd_noise_sweep, "robustness to minority/majority label flips",

@@ -101,9 +101,9 @@ def train_ensemble(
     train: LabeledDataset,
     valid: LabeledDataset,
     actions,
-    sigma: float = 0.2,
-    bins: int = 5,
-    n_members: int = 10,
+    sigma: float,
+    bins: int,
+    n_members: int,
     learner_factory=DecisionTree,
     seed=0,
     on_step=None,
@@ -168,7 +168,7 @@ def train_ensemble(
 def train_random_ensemble(
     train: LabeledDataset,
     valid: LabeledDataset,
-    n_members: int = 10,
+    n_members: int,
     learner_factory=DecisionTree,
     seed=0,
 ) -> EnsembleModel:

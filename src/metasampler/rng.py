@@ -4,8 +4,11 @@ Everything that draws randomness accepts an int seed, a
 ``numpy.random.SeedSequence`` or a ready ``Generator``, so callers can wire
 reproducible streams without the library ever touching global state. A seed,
 count or size that a Python caller passes goes through ``check_integer``: an
-int or a numpy integer, never a bool, 2.0 or "7". Only text and JSON that the
-CLI or a sampler file parses go through ``strict_int``, which also casts 3.0.
+int or a numpy integer, never a bool, 2.0 or "7". A real number that a Python
+caller passes and the library keeps goes through ``check_float``, its twin:
+any real number, numpy's too, never a bool, "0.2" or None. Only text and JSON
+that the CLI or a sampler file parses go through ``strict_int``, which also
+casts 3.0, and ``strict_float``.
 """
 from __future__ import annotations
 
@@ -28,6 +31,13 @@ def check_integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def check_float(name: str, value) -> float:
+    """float(value) of any real number; ValueError naming `name` for a bool, text or None."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def strict_float(value) -> float:

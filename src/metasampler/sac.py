@@ -38,7 +38,9 @@ from .neural import (
     mlp_to_document,
     soft_update,
 )
-from .rng import as_generator, as_seed_sequence, check_integer, strict_float, strict_int
+from .rng import (
+    as_generator, as_seed_sequence, check_float, check_integer, strict_float, strict_int,
+)
 from .sampling import gaussian_scale
 
 LOG_STD_MIN = -20.0
@@ -53,7 +55,9 @@ MODES = ("policy", "random-policy", "random-sampling", "constant")  # score_arms
 class SacConfig:
     """Meta-training hyperparameters; defaults are the reference values.
 
-    A field annotated int holds an integer, not a bool; sigma passes gaussian_scale.
+    They are the one home of the cascade's defaults (ensemble_size, bins,
+    sigma). A field annotated int or float holds what check_integer or
+    check_float makes of its value, never a bool; sigma passes gaussian_scale.
     """
 
     gamma: float = 0.99
@@ -74,8 +78,9 @@ class SacConfig:
     def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
-            if field.type == "int" or (field.type == "int | None" and value is not None):
-                check_integer(field.name, value)
+            if value is not None or field.type != "int | None":
+                rule = check_float if field.type == "float" else check_integer
+                object.__setattr__(self, field.name, rule(field.name, value))
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if not 0.0 < self.tau <= 1.0:
@@ -151,7 +156,7 @@ class ReplayMemory:
 class MetaSampler:
     """Trained sampling policy plus the histogram/sampling parameters it expects.
 
-    Its sigma passes gaussian_scale, so one whose peak overflows never loads.
+    Its sigma is a float that passes gaussian_scale, so one whose peak overflows never loads.
     """
 
     policy: Mlp
@@ -160,6 +165,7 @@ class MetaSampler:
 
     def __post_init__(self):
         self.bins = check_integer("bins", self.bins)
+        self.sigma = check_float("sigma", self.sigma)
         sizes = self.policy.layer_sizes
         if sizes[0] != 2 * self.bins:
             raise ValueError(f"policy input {sizes[0]} does not match 2 * {self.bins} bins")
@@ -422,8 +428,8 @@ def meta_train(tasks, config: SacConfig, seed, learner_factory=DecisionTree,
     return sampler
 
 
-def score_arms(ds, split, seeds, arms, *, n_members, noise_ratio=0.0, mu=0.5, bins=5,
-               sigma=0.2, learner_factory=DecisionTree) -> dict:
+def score_arms(ds, split, seeds, arms, *, n_members, noise_ratio=0.0, mu=None,
+               bins=SacConfig.bins, sigma=SacConfig.sigma, learner_factory=DecisionTree) -> dict:
     """Test AUCPRC per seed of each (label, mode, sampler) arm: {label: [score per seed]}.
 
     Labels must be distinct. Each seed splits `ds` once for all arms and
@@ -431,11 +437,12 @@ def score_arms(ds, split, seeds, arms, *, n_members, noise_ratio=0.0, mu=0.5, bi
     arm then trains one cascade of `n_members` on (train, valid) and scores it
     on test. The modes: "policy" samples actions from the arm's sampler, with
     its bins and sigma; "random-policy" from an untrained sampler with `bins`
-    and `sigma`; "random-sampling" fits every member on a random balanced
-    subset; and "constant" takes action `mu`, which must lie in [0, 1], at
-    every step. A mode ignores the knobs it does not use, but `n_members` and
-    `bins` must be integers whatever the arms. Every arm spawns the same six
-    streams from the seed, so its scores do not depend on which other arms run.
+    and `sigma`, SacConfig's unless given; "random-sampling" fits every member
+    on a random balanced subset; and "constant" takes action `mu`, which it
+    needs and which must lie in [0, 1], at every step. A mode ignores the
+    knobs it does not use, but `n_members` and `bins` must be integers
+    whatever the arms. Every arm spawns the same six streams from the seed, so
+    its scores do not depend on which other arms run.
     """
     n_members, bins = check_integer("n_members", n_members), check_integer("bins", bins)
     arms = list(arms)
@@ -444,7 +451,7 @@ def score_arms(ds, split, seeds, arms, *, n_members, noise_ratio=0.0, mu=0.5, bi
             raise ValueError(f"arm {label!r}: unknown mode {mode!r}; choose from {MODES}")
         if mode == "policy" and sampler is None:
             raise ValueError(f"arm {label!r}: policy mode needs a sampler")
-        if mode == "constant" and not 0.0 <= mu <= 1.0:
+        if mode == "constant" and (mu is None or not 0.0 <= mu <= 1.0):
             raise ValueError(f"arm {label!r}: mu must be in [0, 1], got {mu}")
     scores = {label: [] for label, _, _ in arms}
     if len(scores) != len(arms):

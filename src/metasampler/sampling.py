@@ -10,7 +10,8 @@ The meta-state and the weighted subset are computed by error-taking cores,
 errors read from running sums of member scores, so each member scores the
 training and validation rows once. `meta_state` and `meta_sample` are the
 model-taking forms: they score the rows with the given model and call the
-cores.
+cores. The library no longer calls them; they remain only because the
+benchmark's `bench/spans.py` binds them, and go when its spans change.
 
 The weighted subset draws its majority rows one at a time without
 replacement, each pick renormalizing over the weight left. The weights sit in

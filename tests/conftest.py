@@ -1,4 +1,6 @@
 import csv
+import ctypes
+import importlib
 import math
 from pathlib import Path
 
@@ -14,8 +16,8 @@ from metasampler import (
     LabelDomainError,
     LabeledDataset,
     SingleClassError,
-    mlp_forward,
 )
+from metasampler.neural import mlp_forward
 from metasampler.sac import LOG_STD_MAX, LOG_STD_MIN
 
 
@@ -238,6 +240,34 @@ def max_relative_error(analytic, numeric, floor=1e-7):
             err = np.abs(a[mask] - f[mask]) / scale[mask]
             worst = max(worst, float(err.max()))
     return worst
+
+
+def numpy_kernels() -> str:
+    """The OpenBLAS core and the highest SIMD level of this numpy, as one line.
+
+    The sha256 pins hold with one BLAS kernel, so a pin failure's message names
+    the kernel that ran. The core is read from the OpenBLAS that numpy's wheel
+    bundles, the SIMD level from the CPU features numpy found; either reads
+    `unknown` where it cannot be found, as with another OpenBLAS build.
+    """
+    core = "unknown"
+    for path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob(
+            "libscipy_openblas64_-*.so")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    features = {}
+    for module in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            features = importlib.import_module(module).__cpu_features__
+            break
+        except (ImportError, AttributeError):
+            continue
+    found = [name for name, on in features.items() if on]
+    return f"OpenBLAS core {core}, numpy SIMD {found[-1] if found else 'unknown'}"
 
 
 @pytest.fixture

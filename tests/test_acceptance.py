@@ -12,23 +12,19 @@ import numpy as np
 import pytest
 
 from metasampler import (
-    EnsembleStep,
     SacConfig,
     SplitSpec,
     ToySpec,
     aucprc,
-    error_histogram,
-    init_mlp,
     inject_flip_noise,
     make_toy,
-    meta_sample,
     meta_train,
-    mlp_backward,
-    mlp_forward,
     score_arms,
     stratified_split,
 )
 from metasampler.cli import main
+from metasampler.ensemble import EnsembleStep
+from metasampler.neural import init_mlp, mlp_backward, mlp_forward
 from metasampler.sac import (
     HIDDEN_WIDTH,
     Batch,
@@ -40,6 +36,7 @@ from metasampler.sac import (
     sac_update,
     v_loss_and_grads,
 )
+from metasampler.sampling import error_histogram, meta_sample
 from conftest import (
     FixedModel,
     brute_average_precision,

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from metasampler import load_sampler
-from metasampler.cli import build_parser, main
+from metasampler import SacConfig, load_sampler
+from metasampler.cli import COMMANDS, build_parser, main
+from conftest import numpy_kernels
 
 TINY_SAC = [
     "--k", "3",
@@ -103,6 +104,15 @@ class TestConfigMerge:
             "--overlap", "0.2", "--out", str(from_flag),
         ]) == 0
         assert from_both.read_bytes() == from_flag.read_bytes()
+
+    def test_cascade_defaults_are_sac_config_fields(self):
+        defaults = {name: command_defaults for name, _, _, _, command_defaults in COMMANDS}
+        config = SacConfig()
+        train = defaults["train"]
+        assert (train["k"], train["bins"], train["sigma"]) == (
+            config.ensemble_size, config.bins, config.sigma
+        )
+        assert defaults["meta-train"]["k"] == config.ensemble_size
 
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "config.json"
@@ -404,7 +414,7 @@ class TestPinnedOutputBytes:
             path.as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(Path().rglob("*")) if path.is_file()
         }
-        assert written == self.DIGESTS
+        assert written == self.DIGESTS, numpy_kernels()
 
 
 def run_cli(argv):

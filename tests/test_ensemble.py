@@ -6,26 +6,27 @@ from numpy.random import SeedSequence
 
 from metasampler import (
     DecisionTree,
-    EnsembleModel,
-    EnsembleStep,
     GaussianNaiveBayes,
     NumericalError,
     SacConfig,
     SplitSpec,
     ToySpec,
     aucprc,
-    gaussian_weight,
     make_toy,
-    meta_sample,
-    meta_state,
     meta_train,
-    random_balanced_subset,
     stratified_split,
     train_ensemble,
     train_random_ensemble,
 )
 from metasampler import learners
-from metasampler.sampling import WEIGHT_FLOOR
+from metasampler.ensemble import EnsembleModel, EnsembleStep
+from metasampler.sampling import (
+    WEIGHT_FLOOR,
+    gaussian_weight,
+    meta_sample,
+    meta_state,
+    random_balanced_subset,
+)
 from conftest import FixedModel, make_dataset
 
 
@@ -213,7 +214,7 @@ class TestActions:
             seen.append(state)
             return 0.3
 
-        _, steps = train_ensemble(train, valid, actions, n_members=5, seed=0)
+        _, steps = train_ensemble(train, valid, actions, sigma=0.2, bins=5, n_members=5, seed=0)
         assert len(seen) == len(steps) == 4
         assert all(np.array_equal(state, s.state) for state, s in zip(seen, steps))
         assert all(s.action == 0.3 for s in steps)
@@ -222,19 +223,25 @@ class TestActions:
 class TestTrainEnsemble:
     def test_single_member_no_trace(self):
         train, valid, _ = toy_parts()
-        model, steps = train_ensemble(train, valid, lambda state: 0.5, n_members=1, seed=0)
+        model, steps = train_ensemble(
+            train, valid, lambda state: 0.5, sigma=0.2, bins=5, n_members=1, seed=0
+        )
         assert len(model) == 1
         assert steps == []
 
     def test_separable_reaches_perfect_validation(self):
         train, valid, _ = toy_parts(overlap=0.0)
-        model, steps = train_ensemble(train, valid, lambda state: 0.5, n_members=5, seed=0)
+        model, steps = train_ensemble(
+            train, valid, lambda state: 0.5, sigma=0.2, bins=5, n_members=5, seed=0
+        )
         score = aucprc(model.predict_proba(valid.features), valid.labels)
         assert score == pytest.approx(1.0, abs=1e-9)
 
     def test_trace_length_and_terminal_flag(self):
         train, valid, _ = toy_parts(overlap=0.5)
-        model, steps = train_ensemble(train, valid, lambda state: 0.5, n_members=6, seed=1)
+        model, steps = train_ensemble(
+            train, valid, lambda state: 0.5, sigma=0.2, bins=5, n_members=6, seed=1
+        )
         assert len(model) == 6
         assert len(steps) == 5
         assert [s.terminal for s in steps] == [False] * 4 + [True]
@@ -243,30 +250,40 @@ class TestTrainEnsemble:
 
     def test_rewards_telescope_exactly(self):
         train, valid, _ = toy_parts(overlap=0.6, seed=2)
-        _, steps = train_ensemble(train, valid, lambda state: 0.4, n_members=8, seed=3)
+        _, steps = train_ensemble(
+            train, valid, lambda state: 0.4, sigma=0.2, bins=5, n_members=8, seed=3
+        )
         total = sum(s.reward for s in steps)
         assert total == steps[-1].auc_after - steps[0].auc_before
 
     def test_states_chain(self):
         train, valid, _ = toy_parts(overlap=0.5)
-        _, steps = train_ensemble(train, valid, lambda state: 0.5, n_members=4, seed=5)
+        _, steps = train_ensemble(
+            train, valid, lambda state: 0.5, sigma=0.2, bins=5, n_members=4, seed=5
+        )
         for prev, nxt in zip(steps, steps[1:]):
             assert np.array_equal(prev.next_state, nxt.state)
             assert prev.auc_after == nxt.auc_before
 
     def test_seed_reproducibility(self):
         train, valid, _ = toy_parts(overlap=0.5)
-        m1, s1 = train_ensemble(train, valid, uniform_actions(3), n_members=5, seed=11)
-        m2, s2 = train_ensemble(train, valid, uniform_actions(3), n_members=5, seed=11)
+        m1, s1 = train_ensemble(
+            train, valid, uniform_actions(3), sigma=0.2, bins=5, n_members=5, seed=11
+        )
+        m2, s2 = train_ensemble(
+            train, valid, uniform_actions(3), sigma=0.2, bins=5, n_members=5, seed=11
+        )
         x = valid.features
         assert np.array_equal(m1.predict_proba(x), m2.predict_proba(x))
         assert [a.action for a in s1] == [a.action for a in s2]
 
     def test_fresh_seed_sequences_match_int_seed(self):
         train, valid, _ = toy_parts(overlap=0.5)
-        m1, _ = train_ensemble(train, valid, lambda state: 0.5, n_members=4, seed=21)
+        m1, _ = train_ensemble(
+            train, valid, lambda state: 0.5, sigma=0.2, bins=5, n_members=4, seed=21
+        )
         m2, _ = train_ensemble(
-            train, valid, lambda state: 0.5, n_members=4, seed=SeedSequence(21)
+            train, valid, lambda state: 0.5, sigma=0.2, bins=5, n_members=4, seed=SeedSequence(21)
         )
         x = valid.features
         assert np.array_equal(m1.predict_proba(x), m2.predict_proba(x))
@@ -275,7 +292,8 @@ class TestTrainEnsemble:
         train, valid, _ = toy_parts(overlap=0.5)
         seen = []
         _, steps = train_ensemble(
-            train, valid, lambda state: 0.5, n_members=5, seed=2, on_step=seen.append
+            train, valid, lambda state: 0.5, sigma=0.2, bins=5, n_members=5, seed=2,
+            on_step=seen.append
         )
         assert seen == steps
 
@@ -283,18 +301,22 @@ class TestTrainEnsemble:
         train, valid, _ = toy_parts(overlap=0.5)
         for mu in (-0.1, 1.7, float("nan")):
             with pytest.raises(ValueError, match="outside"):
-                train_ensemble(train, valid, lambda state: mu, n_members=3, seed=0)
+                train_ensemble(
+                    train, valid, lambda state: mu, sigma=0.2, bins=5, n_members=3, seed=0
+                )
 
     def test_feature_width_mismatch_rejected(self):
         train, valid, _ = toy_parts(overlap=0.5)
         bad_valid = make_dataset(np.zeros((4, 3)), [0, 1, 0, 1])
         with pytest.raises(ValueError):
-            train_ensemble(train, bad_valid, lambda state: 0.5, n_members=3, seed=0)
+            train_ensemble(
+                train, bad_valid, lambda state: 0.5, sigma=0.2, bins=5, n_members=3, seed=0
+            )
 
     def test_n_members_validated(self):
         train, valid, _ = toy_parts()
         with pytest.raises(ValueError):
-            train_ensemble(train, valid, lambda state: 0.5, n_members=0, seed=0)
+            train_ensemble(train, valid, lambda state: 0.5, sigma=0.2, bins=5, n_members=0, seed=0)
 
     @pytest.mark.parametrize(
         "knobs, error",
@@ -312,13 +334,18 @@ class TestTrainEnsemble:
     def test_sigma_and_bins_refused_before_any_fit(self, no_tree_fit, knobs, error, n_members):
         train, valid, _ = toy_parts(overlap=0.5)
         with pytest.raises(error):
-            train_ensemble(train, valid, lambda state: 0.5, n_members=n_members, seed=0, **knobs)
+            train_ensemble(
+                train, valid, lambda state: 0.5, n_members=n_members, seed=0,
+                **{"sigma": 0.2, "bins": 5, **knobs},
+            )
 
     @pytest.mark.parametrize("n_members", [True, 2.5, "3.5", "3", 3.0])
     def test_non_integer_n_members_rejected(self, no_tree_fit, n_members):
         train, valid, _ = toy_parts()
         with pytest.raises(ValueError, match="^n_members must be an integer"):
-            train_ensemble(train, valid, lambda state: 0.5, n_members=n_members, seed=0)
+            train_ensemble(
+                train, valid, lambda state: 0.5, sigma=0.2, bins=5, n_members=n_members, seed=0
+            )
         with pytest.raises(ValueError, match="^n_members must be an integer"):
             train_random_ensemble(train, valid, n_members=n_members, seed=0)
 
@@ -328,16 +355,19 @@ class TestTrainEnsemble:
         train, valid, _ = toy_parts()
         with pytest.raises(ValueError, match="^bins must be an integer"):
             train_ensemble(
-                train, valid, lambda state: 0.5, bins=bins, n_members=n_members, seed=0
+                train, valid, lambda state: 0.5, sigma=0.2, bins=bins, n_members=n_members, seed=0
             )
 
     @pytest.mark.parametrize("integer", [np.int64, np.int32])
     def test_numpy_integer_n_members_and_bins_accepted(self, integer):
         train, valid, _ = toy_parts()
         model, steps = train_ensemble(
-            train, valid, lambda state: 0.5, bins=integer(5), n_members=integer(3), seed=0
+            train, valid, lambda state: 0.5, sigma=0.2, bins=integer(5), n_members=integer(3),
+            seed=0
         )
-        _, ref_steps = train_ensemble(train, valid, lambda state: 0.5, n_members=3, seed=0)
+        _, ref_steps = train_ensemble(
+            train, valid, lambda state: 0.5, sigma=0.2, bins=5, n_members=3, seed=0
+        )
         assert len(model) == 3
         assert_same_steps(steps, ref_steps)
         assert len(train_random_ensemble(train, valid, n_members=integer(3), seed=0)) == 3
@@ -408,7 +438,8 @@ class TestIncrementalScoring:
 
         source, sigma = make_source()
         model, steps = train_ensemble(
-            train, valid, source, sigma=sigma, n_members=n_members, learner_factory=Recording, seed=9
+            train, valid, source, sigma=sigma, bins=5, n_members=n_members,
+            learner_factory=Recording, seed=9
         )
         source, sigma = make_source()
         ref_model, ref_steps = rescoring_cascade(
@@ -430,7 +461,8 @@ class TestIncrementalScoring:
 
         source, sigma = make_source()
         again, again_steps = train_ensemble(
-            train, valid, source, sigma=sigma, n_members=n_members, learner_factory=learner, seed=9
+            train, valid, source, sigma=sigma, bins=5, n_members=n_members,
+            learner_factory=learner, seed=9
         )
         assert_same_steps(again_steps, steps)
         assert np.array_equal(again.predict_proba(test.features), scores)
@@ -461,7 +493,10 @@ class TestIncrementalScoring:
             made.append(CountingTree())
             return made[-1]
 
-        train_ensemble(train, valid, uniform_actions(1), n_members=8, learner_factory=factory, seed=4)
+        train_ensemble(
+            train, valid, uniform_actions(1), sigma=0.2, bins=5, n_members=8,
+            learner_factory=factory, seed=4
+        )
         assert [tree.rows_scored for tree in made] == [len(train) + len(valid)] * 8
 
 
@@ -505,7 +540,8 @@ class TestCascadeEdgeCases:
                 return super().fit(subset)
 
         model, steps = train_ensemble(
-            train, valid, uniform_actions(5), n_members=4, learner_factory=Recording, seed=11
+            train, valid, uniform_actions(5), sigma=0.2, bins=5, n_members=4,
+            learner_factory=Recording, seed=11
         )
         assert len(steps) == 3 and len(subsets) == 4
         for step in steps:
@@ -523,7 +559,7 @@ class TestCascadeEdgeCases:
             assert all(n <= available.get(row, 0) for row, n in row_counts(subset).items())
 
         again, again_steps = train_ensemble(
-            train, valid, uniform_actions(5), n_members=4, seed=11
+            train, valid, uniform_actions(5), sigma=0.2, bins=5, n_members=4, seed=11
         )
         assert_same_steps(again_steps, steps)
         assert np.array_equal(again.predict_proba(test.features), scores)

@@ -8,10 +8,10 @@ from metasampler import (
     SplitSpec,
     ToySpec,
     make_toy,
-    random_balanced_subset,
     stratified_split,
 )
 from metasampler.learners import _PREDICT_BLOCK
+from metasampler.sampling import random_balanced_subset
 from conftest import make_dataset
 
 

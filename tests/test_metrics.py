@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from metasampler import SingleClassError, aucprc, classification_errors
+from metasampler import SingleClassError, aucprc
+from metasampler.metrics import classification_errors
 from conftest import FixedModel, brute_average_precision, make_dataset
 
 

@@ -5,10 +5,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from metasampler import (
+from metasampler import NumericalError
+from metasampler.neural import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     Mlp,
-    NumericalError,
     adam_step,
     init_mlp,
     mlp_backward,
@@ -18,7 +21,6 @@ from metasampler import (
     mlp_to_document,
     soft_update,
 )
-from metasampler.neural import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from conftest import fd_param_gradients, max_relative_error
 
 

@@ -11,22 +11,16 @@ import pytest
 from scipy.integrate import quad
 
 from metasampler import (
-    EnsembleStep,
-    MetaSampler,
     NumericalError,
     PolicyActionSource,
-    ReplayMemory,
     SacConfig,
     SamplerFormatError,
     SplitSpec,
     ToySpec,
-    deterministic_action,
-    init_mlp,
     load_sampler,
     make_toy,
     meta_train,
     random_sampler,
-    sample_action,
     save_csv,
     save_sampler,
     score_arms,
@@ -34,22 +28,27 @@ from metasampler import (
 )
 import metasampler
 from metasampler.cli import main
-from metasampler.neural import AdamState, adam_step
-from metasampler.rng import as_generator, as_seed_sequence
+from metasampler.ensemble import EnsembleStep
+from metasampler.neural import AdamState, adam_step, init_mlp
+from metasampler.rng import as_generator, as_seed_sequence, check_float
 from metasampler.sac import (
     HIDDEN_WIDTH,
     Batch,
+    MetaSampler,
+    ReplayMemory,
     SacNets,
     SacOptimizers,
+    deterministic_action,
     policy_loss_and_grads,
     q_loss_and_grads,
     sac_update,
+    sample_action,
     sampler_to_document,
     strict_float,
     strict_int,
     v_loss_and_grads,
 )
-from conftest import action_log_prob, fd_param_gradients, max_relative_error
+from conftest import action_log_prob, fd_param_gradients, max_relative_error, numpy_kernels
 
 
 def bias_policy(mean_bias, log_std_bias, bins=5):
@@ -508,10 +507,10 @@ class TestMetaTrain:
         assert len(log) == 12
         assert hashlib.sha256(document.encode()).hexdigest() == (
             "0563ffacd480e443391fca32f96fc481c12257e993e5e0257ddc48a42ac3ecd7"
-        )
+        ), numpy_kernels()
         assert hashlib.sha256(json.dumps(log).encode()).hexdigest() == (
             "768e00fdfde2cfd7a3d19c032f9da8e32f026fd3afe827a2b99b018e8dff3890"
-        )
+        ), numpy_kernels()
 
     @staticmethod
     def one_episode(task, ensemble_size, seed):
@@ -591,7 +590,7 @@ class TestScoreArms:
                 ("policy", "random-policy", "random-sampling", "constant")]
 
     def scores(self, task, arms):
-        return score_arms(task, SplitSpec(), self.SEEDS, arms, n_members=3)
+        return score_arms(task, SplitSpec(), self.SEEDS, arms, n_members=3, mu=0.5)
 
     def test_each_arm_scores_the_same_alone_or_beside_the_others(self, task):
         together = self.scores(task, self.arms())
@@ -621,11 +620,11 @@ class TestScoreArms:
         # the random-sampling arm runs first and uses neither bins nor a sampler
         arms = [self.arms()[i] for i in (2, 0, 1, 3)]
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
-            score_arms(task, SplitSpec(), self.SEEDS, arms, **{"n_members": 3, **knobs})
+            score_arms(task, SplitSpec(), self.SEEDS, arms, **{"n_members": 3, "mu": 0.5, **knobs})
 
     def test_numpy_integer_knobs_score_like_ints(self, task):
         scores = score_arms(task, SplitSpec(), self.SEEDS, self.arms()[1:],
-                            n_members=np.int64(3), bins=np.int32(5))
+                            n_members=np.int64(3), mu=0.5, bins=np.int32(5))
         assert scores == self.scores(task, self.arms()[1:])
 
     def test_rejects_unknown_mode_policy_without_sampler_and_repeated_label(self, task):
@@ -636,7 +635,7 @@ class TestScoreArms:
         with pytest.raises(ValueError, match="distinct"):
             self.scores(task, [("a", "constant", None), ("a", "random-sampling", None)])
 
-    @pytest.mark.parametrize("mu", [-0.1, 1.5, float("nan")])
+    @pytest.mark.parametrize("mu", [-0.1, 1.5, float("nan"), None])
     def test_constant_arm_refuses_mu_outside_unit_interval_before_any_split(
         self, task, mu, monkeypatch
     ):
@@ -682,6 +681,22 @@ class TestSamplerIO:
         assert np.array_equal(sampler.policy.params, random_sampler(5, 0.2, seed=6).policy.params)
         save_sampler(sampler, tmp_path / "sampler.json")
         assert load_sampler(tmp_path / "sampler.json").bins == 5
+
+    @pytest.mark.parametrize("sigma", [True, np.bool_(True), "0.2", None])
+    def test_non_number_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="^sigma must be a real number"):
+            MetaSampler(init_mlp([10, HIDDEN_WIDTH, 2], 0), 5, sigma)
+        with pytest.raises(ValueError, match="^sigma must be a real number"):
+            random_sampler(5, sigma, 0)
+
+    def test_numpy_float_sigma_saves_and_loads_back(self, tmp_path):
+        sampler = random_sampler(5, np.float32(0.2), seed=6)
+        assert type(sampler.sigma) is float
+        save_sampler(sampler, tmp_path / "float32.json")
+        save_sampler(random_sampler(5, float(np.float32(0.2)), seed=6), tmp_path / "float.json")
+        written = (tmp_path / "float32.json").read_bytes()
+        assert written == (tmp_path / "float.json").read_bytes()
+        assert load_sampler(tmp_path / "float32.json").sigma == float(np.float32(0.2))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -823,6 +838,20 @@ class TestStrictFloat:
             strict_float(value)
 
 
+class TestCheckFloat:
+    @pytest.mark.parametrize(
+        "value, expected", [(0.5, 0.5), (3, 3.0), (np.float32(0.5), 0.5), (np.int64(2), 2.0)]
+    )
+    def test_real_numbers_pass_as_floats(self, value, expected):
+        result = check_float("x", value)
+        assert result == expected and type(result) is float
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), "0.5", None, [0.5]])
+    def test_booleans_text_and_none_rejected(self, value):
+        with pytest.raises(ValueError, match="^x must be a real number"):
+            check_float("x", value)
+
+
 class TestSeedCasts:
     @pytest.mark.parametrize(
         "seed", [2.9, 0.5, True, np.bool_(False), "2.9", 2.0, np.float64(2.0), "7", None]
@@ -878,6 +907,17 @@ class TestSacConfig:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SacConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("field", ["gamma", "tau", "alpha", "lr", "lr_decay_ratio", "sigma"])
+    def test_boolean_float_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a real number"):
+            SacConfig(**{field: value})
+
+    def test_numpy_floats_held_as_floats(self):
+        config = SacConfig(gamma=np.float64(0.9), sigma=np.float32(0.2))
+        assert type(config.gamma) is float and type(config.sigma) is float
+        assert config.sigma == float(np.float32(0.2))
 
     def test_state_size(self):
         assert SacConfig(bins=7).state_size == 14

@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from metasampler import (
-    NumericalError,
-    SingleClassError,
+from metasampler import NumericalError, SingleClassError
+from metasampler.sampling import (
+    WEIGHT_FLOOR,
+    _sequential_weighted_draw,
     error_histogram,
     gaussian_weight,
     meta_sample,
     meta_state,
     random_balanced_subset,
+    sample_from_errors,
 )
-from metasampler.sampling import WEIGHT_FLOOR, _sequential_weighted_draw, sample_from_errors
 from conftest import FixedModel, brute_histogram, make_dataset
 
 
