@@ -12,7 +12,9 @@ train, ablation, noise-sweep and transfer score their arms through the
 library's score_arms, so a result CSV holds the scores it returns.
 Result CSVs open with a comment row recording the resolved configuration,
 each single number as it ran, so identical configs and seeds reproduce output
-files byte for byte.
+files byte for byte. train's policy mode runs with its sampler's bins and
+sigma, so it records those, and a --bins or --sigma (flag or config file)
+that differs from them is a configuration error.
 
 Exit codes: 0 success, 1 configuration error (including a config file that
 cannot be read), 2 data error (including a task CSV or sampler file that cannot
@@ -111,6 +113,7 @@ class _Run:
 
     config: dict  # as recorded in each result CSV's comment row
     values: dict  # each key's value as it runs (see _parse)
+    given: set  # the keys set by a flag or the config file
     out: Path
     seeds: list = None  # seeds, split and factory: commands that split a task
     split: SplitSpec = None
@@ -163,6 +166,7 @@ def _resolve(args, defaults: dict) -> _Run:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     config, values = {}, {}
+    given = {key for key in defaults if getattr(args, key) is not None or key in file_config}
     for key, default in defaults.items():
         flag_value = getattr(args, key)
         value = flag_value if flag_value is not None else file_config.get(key, default)
@@ -171,7 +175,7 @@ def _resolve(args, defaults: dict) -> _Run:
         config[key] = value if isinstance(default, str) else values[key]
     if values["out"] is None:
         raise ConfigError("--out is required")
-    run = _Run(config, values, Path(values["out"]))
+    run = _Run(config, values, given, Path(values["out"]))
     _check_out(run.out, is_file=args.command == "generate-toy")
     if "split" in values:
         run.seeds = values["seed"]
@@ -341,6 +345,15 @@ def cmd_train(run, args) -> int:
         if run.config["sampler"] is None:
             raise ConfigError("--sampler is required for policy mode")
         sampler = load_sampler(run.config["sampler"])
+        # the sampler's own bins and sigma run, so the record holds them
+        for key in ("bins", "sigma"):
+            own = getattr(sampler, key)
+            if key in run.given and values[key] != own:
+                raise ConfigError(
+                    f"--{key} {values[key]!r} differs from the sampler's {own!r}, "
+                    "which policy mode runs with"
+                )
+            run.config[key] = own
     ds = load_csv(args.task, run.config["label_column"])
     scores = score_arms(
         ds, run.split, run.seeds, [(mode, mode, sampler)], n_members=values["k"],

@@ -13,6 +13,7 @@ from .errors import SingleClassError
 
 _LEAF = -1
 _PREDICT_BLOCK = 8192  # rows per block of the predict descent; see DecisionTree
+_GINI_TABLE_ROWS = 256  # largest fit node whose cuts read _WEIGHTED_GINI; see DecisionTree
 
 
 def _as_matrix(features, n_features):
@@ -20,6 +21,32 @@ def _as_matrix(features, n_features):
     if x.ndim != 2 or x.shape[1] != n_features:
         raise ValueError(f"expected a (rows, {n_features}) matrix, got shape {x.shape}")
     return x
+
+
+def _weighted_gini(sizes, counts):
+    """Each side's size times its Gini impurity, given its size and positive count."""
+    gini = 1.0 - (counts / sizes) ** 2 - ((sizes - counts) / sizes) ** 2
+    return sizes * gini
+
+
+def _weighted_gini_table(rows):
+    """Cell s * rows + c: `_weighted_gini(s, c)` for every side 1 <= s < rows of a node of
+    at most `rows` rows and each of its positive counts 0 <= c <= s; row 0 is unused.
+
+    It is built one row at a time, so no temporary reaches glibc's 128 KiB mmap
+    threshold: freeing a larger one raises that threshold, and built in one
+    expression, the table raised the benchmark's peak RSS by 1.1 MB, not 0.6 MB.
+    """
+    table = np.zeros((rows, rows))
+    counts = np.arange(float(rows))
+    for size in range(1, rows):
+        table[size] = _weighted_gini(np.full(rows, float(size)), counts)
+    table.setflags(write=False)
+    return table.ravel()
+
+
+_WEIGHTED_GINI = _weighted_gini_table(_GINI_TABLE_ROWS)
+_LEFT_CELLS = np.arange(_GINI_TABLE_ROWS, _GINI_TABLE_ROWS**2, _GINI_TABLE_ROWS)  # cell (s, 0)
 
 
 class DecisionTree:
@@ -39,14 +66,29 @@ class DecisionTree:
     row of the block by that flag, keeping order, so a child's block is
     again sorted by value, then by row id: exactly what a stable sort of
     the child's ascending row ids gives. The split search covers all
-    features at once, on ``(2, d, m - 1)`` arrays of left and right counts
-    and sizes at every cut. Each candidate gets the same elementwise Gini
-    arithmetic as a search of one feature at a time, so impurity values,
-    and hence their ties, are bit-identical to it. Non-cuts (equal
-    neighbours) read ``-inf``, and the first maximum of the row-major
+    features at once: one integer ``cumsum`` of the block's labels gives
+    the positives left of every cut, and each side of each cut is weighted
+    by ``_weighted_gini``, its size times its Gini impurity, the same
+    elementwise arithmetic as a search of one feature at a time, so impurity
+    values, and hence their ties, are bit-identical to it. A node of more
+    than 256 rows (``_GINI_TABLE_ROWS``) computes it on ``(2, d, m - 1)``
+    arrays of left and right counts and sizes. A smaller node reads it from
+    ``_WEIGHTED_GINI``, built once at import by that same function: cell
+    ``s * 256 + c`` is a side of s rows with c positives, so a cut's left
+    cell is its left positives plus ``_LEFT_CELLS``, and its right cell is
+    ``m * 256 + pos`` minus that. The table is 512 KiB. 256 rows keep every
+    node of a cascade subset of the MID task (240 rows) on it, the root
+    included: on 120 such subsets (2-core x86-64 VM), fit ran in 0.60× the
+    time of a loop with no table, an eager mask and both child blocks, and
+    in 0.64× with a 128-row table. The first maximum of the row-major
     ``(d, m - 1)`` decrease array is the lowest feature, then the lowest
-    threshold. A child's row and positive counts come from the parent's
-    cumulative sums. The depth-first stack holds only pending nodes, whose
+    threshold. A cut between equal neighbours is no cut, and the
+    first maximum is taken over all cuts first: if its two neighbours
+    differ, it is also the first maximum of the valid cuts. Only otherwise
+    does ``fit`` gather the block's sorted values, set every non-cut to
+    ``-inf`` and take the maximum again. A child's row and positive counts
+    come from the parent's cumulative sums, and its row block is built only
+    when it is impure. The depth-first stack holds only pending nodes, whose
     row sets are disjoint, so its blocks total at most ``n * d`` ids. Each
     stack entry carries its level, so ``fit`` records ``depth``. A split
     appends its two children together, so its right child is always its left
@@ -110,7 +152,7 @@ class DecisionTree:
         self.n_features_in = d
         flat_x = x.T.ravel()  # feature j of row r at j * n + r
         offsets = np.arange(0, d * n, n)[:, None]
-        labels = y.astype(np.float64)
+        labels = y.astype(np.intp)
         ramp = np.arange(1.0, n)
         marked = np.zeros(n, dtype=bool)
         pos = int(y.sum())
@@ -121,37 +163,49 @@ class DecisionTree:
         while stack:
             node, level, rows, pos = stack.pop()
             m = rows.shape[1]
-            sv = flat_x[rows + offsets]
-            counts = np.empty((2, d, m - 1))  # positives left of each cut, then right of it
-            np.cumsum(labels[rows][:, :-1], axis=1, out=counts[0])
-            np.subtract(pos, counts[0], out=counts[1])
-            sizes = np.empty((2, d, m - 1))
-            sizes[0] = ramp[: m - 1]
-            np.subtract(m, sizes[0], out=sizes[1])
+            left_pos = np.cumsum(labels[rows][:, :-1], axis=1)  # positives left of each cut
+            if m <= _GINI_TABLE_ROWS:
+                at = left_pos + _LEFT_CELLS[: m - 1]  # cell (left size, left positives)
+                children = _WEIGHTED_GINI.take(at)
+                children += _WEIGHTED_GINI.take(m * _GINI_TABLE_ROWS + pos - at)  # the right cell
+            else:
+                counts = np.empty((2, d, m - 1))  # positives left of each cut, then right of it
+                counts[0] = left_pos
+                np.subtract(pos, counts[0], out=counts[1])
+                sizes = np.empty((2, d, m - 1))
+                sizes[0] = ramp[: m - 1]
+                np.subtract(m, sizes[0], out=sizes[1])
+                weighted = _weighted_gini(sizes, counts)
+                children = weighted[0] + weighted[1]
             parent_gini = 1.0 - (pos / m) ** 2 - ((m - pos) / m) ** 2
-            gini = 1.0 - (counts / sizes) ** 2 - ((sizes - counts) / sizes) ** 2
-            weighted = sizes * gini
-            decrease = parent_gini - (weighted[0] + weighted[1]) / m
-            decrease[sv[:, :-1] >= sv[:, 1:]] = -np.inf
+            decrease = parent_gini - children / m
             feat, k = divmod(int(decrease.argmax()), m - 1)
-            if not decrease[feat, k] > -1.0:
-                continue
-            low, high = float(sv[feat, k]), float(sv[feat, k + 1])
+            low, high = float(x[rows[feat, k], feat]), float(x[rows[feat, k + 1], feat])
+            if low >= high:  # equal neighbours are no cut: search the cuts alone
+                sv = flat_x[rows + offsets]
+                decrease[sv[:, :-1] >= sv[:, 1:]] = -np.inf
+                feat, k = divmod(int(decrease.argmax()), m - 1)
+                if not decrease[feat, k] > -1.0:
+                    continue
+                low, high = float(sv[feat, k]), float(sv[feat, k + 1])
             mid = (low + high) / 2.0
             feature[node] = feat
             threshold[node] = mid if low < mid <= high else high
-            left_rows = rows[feat, : k + 1]
-            marked[left_rows] = True
-            goes_left = marked[rows]
-            marked[left_rows] = False
-            pos_left = int(counts[0, feat, k])
+            pos_left = int(left_pos[feat, k])
             left[node] = len(feature)  # the right child is appended next to it
             depth = max(depth, level + 1)
-            for size, child_pos, block in (
-                (k + 1, pos_left, rows[goes_left]),
-                (m - k - 1, pos - pos_left, rows[~goes_left]),
+            goes_left = None
+            for size, child_pos, on_left in (
+                (k + 1, pos_left, True),
+                (m - k - 1, pos - pos_left, False),
             ):
-                if 0 < child_pos < size:
+                if 0 < child_pos < size:  # impure: its row block is split later
+                    if goes_left is None:
+                        left_rows = rows[feat, : k + 1]
+                        marked[left_rows] = True
+                        goes_left = marked[rows]
+                        marked[left_rows] = False
+                    block = rows[goes_left if on_left else ~goes_left]
                     stack.append((len(feature), level + 1, block.reshape(d, size), child_pos))
                 feature.append(_LEAF)
                 threshold.append(np.nan)

@@ -5,10 +5,10 @@ Everything that draws randomness accepts an int seed, a
 reproducible streams without the library ever touching global state. A seed,
 count or size that a Python caller passes goes through ``check_integer``: an
 int or a numpy integer, never a bool, 2.0 or "7". A real number that a Python
-caller passes and the library keeps goes through ``check_float``, its twin:
-any real number, numpy's too, never a bool, "0.2" or None. Only text and JSON
-that the CLI or a sampler file parses go through ``strict_int``, which also
-casts 3.0, and ``strict_float``.
+caller passes and the library keeps, and every sigma and ``score_arms``' mu,
+go through ``check_float``, its twin: any real number, numpy's too, never a
+bool, "0.2" or None. Only text and JSON that the CLI or a sampler file parses
+go through ``strict_int``, which also casts 3.0, and ``strict_float``.
 """
 from __future__ import annotations
 

@@ -440,11 +440,12 @@ def score_arms(ds, split, seeds, arms, *, n_members, noise_ratio=0.0, mu=None,
     and `sigma`, SacConfig's unless given; "random-sampling" fits every member
     on a random balanced subset; and "constant" takes action `mu`, which it
     needs and which must lie in [0, 1], at every step. A mode ignores the
-    knobs it does not use, but `n_members` and `bins` must be integers
-    whatever the arms. Every arm spawns the same six streams from the seed, so
+    knobs it does not use, but `n_members` and `bins` must be integers, and
+    `mu`, if given, a real number, whatever the arms. Every arm spawns the same six streams from the seed, so
     its scores do not depend on which other arms run.
     """
     n_members, bins = check_integer("n_members", n_members), check_integer("bins", bins)
+    mu = None if mu is None else check_float("mu", mu)
     arms = list(arms)
     for label, mode, sampler in arms:
         if mode not in MODES:

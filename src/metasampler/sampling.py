@@ -28,7 +28,7 @@ import numpy as np
 from .dataset import LabeledDataset
 from .errors import NumericalError, SingleClassError
 from .metrics import classification_errors
-from .rng import as_generator, check_integer
+from .rng import as_generator, check_float, check_integer
 
 WEIGHT_FLOOR = 1e-12
 
@@ -65,9 +65,11 @@ def meta_state(model, train: LabeledDataset, valid: LabeledDataset, bins: int) -
 def gaussian_scale(sigma) -> float:
     """sigma sqrt(2 pi), the Gaussian's divisor: the one check of a sigma.
 
-    ValueError unless sigma is finite and positive; NumericalError if it is so
-    small (subnormal) that the peak 1 / (sigma sqrt(2 pi)) overflows.
+    ValueError unless sigma is a finite, positive real number (never a bool);
+    NumericalError if it is so small (subnormal) that the peak
+    1 / (sigma sqrt(2 pi)) overflows.
     """
+    sigma = check_float("sigma", sigma)
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
     scale = sigma * math.sqrt(2.0 * math.pi)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from metasampler import SacConfig, load_sampler
+from metasampler import SacConfig, load_sampler, random_sampler, save_sampler
 from metasampler.cli import COMMANDS, build_parser, main
 from conftest import numpy_kernels
 
@@ -253,6 +253,42 @@ class TestTrain:
         ]) == 0
         _, _, rows = read_result_csv(out / "train_results.csv")
         assert len(rows) == 2
+
+    @pytest.fixture
+    def sampler_7_bins(self, tmp_path):
+        path = tmp_path / "sampler.json"
+        save_sampler(random_sampler(7, 0.3, seed=2), path)
+        return path
+
+    @pytest.mark.parametrize("knobs", [[], ["--bins", "7", "--sigma", "0.3"]])
+    def test_policy_mode_records_the_samplers_bins_and_sigma(
+        self, tmp_path, task_csv, sampler_7_bins, knobs
+    ):
+        # the defaults, 5 and 0.2, used to be recorded though the sampler's 7 and 0.3 ran
+        out = tmp_path / "run"
+        assert main([
+            "train", str(task_csv), "--mode", "policy", "--sampler", str(sampler_7_bins),
+            "--k", "2", "--seed", "0", "--out", str(out), *knobs,
+        ]) == 0
+        config, _, _ = read_result_csv(out / "train_results.csv")
+        assert (config["bins"], config["sigma"]) == (7, 0.3)
+
+    @pytest.mark.parametrize("key, value", [("bins", 3), ("bins", 5), ("sigma", 0.9)])
+    @pytest.mark.parametrize("source", ["flag", "config file"])
+    def test_policy_mode_refuses_other_bins_or_sigma_before_any_fit(
+        self, tmp_path, capsys, no_tree_fit, task_csv, sampler_7_bins, key, value, source
+    ):
+        out = tmp_path / "run"
+        argv = ["train", str(task_csv), "--sampler", str(sampler_7_bins), "--out", str(out)]
+        if source == "flag":
+            argv += [f"--{key}", str(value)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({key: value}), encoding="utf-8")
+            argv += ["--config", str(config)]
+        assert main(argv) == 1
+        assert f"--{key} {value!r} differs from the sampler's" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_constant_mode(self, tmp_path, task_csv):
         out = tmp_path / "run"

@@ -325,6 +325,8 @@ class TestTrainEnsemble:
             ({"sigma": float("nan")}, ValueError),
             ({"sigma": 0.0}, ValueError),
             ({"sigma": -0.2}, ValueError),
+            ({"sigma": True}, ValueError),
+            ({"sigma": np.True_}, ValueError),
             ({"bins": 0}, ValueError),
             ({"bins": -3}, ValueError),
             ({"bins": float("nan")}, ValueError),

@@ -10,7 +10,7 @@ from metasampler import (
     make_toy,
     stratified_split,
 )
-from metasampler.learners import _PREDICT_BLOCK
+from metasampler.learners import _GINI_TABLE_ROWS, _LEFT_CELLS, _PREDICT_BLOCK, _WEIGHTED_GINI
 from metasampler.sampling import random_balanced_subset
 from conftest import make_dataset
 
@@ -248,6 +248,32 @@ class TestFitMatchesReference:
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype, name
             assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
+
+
+class TestWeightedGiniTable:
+    def test_every_cell_is_the_node_arithmetic(self):
+        # a side of s rows with c positives, as one Python float at a time: ** 2 on a
+        # float64 array is np.square, the correctly rounded product p * p
+        rows = _GINI_TABLE_ROWS
+        assert _WEIGHTED_GINI.shape == (rows * rows,)
+        wrong = []
+        for s in range(1, rows):
+            for c in range(s + 1):
+                p, q = c / s, (s - c) / s
+                if _WEIGHTED_GINI[s * rows + c] != s * (1.0 - p * p - q * q):
+                    wrong.append((s, c))
+        assert wrong == []
+        assert _LEFT_CELLS.tolist() == [s * rows for s in range(1, rows)]
+
+    @pytest.mark.parametrize("n", [_GINI_TABLE_ROWS, _GINI_TABLE_ROWS + 1])
+    def test_root_on_either_side_of_the_table_edge(self, n):
+        # no oracle case has a node of 256 or 257 rows: the largest cells, and the first
+        # node that must compute them
+        rng = np.random.default_rng(n)
+        ds = make_dataset(rng.standard_normal((n, 3)), labels_with_both_classes(rng, n))
+        want, got = ReferenceDecisionTree().fit(ds), DecisionTree().fit(ds)
+        for name in NODE_ARRAYS:
+            assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
 
 
 class TestFitInvariants:

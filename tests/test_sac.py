@@ -647,6 +647,17 @@ class TestScoreArms:
         with pytest.raises(ValueError, match="mu must be in"):
             score_arms(task, SplitSpec(), self.SEEDS, [("c", "constant", None)], n_members=1, mu=mu)
 
+    @pytest.mark.parametrize("mu", [True, False, np.True_, "0.5"])
+    @pytest.mark.parametrize("mode", ["constant", "random-sampling"])
+    def test_non_number_mu_refused_before_any_split(self, task, mu, mode, monkeypatch):
+        # True used to score as mu = 1.0; mu must be a number whatever the arms
+        def no_split(*args, **kwargs):
+            raise AssertionError("split before mu was checked")
+
+        monkeypatch.setattr("metasampler.sac.stratified_split", no_split)
+        with pytest.raises(ValueError, match="^mu must be a real number"):
+            score_arms(task, SplitSpec(), self.SEEDS, [("c", mode, None)], n_members=1, mu=mu)
+
 
 class TestSamplerIO:
     def test_round_trip_preserves_actions(self, tmp_path, rng):

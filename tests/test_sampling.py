@@ -10,6 +10,7 @@ from metasampler.sampling import (
     WEIGHT_FLOOR,
     _sequential_weighted_draw,
     error_histogram,
+    gaussian_scale,
     gaussian_weight,
     meta_sample,
     meta_state,
@@ -132,6 +133,14 @@ class TestGaussianWeight:
     @pytest.mark.parametrize("sigma", [float("inf"), float("nan"), -0.2])
     def test_sigma_must_be_finite_and_positive(self, sigma):
         with pytest.raises(ValueError):
+            gaussian_weight(0.5, mu=0.5, sigma=sigma)
+
+    @pytest.mark.parametrize("sigma", [True, np.True_, "0.2", None])
+    def test_non_number_sigma_refused(self, sigma):
+        # a bool used to read as 1.0: gaussian_scale(True) was sqrt(2 pi)
+        with pytest.raises(ValueError, match="^sigma must be a real number"):
+            gaussian_scale(sigma)
+        with pytest.raises(ValueError, match="^sigma must be a real number"):
             gaussian_weight(0.5, mu=0.5, sigma=sigma)
 
     @pytest.mark.parametrize("sigma", [1e-320, 5e-324, 2.2e-309])
