@@ -12,9 +12,10 @@ train, ablation, noise-sweep and transfer score their arms through the
 library's score_arms, so a result CSV holds the scores it returns.
 Result CSVs open with a comment row recording the resolved configuration,
 each single number as it ran, so identical configs and seeds reproduce output
-files byte for byte. train's policy mode runs with its sampler's bins and
-sigma, so it records those, and a --bins or --sigma (flag or config file)
-that differs from them is a configuration error.
+files byte for byte. train refuses a --sampler, --mu, --bins or --sigma (flag
+or config file) that its mode does not use (see sac.MODES) before any file is
+read; policy mode runs with, and records, its sampler's bins and sigma, and
+refuses a --bins or --sigma that differs from them.
 
 Exit codes: 0 success, 1 configuration error (including a config file that
 cannot be read), 2 data error (including a task CSV or sampler file that cannot
@@ -104,7 +105,7 @@ _NUMBERS = {
     "ratios": (strict_float, lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
 }
 
-_CHOICES = {"mode": MODES, "base_learner": tuple(LEARNERS)}  # text keys with named values
+_CHOICES = {"mode": tuple(MODES), "base_learner": tuple(LEARNERS)}  # text keys with named values
 
 
 @dataclasses.dataclass
@@ -340,6 +341,9 @@ def cmd_meta_train(run, args) -> int:
 def cmd_train(run, args) -> int:
     values = run.values
     mode = values["mode"]
+    unused = run.given & (set().union(*MODES.values()) - set(MODES[mode]))
+    if unused:
+        raise ConfigError(f"--mode {mode} does not use --{', --'.join(sorted(unused))}")
     sampler = None
     if mode == "policy":
         if run.config["sampler"] is None:

@@ -155,10 +155,8 @@ class ToySpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_majority", "n_minority", "seed"):
-            check_integer(name, getattr(self, name))
-        if self.n_minority < 2:
-            raise ValueError("need at least 2 minority instances")
+        for name, least in (("n_majority", None), ("n_minority", 2), ("seed", 0)):
+            check_integer(name, getattr(self, name), least)
         if self.n_majority < self.n_minority:
             raise ValueError("majority class must be at least as large as minority")
         if not 0.0 <= self.overlap <= 1.0:

@@ -82,13 +82,11 @@ def _check_task(
     `sigma` and `bins`, when given, are the weighted draw's and the meta-state's:
     `gaussian_scale` checks sigma, and bins must be an integer of at least 1.
     """
-    n_members = check_integer("n_members", n_members)
-    if n_members < 1:
-        raise ValueError(f"need at least one member, got {n_members}")
+    n_members = check_integer("n_members", n_members, least=1)
     if sigma is not None:
         gaussian_scale(sigma)
-    if bins is not None and check_integer("bins", bins) < 1:
-        raise ValueError(f"need at least one bin, got {bins}")
+    if bins is not None:
+        check_integer("bins", bins, least=1)
     for name, part in (("train", train), ("valid", valid)):
         if part.minority_count == 0 or part.majority_count == 0:
             raise SingleClassError(f"{name} split must contain both classes")

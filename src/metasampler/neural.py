@@ -50,11 +50,9 @@ class Mlp:
     """
 
     def __init__(self, layer_sizes, params=None):
-        self.layer_sizes = [check_integer("layer size", s) for s in layer_sizes]
+        self.layer_sizes = [check_integer("layer size", s, least=1) for s in layer_sizes]
         if len(self.layer_sizes) < 2:
             raise ValueError("need at least an input and an output size")
-        if any(s < 1 for s in self.layer_sizes):
-            raise ValueError(f"layer sizes must be positive, got {self.layer_sizes}")
         sizes = self.layer_sizes
         size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
         self.params = np.zeros(size) if params is None else np.ascontiguousarray(params, np.float64)
@@ -142,9 +140,7 @@ class AdamState:
                    decay_ratio: float = 1.0) -> "AdamState":
         if not lr > 0.0:
             raise ValueError(f"learning rate must be positive, got {lr}")
-        decay_every = check_integer("decay_every", decay_every)
-        if decay_every < 1:
-            raise ValueError(f"decay_every must be positive, got {decay_every}")
+        decay_every = check_integer("decay_every", decay_every, least=1)
         return cls(lr=lr, m=np.zeros_like(params), v=np.zeros_like(params),
                    decay_every=decay_every, decay_ratio=decay_ratio)
 

@@ -4,7 +4,9 @@ Everything that draws randomness accepts an int seed, a
 ``numpy.random.SeedSequence`` or a ready ``Generator``, so callers can wire
 reproducible streams without the library ever touching global state. A seed,
 count or size that a Python caller passes goes through ``check_integer``: an
-int or a numpy integer, never a bool, 2.0 or "7". A real number that a Python
+int or a numpy integer, never a bool, 2.0 or "7", and at least the count's
+least value where it has one (0 for every int seed), or ValueError("<name> must
+be at least <least>, got <value>") before any work. A real number that a Python
 caller passes and the library keeps, and every sigma and ``score_arms``' mu,
 go through ``check_float``, its twin: any real number, numpy's too, never a
 bool, "0.2" or None. Only text and JSON that the CLI or a sampler file parses
@@ -26,11 +28,14 @@ def strict_int(value) -> int:
     return int(value)
 
 
-def check_integer(name: str, value) -> int:
-    """int(value) of an integer (numpy's too); ValueError naming `name` for a bool, 3.0 or "3"."""
+def check_integer(name: str, value, least: int | None = None) -> int:
+    """int(value) of an integer (numpy's too) of at least `least`; else ValueError naming `name`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def check_float(name: str, value) -> float:
@@ -55,7 +60,7 @@ def as_generator(seed) -> np.random.Generator:
         return seed
     if isinstance(seed, np.random.SeedSequence):
         return np.random.default_rng(seed)
-    return np.random.default_rng(check_integer("seed", seed))
+    return np.random.default_rng(check_integer("seed", seed, least=0))
 
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
@@ -63,4 +68,4 @@ def as_seed_sequence(seed) -> np.random.SeedSequence:
         return seed
     if isinstance(seed, np.random.Generator):
         raise TypeError("need an int or SeedSequence, not a Generator")
-    return np.random.SeedSequence(check_integer("seed", seed))
+    return np.random.SeedSequence(check_integer("seed", seed, least=0))

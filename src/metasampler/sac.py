@@ -48,7 +48,10 @@ LOG_STD_MAX = 2.0
 LOG_2PI = math.log(2.0 * math.pi)
 SAMPLER_FORMAT_VERSION = 1
 HIDDEN_WIDTH = 50
-MODES = ("policy", "random-policy", "random-sampling", "constant")  # score_arms' arm modes
+# score_arms' arm modes and the knobs each runs with: the arm's sampler (a policy arm runs with
+# its sampler's bins and sigma), and score_arms' mu, bins and sigma
+MODES = {"policy": ("sampler", "bins", "sigma"), "random-policy": ("bins", "sigma"),
+         "random-sampling": (), "constant": ("mu", "sigma")}
 
 
 @dataclass(frozen=True)
@@ -56,8 +59,9 @@ class SacConfig:
     """Meta-training hyperparameters; defaults are the reference values.
 
     They are the one home of the cascade's defaults (ensemble_size, bins,
-    sigma). A field annotated int or float holds what check_integer or
-    check_float makes of its value, never a bool; sigma passes gaussian_scale.
+    sigma). A field annotated int or float holds what check_integer (with the
+    field's least value in _LEAST, replay_capacity's being batch_size) or
+    check_float makes of its value; sigma passes gaussian_scale.
     """
 
     gamma: float = 0.99
@@ -74,13 +78,17 @@ class SacConfig:
     ensemble_size: int = 10
     bins: int = 5
     sigma: float = 0.2
+    _LEAST = {"lr_decay_steps": 1, "batch_size": 1, "gradient_steps": 0, "random_steps": 0,
+              "episodes": 1, "ensemble_size": 2, "bins": 1}
 
     def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
-            if value is not None or field.type != "int | None":
-                rule = check_float if field.type == "float" else check_integer
-                object.__setattr__(self, field.name, rule(field.name, value))
+            if field.type == "float":
+                value = check_float(field.name, value)
+            elif value is not None or field.type != "int | None":
+                value = check_integer(field.name, value, self._LEAST.get(field.name))
+            object.__setattr__(self, field.name, value)
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if not 0.0 < self.tau <= 1.0:
@@ -89,20 +97,10 @@ class SacConfig:
             raise ValueError(f"alpha must be finite and non-negative, got {self.alpha}")
         if not 0.0 < self.lr < math.inf:
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
-        if self.lr_decay_steps < 1 or not 0.0 < self.lr_decay_ratio <= 1.0:
-            raise ValueError("invalid learning-rate decay settings")
-        if self.batch_size < 1:
-            raise ValueError(f"batch size must be positive, got {self.batch_size}")
+        if not 0.0 < self.lr_decay_ratio <= 1.0:
+            raise ValueError(f"lr_decay_ratio must be in (0, 1], got {self.lr_decay_ratio}")
         if self.replay_capacity < self.batch_size:
             raise ValueError("replay capacity must be at least the batch size")
-        if self.gradient_steps < 0 or self.random_steps < 0:
-            raise ValueError("step budgets must be non-negative")
-        if self.episodes is not None and self.episodes < 1:
-            raise ValueError(f"episodes must be positive when set, got {self.episodes}")
-        if self.ensemble_size < 2:
-            raise ValueError("meta-training needs ensembles of at least 2 members")
-        if self.bins < 1:
-            raise ValueError(f"bins must be positive, got {self.bins}")
         gaussian_scale(self.sigma)
 
     @property
@@ -128,9 +126,7 @@ class ReplayMemory:
     """
 
     def __init__(self, capacity: int):
-        self.capacity = check_integer("capacity", capacity)
-        if self.capacity < 1:
-            raise ValueError(f"capacity must be positive, got {capacity}")
+        self.capacity = check_integer("capacity", capacity, least=1)
         self._rows = None
         self._pushed = 0
 
@@ -164,7 +160,7 @@ class MetaSampler:
     sigma: float
 
     def __post_init__(self):
-        self.bins = check_integer("bins", self.bins)
+        self.bins = check_integer("bins", self.bins, least=1)
         self.sigma = check_float("sigma", self.sigma)
         sizes = self.policy.layer_sizes
         if sizes[0] != 2 * self.bins:
@@ -176,7 +172,7 @@ class MetaSampler:
 
 def random_sampler(bins: int, sigma: float, seed) -> MetaSampler:
     """Freshly initialized, untrained sampling policy (an ablation baseline)."""
-    policy = init_mlp([2 * check_integer("bins", bins), HIDDEN_WIDTH, 2], seed)
+    policy = init_mlp([2 * check_integer("bins", bins, least=1), HIDDEN_WIDTH, 2], seed)
     return MetaSampler(policy=policy, bins=bins, sigma=sigma)
 
 
@@ -435,24 +431,27 @@ def score_arms(ds, split, seeds, arms, *, n_members, noise_ratio=0.0, mu=None,
     Labels must be distinct. Each seed splits `ds` once for all arms and
     flip-noises the train part at `noise_ratio` (0 leaves it as it is). Each
     arm then trains one cascade of `n_members` on (train, valid) and scores it
-    on test. The modes: "policy" samples actions from the arm's sampler, with
-    its bins and sigma; "random-policy" from an untrained sampler with `bins`
-    and `sigma`, SacConfig's unless given; "random-sampling" fits every member
-    on a random balanced subset; and "constant" takes action `mu`, which it
-    needs and which must lie in [0, 1], at every step. A mode ignores the
-    knobs it does not use, but `n_members` and `bins` must be integers, and
-    `mu`, if given, a real number, whatever the arms. Every arm spawns the same six streams from the seed, so
-    its scores do not depend on which other arms run.
+    on test. The modes, each running with the knobs MODES lists: "policy"
+    samples actions from the arm's sampler, with its bins and sigma;
+    "random-policy" from an untrained sampler with `bins` and `sigma`
+    (SacConfig's unless given); "random-sampling" fits every member on a
+    random balanced subset; "constant" takes action `mu` (needed, in [0, 1])
+    at every step. Before any split, whatever the arms, `n_members` and `bins`
+    must be integers of at least 1, `sigma` must pass gaussian_scale and a
+    given `mu` must be a real number. Every arm spawns the same six streams
+    from the seed, so its scores do not depend on which other arms run.
     """
-    n_members, bins = check_integer("n_members", n_members), check_integer("bins", bins)
+    n_members = check_integer("n_members", n_members, least=1)
+    bins = check_integer("bins", bins, least=1)
+    gaussian_scale(sigma)
     mu = None if mu is None else check_float("mu", mu)
     arms = list(arms)
     for label, mode, sampler in arms:
         if mode not in MODES:
-            raise ValueError(f"arm {label!r}: unknown mode {mode!r}; choose from {MODES}")
-        if mode == "policy" and sampler is None:
-            raise ValueError(f"arm {label!r}: policy mode needs a sampler")
-        if mode == "constant" and (mu is None or not 0.0 <= mu <= 1.0):
+            raise ValueError(f"arm {label!r}: unknown mode {mode!r}; choose from {tuple(MODES)}")
+        if "sampler" in MODES[mode] and sampler is None:
+            raise ValueError(f"arm {label!r}: {mode} mode needs a sampler")
+        if "mu" in MODES[mode] and (mu is None or not 0.0 <= mu <= 1.0):
             raise ValueError(f"arm {label!r}: mu must be in [0, 1], got {mu}")
     scores = {label: [] for label, _, _ in arms}
     if len(scores) != len(arms):

@@ -38,8 +38,7 @@ def error_histogram(errors, bins: int) -> np.ndarray:
 
     Bin i covers [(i-1)/b, i/b) for 1-based i; the last bin also includes 1.0.
     """
-    if check_integer("bins", bins) < 1:
-        raise ValueError(f"need at least one bin, got {bins}")
+    bins = check_integer("bins", bins, least=1)
     errors = np.asarray(errors, dtype=np.float64)
     if errors.ndim != 1 or errors.size == 0:
         raise ValueError("errors must be a non-empty 1-D array")

@@ -290,6 +290,42 @@ class TestTrain:
         assert f"--{key} {value!r} differs from the sampler's" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "mode, key",
+        [("policy", "mu"), ("random-policy", "sampler"), ("random-policy", "mu"),
+         ("random-sampling", "sampler"), ("random-sampling", "mu"), ("random-sampling", "bins"),
+         ("random-sampling", "sigma"), ("constant", "sampler"), ("constant", "bins")],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config file"])
+    def test_a_knob_the_mode_does_not_use_is_refused_before_the_task_is_read(
+        self, tmp_path, capsys, mode, key, source
+    ):
+        # these used to run and be recorded in the result CSV though the mode ignored them
+        value = {"sampler": "nothere.json", "mu": 0.1, "bins": 3, "sigma": 0.9}[key]
+        out = tmp_path / "run"
+        # an absent task (or sampler) file would exit 2 were it read first
+        argv = ["train", str(tmp_path / "absent.csv"), "--mode", mode, "--out", str(out)]
+        if source == "flag":
+            argv += [f"--{key}", str(value)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({key: value}), encoding="utf-8")
+            argv += ["--config", str(config)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: --mode {mode} does not use --{key}\n"
+        )
+        assert not out.exists()
+
+    def test_every_knob_the_mode_does_not_use_is_named(self, tmp_path, capsys, task_csv):
+        out = tmp_path / "run"
+        assert main([
+            "train", str(task_csv), "--mode", "random-sampling", "--bins", "3", "--sigma", "0.9",
+            "--mu", "0.1", "--sampler", "nothere.json", "--out", str(out),
+        ]) == 1
+        assert "does not use --bins, --mu, --sampler, --sigma" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_constant_mode(self, tmp_path, task_csv):
         out = tmp_path / "run"
         assert main([

@@ -658,6 +658,21 @@ class TestScoreArms:
         with pytest.raises(ValueError, match="^mu must be a real number"):
             score_arms(task, SplitSpec(), self.SEEDS, [("c", mode, None)], n_members=1, mu=mu)
 
+    @pytest.mark.parametrize("sigma, error", [(0.0, ValueError), (float("inf"), ValueError),
+                                              (True, ValueError), (1e-320, NumericalError)])
+    @pytest.mark.parametrize("mode", ["policy", "random-policy", "random-sampling", "constant"])
+    def test_sigma_refused_before_any_split_whatever_the_arms(
+        self, task, sigma, error, mode, monkeypatch
+    ):
+        # a random-policy arm used to refuse sigma 0.0 only when it built its sampler
+        def no_split(*args, **kwargs):
+            raise AssertionError("split before sigma was checked")
+
+        monkeypatch.setattr("metasampler.sac.stratified_split", no_split)
+        arm = next(arm for arm in self.arms() if arm[1] == mode)
+        with pytest.raises(error, match="^sigma must be|^non-finite sampling weights"):
+            score_arms(task, SplitSpec(), self.SEEDS, [arm], n_members=3, mu=0.5, sigma=sigma)
+
 
 class TestSamplerIO:
     def test_round_trip_preserves_actions(self, tmp_path, rng):
