@@ -113,40 +113,60 @@ def train_ensemble(
     Returns (model, steps); `steps` has one EnsembleStep per added
     member after the first, so it is empty when n_members == 1.
 
-    Each member scores the training and validation rows once, when it is
-    added: its probabilities go into one running sum per split. Every read
-    divides a sum by the member count, which gives the ensemble's errors for
-    the meta-state and the weighted draw and its validation AUCPRC. The sums
-    start from zeros and add members in order, as EnsembleModel.predict_proba
-    does, so every read equals the prediction of the ensemble so far bit for
-    bit. Two sums rather than one over both splits avoid copying features.
+    The training rows, majority first, and the validation rows are stacked
+    once per cascade, features and labels, and each member scores the stack
+    in one ``predict_proba`` call, added to one running sum. Every read
+    divides the sum by the member count into one buffer, reads the AUCPRC
+    from its validation half, and turns it in place into ``|scores -
+    labels|``: that error vector gives the meta-state, and its first rows,
+    in the order of ``train.majority_indices``, are the weighted draw's
+    majority errors with no gather. The sum starts from zeros and adds
+    members in order, as EnsembleModel.predict_proba does, and every learner
+    scores each row on its own (see ``learners``), so every read equals the
+    prediction of the ensemble so far bit for bit; the histograms count the
+    training rows in any order. The stack costs one copy of both splits'
+    features (28 KB on the MID task, 1.3 MB on the 84,000 rows of the large
+    benchmark task). It pays for itself: one call instead of two halves
+    numpy's per-call cost, the validation rows no longer walk the trees as a
+    small call of their own, and the errors are computed and binned in one
+    pass. Ten K=30 cascades on the MID task ran in about 7 % less time
+    (2-core x86-64 VM, ``BENCH_member_scoring.json``).
     """
     n_members = _check_task(train, valid, n_members, sigma, bins)
     draw_seeds = as_seed_sequence(seed).spawn(n_members)
     members = []
-    majority = train.majority_indices
-    train_sum = np.zeros(len(train), dtype=np.float64)
-    valid_sum = np.zeros(len(valid), dtype=np.float64)
+    # training rows majority first, in the order of train.majority_indices, then the
+    # validation rows. `take` gathers the (63,000, 2) training rows of the large
+    # benchmark task in 0.13 ms, a fancy index in 1.5 ms (2-core x86-64 VM)
+    order = np.concatenate((train.majority_indices, train.minority_indices))
+    features = np.concatenate((train.features.take(order, axis=0), valid.features))
+    labels = np.concatenate((train.labels.take(order), valid.labels))
+    del order
+    n_train, n_majority = len(train), train.majority_count
+    score_sum = np.zeros(len(labels), dtype=np.float64)
+    errors = np.empty(len(labels), dtype=np.float64)  # every member rewrites it in place
 
     def add_member(subset):
-        """Fit a member and score it; (train errors, valid AUCPRC, meta-state) of the ensemble."""
+        """Fit a member and score it; (majority errors, valid AUCPRC, meta-state) of the ensemble.
+
+        The majority errors are a view of `errors`: they hold until the next member is added.
+        """
         member = learner_factory().fit(subset)
         members.append(member)
-        np.add(train_sum, member.predict_proba(train.features), out=train_sum)
-        np.add(valid_sum, member.predict_proba(valid.features), out=valid_sum)
-        train_errors = np.abs(train_sum / len(members) - train.labels)
-        valid_scores = valid_sum / len(members)
-        state = state_from_errors(train_errors, np.abs(valid_scores - valid.labels), bins)
-        return train_errors, aucprc(valid_scores, valid.labels), state
+        np.add(score_sum, member.predict_proba(features), out=score_sum)
+        scores = np.divide(score_sum, len(members), out=errors)
+        auc = aucprc(scores[n_train:], valid.labels)
+        np.abs(np.subtract(scores, labels, out=errors), out=errors)
+        return errors[:n_majority], auc, state_from_errors(errors, n_train, bins)
 
-    train_errors, auc, state = add_member(random_balanced_subset(train, draw_seeds[0]))
+    majority_errors, auc, state = add_member(random_balanced_subset(train, draw_seeds[0]))
     steps = []
     for t in range(1, n_members):
         mu = float(actions(state))
         if not 0.0 <= mu <= 1.0:
             raise ValueError(f"actions produced {mu}, outside [0, 1]")
-        subset = sample_from_errors(train, train_errors[majority], mu, sigma, draw_seeds[t])
-        train_errors, auc_after, next_state = add_member(subset)
+        subset = sample_from_errors(train, majority_errors, mu, sigma, draw_seeds[t])
+        majority_errors, auc_after, next_state = add_member(subset)
         step = EnsembleStep(
             state=state,
             action=mu,

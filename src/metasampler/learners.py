@@ -2,7 +2,9 @@
 
 Both expose ``fit(ds)`` and ``predict_proba(features)``, which takes a
 ``(rows, features)`` matrix and returns the vector of each row's probability
-of the positive class.
+of the positive class. Each row is scored on its own: its probability is the
+same bit for bit whatever rows come with it, which ``train_ensemble`` relies
+on when it scores the training and validation rows in one call.
 """
 from __future__ import annotations
 

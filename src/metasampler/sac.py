@@ -215,6 +215,12 @@ def _policy_heads(policy: Mlp, states):
     return mean, raw_log_std, log_std, acts
 
 
+def _squash(u):
+    """tanh(u), and the action (tanh(u) + 1) / 2 it gives in [0, 1]."""
+    tanh_u = np.tanh(u)
+    return tanh_u, 0.5 * (tanh_u + 1.0)
+
+
 def _sample_with_noise(policy: Mlp, states, eps):
     """Reparameterized squashed sample for fixed standard-normal noise.
 
@@ -224,8 +230,7 @@ def _sample_with_noise(policy: Mlp, states, eps):
     mean, raw_log_std, log_std, acts = _policy_heads(policy, states)
     std = np.exp(log_std)
     u = mean + std * eps
-    tanh_u = np.tanh(u)
-    actions = 0.5 * (tanh_u + 1.0)
+    tanh_u, actions = _squash(u)
     log_prob = -0.5 * eps * eps - log_std - 0.5 * LOG_2PI - _log_half_jacobian(u)
     return {
         "raw_log_std": raw_log_std,
@@ -250,19 +255,27 @@ def deterministic_action(sampler: MetaSampler, state) -> float:
     """Evaluation-time action: squashed mean head, no noise."""
     state = np.asarray(state, dtype=np.float64)
     mean, _, _, _ = _policy_heads(sampler.policy, state[None, :])
-    return float(0.5 * (np.tanh(mean[0]) + 1.0))
+    _, action = _squash(mean)
+    return float(action[0])
 
 
 class PolicyActionSource:
-    """The actions of a MetaSampler, drawn from a given `seed`: each call samples one."""
+    """The actions of a MetaSampler, drawn from a given `seed`: each call samples one.
+
+    A call draws the one standard normal that `sample_action` draws and gives
+    its action bit for bit, without the log-density that a cascade discards.
+    """
 
     def __init__(self, sampler: MetaSampler, seed):
         self._sampler = sampler
         self._rng = as_generator(seed)
 
     def __call__(self, state) -> float:
-        action, _ = sample_action(self._sampler, state, self._rng)
-        return action
+        state = np.asarray(state, dtype=np.float64)
+        eps = self._rng.standard_normal(1)
+        mean, _, log_std, _ = _policy_heads(self._sampler.policy, state[None, :])
+        _, action = _squash(mean + np.exp(log_std) * eps)
+        return float(action[0])
 
 
 def q_loss_and_grads(q_net: Mlp, target_v_net: Mlp, batch: Batch, gamma: float):

@@ -6,12 +6,16 @@ components see a fixed-size summary of how error mass moves while members
 are added.
 
 The meta-state and the weighted subset are computed by error-taking cores,
-`state_from_errors` and `sample_from_errors`. A growing cascade calls them with
-errors read from running sums of member scores, so each member scores the
-training and validation rows once. `meta_state` and `meta_sample` are the
-model-taking forms: they score the rows with the given model and call the
-cores. The library no longer calls them; they remain only because the
-benchmark's `bench/spans.py` binds them, and go when its spans change.
+`state_from_errors` and `sample_from_errors`. A growing cascade keeps one
+running sum of member scores over its training rows, majority first,
+followed by its validation rows, so each member scores both splits in one
+call, and one error vector serves both cores: `state_from_errors` bins it in
+one pass and splits the counts at the training row count, and
+`sample_from_errors` reads its leading majority rows. `meta_state` and
+`meta_sample` are the model-taking forms: they score the rows with the
+given model and call the cores. The library no longer calls them; they
+remain only because the benchmark's `bench/spans.py` binds them, and go
+when its spans change.
 
 The weighted subset draws its majority rows one at a time without
 replacement, each pick renormalizing over the weight left. The weights sit in
@@ -33,6 +37,18 @@ from .rng import as_generator, check_float, check_integer
 WEIGHT_FLOOR = 1e-12
 
 
+def _bin_indices(errors, bins: int) -> np.ndarray:
+    """0-based bin of each error of a float64 array: the one binning rule.
+
+    ValueError unless `errors` is non-empty, 1-D and within [0, 1].
+    """
+    if errors.ndim != 1 or errors.size == 0:
+        raise ValueError("errors must be a non-empty 1-D array")
+    if not np.isfinite(errors).all() or errors.min() < 0.0 or errors.max() > 1.0:
+        raise ValueError("errors must lie in [0, 1]")
+    return np.searchsorted(np.arange(1, bins) / bins, errors, side="right")
+
+
 def error_histogram(errors, bins: int) -> np.ndarray:
     """Fraction of errors per bin over b equal-width bins of [0, 1].
 
@@ -40,25 +56,34 @@ def error_histogram(errors, bins: int) -> np.ndarray:
     """
     bins = check_integer("bins", bins, least=1)
     errors = np.asarray(errors, dtype=np.float64)
-    if errors.ndim != 1 or errors.size == 0:
-        raise ValueError("errors must be a non-empty 1-D array")
-    if not np.isfinite(errors).all() or errors.min() < 0.0 or errors.max() > 1.0:
-        raise ValueError("errors must lie in [0, 1]")
-    edges = np.arange(1, bins) / bins
-    idx = np.searchsorted(edges, errors, side="right")
-    return np.bincount(idx, minlength=bins) / errors.size
+    return np.bincount(_bin_indices(errors, bins), minlength=bins) / errors.size
 
 
-def state_from_errors(train_errors, valid_errors, bins: int) -> np.ndarray:
-    """Training-error histogram concatenated with validation-error histogram (length 2b)."""
-    return np.concatenate((error_histogram(train_errors, bins), error_histogram(valid_errors, bins)))
+def state_from_errors(errors, n_train: int, bins: int) -> np.ndarray:
+    """Training-error histogram concatenated with validation-error histogram (length 2b).
+
+    `errors` holds the training rows' errors, then the validation rows': the
+    first `n_train` entries are the training half. Both halves are checked and
+    binned in one pass, and each half's histogram is `error_histogram` of it
+    bit for bit. ValueError if either half is empty.
+    """
+    bins = check_integer("bins", bins, least=1)
+    n_train = check_integer("n_train", n_train, least=1)
+    errors = np.asarray(errors, dtype=np.float64)
+    idx = _bin_indices(errors, bins)
+    n_valid = errors.size - n_train
+    if n_valid < 1:
+        raise ValueError(f"need errors past the {n_train} training errors, got {errors.size}")
+    return np.concatenate((
+        np.bincount(idx[:n_train], minlength=bins) / n_train,
+        np.bincount(idx[n_train:], minlength=bins) / n_valid,
+    ))
 
 
 def meta_state(model, train: LabeledDataset, valid: LabeledDataset, bins: int) -> np.ndarray:
     """`state_from_errors` of the model's errors on the two splits."""
-    return state_from_errors(
-        classification_errors(model, train), classification_errors(model, valid), bins
-    )
+    errors = [classification_errors(model, part) for part in (train, valid)]
+    return state_from_errors(np.concatenate(errors), len(train), bins)
 
 
 def gaussian_scale(sigma) -> float:
@@ -167,12 +192,13 @@ def sample_from_errors(
     if len(n_idx) <= len(p_idx):
         return train
     rng = as_generator(seed)
-    weights = np.maximum(gaussian_weight(majority_errors, mu, sigma), WEIGHT_FLOOR)
+    weights = gaussian_weight(majority_errors, mu, sigma)
+    np.maximum(weights, WEIGHT_FLOOR, out=weights)
     with np.errstate(over="ignore"):  # an overflowing sum is raised below
         total = weights.sum()
     if not math.isfinite(total):
         raise NumericalError(f"non-finite sampling weights (mu={mu}, sigma={sigma})")
-    weights = weights / total
+    weights /= total
     picks = _sequential_weighted_draw(weights, len(p_idx), rng)
     return train.subset(np.sort(np.concatenate((n_idx[picks], p_idx))))
 

@@ -484,9 +484,11 @@ class TestIncrementalScoring:
             def __init__(self):
                 super().__init__()
                 self.rows_scored = 0
+                self.calls = 0
 
             def predict_proba(self, features):
                 self.rows_scored += len(features)
+                self.calls += 1
                 return super().predict_proba(features)
 
         made = []
@@ -500,6 +502,21 @@ class TestIncrementalScoring:
             learner_factory=factory, seed=4
         )
         assert [tree.rows_scored for tree in made] == [len(train) + len(valid)] * 8
+        assert [tree.calls for tree in made] == [1] * 8
+
+    def test_matches_rescoring_cascade_past_one_predict_block(self):
+        # the stacked train and valid rows walk in two blocks, split inside the valid rows
+        train, valid, test = toy_parts(overlap=0.6, seed=11, n_majority=11000, n_minority=500)
+        assert len(train) < learners._PREDICT_BLOCK < len(train) + len(valid)
+        model, steps = train_ensemble(
+            train, valid, lambda state: 0.35, sigma=0.2, bins=5, n_members=3, seed=9
+        )
+        ref_model, ref_steps = rescoring_cascade(
+            train, valid, lambda state: 0.35, 3, DecisionTree, seed=9
+        )
+        assert_same_steps(steps, ref_steps)
+        scores = model.predict_proba(test.features)
+        assert scores.tobytes() == ref_model.predict_proba(test.features).tobytes()
 
 
 def with_conflicts(part, n):

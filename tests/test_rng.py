@@ -17,7 +17,7 @@ from metasampler import (
 from metasampler.neural import AdamState, Mlp, init_mlp
 from metasampler.rng import as_generator, as_seed_sequence, check_integer
 from metasampler.sac import MetaSampler, ReplayMemory
-from metasampler.sampling import error_histogram
+from metasampler.sampling import error_histogram, state_from_errors
 
 
 class TestCheckInteger:
@@ -60,6 +60,8 @@ BOUNDED = {
     "train_random_ensemble.n_members": ("n_members", 1, lambda v: train_random_ensemble(
         *toy_parts()[:2], n_members=v, seed=0)),
     "error_histogram.bins": ("bins", 1, lambda v: error_histogram([0.25, 0.75], v)),
+    "state_from_errors.bins": ("bins", 1, lambda v: state_from_errors([0.25, 0.75], 1, v)),
+    "state_from_errors.n_train": ("n_train", 1, lambda v: state_from_errors([0.25, 0.75], v, 5)),
     "Mlp.layer_size": ("layer size", 1, lambda v: Mlp([3, v, 2])),
     "init_mlp.layer_size": ("layer size", 1, lambda v: init_mlp([3, 4, v], seed=0)),
     "AdamState.decay_every": ("decay_every", 1, lambda v: AdamState.for_params(

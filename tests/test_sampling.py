@@ -16,6 +16,7 @@ from metasampler.sampling import (
     meta_state,
     random_balanced_subset,
     sample_from_errors,
+    state_from_errors,
 )
 from conftest import FixedModel, brute_histogram, make_dataset
 
@@ -63,6 +64,45 @@ class TestErrorHistogram:
     def test_numpy_integer_bins_accepted(self, integer):
         errors = np.array([0.0, 0.3, 0.6, 1.0])
         assert error_histogram(errors, integer(5)).tolist() == error_histogram(errors, 5).tolist()
+
+
+class TestStateFromErrors:
+    """One pass over train errors then valid errors: each half is its own error_histogram."""
+
+    @pytest.mark.parametrize("bins", [1, 2, 5, 10])
+    def test_halves_are_error_histograms_bit_for_bit(self, rng, bins):
+        edges = np.arange(bins + 1) / bins  # 0, the inner edges as the histogram has them, 1.0
+        for _ in range(100):
+            n_train, n_valid = (int(n) for n in rng.integers(1, 30, size=2))
+            errors = rng.random(n_train + n_valid)
+            salted = rng.random(len(errors)) < 0.3
+            errors[salted] = rng.choice(edges, size=int(salted.sum()))
+            errors[[0, -1]] = 1.0  # the closed last bin, in both halves
+            state = state_from_errors(errors, n_train, bins)
+            halves = errors[:n_train], errors[n_train:]
+            expected = np.concatenate([error_histogram(half, bins) for half in halves])
+            assert state.tobytes() == expected.tobytes()
+            assert state.tolist() == brute_histogram(halves[0], bins) + brute_histogram(
+                halves[1], bins
+            )
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.2, np.nan, np.inf])
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_out_of_range_in_either_half_is_error_histograms_error(self, bad, at):
+        errors = np.full(5, 0.5)
+        errors[at] = bad
+        half = errors[:2] if at < 2 else errors[2:]
+        for call in (lambda: state_from_errors(errors, 2, 5), lambda: error_histogram(half, 5)):
+            with pytest.raises(ValueError, match=r"^errors must lie in \[0, 1\]$"):
+                call()
+
+    def test_each_half_needs_an_error(self):
+        with pytest.raises(ValueError, match="^n_train must be at least 1, got 0$"):
+            state_from_errors(np.full(3, 0.5), 0, 5)
+        with pytest.raises(ValueError, match="^need errors past the 3 training errors, got 3$"):
+            state_from_errors(np.full(3, 0.5), 3, 5)
+        with pytest.raises(ValueError, match="^errors must be a non-empty 1-D array$"):
+            state_from_errors(np.full((2, 2), 0.5), 1, 5)
 
 
 class TestMetaState:
