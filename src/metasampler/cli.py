@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -44,7 +43,7 @@ from .dataset import (
 )
 from .errors import ConfigError, DataError, NumericalError
 from .learners import DecisionTree, GaussianNaiveBayes
-from .rng import strict_float, strict_int
+from .rng import check_float, check_integer, strict_float, strict_int
 from .sac import MODES, SacConfig, load_sampler, meta_train, save_sampler, score_arms
 
 LEARNERS = {"tree": DecisionTree, "gnb": GaussianNaiveBayes}
@@ -81,28 +80,29 @@ def _load_config_file(path) -> dict:
 # every SacConfig field a flag sets; --k sets the ensemble size
 _SAC_FIELDS = [f for f in dataclasses.fields(SacConfig) if f.name != "ensemble_size"]
 SAC_DEFAULTS = {f.name: f.default for f in _SAC_FIELDS}
-_SEED = (strict_int, lambda v: v >= 0, "non-negative")
+_SEED = (strict_int, 0)
 
-# The parse of every number key: key -> (cast, test, wording), the test being
-# the range checked before any work. A key whose default is text holds a comma
-# list, each entry cast and checked. Every other key holds text. strict_int
-# refuses booleans and fractions, strict_float refuses booleans.
+# The parse of every number key: key -> (cast, bound), the bound being an integer
+# key's least value or a real key's interval, which check_integer or check_float
+# checks under the flag's name before any work. A key whose default is text holds
+# a comma list, each entry cast and checked. Every other key holds text.
+# strict_int refuses booleans and fractions, strict_float refuses booleans.
 _NUMBERS = {
     # a field annotated int, or int | None, is an integer key
-    **{f.name: (strict_int if f.type.startswith("int") else strict_float, None, None)
+    **{f.name: (strict_int if f.type.startswith("int") else strict_float, None)
        for f in _SAC_FIELDS},
-    "majority": (strict_int, None, None),
-    "minority": (strict_int, None, None),
-    "overlap": (strict_float, None, None),
+    "majority": (strict_int, None),
+    "minority": (strict_int, None),
+    "overlap": (strict_float, None),
     "seed": _SEED,
     "split_seed": _SEED,
     "meta_seed": _SEED,
-    "split": (strict_float, None, None),
-    "k": (strict_int, lambda v: v >= 1, "at least 1"),
-    "mu": (strict_float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-    "bins": (strict_int, lambda v: v >= 1, "at least 1"),
-    "sigma": (strict_float, lambda v: 0.0 < v < math.inf, "finite and positive"),
-    "ratios": (strict_float, lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    "split": (strict_float, None),
+    "k": (strict_int, 1),
+    "mu": (strict_float, "[0, 1]"),
+    "bins": (strict_int, 1),
+    "sigma": (strict_float, "(0, inf)"),
+    "ratios": (strict_float, "[0, 1)"),
 }
 
 _CHOICES = {"mode": tuple(MODES), "base_learner": tuple(LEARNERS)}  # text keys with named values
@@ -133,15 +133,17 @@ def _parse(key, value, default):
         if choices is not None and value not in choices:
             raise ConfigError(f"unknown {flag} {value!r}; choose from {choices}")
         return value
-    cast, test, wording = _NUMBERS[key]
+    cast, bound = _NUMBERS[key]
     is_list = isinstance(default, str)
     try:
         values = _parse_number_list(value, flag, cast) if is_list else [cast(value)]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{flag} is not a valid number: {value!r} ({exc})") from None
-    for v in values:
-        if test is not None and not test(v):
-            raise ConfigError(f"{flag} must be {wording}, got {v!r}")
+    check = check_integer if cast is strict_int else check_float
+    try:
+        values = [check(flag, v, bound) for v in values]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return values if is_list else values[0]
 
 

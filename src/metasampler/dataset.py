@@ -22,7 +22,7 @@ from .errors import (
     LabelDomainError,
     SingleClassError,
 )
-from .rng import as_generator, check_integer
+from .rng import as_generator, check_float, check_integer
 
 # Geometry of the synthetic task: majority sits on a noisy "∩"-shaped arc band,
 # minority is a Gaussian blob whose center slides from the arc's pocket onto the
@@ -92,6 +92,13 @@ class LabeledDataset:
     def majority_indices(self) -> np.ndarray:
         return np.flatnonzero(self.labels == 0)
 
+    def class_indices(self, needed_by: str):
+        """(minority, majority) indices; else SingleClassError "<needed_by> needs both classes"."""
+        minority, majority = self.minority_indices, self.majority_indices
+        if len(minority) == 0 or len(majority) == 0:
+            raise SingleClassError(f"{needed_by} needs both classes")
+        return minority, majority
+
     @property
     def minority_count(self) -> int:
         return int(np.count_nonzero(self.labels == 1))
@@ -131,23 +138,22 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Train/valid/test fractions; they must be positive and sum to 1."""
+    """Train/valid/test fractions; each must be a real number in (0, 1), and they must sum to 1."""
 
     train: float = 0.6
     valid: float = 0.2
     test: float = 0.2
 
     def __post_init__(self):
-        for name, frac in (("train", self.train), ("valid", self.valid), ("test", self.test)):
-            if not 0.0 < frac < 1.0:
-                raise ValueError(f"{name} fraction must be in (0, 1), got {frac}")
+        for name in ("train", "valid", "test"):
+            check_float(f"{name} fraction", getattr(self, name), "(0, 1)")
         if abs(self.train + self.valid + self.test - 1.0) > 1e-9:
             raise ValueError("split fractions must sum to 1")
 
 
 @dataclass(frozen=True)
 class ToySpec:
-    """Synthetic arc-vs-blob task: integer class sizes and seed (not bools), and boundary overlap."""
+    """Synthetic arc-vs-blob task: integer class sizes and seed, a real overlap in [0, 1]."""
 
     n_majority: int = 2000
     n_minority: int = 200
@@ -159,8 +165,7 @@ class ToySpec:
             check_integer(name, getattr(self, name), least)
         if self.n_majority < self.n_minority:
             raise ValueError("majority class must be at least as large as minority")
-        if not 0.0 <= self.overlap <= 1.0:
-            raise ValueError(f"overlap must be in [0, 1], got {self.overlap}")
+        check_float("overlap", self.overlap, "[0, 1]")
 
 
 def load_csv(path, label_column="label") -> LabeledDataset:
@@ -381,11 +386,9 @@ def stratified_split(ds: LabeledDataset, spec: SplitSpec, seed):
     remainder, so rounding leftovers always land in train.
     """
     rng = as_generator(seed)
-    class_indices = [ds.majority_indices, ds.minority_indices]
-    if any(len(idx) == 0 for idx in class_indices):
-        raise SingleClassError("stratified split needs both classes")
+    minority, majority = ds.class_indices("a stratified split")
     parts = {"train": [], "valid": [], "test": []}
-    for idx in class_indices:
+    for idx in (majority, minority):
         idx = rng.permutation(idx)
         n_c = len(idx)
         n_valid = math.floor(n_c * spec.valid)
@@ -435,11 +438,8 @@ def inject_flip_noise(ds: LabeledDataset, ratio: float, seed) -> LabeledDataset:
     Equal counts swap between the classes, so |P|, |N| and the imbalance ratio
     are preserved exactly. ratio 0 returns the dataset unchanged.
     """
-    if not 0.0 <= ratio < 1.0:
-        raise ValueError(f"noise ratio must be in [0, 1), got {ratio}")
-    p_idx, n_idx = ds.minority_indices, ds.majority_indices
-    if len(p_idx) == 0 or len(n_idx) == 0:
-        raise SingleClassError("flip noise needs both classes")
+    check_float("noise ratio", ratio, "[0, 1)")
+    p_idx, n_idx = ds.class_indices("flip noise")
     m = int(math.floor(len(p_idx) * ratio + 0.5))
     if m > min(len(p_idx) - 1, len(n_idx) - 1):
         raise ClassTooSmallError(

@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import LabeledDataset
-from .errors import SingleClassError
 from .learners import DecisionTree, tree_probabilities
 from .metrics import aucprc
-from .rng import as_seed_sequence, check_integer
+from .rng import as_seed_sequence, check_float, check_integer
 from .sampling import gaussian_scale, random_balanced_subset, sample_from_errors, state_from_errors
 
 
@@ -74,22 +73,11 @@ class EnsembleStep:
         return self.auc_after - self.auc_before
 
 
-def _check_task(
-    train: LabeledDataset, valid: LabeledDataset, n_members, sigma=None, bins=None
-) -> int:
-    """Refuse a cascade before any member is fit; returns n_members as an int.
-
-    `sigma` and `bins`, when given, are the weighted draw's and the meta-state's:
-    `gaussian_scale` checks sigma, and bins must be an integer of at least 1.
-    """
+def _check_task(train: LabeledDataset, valid: LabeledDataset, n_members) -> int:
+    """Refuse a cascade before any member is fit; returns n_members as an int."""
     n_members = check_integer("n_members", n_members, least=1)
-    if sigma is not None:
-        gaussian_scale(sigma)
-    if bins is not None:
-        check_integer("bins", bins, least=1)
     for name, part in (("train", train), ("valid", valid)):
-        if part.minority_count == 0 or part.majority_count == 0:
-            raise SingleClassError(f"{name} split must contain both classes")
+        part.class_indices(f"the {name} split")
     if train.n_features != valid.n_features:
         raise ValueError("train and valid must share the feature space")
     return n_members
@@ -109,7 +97,8 @@ def train_ensemble(
     """Train a cascade of n_members learners, centering draws on `actions(state)`.
 
     Per-member subset draws use seeds split counter-style from `seed`, so
-    member t's subset is reproducible regardless of what `actions` returns.
+    member t's subset is reproducible regardless of what `actions` returns,
+    which must be a real number in [0, 1] (``rng.check_float``).
     Returns (model, steps); `steps` has one EnsembleStep per added
     member after the first, so it is empty when n_members == 1.
 
@@ -132,7 +121,9 @@ def train_ensemble(
     pass. Ten K=30 cascades on the MID task ran in about 7 % less time
     (2-core x86-64 VM, ``BENCH_member_scoring.json``).
     """
-    n_members = _check_task(train, valid, n_members, sigma, bins)
+    n_members = _check_task(train, valid, n_members)
+    gaussian_scale(sigma)  # the weighted draw's sigma and the meta-state's bins
+    check_integer("bins", bins, least=1)
     draw_seeds = as_seed_sequence(seed).spawn(n_members)
     members = []
     # training rows majority first, in the order of train.majority_indices, then the
@@ -162,9 +153,7 @@ def train_ensemble(
     majority_errors, auc, state = add_member(random_balanced_subset(train, draw_seeds[0]))
     steps = []
     for t in range(1, n_members):
-        mu = float(actions(state))
-        if not 0.0 <= mu <= 1.0:
-            raise ValueError(f"actions produced {mu}, outside [0, 1]")
+        mu = check_float("action", actions(state), "[0, 1]")
         subset = sample_from_errors(train, majority_errors, mu, sigma, draw_seeds[t])
         majority_errors, auc_after, next_state = add_member(subset)
         step = EnsembleStep(

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import LabeledDataset
-from .errors import SingleClassError
 
 _LEAF = -1
 _PREDICT_BLOCK = 8192  # rows per block of the predict descent; see DecisionTree
@@ -331,14 +330,13 @@ class GaussianNaiveBayes:
         self.var = None
 
     def fit(self, ds: LabeledDataset) -> "GaussianNaiveBayes":
-        x, y = ds.features, ds.labels
-        counts = np.array([np.count_nonzero(y == 0), np.count_nonzero(y == 1)])
-        if counts.min() == 0:
-            raise SingleClassError("Gaussian NB needs both classes")
-        self.log_prior = np.log(counts / len(ds))
+        minority, majority = ds.class_indices("Gaussian NB")
+        x = ds.features
+        self.log_prior = np.log(np.array([len(majority), len(minority)]) / len(ds))
         floor = max(self.VAR_FLOOR_SCALE * float(x.var(axis=0).max()), np.finfo(np.float64).tiny)
-        self.mean = np.stack([x[y == c].mean(axis=0) for c in (0, 1)])
-        self.var = np.maximum(np.stack([x[y == c].var(axis=0) for c in (0, 1)]), floor)
+        rows = [x[majority], x[minority]]  # class 0, then class 1
+        self.mean = np.stack([r.mean(axis=0) for r in rows])
+        self.var = np.maximum(np.stack([r.var(axis=0) for r in rows]), floor)
         return self
 
     def predict_proba(self, features):

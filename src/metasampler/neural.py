@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .rng import as_generator, check_integer
+from .rng import as_generator, check_float, check_integer
 
 FORMAT_VERSION = 1
 
@@ -138,9 +138,9 @@ class AdamState:
     @classmethod
     def for_params(cls, params, lr: float, decay_every: int = 1,
                    decay_ratio: float = 1.0) -> "AdamState":
-        if not lr > 0.0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        check_float("lr", lr, "(0, inf)")
         decay_every = check_integer("decay_every", decay_every, least=1)
+        check_float("decay_ratio", decay_ratio, "(0, 1]")
         return cls(lr=lr, m=np.zeros_like(params), v=np.zeros_like(params),
                    decay_every=decay_every, decay_ratio=decay_ratio)
 
@@ -165,8 +165,7 @@ def adam_step(params, grads, state: AdamState) -> None:
 
 def soft_update(target: Mlp, source: Mlp, tau: float) -> None:
     """target <- tau * source + (1 - tau) * target, exactly, in place."""
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must be in [0, 1], got {tau}")
+    check_float("tau", tau, "[0, 1]")
     target.params[...] = tau * source.params + (1.0 - tau) * target.params
 
 

@@ -1,16 +1,17 @@
-"""Seed handling and the integer and number checks.
+"""Seed handling and the integer and real-number checks.
 
 Everything that draws randomness accepts an int seed, a
 ``numpy.random.SeedSequence`` or a ready ``Generator``, so callers can wire
-reproducible streams without the library ever touching global state. A seed,
-count or size that a Python caller passes goes through ``check_integer``: an
-int or a numpy integer, never a bool, 2.0 or "7", and at least the count's
-least value where it has one (0 for every int seed), or ValueError("<name> must
-be at least <least>, got <value>") before any work. A real number that a Python
-caller passes and the library keeps, and every sigma and ``score_arms``' mu,
-go through ``check_float``, its twin: any real number, numpy's too, never a
-bool, "0.2" or None. Only text and JSON that the CLI or a sampler file parses
-go through ``strict_int``, which also casts 3.0, and ``strict_float``.
+reproducible streams without the library ever touching global state. A count,
+size or seed that a Python caller passes goes through ``check_integer``: an int
+or a numpy integer, never a bool, 2.0 or "7", and at least its least value where
+it has one (0 for every int seed), or ValueError("<name> must be at least
+<least>, got <value>"). A real number goes through its twin ``check_float``:
+numpy's too, never a bool, "0.2" or None, and inside its interval where it has
+one, such as "(0, inf)" for a sigma, or ValueError("<name> must be in
+<interval>, got <value>"); NaN is in no interval. Both run before any work, and
+the CLI passes each number flag's bound to them. ``strict_int`` (which casts
+3.0) and ``strict_float`` only parse the CLI's and sampler files' text and JSON.
 """
 from __future__ import annotations
 
@@ -38,11 +39,21 @@ def check_integer(name: str, value, least: int | None = None) -> int:
     return value
 
 
-def check_float(name: str, value) -> float:
-    """float(value) of any real number; ValueError naming `name` for a bool, text or None."""
+def check_float(name: str, value, within: str | None = None) -> float:
+    """float(value) of a real number (numpy's too, no bool) in `within`; else ValueError.
+
+    `within` is interval text such as "(0, 1]": a bracket includes its end, a
+    parenthesis excludes it, NaN is in no interval and None means no bound.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if within is not None:
+        low, high = (float(end) for end in within[1:-1].split(","))
+        if not ((low <= value if within[0] == "[" else low < value)
+                and (value <= high if within[-1] == "]" else value < high)):
+            raise ValueError(f"{name} must be in {within}, got {value}")
+    return value
 
 
 def strict_float(value) -> float:

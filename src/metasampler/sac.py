@@ -59,9 +59,10 @@ class SacConfig:
     """Meta-training hyperparameters; defaults are the reference values.
 
     They are the one home of the cascade's defaults (ensemble_size, bins,
-    sigma). A field annotated int or float holds what check_integer (with the
-    field's least value in _LEAST, replay_capacity's being batch_size) or
-    check_float makes of its value; sigma passes gaussian_scale.
+    sigma). A field annotated int or float holds what check_integer or
+    check_float makes of its value, with the field's bound in _BOUNDS: an
+    int's least value (replay_capacity's being batch_size), a float's
+    interval (sigma's is gaussian_scale's).
     """
 
     gamma: float = 0.99
@@ -78,27 +79,20 @@ class SacConfig:
     ensemble_size: int = 10
     bins: int = 5
     sigma: float = 0.2
-    _LEAST = {"lr_decay_steps": 1, "batch_size": 1, "gradient_steps": 0, "random_steps": 0,
-              "episodes": 1, "ensemble_size": 2, "bins": 1}
+    _BOUNDS = {"gamma": "[0, 1]", "tau": "(0, 1]", "alpha": "[0, inf)", "lr": "(0, inf)",
+               "lr_decay_steps": 1, "lr_decay_ratio": "(0, 1]", "batch_size": 1,
+               "gradient_steps": 0, "random_steps": 0, "episodes": 1, "ensemble_size": 2,
+               "bins": 1}
 
     def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
+            bound = self._BOUNDS.get(field.name)
             if field.type == "float":
-                value = check_float(field.name, value)
+                value = check_float(field.name, value, bound)
             elif value is not None or field.type != "int | None":
-                value = check_integer(field.name, value, self._LEAST.get(field.name))
+                value = check_integer(field.name, value, bound)
             object.__setattr__(self, field.name, value)
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError(f"tau must be in (0, 1], got {self.tau}")
-        if not 0.0 <= self.alpha < math.inf:
-            raise ValueError(f"alpha must be finite and non-negative, got {self.alpha}")
-        if not 0.0 < self.lr < math.inf:
-            raise ValueError(f"lr must be finite and positive, got {self.lr}")
-        if not 0.0 < self.lr_decay_ratio <= 1.0:
-            raise ValueError(f"lr_decay_ratio must be in (0, 1], got {self.lr_decay_ratio}")
         if self.replay_capacity < self.batch_size:
             raise ValueError("replay capacity must be at least the batch size")
         gaussian_scale(self.sigma)
@@ -450,21 +444,23 @@ def score_arms(ds, split, seeds, arms, *, n_members, noise_ratio=0.0, mu=None,
     (SacConfig's unless given); "random-sampling" fits every member on a
     random balanced subset; "constant" takes action `mu` (needed, in [0, 1])
     at every step. Before any split, whatever the arms, `n_members` and `bins`
-    must be integers of at least 1, `sigma` must pass gaussian_scale and a
-    given `mu` must be a real number. Every arm spawns the same six streams
-    from the seed, so its scores do not depend on which other arms run.
+    must be integers of at least 1, `sigma` must pass gaussian_scale, a
+    given `mu` must be a real number in [0, 1] and `noise_ratio` one in
+    [0, 1). Every arm spawns the same six streams from the seed, so its
+    scores do not depend on which other arms run.
     """
     n_members = check_integer("n_members", n_members, least=1)
     bins = check_integer("bins", bins, least=1)
     gaussian_scale(sigma)
-    mu = None if mu is None else check_float("mu", mu)
+    mu = None if mu is None else check_float("mu", mu, "[0, 1]")
+    check_float("noise ratio", noise_ratio, "[0, 1)")
     arms = list(arms)
     for label, mode, sampler in arms:
         if mode not in MODES:
             raise ValueError(f"arm {label!r}: unknown mode {mode!r}; choose from {tuple(MODES)}")
         if "sampler" in MODES[mode] and sampler is None:
             raise ValueError(f"arm {label!r}: {mode} mode needs a sampler")
-        if "mu" in MODES[mode] and (mu is None or not 0.0 <= mu <= 1.0):
+        if "mu" in MODES[mode] and mu is None:
             raise ValueError(f"arm {label!r}: mu must be in [0, 1], got {mu}")
     scores = {label: [] for label, _, _ in arms}
     if len(scores) != len(arms):

@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .dataset import LabeledDataset
-from .errors import NumericalError, SingleClassError
+from .errors import NumericalError
 from .metrics import classification_errors
 from .rng import as_generator, check_float, check_integer
 
@@ -89,13 +89,11 @@ def meta_state(model, train: LabeledDataset, valid: LabeledDataset, bins: int) -
 def gaussian_scale(sigma) -> float:
     """sigma sqrt(2 pi), the Gaussian's divisor: the one check of a sigma.
 
-    ValueError unless sigma is a finite, positive real number (never a bool);
+    ValueError unless sigma is a real number in (0, inf), never a bool;
     NumericalError if it is so small (subnormal) that the peak
     1 / (sigma sqrt(2 pi)) overflows.
     """
-    sigma = check_float("sigma", sigma)
-    if not 0.0 < sigma < math.inf:
-        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    sigma = check_float("sigma", sigma, "(0, inf)")
     scale = sigma * math.sqrt(2.0 * math.pi)
     if not math.isfinite(1.0 / scale):
         raise NumericalError(f"non-finite sampling weights (sigma={sigma})")
@@ -104,8 +102,7 @@ def gaussian_scale(sigma) -> float:
 
 def gaussian_weight(x, mu: float, sigma: float):
     """Gaussian density exp(-((x - mu) / sigma)^2 / 2) / gaussian_scale(sigma), mu in [0, 1]."""
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must be in [0, 1], got {mu}")
+    check_float("mu", mu, "[0, 1]")
     scale = gaussian_scale(sigma)
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
@@ -181,9 +178,7 @@ def sample_from_errors(
     NumericalError: no row could be weighted. If the majority is not larger
     than the minority the whole dataset is returned unchanged.
     """
-    p_idx, n_idx = train.minority_indices, train.majority_indices
-    if len(p_idx) == 0 or len(n_idx) == 0:
-        raise SingleClassError("meta-sampling needs both classes")
+    p_idx, n_idx = train.class_indices("meta-sampling")
     if np.shape(majority_errors) != n_idx.shape:
         raise ValueError(
             f"need one error per majority row, shape {n_idx.shape},"
@@ -214,9 +209,7 @@ def meta_sample(
 
 def random_balanced_subset(train: LabeledDataset, seed) -> LabeledDataset:
     """Balanced subset with the majority rows drawn uniformly without replacement."""
-    p_idx, n_idx = train.minority_indices, train.majority_indices
-    if len(p_idx) == 0 or len(n_idx) == 0:
-        raise SingleClassError("balanced subsets need both classes")
+    p_idx, n_idx = train.class_indices("a balanced subset")
     if len(n_idx) <= len(p_idx):
         return train
     rng = as_generator(seed)

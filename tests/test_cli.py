@@ -612,7 +612,7 @@ class TestValueRanges:
         out = tmp_path / "out"
         argv = ["meta-train", str(task_csv), "--config", str(config), *TINY_SAC, "--out", str(out)]
         assert main(argv) == 1
-        assert "alpha must be finite" in capsys.readouterr().err
+        assert "alpha must be in [0, inf), got nan" in capsys.readouterr().err
         assert not out.exists()
 
     def test_integral_float_in_config_file_runs(self, tmp_path, task_csv):
@@ -740,7 +740,7 @@ class TestNegativeSeeds:
         task = [] if command == "generate-toy" else [str(tmp_path / "absent.csv")]
         out = tmp_path / "out"
         assert main([command, *task, *flags, "--out", str(out)]) == 1
-        assert "must be non-negative" in capsys.readouterr().err
+        assert "must be at least 0, got -" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_seed_in_config_file(self, tmp_path, capsys):
@@ -748,7 +748,7 @@ class TestNegativeSeeds:
         config.write_text(json.dumps({"seed": -1}), encoding="utf-8")
         out = tmp_path / "toy.csv"
         assert main(["generate-toy", "--config", str(config), "--out", str(out)]) == 1
-        assert "must be non-negative" in capsys.readouterr().err
+        assert "must be at least 0, got -" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -300,7 +300,7 @@ class TestTrainEnsemble:
     def test_action_out_of_range_rejected(self):
         train, valid, _ = toy_parts(overlap=0.5)
         for mu in (-0.1, 1.7, float("nan")):
-            with pytest.raises(ValueError, match="outside"):
+            with pytest.raises(ValueError, match="^action must be in"):
                 train_ensemble(
                     train, valid, lambda state: mu, sigma=0.2, bins=5, n_members=3, seed=0
                 )
