@@ -8,8 +8,10 @@ defaults. Every flag is plain text, and each value, from a flag or the file,
 goes through the one parse of its key (its cast and range) before any task or
 sampler file is read, so a flag and a config-file entry mean the same thing.
 Seeds must be non-negative, and --label-column names a header of the task CSV.
-train, ablation, noise-sweep and transfer score their arms through the
-library's score_arms, so a result CSV holds the scores it returns.
+train and transfer score their arms through the library's score_arms;
+ablation and noise-sweep run sac.experiment_point at each point of the sweep,
+which meta-trains at --meta-seed and then runs score_arms with the point's
+ensemble size, bins and sigma. So a result CSV holds the scores they return.
 Result CSVs open with a comment row recording the resolved configuration,
 each single number as it ran, so identical configs and seeds reproduce output
 files byte for byte. train refuses a --sampler, --mu, --bins or --sigma (flag
@@ -32,19 +34,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import (
-    SplitSpec,
-    ToySpec,
-    inject_flip_noise,
-    load_csv,
-    make_toy,
-    save_csv,
-    stratified_split,
-)
+from .dataset import SplitSpec, ToySpec, load_csv, make_toy, save_csv, stratified_split
 from .errors import ConfigError, DataError, NumericalError
 from .learners import DecisionTree, GaussianNaiveBayes
 from .rng import check_float, check_integer, strict_float, strict_int
-from .sac import MODES, SacConfig, load_sampler, meta_train, save_sampler, score_arms
+from .sac import (
+    MODES, SacConfig, experiment_point, load_sampler, meta_train, save_sampler, score_arms,
+)
 
 LEARNERS = {"tree": DecisionTree, "gnb": GaussianNaiveBayes}
 
@@ -240,23 +236,20 @@ def _summary_rows(scores, baseline=None) -> list:
 
 
 def _sweep(run, args, name, column, modes, points, baseline=None, **parsed) -> int:
-    """Meta-train at --meta-seed, then score `modes`, at each (value, SacConfig, ratio) point.
+    """Run sac.experiment_point of `modes` at --meta-seed for each (value, SacConfig, ratio).
 
-    A point's ratio flip-noises the train parts first (0 leaves them as they
-    are). Writes <name>_summary.csv (see _summary_rows) and <name>_raw.csv,
-    mode-major within each point; each row starts with its point's value,
-    headed `column`. `parsed` goes to _write_results.
+    Each point meta-trains on the task's split at --meta-seed with its
+    SacConfig, its ratio flip-noising the train parts (0 leaves them as they
+    are), and scores `modes` over --seed. Writes <name>_summary.csv (see
+    _summary_rows) and <name>_raw.csv, mode-major within each point; each row
+    starts with its point's value, headed `column`. `parsed` goes to
+    _write_results.
     """
     ds = load_csv(args.task, run.config["label_column"])
-    meta_seed = run.values["meta_seed"]
     summary_rows, raw_rows = [], []
     for value, sac, ratio in points:
-        train, valid, _ = stratified_split(ds, run.split, meta_seed)
-        train = inject_flip_noise(train, ratio, meta_seed)
-        sampler = meta_train([(train, valid)], sac, meta_seed, learner_factory=run.factory)
-        scores = score_arms(
-            ds, run.split, run.seeds, [(mode, mode, sampler) for mode in modes],
-            n_members=sac.ensemble_size, noise_ratio=ratio, bins=sac.bins, sigma=sac.sigma,
+        _, scores = experiment_point(
+            ds, run.split, run.values["meta_seed"], run.seeds, modes, sac, noise_ratio=ratio,
             learner_factory=run.factory,
         )
         raw_rows += [

@@ -431,6 +431,17 @@ def meta_train(tasks, config: SacConfig, seed, learner_factory=DecisionTree,
     return sampler
 
 
+def _check_modes(labelled_modes, mu):
+    """Refuse a list of (label, mode) arms with an unknown mode, a needed mu of None or a repeat."""
+    for label, mode in labelled_modes:
+        if mode not in MODES:
+            raise ValueError(f"arm {label!r}: unknown mode {mode!r}; choose from {tuple(MODES)}")
+        if "mu" in MODES[mode] and mu is None:
+            raise ValueError(f"arm {label!r}: mu must be in [0, 1], got {mu}")
+    if len(dict(labelled_modes)) != len(labelled_modes):
+        raise ValueError("arm labels must be distinct")
+
+
 def score_arms(ds, split, seeds, arms, *, n_members, noise_ratio=0.0, mu=None,
                bins=SacConfig.bins, sigma=SacConfig.sigma, learner_factory=DecisionTree) -> dict:
     """Test AUCPRC per seed of each (label, mode, sampler) arm: {label: [score per seed]}.
@@ -455,16 +466,11 @@ def score_arms(ds, split, seeds, arms, *, n_members, noise_ratio=0.0, mu=None,
     mu = None if mu is None else check_float("mu", mu, "[0, 1]")
     check_float("noise ratio", noise_ratio, "[0, 1)")
     arms = list(arms)
+    _check_modes([(label, mode) for label, mode, _ in arms], mu)
     for label, mode, sampler in arms:
-        if mode not in MODES:
-            raise ValueError(f"arm {label!r}: unknown mode {mode!r}; choose from {tuple(MODES)}")
         if "sampler" in MODES[mode] and sampler is None:
             raise ValueError(f"arm {label!r}: {mode} mode needs a sampler")
-        if "mu" in MODES[mode] and mu is None:
-            raise ValueError(f"arm {label!r}: mu must be in [0, 1], got {mu}")
     scores = {label: [] for label, _, _ in arms}
-    if len(scores) != len(arms):
-        raise ValueError("arm labels must be distinct")
     for seed in seeds:
         train, valid, test = stratified_split(ds, split, seed)
         train = inject_flip_noise(train, noise_ratio, seed)
@@ -491,6 +497,34 @@ def score_arms(ds, split, seeds, arms, *, n_members, noise_ratio=0.0, mu=None,
                 )
             scores[label].append(aucprc(model.predict_proba(test.features), test.labels))
     return scores
+
+
+def experiment_point(ds, split, meta_seed, eval_seeds, modes, config: SacConfig,
+                     noise_ratio=0.0, learner_factory=DecisionTree):
+    """Meta-train on `ds` at `meta_seed`, then score one arm per mode: (sampler, scores).
+
+    `ds` is split at the meta seed, its train part flip-noised at
+    `noise_ratio` (0 leaves it as it is), and one sampler meta-trained on
+    (train, valid) with `config`. score_arms then scores an arm per mode,
+    labelled by the mode and holding that sampler, over `eval_seeds` at the
+    same noise ratio: cascades of config.ensemble_size members with config's
+    bins and sigma. The scores are {mode: [score per seed]}. A noise ratio
+    outside [0, 1), an unknown or repeated mode, or "constant" (the point
+    takes no mu) is refused before the split. This is the unit of the CLI's ablation and
+    noise-sweep.
+    """
+    check_float("noise ratio", noise_ratio, "[0, 1)")
+    modes = tuple(modes)
+    _check_modes([(mode, mode) for mode in modes], mu=None)
+    train, valid, _ = stratified_split(ds, split, meta_seed)
+    train = inject_flip_noise(train, noise_ratio, meta_seed)
+    sampler = meta_train([(train, valid)], config, meta_seed, learner_factory=learner_factory)
+    scores = score_arms(
+        ds, split, eval_seeds, [(mode, mode, sampler) for mode in modes],
+        n_members=config.ensemble_size, noise_ratio=noise_ratio, bins=config.bins,
+        sigma=config.sigma, learner_factory=learner_factory,
+    )
+    return sampler, scores
 
 
 def sampler_to_document(sampler: MetaSampler) -> dict:

@@ -3,8 +3,9 @@
 One test per shipped guarantee, ordered from arithmetic oracles up to the
 desk-scale experiments. Each test prints a single PASS line with its measured
 numbers, so `pytest -v -s tests/test_acceptance.py` doubles as the acceptance
-report. The experiment tests (7-9) train real samplers at the full reference
-budget and take about half a minute together on a 2-core VM.
+report. The experiment tests (7-9) run sac.experiment_point, which trains real
+samplers at the full reference budget; they take about 25 s together on a
+2-core VM.
 """
 import time
 
@@ -16,7 +17,6 @@ from metasampler import (
     SplitSpec,
     ToySpec,
     aucprc,
-    inject_flip_noise,
     make_toy,
     meta_train,
     score_arms,
@@ -31,6 +31,7 @@ from metasampler.sac import (
     ReplayMemory,
     SacNets,
     SacOptimizers,
+    experiment_point,
     policy_loss_and_grads,
     q_loss_and_grads,
     sac_update,
@@ -73,16 +74,20 @@ CHECKED_LAYOUTS = (
 )
 
 
-def train_sampler(ds, noise_ratio=0.0):
-    """Reference-budget meta-training on one task, optionally with label noise."""
-    train, valid, _ = stratified_split(ds, SPLIT, META_SEED)
-    train = inject_flip_noise(train, noise_ratio, META_SEED)
-    return meta_train([(train, valid)], SacConfig(ensemble_size=K), seed=META_SEED)
+def point(ds, modes, noise_ratio=0.0):
+    """The sampler of a reference-budget experiment point on `ds`, and its scores as arrays."""
+    sampler, scores = experiment_point(
+        ds, SPLIT, META_SEED, EVAL_SEEDS, modes, SacConfig(ensemble_size=K), noise_ratio
+    )
+    return sampler, {mode: np.asarray(arm_scores) for mode, arm_scores in scores.items()}
 
 
-def mode_scores(ds, arms, noise_ratio=0.0):
-    """Test-split AUCPRC per evaluation seed of each (label, mode, sampler) arm, as arrays."""
-    scores = score_arms(ds, SPLIT, EVAL_SEEDS, arms, n_members=K, noise_ratio=noise_ratio)
+def mode_scores(ds, arms):
+    """Test-split AUCPRC per evaluation seed of each (label, mode, sampler) arm, as arrays.
+
+    For a sampler scored on a task it was not meta-trained on.
+    """
+    scores = score_arms(ds, SPLIT, EVAL_SEEDS, arms, n_members=K)
     return {label: np.asarray(arm_scores) for label, arm_scores in scores.items()}
 
 
@@ -105,12 +110,7 @@ def task_b():
 def mid_scores(mid_dataset):
     """Clean-task sampler plus per-mode scores, with the wall time it all took."""
     t0 = time.perf_counter()
-    sampler = train_sampler(mid_dataset)
-    scores = mode_scores(mid_dataset, [
-        ("policy", "policy", sampler),
-        ("random-policy", "random-policy", None),
-        ("random-sampling", "random-sampling", None),
-    ])
+    _, scores = point(mid_dataset, ("policy", "random-policy", "random-sampling"))
     return scores, time.perf_counter() - t0
 
 
@@ -361,12 +361,7 @@ def test_criterion_08_noise_robustness(mid_dataset, mid_scores):
     margins = [means[0] - float(scores0["random-sampling"].mean())]
     assert margins[0] >= 0.0
     for ratio in NOISE_RATIOS[1:]:
-        sampler = train_sampler(mid_dataset, noise_ratio=ratio)
-        scores = mode_scores(
-            mid_dataset,
-            [("policy", "policy", sampler), ("random-sampling", "random-sampling", None)],
-            noise_ratio=ratio,
-        )
+        _, scores = point(mid_dataset, ("policy", "random-sampling"), noise_ratio=ratio)
         policy, random_sampling = scores["policy"], scores["random-sampling"]
         margin = float(policy.mean() - random_sampling.mean())
         assert margin >= 0.0, f"policy lost to random sampling at ratio {ratio}"
@@ -383,7 +378,9 @@ def test_criterion_08_noise_robustness(mid_dataset, mid_scores):
 
 
 def test_criterion_09_sampler_transfers(task_a, task_b):
-    sampler_a = train_sampler(task_a)
+    # an arm's scores do not depend on the other arms, so the point's policy
+    # arm is the full-task sampler's own score on TASK_A
+    sampler_a, scores_a = point(task_a, ("policy",))
     scores_b = mode_scores(
         task_b, [("cross", "policy", sampler_a), ("random-policy", "random-policy", None)]
     )
@@ -398,12 +395,9 @@ def test_criterion_09_sampler_transfers(task_a, task_b):
         rng.choice(task_a.majority_indices, size=len(task_a.majority_indices) // 10,
                    replace=False),
     ]))
-    sampler_sub = train_sampler(task_a.subset(sub_idx))
-    scores_a = mode_scores(
-        task_a, [("full", "policy", sampler_a), ("sub", "policy", sampler_sub)]
-    )
-    full = float(scores_a["full"].mean())
-    sub = float(scores_a["sub"].mean())
+    sampler_sub, _ = point(task_a.subset(sub_idx), ())  # scored on TASK_A, not its own task
+    full = float(scores_a["policy"].mean())
+    sub = float(mode_scores(task_a, [("sub", "policy", sampler_sub)])["sub"].mean())
     assert full - sub <= 0.02
     print(
         f"ACCEPTANCE PASS: criterion 9: cross-task {cross:.4f} >= random-policy"

@@ -7,8 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from metasampler import SacConfig, load_sampler, random_sampler, save_sampler
+from metasampler import (
+    SacConfig, SplitSpec, load_csv, load_sampler, random_sampler, save_sampler, score_arms,
+)
 from metasampler.cli import COMMANDS, build_parser, main
+from metasampler.sac import experiment_point
 from conftest import numpy_kernels
 
 TINY_SAC = [
@@ -386,6 +389,29 @@ class TestAblation:
         assert float(policy_row[4]) == 0.0  # delta is measured against policy
         _, _, raw = read_result_csv(out / "ablation_raw.csv")
         assert len(raw) == 3 * 2  # modes x seeds
+
+    def test_scores_are_the_experiment_points_with_the_given_bins_and_sigma(self, tmp_path):
+        # a 300-row task, on which the random-policy arm scores differently at
+        # SacConfig's bins and sigma, so a sweep that dropped them would show
+        task = tmp_path / "task.csv"
+        assert main(["generate-toy", "--majority", "300", "--minority", "40", "--seed", "3",
+                     "--out", str(task)]) == 0
+        out = tmp_path / "ablation"
+        assert main([
+            "ablation", str(task), "--k", "3", "--seed", "0,1", "--bins", "3", "--sigma", "0.3",
+            "--out", str(out), *TINY_SAC[2:],
+        ]) == 0
+        config, _, raw = read_result_csv(out / "ablation_raw.csv")
+        assert (config["bins"], config["sigma"]) == (3, 0.3)
+        ds, modes, seeds = load_csv(task), ("policy", "random-policy", "random-sampling"), [0, 1]
+        sac = SacConfig(gradient_steps=4, random_steps=4, batch_size=4, replay_capacity=32,
+                        ensemble_size=3, bins=3, sigma=0.3)
+        _, scores = experiment_point(ds, SplitSpec(), 0, seeds, modes, sac)
+        assert [(row[1], int(row[2]), float(row[3])) for row in raw] == [
+            (mode, seed, score) for mode in modes for seed, score in zip(seeds, scores[mode])
+        ]
+        fallback = score_arms(ds, SplitSpec(), seeds, [("r", "random-policy", None)], n_members=3)
+        assert fallback["r"] != scores["random-policy"]
 
 
 class TestNoiseSweep:

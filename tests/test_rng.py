@@ -26,7 +26,7 @@ from metasampler import (
 )
 from metasampler.neural import AdamState, Mlp, init_mlp, soft_update
 from metasampler.rng import as_generator, as_seed_sequence, check_float, check_integer
-from metasampler.sac import MetaSampler, ReplayMemory
+from metasampler.sac import MetaSampler, ReplayMemory, experiment_point
 from metasampler.sampling import (
     error_histogram,
     gaussian_scale,
@@ -127,7 +127,7 @@ BOUNDED = {
 
 @pytest.fixture
 def no_split(monkeypatch):
-    """Fail the test if score_arms or meta_train splits a task while it runs."""
+    """Fail the test if score_arms, meta_train or experiment_point splits a task while it runs."""
     def split(*args, **kwargs):
         raise AssertionError("a split ran before the numbers were checked")
 
@@ -192,6 +192,9 @@ WITHIN = {
     "score_arms.noise_ratio": ("noise ratio", "[0, 1)", lambda v: score_arms(
         small_toy(), SplitSpec(), [0], [("r", "random-sampling", None)], n_members=3,
         noise_ratio=v)),
+    "experiment_point.noise_ratio": ("noise ratio", "[0, 1)", lambda v: experiment_point(
+        small_toy(), SplitSpec(), 0, [0], ["random-sampling"], SacConfig(**TINY),
+        noise_ratio=v)),
     "train_ensemble.sigma": ("sigma", "(0, inf)", lambda v: train_ensemble(
         *toy_parts()[:2], lambda state: 0.5, sigma=v, bins=5, n_members=3, seed=0)),
     "MetaSampler.sigma": ("sigma", "(0, inf)", lambda v: MetaSampler(
@@ -247,6 +250,17 @@ class TestIntervals:
         name, _, call = WITHIN[case]
         with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a real number"):
             call(value)
+
+
+@pytest.mark.parametrize("mode, refusal", [
+    ("greedy", r"^arm 'greedy': unknown mode 'greedy'; choose from \("),
+    ("constant", r"^arm 'constant': mu must be in \[0, 1\], got None$"),  # the point takes no mu
+    ("random-sampling", r"^arm labels must be distinct$"),
+])
+def test_experiment_point_refuses_a_mode_before_any_work(no_tree_fit, no_split, mode, refusal):
+    with pytest.raises(ValueError, match=refusal):
+        experiment_point(small_toy(), SplitSpec(), 0, [0], ["random-sampling", mode],
+                         SacConfig(**TINY))
 
 
 # id -> (needed_by, call): call(ds) hands the one-class dataset `ds` to the operation

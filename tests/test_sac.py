@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -11,12 +12,14 @@ import pytest
 from scipy.integrate import quad
 
 from metasampler import (
+    GaussianNaiveBayes,
     NumericalError,
     PolicyActionSource,
     SacConfig,
     SamplerFormatError,
     SplitSpec,
     ToySpec,
+    inject_flip_noise,
     load_sampler,
     make_toy,
     meta_train,
@@ -39,6 +42,7 @@ from metasampler.sac import (
     SacNets,
     SacOptimizers,
     deterministic_action,
+    experiment_point,
     policy_loss_and_grads,
     q_loss_and_grads,
     sac_update,
@@ -672,6 +676,44 @@ class TestScoreArms:
         arm = next(arm for arm in self.arms() if arm[1] == mode)
         with pytest.raises(error, match="^sigma must be|^non-finite sampling weights"):
             score_arms(task, SplitSpec(), self.SEEDS, [arm], n_members=3, mu=0.5, sigma=sigma)
+
+
+class TestExperimentPoint:
+    # bins, sigma and the base learner off their defaults, so a point that
+    # dropped one of them shows
+    CONFIG = SacConfig(batch_size=4, replay_capacity=32, gradient_steps=6, random_steps=4,
+                       ensemble_size=3, bins=3, sigma=0.3)
+    MODES = ("policy", "random-policy", "random-sampling")
+    SEEDS = (0, 1)
+
+    @pytest.fixture(scope="class")
+    def task(self):
+        return make_toy(ToySpec(120, 20, 0.5, seed=3))
+
+    @pytest.fixture(scope="class")
+    def point(self, task):
+        return experiment_point(task, SplitSpec(), 2, self.SEEDS, self.MODES, self.CONFIG,
+                                noise_ratio=0.25, learner_factory=GaussianNaiveBayes)
+
+    def test_meta_trains_on_the_noisy_meta_split_and_scores_with_the_configs_knobs(
+        self, task, point
+    ):
+        sampler, scores = point
+        train, valid, _ = stratified_split(task, SplitSpec(), 2)
+        train = inject_flip_noise(train, 0.25, 2)
+        expected = meta_train([(train, valid)], self.CONFIG, 2,
+                              learner_factory=GaussianNaiveBayes)
+        assert sampler_to_document(sampler) == sampler_to_document(expected)
+        assert scores == score_arms(
+            task, SplitSpec(), self.SEEDS, [(mode, mode, expected) for mode in self.MODES],
+            n_members=3, noise_ratio=0.25, bins=3, sigma=0.3, learner_factory=GaussianNaiveBayes,
+        )
+
+    def test_the_function_and_its_result_survive_pickling(self, point):
+        assert pickle.loads(pickle.dumps(experiment_point)) is experiment_point
+        sampler, scores = pickle.loads(pickle.dumps(point))
+        assert sampler_to_document(sampler) == sampler_to_document(point[0])
+        assert scores == point[1]
 
 
 class TestSamplerIO:
