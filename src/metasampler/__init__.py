@@ -1,10 +1,9 @@
 """Meta-learned under-sampling for imbalanced binary classification.
 
 A small reinforcement-learned policy picks, member by member, which slice of
-the majority class the next ensemble member should train on. States are
-error histograms, actions are Gaussian sampling centers, rewards are changes
-in validation AUCPRC. Everything runs on numpy; base learners, metrics, the
-networks, and the actor-critic training loop are all in this package.
+the majority class the next ensemble member trains on: states are error
+histograms, actions Gaussian sampling centers, rewards changes in validation
+AUCPRC. Everything, learners and networks included, runs on numpy alone.
 
 The package exports what a user calls and the errors a user catches;
 internals are imported from their modules, as ``metasampler.neural``.

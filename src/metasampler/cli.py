@@ -4,20 +4,15 @@ Subcommands: generate-toy, meta-train, train, ablation, noise-sweep,
 transfer. Every config key of a subcommand is also its flag (underscores
 become dashes), and --config points at a flat JSON file holding any of those
 keys; explicit flags win over the file, the file wins over built-in
-defaults. Every flag is plain text, and each value, from a flag or the file,
-goes through the one parse of its key (its cast and range) before any task or
-sampler file is read, so a flag and a config-file entry mean the same thing.
-Seeds must be non-negative, and --label-column names a header of the task CSV.
-train and transfer score their arms through the library's score_arms;
-ablation and noise-sweep run sac.experiment_point at each point of the sweep,
-which meta-trains at --meta-seed and then runs score_arms with the point's
-ensemble size, bins and sigma. So a result CSV holds the scores they return.
-Result CSVs open with a comment row recording the resolved configuration,
-each single number as it ran, so identical configs and seeds reproduce output
-files byte for byte. train refuses a --sampler, --mu, --bins or --sigma (flag
-or config file) that its mode does not use (see sac.MODES) before any file is
-read; policy mode runs with, and records, its sampler's bins and sigma, and
-refuses a --bins or --sigma that differs from them.
+defaults. Each value, from a flag or the file, goes through its key's one
+parse (cast and range) before any task or sampler file is read, so a flag and
+a config-file entry mean the same thing. Seeds must be non-negative, and
+--label-column names a header of the task CSV. Result CSVs open with a
+comment row recording the resolved configuration, each single number as it
+ran, so identical configs and seeds reproduce output files byte for byte.
+train refuses a --sampler, --mu, --bins or --sigma that its mode does not use
+before any file is read; policy mode runs with, and records, its sampler's
+bins and sigma, and refuses a --bins or --sigma that differs from them.
 
 Exit codes: 0 success, 1 configuration error (including a config file that
 cannot be read), 2 data error (including a task CSV or sampler file that cannot
@@ -82,7 +77,6 @@ _SEED = (strict_int, 0)
 # key's least value or a real key's interval, which check_integer or check_float
 # checks under the flag's name before any work. A key whose default is text holds
 # a comma list, each entry cast and checked. Every other key holds text.
-# strict_int refuses booleans and fractions, strict_float refuses booleans.
 _NUMBERS = {
     # a field annotated int, or int | None, is an integer key
     **{f.name: (strict_int if f.type.startswith("int") else strict_float, None)
@@ -238,12 +232,9 @@ def _summary_rows(scores, baseline=None) -> list:
 def _sweep(run, args, name, column, modes, points, baseline=None, **parsed) -> int:
     """Run sac.experiment_point of `modes` at --meta-seed for each (value, SacConfig, ratio).
 
-    Each point meta-trains on the task's split at --meta-seed with its
-    SacConfig, its ratio flip-noising the train parts (0 leaves them as they
-    are), and scores `modes` over --seed. Writes <name>_summary.csv (see
-    _summary_rows) and <name>_raw.csv, mode-major within each point; each row
-    starts with its point's value, headed `column`. `parsed` goes to
-    _write_results.
+    Writes <name>_summary.csv (see _summary_rows) and <name>_raw.csv, scored
+    over --seed, mode-major within each point; each row starts with its
+    point's value, headed `column`. `parsed` goes to _write_results.
     """
     ds = load_csv(args.task, run.config["label_column"])
     summary_rows, raw_rows = [], []

@@ -24,9 +24,7 @@ from .errors import (
 )
 from .rng import as_generator, check_float, check_integer
 
-# Geometry of the synthetic task: majority sits on a noisy "∩"-shaped arc band,
-# minority is a Gaussian blob whose center slides from the arc's pocket onto the
-# band as `overlap` goes 0 -> 1. Blob-center distance to the arc is 1 - overlap.
+# geometry of the synthetic task; see make_toy
 ARC_RADIUS = 1.0
 ARC_NOISE = 0.05
 BLOB_STD = 0.15
@@ -171,25 +169,19 @@ class ToySpec:
 def load_csv(path, label_column="label") -> LabeledDataset:
     """Read a comma-separated, header-first, UTF-8 table into a dataset.
 
-    `label_column` selects the label by header name or integer position (a
-    numpy integer too); all remaining columns are features. A name must occur
-    exactly once in the header (else ColumnNotFoundError); a value that is
-    neither text nor an integer, such as True or 1.0, raises ValueError. Row
-    order is preserved, and a leading byte-order mark (as in Excel's "CSV
-    UTF-8" export) is dropped. A missing file raises FileNotFoundError; one that
-    cannot be read as UTF-8 text (a directory, say) raises DataError, and one
-    whose header holds no column besides the label raises EmptyDataError.
+    `label_column` names the label's header, which must occur exactly once
+    (else ColumnNotFoundError), or gives its integer position (a numpy integer
+    too); any other value, such as True or 1.0, raises ValueError. The other
+    columns are features, rows keep their order, and a leading byte-order mark
+    (as in Excel's "CSV UTF-8" export) is dropped. A missing file raises
+    FileNotFoundError, one that is not UTF-8 text (a directory, say)
+    DataError, and one with no column besides the label EmptyDataError.
 
-    Two paths read the rows, and both return the arrays `float()` makes of
-    each cell. The fast one hands the text after the header to numpy's C
-    reader in one call, unless some line is longer than csv's field size
-    limit (128 KiB). Its array is used only when it has one row per
-    line below the header, both classes occur and `LabeledDataset`, the one
-    judge of valid labels and features, accepts it. Any other file, invalid
-    or not, goes to `_load_csv_rows`, the row-by-row reference path, which
-    returns the dataset or raises the error of the file's first fault
-    (DataError for text that csv cannot read, such as a cell over its field
-    size limit).
+    numpy's C reader parses the text after the header in one call; its array
+    is used only when it has one row per line (`_c_reader_rows`), both classes,
+    and `LabeledDataset` accepts it. Any other file goes to `_load_csv_rows`,
+    the row-by-row reference, so both paths give the arrays `float()` makes of
+    each cell or the error of the file's first fault (BENCH_load_csv.json).
     """
     if not isinstance(label_column, str):
         label_column = check_integer("label_column", label_column)
@@ -232,16 +224,15 @@ _SEPARATOR_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def _c_reader_rows(path: Path) -> int:
-    """Lines below the header in `path`, as csv splits them, or 0.
+    """Lines below the header in `path`, as csv splits them, or 0 for no usable count.
 
-    Lines end at \\n, \\r\\n or a lone \\r, as in both csv and numpy's C
-    reader. That reader skips a blank line, which csv reads as a row of no
-    cells, and it joins a quoted line break into one row, as csv does; either
-    leaves it fewer rows than this count. So a C-reader array with exactly
-    this many rows holds csv's rows. Returns 0 (no usable count) for a file
-    holding a byte in _SEPARATOR_BYTES, and for one with a line longer than
-    `csv.field_size_limit()` bytes, which may hold a cell csv refuses and
-    numpy's reader takes. One pass of chunks measures lines at \\n, or at
+    Lines end at \\n, \\r\\n or a lone \\r, in csv and numpy's C reader alike.
+    That reader skips a blank line, which csv reads as a row of no cells, and
+    joins a quoted line break into one row, as csv does; either leaves it
+    fewer rows than this count, so a C-reader array with exactly this many rows
+    holds csv's rows. 0 for a file holding a byte in _SEPARATOR_BYTES, or a line
+    longer than `csv.field_size_limit()` bytes, which may hold a cell csv
+    refuses and numpy's reader takes. Line lengths are measured at \\n, or at
     \\r in a chunk without \\n; a lone \\r elsewhere only lengthens a line.
     """
     ends, last, offset, longest_line, line_start = 0, b"", 0, 0, 0
@@ -369,8 +360,7 @@ def save_csv(ds: LabeledDataset, path, label_column="label") -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(names + [label_column])
-        # a few rows at a time as Python lists: all rows at once take about 25
-        # times the arrays' bytes, and the allocator keeps part of that
+        # a few rows at a time: the lists of all rows would raise peak RSS (BENCH_load_csv.json)
         for start in range(0, len(ds), _SAVE_BLOCK_ROWS):
             block = slice(start, start + _SAVE_BLOCK_ROWS)
             rows = ds.features[block].tolist()

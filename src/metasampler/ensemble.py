@@ -1,10 +1,9 @@
 """Cascade ensemble training driven by a per-step action.
 
-The first member is fit on a uniformly drawn balanced subset. Every further
-member is fit on a meta-sampled subset whose Gaussian center is
-``actions(state)``, for any callable `actions` from the current meta-state to
-[0, 1]. The trace of states, actions and validation scores is a first-class
-output so callers can turn episodes into reinforcement-learning transitions.
+The first member is fit on a uniformly drawn balanced subset, every further one
+on a meta-sampled subset whose Gaussian center is ``actions(state)``, for any
+callable from the meta-state to [0, 1]. The trace of states, actions and
+validation scores is returned, so callers can turn episodes into transitions.
 """
 from __future__ import annotations
 
@@ -25,18 +24,17 @@ class EnsembleModel:
 
     ``predict_proba`` adds each member's probabilities to a sum that starts
     from zeros, in member order, and divides it once by the member count.
-    When every member's ``predict_proba`` is ``DecisionTree.predict_proba``,
-    ``tree_probabilities`` walks ``8192 // rows`` trees at once (one from
-    4,097 rows on), which pays numpy's per-call cost once per group rather
-    than once per tree. Otherwise, as with Gaussian naive Bayes or a tree
-    subclass that overrides ``predict_proba``, every member scores through
-    its own ``predict_proba``. Either way the bytes are those of the loop.
+    Members that all use ``DecisionTree.predict_proba`` score through
+    ``tree_probabilities``, with the same bytes (BENCH_ensemble_predict.json).
     """
 
     members: list = field(default_factory=list)
 
     def predict_proba(self, features):
-        """Mean member probability of each row of a (rows, features) matrix."""
+        """Mean member probability of each row of a (rows, features) matrix.
+
+        RuntimeError with no members, ValueError for input that is not 2-D.
+        """
         if not self.members:
             raise RuntimeError("ensemble has no members")
         x = np.asarray(features, dtype=np.float64)
@@ -96,30 +94,18 @@ def train_ensemble(
 ):
     """Train a cascade of n_members learners, centering draws on `actions(state)`.
 
-    Per-member subset draws use seeds split counter-style from `seed`, so
-    member t's subset is reproducible regardless of what `actions` returns,
-    which must be a real number in [0, 1] (``rng.check_float``).
-    Returns (model, steps); `steps` has one EnsembleStep per added
-    member after the first, so it is empty when n_members == 1.
+    Returns (model, steps), one EnsembleStep per member after the first.
+    `actions` must return a real number in [0, 1] (``rng.check_float``).
+    Member t's subset is drawn from child t of `seed`, whatever `actions`
+    returns. Before any fit, n_members or bins below 1, a sigma that
+    ``gaussian_scale`` refuses, a split lacking a class and splits of
+    different widths raise.
 
-    The training rows, majority first, and the validation rows are stacked
-    once per cascade, features and labels, and each member scores the stack
-    in one ``predict_proba`` call, added to one running sum. Every read
-    divides the sum by the member count into one buffer, reads the AUCPRC
-    from its validation half, and turns it in place into ``|scores -
-    labels|``: that error vector gives the meta-state, and its first rows,
-    in the order of ``train.majority_indices``, are the weighted draw's
-    majority errors with no gather. The sum starts from zeros and adds
-    members in order, as EnsembleModel.predict_proba does, and every learner
-    scores each row on its own (see ``learners``), so every read equals the
-    prediction of the ensemble so far bit for bit; the histograms count the
-    training rows in any order. The stack costs one copy of both splits'
-    features (28 KB on the MID task, 1.3 MB on the 84,000 rows of the large
-    benchmark task). It pays for itself: one call instead of two halves
-    numpy's per-call cost, the validation rows no longer walk the trees as a
-    small call of their own, and the errors are computed and binned in one
-    pass. Ten K=30 cascades on the MID task ran in about 7 % less time
-    (2-core x86-64 VM, ``BENCH_member_scoring.json``).
+    Each member scores the training rows (majority first) stacked over the
+    validation rows in one ``predict_proba`` call, added to one zero-started
+    sum in member order, as ``EnsembleModel.predict_proba`` adds. So a custom
+    learner must score each row on its own; then every read of the sum equals
+    the ensemble's prediction bit for bit (BENCH_member_scoring.json).
     """
     n_members = _check_task(train, valid, n_members)
     gaussian_scale(sigma)  # the weighted draw's sigma and the meta-state's bins
@@ -127,8 +113,7 @@ def train_ensemble(
     draw_seeds = as_seed_sequence(seed).spawn(n_members)
     members = []
     # training rows majority first, in the order of train.majority_indices, then the
-    # validation rows. `take` gathers the (63,000, 2) training rows of the large
-    # benchmark task in 0.13 ms, a fancy index in 1.5 ms (2-core x86-64 VM)
+    # validation rows; `take` gathers large splits far faster than a fancy index
     order = np.concatenate((train.majority_indices, train.minority_indices))
     features = np.concatenate((train.features.take(order, axis=0), valid.features))
     labels = np.concatenate((train.labels.take(order), valid.labels))

@@ -1,10 +1,9 @@
 """Base learners: a depth-unlimited CART tree and Gaussian naive Bayes.
 
-Both expose ``fit(ds)`` and ``predict_proba(features)``, which takes a
-``(rows, features)`` matrix and returns the vector of each row's probability
-of the positive class. Each row is scored on its own: its probability is the
-same bit for bit whatever rows come with it, which ``train_ensemble`` relies
-on when it scores the training and validation rows in one call.
+Both expose ``fit(ds)`` and ``predict_proba(features)``, which maps a
+``(rows, features)`` matrix to each row's probability of the positive class.
+Each row is scored on its own, bit for bit whatever rows come with it, as
+``train_ensemble`` requires.
 """
 from __future__ import annotations
 
@@ -34,9 +33,8 @@ def _weighted_gini_table(rows):
     """Cell s * rows + c: `_weighted_gini(s, c)` for every side 1 <= s < rows of a node of
     at most `rows` rows and each of its positive counts 0 <= c <= s; row 0 is unused.
 
-    It is built one row at a time, so no temporary reaches glibc's 128 KiB mmap
-    threshold: freeing a larger one raises that threshold, and built in one
-    expression, the table raised the benchmark's peak RSS by 1.1 MB, not 0.6 MB.
+    Built row by row so no temporary reaches glibc's 128 KiB mmap threshold,
+    which a freed larger one raises, growing peak RSS (BENCH_fit_lookup.json).
     """
     table = np.zeros((rows, rows))
     counts = np.arange(float(rows))
@@ -51,91 +49,32 @@ _LEFT_CELLS = np.arange(_GINI_TABLE_ROWS, _GINI_TABLE_ROWS**2, _GINI_TABLE_ROWS)
 
 
 class DecisionTree:
-    """CART with Gini impurity and no depth limit.
+    """CART with Gini impurity and no depth limit; ``fit(ds)`` returns the tree.
 
-    Thresholds are midpoints between consecutive distinct sorted values, or
-    the upper value where the midpoint rounds onto the lower one (adjacent
-    doubles) or overflows, and a row goes left when value < threshold, so
-    both children of a split are non-empty. Ties in impurity decrease break
-    toward the lowest feature index, then the lowest threshold. A node splits
-    as long as it is impure, has at least two rows and some feature varies,
-    so training error reaches zero whenever no two identical rows disagree.
+    A cut lies between consecutive distinct values of a feature, at their
+    midpoint, or at the upper value where the midpoint rounds onto the lower
+    one or overflows. A row goes left when value < threshold, so a NaN value
+    goes right. Ties in impurity decrease go to the lowest feature, then the
+    lowest threshold. A node splits while it is impure and some feature
+    varies, so training error reaches zero unless identical rows disagree.
+    The same dataset gives the same nodes. ``predict_proba`` raises
+    RuntimeError before ``fit`` and ValueError for a matrix whose shape is not
+    ``(rows, n_features_in)``.
 
-    ``fit`` sorts once: a stable ``argsort`` of every feature column gives
-    the root's ``(d, n)`` block of row ids, row ``j`` ordered by feature
-    ``j``. A split marks its left rows in a scratch flag and filters each
-    row of the block by that flag, keeping order, so a child's block is
-    again sorted by value, then by row id: exactly what a stable sort of
-    the child's ascending row ids gives. The split search covers all
-    features at once: one integer ``cumsum`` of the block's labels gives
-    the positives left of every cut, and each side of each cut is weighted
-    by ``_weighted_gini``, its size times its Gini impurity, the same
-    elementwise arithmetic as a search of one feature at a time, so impurity
-    values, and hence their ties, are bit-identical to it. A node of more
-    than 256 rows (``_GINI_TABLE_ROWS``) computes it on ``(2, d, m - 1)``
-    arrays of left and right counts and sizes. A smaller node reads it from
-    ``_WEIGHTED_GINI``, built once at import by that same function: cell
-    ``s * 256 + c`` is a side of s rows with c positives, so a cut's left
-    cell is its left positives plus ``_LEFT_CELLS``, and its right cell is
-    ``m * 256 + pos`` minus that. The table is 512 KiB. 256 rows keep every
-    node of a cascade subset of the MID task (240 rows) on it, the root
-    included: on 120 such subsets (2-core x86-64 VM), fit ran in 0.60× the
-    time of a loop with no table, an eager mask and both child blocks, and
-    in 0.64× with a 128-row table. The first maximum of the row-major
-    ``(d, m - 1)`` decrease array is the lowest feature, then the lowest
-    threshold. A cut between equal neighbours is no cut, and the
-    first maximum is taken over all cuts first: if its two neighbours
-    differ, it is also the first maximum of the valid cuts. Only otherwise
-    does ``fit`` gather the block's sorted values, set every non-cut to
-    ``-inf`` and take the maximum again. A child's row and positive counts
-    come from the parent's cumulative sums, and its row block is built only
-    when it is impure. The depth-first stack holds only pending nodes, whose
-    row sets are disjoint, so its blocks total at most ``n * d`` ids. Each
-    stack entry carries its level, so ``fit`` records ``depth``. A split
-    appends its two children together, so its right child is always its left
-    child + 1, and ``fit`` keeps only the ``left`` links while it grows.
-
-    ``fit`` ends by deriving the three tables of ``predict_proba`` from the
-    public node arrays, indexed by the doubled id ``s = 2 * node``. Entry
-    ``s + (value < threshold)`` of ``_children`` is the doubled id of the
-    right child, then of the left one, and a leaf points to itself on both
-    sides, so a row that reaches a leaf stays there whatever it compares.
-    ``_feature2`` and ``_threshold2`` repeat each node's ``feature`` and
-    ``threshold`` twice, so entry ``s`` holds node ``s >> 1``'s. A leaf's
-    -1 feature reads the value just before the row's own, which the
-    self-loop ignores. ``predict_proba`` walks blocks of at most 8,192 rows
-    (``_PREDICT_BLOCK``), ``depth`` levels in all. A level is five
-    whole-block steps: gather each row's split feature, offset it to the
-    row's cell, compare the gathered value with the gathered threshold, add
-    the result to ``s``, and gather ``s``'s child. Each gather is a 1-D
-    ``take`` with ``mode="clip"``, which is faster than a fancy index and
-    changes nothing: every index is in range except a leaf's ``-1 + 0`` on
-    a block's first row (in a group, on each tree's first row), whose read
-    the self-loop discards.
-
-    Most rows reach their leaf long before ``depth``: on the 105k rows of
-    the large benchmark task, trees 12-13 deep put a row in its leaf after
-    about 5 levels, and 80-84 % of rows by level ``depth // 2``. So after
-    the first ``depth // 2`` levels a block is compacted once: the rows with
-    ``_children[s] != s`` are still at a split, and only they walk the
-    remaining levels, on their own ids and offsets, which are then
-    scattered back into ``s``. Each compaction costs a mask, its indices,
-    two gathers and a scatter over the block, so there is one, not one per
-    level: a second one, at three quarters of the depth, was 2-4 % faster on
-    105k rows but up to 5 % slower on 440-row and 8 % on 2,200-row calls,
-    the size of most calls a cascade makes. A block ends with
-    ``value.take(s >> 1)``. Each float64 or intp temporary of a block is at
-    most 64 KiB, below glibc's default 128 KiB mmap threshold, so no level
-    maps and faults in fresh pages. Every row makes the same comparisons
-    and lands in the leaf that following ``left``/``right`` node by node
-    reaches, a NaN value going right.
-
-    ``_walk`` is the one walk, and ``predict_proba`` is its group of one:
-    the tree's own tables, root 0. An ``EnsembleModel`` whose members all
-    use this ``predict_proba`` walks ``8192 // rows`` of them at once
-    (``tree_probabilities``), adds each tree's probabilities to its sum in
-    member order, and so gives the bytes of one walk per tree; with any
-    other member it calls each member's ``predict_proba``.
+    Constraints an edit could break unnoticed:
+    - A child's row block is its parent's filtered in order, so it stays sorted
+      as a stable argsort would sort it (BENCH_tree_fit.json).
+    - Nodes above ``_GINI_TABLE_ROWS`` rows compute ``_weighted_gini``; smaller
+      ones read ``_WEIGHTED_GINI``, built by that function, so impurities and
+      ties are bit-identical on both paths. 256 rows keep a MID cascade subset
+      (240 rows) on the table (BENCH_fit_lookup.json).
+    - A leaf's ``_children`` point to itself, so the clipped ``take`` of its -1
+      feature leaves the row there (BENCH_predict_take.json).
+    - ``_PREDICT_BLOCK`` keeps each walk temporary at 64 KiB, under glibc's
+      128 KiB mmap threshold (BENCH_tree_predict.json).
+    - A walk compacts once, at ``depth // 2``: a second compaction was slower
+      on 440 and 2,200 rows, around the 1,760 stacked rows a MID cascade
+      scores per member (BENCH_predict_compact.json).
     """
 
     def __init__(self):
@@ -159,7 +98,8 @@ class DecisionTree:
         pos = int(y.sum())
         feature, threshold, left, value = [_LEAF], [np.nan], [_LEAF], [pos / n]
         depth = 0
-        # pending (node, level, sorted row-id block, positives), only for impure nodes
+        # pending (node, level, sorted row-id block, positives) of impure nodes: disjoint row
+        # sets, so the blocks hold at most n * d ids
         stack = [(0, 0, np.argsort(x, axis=0, kind="stable").T.copy(), pos)] if 0 < pos < n else []
         while stack:
             node, level, rows, pos = stack.pop()
@@ -248,13 +188,11 @@ class DecisionTree:
 def tree_probabilities(trees, features):
     """Each tree's ``predict_proba(features)``, bit for bit, in the order of `trees`.
 
-    On n rows the trees walk in groups of ``8192 // n``, so a group's
-    (tree, row) pairs fill at most one ``_PREDICT_BLOCK``; a group of one is
-    the tree's own ``predict_proba``. Larger groups walk tables stacked once
-    per call: each tree's ``_children`` offset by twice the node count of the
-    trees before it, and its ``_feature2``, ``_threshold2`` and ``value``,
-    concatenated. A group's pairs are tree-major, each starts at its tree's
-    doubled root, and the deepest tree sets the number of levels.
+    A generator, with the errors of ``DecisionTree.predict_proba``. On n rows
+    the trees walk in groups of ``8192 // n`` on their tables stacked once per
+    call, so a group fills at most one ``_PREDICT_BLOCK``; each pair starts at
+    its tree's doubled root, and a group's deepest tree sets its levels
+    (BENCH_ensemble_predict.json).
     """
     for tree in trees:
         if tree.feature is None:

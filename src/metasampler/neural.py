@@ -1,14 +1,11 @@
-"""Minimal fully-connected networks on raw numpy.
+"""Minimal fully-connected networks on raw numpy: relu hidden layers, a linear head.
 
-Every network has one shape: relu hidden layers and a linear head. Each
-owns one contiguous float64 vector `params`, layer by layer: weights
-(fan_in, fan_out) row-major, then biases; `weights[i]` and `biases[i]` are
-views into it. Gradients and Adam moments share that layout, so Adam, Polyak
-soft updates and finiteness checks act on whole vectors. A forward pass of a
-(batch, in) matrix returns each layer's output, which is all the backward
-pass reads: it masks each hidden layer where that output is positive and
-needs no pre-activations. Each Adam state carries its stepped learning-rate
-schedule, which only `adam_step` advances. Also: a versioned JSON round-trip.
+Each network owns one contiguous float64 vector `params`, layer by layer:
+weights (fan_in, fan_out) row-major, then biases; `weights[i]` and `biases[i]`
+are views into it, and gradients and Adam moments share that layout. A
+forward pass returns each layer's output, all that the backward pass reads.
+Also: Adam with its stepped learning-rate schedule, which only `adam_step`
+advances, Polyak updates and a versioned JSON round-trip.
 """
 from __future__ import annotations
 

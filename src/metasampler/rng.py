@@ -1,17 +1,9 @@
 """Seed handling and the integer and real-number checks.
 
-Everything that draws randomness accepts an int seed, a
-``numpy.random.SeedSequence`` or a ready ``Generator``, so callers can wire
-reproducible streams without the library ever touching global state. A count,
-size or seed that a Python caller passes goes through ``check_integer``: an int
-or a numpy integer, never a bool, 2.0 or "7", and at least its least value where
-it has one (0 for every int seed), or ValueError("<name> must be at least
-<least>, got <value>"). A real number goes through its twin ``check_float``:
-numpy's too, never a bool, "0.2" or None, and inside its interval where it has
-one, such as "(0, inf)" for a sigma, or ValueError("<name> must be in
-<interval>, got <value>"); NaN is in no interval. Both run before any work, and
-the CLI passes each number flag's bound to them. ``strict_int`` (which casts
-3.0) and ``strict_float`` only parse the CLI's and sampler files' text and JSON.
+Everything that draws randomness takes an int seed, a ``SeedSequence`` or a
+``Generator`` and never touches global state. ``check_integer`` and
+``check_float`` check each number a Python caller passes, before any work;
+``strict_int`` and ``strict_float`` parse the CLI's and sampler files' values.
 """
 from __future__ import annotations
 
@@ -21,7 +13,16 @@ import numpy as np
 
 
 def strict_int(value) -> int:
-    """int(value) of an integer number or text; a boolean or a fraction raises ValueError."""
+    """int(value) of an integral number or number text; a bool or a fraction raises ValueError.
+
+    Text reads as int(text), or else as float(text) when that is integral, so
+    "3.0" and "1e3" pass, while "2.9", "inf", "nan" and "" raise ValueError.
+    """
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            value = float(value)
     if isinstance(value, (bool, np.bool_)) or (
         isinstance(value, (float, np.floating)) and not float(value).is_integer()
     ):
@@ -30,7 +31,11 @@ def strict_int(value) -> int:
 
 
 def check_integer(name: str, value, least: int | None = None) -> int:
-    """int(value) of an integer (numpy's too) of at least `least`; else ValueError naming `name`."""
+    """int(value) of an integer (numpy's too) of at least `least`; else ValueError naming `name`.
+
+    A bool, 2.0 or "7" is no integer. Below `least`: "<name> must be at least
+    <least>, got <value>".
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     value = int(value)
@@ -44,6 +49,7 @@ def check_float(name: str, value, within: str | None = None) -> float:
 
     `within` is interval text such as "(0, 1]": a bracket includes its end, a
     parenthesis excludes it, NaN is in no interval and None means no bound.
+    Outside it: "<name> must be in <within>, got <value>".
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")

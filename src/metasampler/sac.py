@@ -1,15 +1,12 @@
 """Soft actor-critic meta-training of the sampling policy.
 
 The environment is cascade ensemble training: a state is the error-histogram
-meta-state, an action is the Gaussian center for the next member's subset,
-and the reward is the change in validation AUCPRC contributed by that member
-(so episode returns telescope to final minus initial score).
-
-Actions are squashed to [0, 1] via a = (tanh(u) + 1) / 2 with u drawn from a
-state-conditioned Gaussian; log-densities carry the change-of-variables term
-log(0.5 * (1 - tanh(u)^2)), evaluated in a softplus form that stays finite
-for saturated u. One critic network is used, plus a value network with a
-Polyak-averaged target copy.
+meta-state, an action the Gaussian center for the next member's subset, and
+the reward that member's change in validation AUCPRC, so an episode's return
+is the final minus the initial score. An action is (tanh(u) + 1) / 2 with u
+drawn from a state-conditioned Gaussian; its log-density's change-of-variables
+term is a softplus form, finite for saturated u. One critic, plus a value
+network with a Polyak-averaged target copy.
 """
 from __future__ import annotations
 
@@ -353,18 +350,16 @@ def meta_train(tasks, config: SacConfig, seed, learner_factory=DecisionTree,
                on_step=None) -> MetaSampler:
     """Train the sampling policy over one or more (train, valid) tasks.
 
-    Each episode trains one cascade of config.ensemble_size members on a task,
-    visiting tasks round-robin (episode i uses task i mod n_tasks), and every
-    cascade step is one environment step. An episode draws its action and
-    subset seeds from its own child of the episode seed. While fewer than
-    config.random_steps environment steps have run, actions are uniform;
-    after that they are policy samples. Each step is pushed into the replay
-    buffer; once more than config.random_steps steps have run and the buffer
-    holds a batch, one gradient update follows it, until config.gradient_steps
-    updates have run. Episodes always run to completion; training stops after
-    the episode in which the update budget runs out, or after config.episodes
-    episodes when that is set. `on_step` receives (episode, step_in_episode,
-    task_index, step) after the step's update.
+    Episode i trains one cascade of config.ensemble_size members on task
+    i mod n_tasks, with its action and subset seeds from its own child of the
+    episode seed; each cascade step is one environment step. Actions are
+    uniform for the first config.random_steps steps, then policy samples.
+    Each step goes into the replay buffer; once more than config.random_steps
+    steps have run and it holds a batch, one gradient update follows, up to
+    config.gradient_steps updates. Training stops after the episode in which
+    that budget runs out, or after config.episodes episodes when set.
+    `on_step` receives (episode, step_in_episode, task_index, step) after the
+    step's update. ValueError for no task.
     """
     tasks = list(tasks)
     if not tasks:
@@ -446,19 +441,18 @@ def score_arms(ds, split, seeds, arms, *, n_members, noise_ratio=0.0, mu=None,
                bins=SacConfig.bins, sigma=SacConfig.sigma, learner_factory=DecisionTree) -> dict:
     """Test AUCPRC per seed of each (label, mode, sampler) arm: {label: [score per seed]}.
 
-    Labels must be distinct. Each seed splits `ds` once for all arms and
-    flip-noises the train part at `noise_ratio` (0 leaves it as it is). Each
-    arm then trains one cascade of `n_members` on (train, valid) and scores it
-    on test. The modes, each running with the knobs MODES lists: "policy"
-    samples actions from the arm's sampler, with its bins and sigma;
-    "random-policy" from an untrained sampler with `bins` and `sigma`
-    (SacConfig's unless given); "random-sampling" fits every member on a
-    random balanced subset; "constant" takes action `mu` (needed, in [0, 1])
-    at every step. Before any split, whatever the arms, `n_members` and `bins`
-    must be integers of at least 1, `sigma` must pass gaussian_scale, a
-    given `mu` must be a real number in [0, 1] and `noise_ratio` one in
-    [0, 1). Every arm spawns the same six streams from the seed, so its
-    scores do not depend on which other arms run.
+    Each seed splits `ds` once for all arms and flip-noises the train part at
+    `noise_ratio` (0 leaves it as it is); each arm trains one cascade of
+    `n_members` on (train, valid) and scores it on test. The modes, each with
+    the knobs MODES lists: "policy" samples the arm's sampler, with its bins
+    and sigma; "random-policy" an untrained sampler with `bins` and `sigma`;
+    "random-sampling" fits every member on a random balanced subset;
+    "constant" takes action `mu` at every step. Every arm spawns the same six
+    streams from the seed, so its scores do not depend on which other arms run.
+    Before any split, whatever the arms, ValueError for repeated labels, an
+    unknown mode, a missing sampler or `mu`, `n_members` or `bins` below 1, a
+    `mu` outside [0, 1] or a `noise_ratio` outside [0, 1), and gaussian_scale's
+    error for a `sigma` it refuses.
     """
     n_members = check_integer("n_members", n_members, least=1)
     bins = check_integer("bins", bins, least=1)
@@ -504,14 +498,13 @@ def experiment_point(ds, split, meta_seed, eval_seeds, modes, config: SacConfig,
     """Meta-train on `ds` at `meta_seed`, then score one arm per mode: (sampler, scores).
 
     `ds` is split at the meta seed, its train part flip-noised at
-    `noise_ratio` (0 leaves it as it is), and one sampler meta-trained on
-    (train, valid) with `config`. score_arms then scores an arm per mode,
-    labelled by the mode and holding that sampler, over `eval_seeds` at the
-    same noise ratio: cascades of config.ensemble_size members with config's
-    bins and sigma. The scores are {mode: [score per seed]}. A noise ratio
-    outside [0, 1), an unknown or repeated mode, or "constant" (the point
-    takes no mu) is refused before the split. This is the unit of the CLI's ablation and
-    noise-sweep.
+    `noise_ratio`, and one sampler meta-trained on (train, valid) with
+    `config`. score_arms then scores an arm per mode, labelled by the mode and
+    holding that sampler, over `eval_seeds` at the same noise ratio, with
+    config's ensemble_size, bins and sigma: {mode: [score per seed]}. Before
+    the split, ValueError for a noise ratio outside [0, 1), an unknown or
+    repeated mode, or "constant" (the point takes no mu). The unit of the CLI's
+    ablation and noise-sweep.
     """
     check_float("noise ratio", noise_ratio, "[0, 1)")
     modes = tuple(modes)

@@ -1,27 +1,10 @@
 """Error histograms, meta-states and Gaussian-weighted balanced under-sampling.
 
-The meta-state of an ensemble is the concatenation of two error histograms,
-one over the training set and one over the validation set, so downstream
-components see a fixed-size summary of how error mass moves while members
-are added.
-
-The meta-state and the weighted subset are computed by error-taking cores,
-`state_from_errors` and `sample_from_errors`. A growing cascade keeps one
-running sum of member scores over its training rows, majority first,
-followed by its validation rows, so each member scores both splits in one
-call, and one error vector serves both cores: `state_from_errors` bins it in
-one pass and splits the counts at the training row count, and
-`sample_from_errors` reads its leading majority rows. `meta_state` and
-`meta_sample` are the model-taking forms: they score the rows with the
-given model and call the cores. The library no longer calls them; they
-remain only because the benchmark's `bench/spans.py` binds them, and go
-when its spans change.
-
-The weighted subset draws its majority rows one at a time without
-replacement, each pick renormalizing over the weight left. The weights sit in
-a binary tree of pairwise sums, so a pick costs O(log n). Up to rounding at
-a row boundary, the picks equal those of a cumulative sum over all rows
-recomputed before every pick.
+The meta-state of an ensemble is its training-error histogram followed by its
+validation-error histogram: a fixed-size summary of how error mass moves as
+members are added. `state_from_errors` and `sample_from_errors` take the
+errors. `meta_state` and `meta_sample`, which score a model first, stay only
+because the benchmark's `bench/spans.py` binds them; the library calls neither.
 """
 from __future__ import annotations
 
@@ -117,16 +100,13 @@ def _sequential_weighted_draw(weights, n_pick, rng):
     """Indices of n_pick sequential draws without replacement, renormalizing each time.
 
     Pick i takes the i-th of n_pick uniforms u from `rng` and chooses the first
-    row whose cumulative weight exceeds u times the remaining total, or the
-    last row with weight left when rounding puts that target at the total; the
-    chosen row's weight is then zeroed. The weights are the leaves of a binary
-    tree of pairwise sums (Wong & Easton 1980), padded with zeros to a power of
-    two and stored heap-ordered in one flat array: node j has children 2j and
-    2j + 1, and node 1 holds the total. A pick descends from the root in
-    O(log n) and recomputes each sum on the picked leaf's path from its two
-    children, never by subtraction, so exhausted rows add exact zeros. It
-    chooses the same row as one cumulative sum over all rows except when u
-    lands within rounding of a boundary.
+    row whose cumulative weight exceeds u times the weight left, or the last row
+    with weight left when rounding puts that target at the total; that row's
+    weight then becomes 0. The weights sit in a heap-ordered tree of pairwise
+    sums (Wong & Easton 1980; node j has children 2j and 2j + 1), so a pick is
+    O(log n). Each sum on a pick's path is recomputed from its two children,
+    never by subtraction, so exhausted rows add exact zeros and the picks are
+    a cumulative sum's, up to rounding at a row boundary (BENCH_tree_draw.json).
     """
     leaves = np.asarray(weights, dtype=np.float64)
     size = 1 << max(len(leaves) - 1, 0).bit_length()
@@ -169,14 +149,12 @@ def sample_from_errors(
 ) -> LabeledDataset:
     """Balanced subset: all minority rows plus |P| majority rows drawn by error proximity.
 
-    `majority_errors` holds the current ensemble error of each majority row,
-    in the order of `train.majority_indices`; any other shape raises
-    ValueError. Majority rows are weighted with a Gaussian centered at mu
-    over these errors (floored at 1e-12 before normalization) and drawn
-    without replacement. A Gaussian whose peak 1 / (sigma sqrt(2 pi)) is
-    not finite (a subnormal sigma), or weights whose sum is not, raise
-    NumericalError: no row could be weighted. If the majority is not larger
-    than the minority the whole dataset is returned unchanged.
+    `majority_errors` holds the ensemble's error on each majority row, in the
+    order of `train.majority_indices`; any other shape raises ValueError.
+    Majority rows are weighted by a Gaussian at mu over these errors, floored
+    at 1e-12, normalized and drawn without replacement. NumericalError when no
+    row can be weighted: a subnormal sigma or a non-finite weight sum. A
+    majority no larger than the minority returns `train` unchanged.
     """
     p_idx, n_idx = train.class_indices("meta-sampling")
     if np.shape(majority_errors) != n_idx.shape:

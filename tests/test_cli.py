@@ -732,6 +732,25 @@ class TestFlagAndConfigFileParity:
         result_csv = next(path for path in out.iterdir() if path.suffix == ".csv")
         assert json.dumps(read_result_csv(result_csv)[0][key]) == text  # the number that ran
 
+    @pytest.mark.parametrize(
+        "flag, integral, plain", [("--k", "3.0", "3"), ("--seed", "1.0", "1"), ("--k", "3e0", "3")]
+    )
+    def test_integral_float_flag(self, tmp_path, task_csv, flag, integral, plain):
+        # a config file's 3.0 always ran; the same number as flag text runs too
+        other = ["--seed", "0"] if flag == "--k" else ["--k", "3"]
+        argv = ["train", str(task_csv), "--mode", "random-sampling", *other]
+        out = tmp_path / "out"
+        from_plain = self.outputs([*argv, flag, plain], out)
+        assert self.outputs([*argv, flag, integral], out) == from_plain
+
+    @pytest.mark.parametrize("text", ["2.9", "inf", "nan", "", "three"])
+    def test_non_integral_flag_refused(self, tmp_path, capsys, task_csv, text):
+        out = tmp_path / "out"
+        argv = ["train", str(task_csv), "--mode", "random-sampling", "--seed", "0", "--k", text]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert "--k is not a valid number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_label_column(self, tmp_path, task_csv):
         renamed = tmp_path / "renamed.csv"
         header, rest = task_csv.read_text(encoding="utf-8").split("\n", 1)
@@ -1128,6 +1147,12 @@ class TestFlagSurface:
             assert positionals == POSITIONALS[command], command
             for a in flags:
                 assert a.choices is None, (command, a.dest)
+
+    def test_help_names_each_exit_code(self):
+        # the module docstring is the --help text, which argparse rewraps
+        text = " ".join(build_parser().format_help().split())
+        for code in ("0 success", "1 configuration error", "2 data error", "3 numerical failure"):
+            assert code in text, code
 
 
 class TestConsoleScript:

@@ -1,4 +1,5 @@
 import ast
+import re
 import types
 from pathlib import Path
 
@@ -38,7 +39,8 @@ PUBLIC = [
     "train_random_ensemble",
 ]
 
-BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+REPO = Path(__file__).resolve().parents[1]
+BENCH_RUN = REPO / "bench" / "run.py"
 
 
 def test_exports_are_the_sorted_public_names():
@@ -65,3 +67,13 @@ def test_every_name_the_benchmark_reads_is_exported():
     names = {name for name in read
              if not isinstance(getattr(metasampler, name, None), types.ModuleType)}
     assert names <= set(metasampler.__all__), sorted(names - set(metasampler.__all__))
+
+
+def test_every_bench_file_the_source_names_exists():
+    # a kept constraint names the BENCH_*.json that measured it; a misspelled name fails here
+    source = Path(metasampler.__file__).parent
+    named = {name for path in source.glob("*.py")
+             for name in re.findall(r"BENCH_[a-z_]+\.json", path.read_text(encoding="utf-8"))}
+    assert len(named) >= 9, sorted(named)  # the scan found the source's names
+    missing = sorted(name for name in named if not (REPO / name).is_file())
+    assert not missing, missing

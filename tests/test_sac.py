@@ -844,11 +844,12 @@ class TestSamplerIO:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert load_sampler(path).policy.layer_sizes == [10, 1, 2]
 
-    def test_integral_float_bins_loads(self, tmp_path):
+    @pytest.mark.parametrize("bins", [5.0, "5.0"], ids=["number", "text"])
+    def test_integral_float_bins_loads(self, tmp_path, bins):
         path = tmp_path / "sampler.json"
         save_sampler(random_sampler(5, 0.2, seed=2), path)
         doc = json.loads(path.read_text(encoding="utf-8"))
-        doc["bins"] = 5.0
+        doc["bins"] = bins
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert load_sampler(path).bins == 5
 
@@ -870,13 +871,18 @@ class TestSamplerIO:
 
 
 class TestStrictInt:
-    @pytest.mark.parametrize("value, expected", [(3, 3), (3.0, 3), ("7", 7), (np.int64(4), 4)])
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(3, 3), (3.0, 3), ("7", 7), (np.int64(4), 4), ("3.0", 3), ("1e3", 1000)],
+    )
     def test_integers_pass(self, value, expected):
         result = strict_int(value)
         assert result == expected and type(result) is int
 
     @pytest.mark.parametrize(
-        "value", [2.9, -0.5, float("inf"), float("nan"), True, False, np.bool_(True), "2.9"]
+        "value",
+        [2.9, -0.5, float("inf"), float("nan"), True, False, np.bool_(True), "2.9", "inf", "nan",
+         "", "abc"],
     )
     def test_truncation_and_booleans_rejected(self, value):
         with pytest.raises(ValueError):
