@@ -1,4 +1,4 @@
-"""Error histograms, meta-states and Gaussian-weighted balanced under-sampling.
+"""Meta-states and Gaussian-weighted balanced under-sampling.
 
 The meta-state of an ensemble is its training-error histogram followed by its
 validation-error histogram: a fixed-size summary of how error mass moves as
@@ -20,40 +20,24 @@ from .rng import as_generator, check_float, check_integer
 WEIGHT_FLOOR = 1e-12
 
 
-def _bin_indices(errors, bins: int) -> np.ndarray:
-    """0-based bin of each error of a float64 array: the one binning rule.
-
-    ValueError unless `errors` is non-empty, 1-D and within [0, 1].
-    """
-    if errors.ndim != 1 or errors.size == 0:
-        raise ValueError("errors must be a non-empty 1-D array")
-    if not np.isfinite(errors).all() or errors.min() < 0.0 or errors.max() > 1.0:
-        raise ValueError("errors must lie in [0, 1]")
-    return np.searchsorted(np.arange(1, bins) / bins, errors, side="right")
-
-
-def error_histogram(errors, bins: int) -> np.ndarray:
-    """Fraction of errors per bin over b equal-width bins of [0, 1].
-
-    Bin i covers [(i-1)/b, i/b) for 1-based i; the last bin also includes 1.0.
-    """
-    bins = check_integer("bins", bins, least=1)
-    errors = np.asarray(errors, dtype=np.float64)
-    return np.bincount(_bin_indices(errors, bins), minlength=bins) / errors.size
-
-
 def state_from_errors(errors, n_train: int, bins: int) -> np.ndarray:
     """Training-error histogram concatenated with validation-error histogram (length 2b).
 
     `errors` holds the training rows' errors, then the validation rows': the
-    first `n_train` entries are the training half. Both halves are checked and
-    binned in one pass, and each half's histogram is `error_histogram` of it
-    bit for bit. ValueError if either half is empty.
+    first `n_train` entries are the training half. Each half's histogram is
+    its fraction of errors per bin over b equal-width bins of [0, 1]: bin i
+    covers [(i-1)/b, i/b) for 1-based i, and the last bin also includes 1.0.
+    Both halves are checked and binned in one pass. ValueError if `errors`
+    is empty, not 1-D or outside [0, 1], or if either half is empty.
     """
     bins = check_integer("bins", bins, least=1)
     n_train = check_integer("n_train", n_train, least=1)
     errors = np.asarray(errors, dtype=np.float64)
-    idx = _bin_indices(errors, bins)
+    if errors.ndim != 1 or errors.size == 0:
+        raise ValueError("errors must be a non-empty 1-D array")
+    if not np.isfinite(errors).all() or errors.min() < 0.0 or errors.max() > 1.0:
+        raise ValueError("errors must lie in [0, 1]")
+    idx = np.searchsorted(np.arange(1, bins) / bins, errors, side="right")
     n_valid = errors.size - n_train
     if n_valid < 1:
         raise ValueError(f"need errors past the {n_train} training errors, got {errors.size}")

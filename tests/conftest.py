@@ -229,6 +229,39 @@ def fd_param_gradients(loss_fn, params, h=1e-5):
     return grads
 
 
+def fd_network_gradients(net, x, losses, h=1e-5):
+    """`fd_param_gradients` of `losses(forward_only(net, x))`, batched layer by layer.
+
+    Perturbing weight (i, j) of a layer by ±h moves only column j of that
+    layer's pre-activation, by ±h * a_i for the layer's input a; bias j moves
+    it by ±h. So each layer stacks every perturbed pre-activation as one batch
+    and runs the layers above it once. `losses` maps a (..., batch, out) stack
+    of outputs to one loss per stack entry. Returns a flat vector in the
+    layout of `net.params`; it differs from the per-entry loop by roundoff.
+    """
+    inputs = [x]
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        inputs.append(np.maximum(0.0, inputs[-1] @ w + b))
+    grads = []
+    for layer, (a, w, b) in enumerate(zip(inputs, net.weights, net.biases)):
+        n_in, n_out = w.shape
+        cols = np.arange(n_out)
+        # shift[i, j] moves column j by a[:, i]; the last row holds the biases' unit shifts
+        shift = np.zeros((n_in + 1, n_out, len(a), n_out))
+        shift[:n_in, cols, :, cols] = a.T
+        shift[n_in, cols, :, cols] = 1.0
+        shift = shift.reshape(-1, len(a), n_out)
+        z = a @ w + b
+        sides = []
+        for step in (h, -h):
+            out = z + step * shift
+            for w_up, b_up in zip(net.weights[layer + 1:], net.biases[layer + 1:]):
+                out = np.maximum(0.0, out) @ w_up + b_up
+            sides.append(losses(out))
+        grads.append((sides[0] - sides[1]) / (2.0 * h))
+    return np.concatenate(grads)
+
+
 def max_relative_error(analytic, numeric, floor=1e-7):
     worst = 0.0
     for a, f in zip(analytic, numeric):

@@ -21,7 +21,7 @@ from metasampler.neural import (
     mlp_to_document,
     soft_update,
 )
-from conftest import fd_param_gradients, max_relative_error
+from conftest import fd_network_gradients, fd_param_gradients, forward_only, max_relative_error
 
 
 def tiny_net(weight, bias):
@@ -114,6 +114,24 @@ class TestBackward:
         analytic = mlp_backward(net, acts, out - y)
         numeric = fd_param_gradients(loss, [net.params])
         assert max_relative_error([analytic], numeric) < 1e-5
+
+    @pytest.mark.parametrize("sizes", [[4, 6, 6, 1], [3, 5, 2], [2, 3, 3, 3, 2]])
+    def test_layer_batched_oracle_matches_per_entry_oracle(self, rng, sizes):
+        # a loss that is not the acceptance check's square, over several outputs and rows
+        net = init_mlp(sizes, seed=5)
+        x = rng.standard_normal((8, sizes[0]))
+        y = rng.standard_normal((8, sizes[-1]))
+
+        def losses(out):
+            return np.sum(np.sin(out) * y, axis=(-2, -1))
+
+        def loss():
+            return float(losses(forward_only(net, x)))
+
+        (per_entry,) = fd_param_gradients(loss, [net.params])
+        batched = fd_network_gradients(net, x, losses)
+        assert batched.shape == net.params.shape
+        assert np.abs(batched - per_entry).max() <= 1e-9
 
     def test_batch_grad_is_sum_of_rows(self, rng):
         net = init_mlp([3, 5, 2], seed=9)

@@ -28,7 +28,6 @@ from metasampler.neural import AdamState, Mlp, init_mlp, soft_update
 from metasampler.rng import as_generator, as_seed_sequence, check_float, check_integer
 from metasampler.sac import MetaSampler, ReplayMemory, experiment_point
 from metasampler.sampling import (
-    error_histogram,
     gaussian_scale,
     gaussian_weight,
     random_balanced_subset,
@@ -101,7 +100,6 @@ BOUNDED = {
         *toy_parts()[:2], lambda state: 0.5, sigma=0.2, bins=v, n_members=3, seed=0)),
     "train_random_ensemble.n_members": ("n_members", 1, lambda v: train_random_ensemble(
         *toy_parts()[:2], n_members=v, seed=0)),
-    "error_histogram.bins": ("bins", 1, lambda v: error_histogram([0.25, 0.75], v)),
     "state_from_errors.bins": ("bins", 1, lambda v: state_from_errors([0.25, 0.75], 1, v)),
     "state_from_errors.n_train": ("n_train", 1, lambda v: state_from_errors([0.25, 0.75], v, 5)),
     "Mlp.layer_size": ("layer size", 1, lambda v: Mlp([3, v, 2])),

@@ -9,7 +9,6 @@ from metasampler import NumericalError, SingleClassError
 from metasampler.sampling import (
     WEIGHT_FLOOR,
     _sequential_weighted_draw,
-    error_histogram,
     gaussian_scale,
     gaussian_weight,
     meta_sample,
@@ -21,18 +20,23 @@ from metasampler.sampling import (
 from conftest import FixedModel, brute_histogram, make_dataset
 
 
-class TestErrorHistogram:
+def half_histogram(errors, bins):
+    """The training half of a state whose training errors are `errors`: one half binned alone."""
+    return state_from_errors(np.append(errors, 0.0), len(errors), bins)[:bins]
+
+
+class TestHalfHistogram:
     def test_all_zero_errors(self):
-        assert error_histogram(np.zeros(8), 5).tolist() == [1.0, 0, 0, 0, 0]
+        assert half_histogram(np.zeros(8), 5).tolist() == [1.0, 0, 0, 0, 0]
 
     def test_pinned_example_with_closed_last_bin(self):
         errors = np.array([0.05, 0.55, 0.95, 1.0])
-        assert error_histogram(errors, 5).tolist() == [0.25, 0.0, 0.25, 0.0, 0.5]
+        assert half_histogram(errors, 5).tolist() == [0.25, 0.0, 0.25, 0.0, 0.5]
 
     def test_two_bins_report_accuracy(self):
         # threshold-0.5 classification: errors below 0.5 are the correct calls
         errors = np.array([0.1, 0.4, 0.3, 0.6])
-        assert error_histogram(errors, 2).tolist() == [0.75, 0.25]
+        assert half_histogram(errors, 2).tolist() == [0.75, 0.25]
 
     def test_matches_brute_force(self, rng):
         for _ in range(200):
@@ -44,33 +48,33 @@ class TestErrorHistogram:
                 errors[1] = 0.0
                 errors[2] = 0.2
             for bins in (2, 5, 10):
-                got = error_histogram(errors, bins)
+                got = half_histogram(errors, bins)
                 assert got.tolist() == brute_histogram(errors, bins)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            error_histogram(np.array([]), 5)
-        with pytest.raises(ValueError):
-            error_histogram(np.array([0.5, 1.2]), 5)
-        with pytest.raises(ValueError):
-            error_histogram(np.array([0.5]), 0)
+        with pytest.raises(ValueError, match="^errors must be a non-empty 1-D array$"):
+            state_from_errors(np.array([]), 1, 5)
+        with pytest.raises(ValueError, match=r"^errors must lie in \[0, 1\]$"):
+            half_histogram(np.array([0.5, 1.2]), 5)
+        with pytest.raises(ValueError, match="^bins must be at least 1, got 0$"):
+            half_histogram(np.array([0.5]), 0)
 
     @pytest.mark.parametrize("bins", [2.5, True, np.float64(3.0), "3"])
     def test_non_integer_bins_rejected(self, bins):
         with pytest.raises(ValueError, match="^bins must be an integer"):
-            error_histogram(np.array([0.1, 0.6]), bins)
+            half_histogram(np.array([0.1, 0.6]), bins)
 
     @pytest.mark.parametrize("integer", [np.int64, np.int32])
     def test_numpy_integer_bins_accepted(self, integer):
         errors = np.array([0.0, 0.3, 0.6, 1.0])
-        assert error_histogram(errors, integer(5)).tolist() == error_histogram(errors, 5).tolist()
+        assert half_histogram(errors, integer(5)).tolist() == half_histogram(errors, 5).tolist()
 
 
 class TestStateFromErrors:
-    """One pass over train errors then valid errors: each half is its own error_histogram."""
+    """One pass over train errors then valid errors: each half is its brute-force histogram."""
 
     @pytest.mark.parametrize("bins", [1, 2, 5, 10])
-    def test_halves_are_error_histograms_bit_for_bit(self, rng, bins):
+    def test_halves_match_brute_force_histograms(self, rng, bins):
         edges = np.arange(bins + 1) / bins  # 0, the inner edges as the histogram has them, 1.0
         for _ in range(100):
             n_train, n_valid = (int(n) for n in rng.integers(1, 30, size=2))
@@ -79,20 +83,17 @@ class TestStateFromErrors:
             errors[salted] = rng.choice(edges, size=int(salted.sum()))
             errors[[0, -1]] = 1.0  # the closed last bin, in both halves
             state = state_from_errors(errors, n_train, bins)
-            halves = errors[:n_train], errors[n_train:]
-            expected = np.concatenate([error_histogram(half, bins) for half in halves])
-            assert state.tobytes() == expected.tobytes()
-            assert state.tolist() == brute_histogram(halves[0], bins) + brute_histogram(
-                halves[1], bins
+            assert state.tolist() == brute_histogram(errors[:n_train], bins) + brute_histogram(
+                errors[n_train:], bins
             )
 
     @pytest.mark.parametrize("bad", [-0.1, 1.2, np.nan, np.inf])
     @pytest.mark.parametrize("at", [0, 2, 4])
-    def test_out_of_range_in_either_half_is_error_histograms_error(self, bad, at):
+    def test_out_of_range_in_either_half_is_one_error(self, bad, at):
         errors = np.full(5, 0.5)
         errors[at] = bad
         half = errors[:2] if at < 2 else errors[2:]
-        for call in (lambda: state_from_errors(errors, 2, 5), lambda: error_histogram(half, 5)):
+        for call in (lambda: state_from_errors(errors, 2, 5), lambda: half_histogram(half, 5)):
             with pytest.raises(ValueError, match=r"^errors must lie in \[0, 1\]$"):
                 call()
 
