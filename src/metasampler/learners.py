@@ -62,8 +62,10 @@ class DecisionTree:
     ``(rows, n_features_in)``.
 
     Constraints an edit could break unnoticed:
-    - A child's row block is its parent's filtered in order, so it stays sorted
-      as a stable argsort would sort it (BENCH_tree_fit.json).
+    - Each row block is sorted by value per feature: the root's by an unstable
+      argsort, a child's as its parent's filtered in order (BENCH_tree_fit.json).
+      Trees ignore the order within ties, so any such order gives the same
+      nodes (``TestFitIgnoresRowOrder``, BENCH_member_step.json).
     - Nodes above ``_GINI_TABLE_ROWS`` rows compute ``_weighted_gini``; smaller
       ones read ``_WEIGHTED_GINI``, built by that function, so impurities and
       ties are bit-identical on both paths. 256 rows keep a MID cascade subset
@@ -100,7 +102,7 @@ class DecisionTree:
         depth = 0
         # pending (node, level, sorted row-id block, positives) of impure nodes: disjoint row
         # sets, so the blocks hold at most n * d ids
-        stack = [(0, 0, np.argsort(x, axis=0, kind="stable").T.copy(), pos)] if 0 < pos < n else []
+        stack = [(0, 0, np.argsort(x.T), pos)] if 0 < pos < n else []
         while stack:
             node, level, rows, pos = stack.pop()
             m = rows.shape[1]
@@ -192,8 +194,10 @@ def tree_probabilities(trees, features):
     the trees walk in groups of ``8192 // n`` on their tables stacked once per
     call, so a group fills at most one ``_PREDICT_BLOCK``; each pair starts at
     its tree's doubled root, and a group's deepest tree sets its levels
-    (BENCH_ensemble_predict.json).
+    (BENCH_ensemble_predict.json). No trees yield nothing.
     """
+    if not trees:
+        return
     for tree in trees:
         if tree.feature is None:
             raise RuntimeError("tree is not fitted")

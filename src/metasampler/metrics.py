@@ -23,8 +23,10 @@ def classification_errors(model, ds: LabeledDataset) -> np.ndarray:
 def aucprc(scores, labels) -> float:
     """Average precision over distinct thresholds.
 
-    Integer cumulative counts keep the two boundary identities exact: a perfect
-    ranking scores 1.0 and all-equal scores give the positive prevalence.
+    A tie group is one threshold, so the sort may order ties any way and the
+    area is the same float. Integer cumulative counts keep the two boundary
+    identities exact: a perfect ranking scores 1.0 and all-equal scores give
+    the positive prevalence.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -40,20 +42,19 @@ def aucprc(scores, labels) -> float:
     if n_pos == 0 or n_pos == labels.size:
         raise SingleClassError("PR analysis needs both classes")
 
-    order = np.argsort(-scores, kind="stable")
+    order = np.argsort(-scores)
     sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    # last index of every tie group, and the cumulative true and predicted
-    # positives at each distinct threshold
-    group_end = np.flatnonzero(np.diff(sorted_scores) != 0.0)
+    # last index of every tie group, the true positives each group adds, and the
+    # cumulative true and predicted positives at each distinct threshold
+    group_end = np.flatnonzero(sorted_scores[:-1] != sorted_scores[1:])
+    gained = np.add.reduceat(labels[order], np.concatenate(([0], group_end + 1)))
     group_end = np.append(group_end, scores.size - 1)
-    tp = np.cumsum(sorted_labels)[group_end]
+    tp = np.cumsum(gained)
     pp = group_end + 1
     if tp.size == 1:
         # single threshold: area is recall 1 times precision = prevalence
         return float(tp[0] / pp[0])
-    tp_prev = np.concatenate(([0], tp[:-1]))
-    # (delta_tp * tp) / pp is an exact integer whenever precision is 1
-    terms = (tp - tp_prev) * tp / pp
+    # (gained * tp) / pp is an exact integer whenever precision is 1
+    terms = gained * tp / pp
     return float(terms.sum() / n_pos)
 

@@ -27,8 +27,10 @@ def state_from_errors(errors, n_train: int, bins: int) -> np.ndarray:
     first `n_train` entries are the training half. Each half's histogram is
     its fraction of errors per bin over b equal-width bins of [0, 1]: bin i
     covers [(i-1)/b, i/b) for 1-based i, and the last bin also includes 1.0.
-    Both halves are checked and binned in one pass. ValueError if `errors`
-    is empty, not 1-D or outside [0, 1], or if either half is empty.
+    Both halves are checked in one pass. A bin's count is the errors at or
+    above its lower edge less those at or above its upper one, so the state
+    is the same floats whatever the order of the errors. ValueError if
+    `errors` is empty, not 1-D or outside [0, 1], or if either half is empty.
     """
     bins = check_integer("bins", bins, least=1)
     n_train = check_integer("n_train", n_train, least=1)
@@ -37,14 +39,17 @@ def state_from_errors(errors, n_train: int, bins: int) -> np.ndarray:
         raise ValueError("errors must be a non-empty 1-D array")
     if not np.isfinite(errors).all() or errors.min() < 0.0 or errors.max() > 1.0:
         raise ValueError("errors must lie in [0, 1]")
-    idx = np.searchsorted(np.arange(1, bins) / bins, errors, side="right")
     n_valid = errors.size - n_train
     if n_valid < 1:
         raise ValueError(f"need errors past the {n_train} training errors, got {errors.size}")
-    return np.concatenate((
-        np.bincount(idx[:n_train], minlength=bins) / n_train,
-        np.bincount(idx[n_train:], minlength=bins) / n_valid,
-    ))
+    # per half, the errors at or above each lower edge 0, 1/b, ..., (b-1)/b, then none
+    at_least = np.zeros((2, bins + 1), dtype=np.intp)
+    at_least[:, 0] = n_train, n_valid
+    for i, edge in enumerate(np.arange(1, bins) / bins, start=1):
+        above = errors >= edge
+        at_least[:, i] = np.count_nonzero(above[:n_train]), np.count_nonzero(above[n_train:])
+    counts = at_least[:, :-1] - at_least[:, 1:]
+    return np.concatenate((counts[0] / n_train, counts[1] / n_valid))
 
 
 def meta_state(model, train: LabeledDataset, valid: LabeledDataset, bins: int) -> np.ndarray:
@@ -75,8 +80,13 @@ def gaussian_weight(x, mu: float, sigma: float):
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
     with np.errstate(over="ignore"):  # z or z * z overflows only where the weight is 0
-        z = (x - mu) / sigma
-        out = np.exp(-0.5 * z * z) / scale
+        # the expression's own operations in its order, on two buffers: z, then the weight
+        z = np.subtract(x, mu, out=np.empty(x.shape))
+        z /= sigma
+        out = np.multiply(-0.5, z, out=np.empty(x.shape))
+        out *= z
+        np.exp(out, out=out)
+        out /= scale
     return float(out) if out.ndim == 0 else out
 
 

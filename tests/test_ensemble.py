@@ -149,6 +149,9 @@ class TestGroupedTreePredict:
                 assert row.tobytes() == tree.predict_proba(x).tobytes()
             assert np.all(rows[1] == tree_pool[1].value[0])
 
+    def test_tree_probabilities_of_no_trees_is_empty(self):
+        assert list(learners.tree_probabilities([], query_rows(5))) == []
+
     def test_empty_matrix_gives_empty_scores(self, tree_pool):
         out = EnsembleModel(tree_pool[:30]).predict_proba(np.empty((0, 3)))
         assert out.shape == (0,) and out.dtype == np.float64

@@ -250,6 +250,41 @@ class TestFitMatchesReference:
             assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
 
 
+def reordering_cases():
+    """(name, dataset) pairs whose presort meets many equal values: ties, duplicates, conflicts."""
+    rng = np.random.default_rng(67)
+    cases = []
+    for t in range(27):
+        n, d = int(rng.integers(2, 600)), int(rng.integers(1, 4))
+        ties = rng.integers(0, 3, (n, d)).astype(np.float64)
+        cases.append((f"ties-{t}", make_dataset(ties, labels_with_both_classes(rng, n))))
+        base = np.round(rng.standard_normal((max(2, n // 8), d)), 1)
+        duplicates = base[rng.integers(0, len(base), n)]
+        cases.append((f"duplicates-{t}", make_dataset(duplicates, labels_with_both_classes(rng, n))))
+        # every row appears once with each label, so no leaf is ever pure
+        half = max(1, n // 2)
+        rows = rng.integers(0, 4, (half, d)).astype(np.float64)
+        conflicting = np.concatenate((rows, rows))
+        labels = np.concatenate((np.zeros(half, np.int64), np.ones(half, np.int64)))
+        cases.append((f"conflicting-{t}", make_dataset(conflicting, labels)))
+    return cases
+
+
+class TestFitIgnoresRowOrder:
+    """The presort is unstable, so it may order equal values any way: the nodes must not move."""
+
+    @pytest.mark.parametrize("ds", [pytest.param(ds, id=name) for name, ds in reordering_cases()])
+    def test_row_permutations_give_the_same_nodes(self, ds):
+        want = DecisionTree().fit(ds)
+        rng = np.random.default_rng(len(ds))
+        for _ in range(5):
+            perm = rng.permutation(len(ds))
+            got = DecisionTree().fit(make_dataset(ds.features[perm], ds.labels[perm]))
+            assert got.depth == want.depth
+            for name in NODE_ARRAYS:
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 class TestWeightedGiniTable:
     def test_every_cell_is_the_node_arithmetic(self):
         # a side of s rows with c positives, as one Python float at a time: ** 2 on a

@@ -17,6 +17,7 @@ from metasampler.sampling import (
     sample_from_errors,
     state_from_errors,
 )
+from metasampler.rng import check_integer
 from conftest import FixedModel, brute_histogram, make_dataset
 
 
@@ -104,6 +105,62 @@ class TestStateFromErrors:
             state_from_errors(np.full(3, 0.5), 3, 5)
         with pytest.raises(ValueError, match="^errors must be a non-empty 1-D array$"):
             state_from_errors(np.full((2, 2), 0.5), 1, 5)
+
+
+def searchsorted_state(errors, n_train: int, bins: int) -> np.ndarray:
+    """``state_from_errors`` as it was with ``searchsorted`` and two ``bincount``s, verbatim:
+    the bytes oracle."""
+    bins = check_integer("bins", bins, least=1)
+    n_train = check_integer("n_train", n_train, least=1)
+    errors = np.asarray(errors, dtype=np.float64)
+    if errors.ndim != 1 or errors.size == 0:
+        raise ValueError("errors must be a non-empty 1-D array")
+    if not np.isfinite(errors).all() or errors.min() < 0.0 or errors.max() > 1.0:
+        raise ValueError("errors must lie in [0, 1]")
+    idx = np.searchsorted(np.arange(1, bins) / bins, errors, side="right")
+    n_valid = errors.size - n_train
+    if n_valid < 1:
+        raise ValueError(f"need errors past the {n_train} training errors, got {errors.size}")
+    return np.concatenate((
+        np.bincount(idx[:n_train], minlength=bins) / n_train,
+        np.bincount(idx[n_train:], minlength=bins) / n_valid,
+    ))
+
+
+class TestStateMatchesSearchsortedForm:
+    """Counts at or above each edge give the searchsorted form's floats, bit for bit."""
+
+    @pytest.mark.parametrize("bins", [1, 2, 5, 7, 50])
+    def test_errors_on_and_beside_the_edges(self, bins):
+        rng = np.random.default_rng(bins)
+        edges = np.array([j / bins for j in range(bins + 1)])  # 0.0, the inner edges, 1.0
+        beside = np.concatenate((edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)))
+        beside = np.append(beside[(beside >= 0.0) & (beside <= 1.0)], -0.0)
+        for _ in range(60):
+            n_train, n_valid = (int(n) for n in rng.integers(1, 300, size=2))
+            errors = rng.random(n_train + n_valid)
+            salted = rng.random(len(errors)) < 0.5
+            errors[salted] = rng.choice(beside, size=int(salted.sum()))
+            want = searchsorted_state(errors, n_train, bins)
+            assert state_from_errors(errors, n_train, bins).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bins", [1, 2, 5, 7, 50])
+    def test_every_error_on_one_edge(self, bins):
+        for j in range(bins + 1):
+            errors = np.full(7, j / bins)
+            want = searchsorted_state(errors, 3, bins)
+            assert state_from_errors(errors, 3, bins).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bins", [2, 5, 10])
+    def test_large_cascade_state(self, bins):
+        # 63,000 training errors over 21,000 validation errors, as the large benchmark
+        # task's cascade bins them: mostly multiples of 0.2, a K=5 ensemble's averages
+        rng = np.random.default_rng(84_000 + bins)
+        errors = rng.integers(0, 6, 84_000) / 5.0
+        errors[::7] = rng.random(12_000)
+        for n_train in (1, 63_000, 83_999):
+            want = searchsorted_state(errors, n_train, bins)
+            assert state_from_errors(errors, n_train, bins).tobytes() == want.tobytes()
 
 
 class TestMetaState:
@@ -207,6 +264,51 @@ class TestGaussianWeight:
             near_and_far = gaussian_weight(np.array([0.5, 0.0, 1.0]), mu=0.5, sigma=1e-160)
         assert far == 0.0
         assert near_and_far[0] > 1e159 and near_and_far[1:].tolist() == [0.0, 0.0]
+
+
+def expression_weight(x, mu, sigma):
+    """``gaussian_weight``'s expression as one line, as it was before its two buffers."""
+    scale = gaussian_scale(sigma)
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        z = (x - mu) / sigma
+        out = np.exp(-0.5 * z * z) / scale
+    return float(out) if out.ndim == 0 else out
+
+
+class TestGaussianWeightMatchesExpression:
+    """The two-buffer weight is the expression's float on every input form, bit for bit."""
+
+    @pytest.mark.parametrize("x", [0.0, 0.3, 1.0, np.float64(0.7), np.array(0.45)])
+    def test_scalars_are_python_floats(self, x):
+        for mu, sigma in ((0.3, 0.2), (0.0, 0.05), (1.0, 3.0)):
+            got = gaussian_weight(x, mu, sigma)
+            assert type(got) is float
+            assert got.hex() == expression_weight(x, mu, sigma).hex()
+
+    @pytest.mark.parametrize("n", [1, 7, 1_200, 60_000])
+    def test_arrays(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.integers(0, 6, n) / 5.0
+        x[::3] = rng.random(len(x[::3]))
+        before = x.copy()
+        for mu, sigma in ((0.3, 0.2), (float(rng.random()), 0.2), (1.0, 1e-3)):
+            got = gaussian_weight(x, mu, sigma)
+            assert got.dtype == np.float64 and got.shape == x.shape
+            assert got.tobytes() == expression_weight(x, mu, sigma).tobytes()
+        assert x.tobytes() == before.tobytes()  # the caller's array is never a buffer
+
+    def test_overflowing_z_weighs_zero_without_warning(self):
+        # z * z overflows from 0.5 + 1e-9 on; z itself at -1e300, and at 1e10 for sigma 1e-300
+        x = np.array([0.5, 0.0, 1.0, 0.5 + 1e-9, 1e10, -1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gaussian_weight(x, mu=0.5, sigma=1e-160)
+            far = gaussian_weight(1e10, mu=0.5, sigma=1e-300)
+            want = expression_weight(x, 0.5, 1e-160)
+        assert got.tobytes() == want.tobytes()
+        assert got[0] > 1e159 and got[1:].tolist() == [0.0] * 5
+        assert far == 0.0 and type(far) is float
 
 
 class TestMetaSample:
