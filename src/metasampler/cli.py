@@ -397,7 +397,8 @@ def cmd_transfer(run, args) -> int:
 
 def _task_defaults(**own) -> dict:
     """Defaults of a command that splits a task: the shared keys around its own."""
-    return {"label_column": "label", "split": "0.6,0.2,0.2", **own,
+    split = ",".join(str(field.default) for field in dataclasses.fields(SplitSpec))
+    return {"label_column": "label", "split": split, **own,
             "base_learner": "tree", "out": None}
 
 
@@ -407,7 +408,8 @@ _TEN_SEEDS = "0,1,2,3,4,5,6,7,8,9"
 # key and a flag; a number key whose default is text holds a comma list.
 COMMANDS = (
     ("generate-toy", None, cmd_generate_toy, "write a synthetic arc-vs-blob task as CSV",
-     {"majority": 2000, "minority": 200, "overlap": 0.5, "seed": 0, "out": None}),
+     {"majority": ToySpec.n_majority, "minority": ToySpec.n_minority,
+      "overlap": ToySpec.overlap, "seed": ToySpec.seed, "out": None}),
     ("meta-train", "tasks", cmd_meta_train, "train a sampling policy on one or more tasks",
      {**_task_defaults(split_seed=0, seed="0", k=SacConfig.ensemble_size), **SAC_DEFAULTS}),
     ("train", "task", cmd_train, "train cascade ensembles and report test AUCPRC per seed",

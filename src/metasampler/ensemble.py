@@ -18,6 +18,14 @@ from .rng import as_seed_sequence, check_float, check_integer
 from .sampling import gaussian_scale, random_balanced_subset, sample_from_errors, state_from_errors
 
 
+def _member_scores(member, x):
+    """member.predict_proba(x), refused unless it holds one score per row of x."""
+    scores = member.predict_proba(x)
+    if np.shape(scores) != (len(x),):
+        raise ValueError(f"model returned shape {np.shape(scores)}, expected ({len(x)},)")
+    return scores
+
+
 @dataclass
 class EnsembleModel:
     """Uniform average of member probabilities.
@@ -33,7 +41,8 @@ class EnsembleModel:
     def predict_proba(self, features):
         """Mean member probability of each row of a (rows, features) matrix.
 
-        RuntimeError with no members, ValueError for input that is not 2-D.
+        RuntimeError with no members; ValueError for input that is not 2-D, or for
+        a member whose scores are not of shape (rows,).
         """
         if not self.members:
             raise RuntimeError("ensemble has no members")
@@ -44,7 +53,7 @@ class EnsembleModel:
         if all(type(member).predict_proba is DecisionTree.predict_proba for member in members):
             scored = tree_probabilities(members, x)
         else:
-            scored = (member.predict_proba(x) for member in members)
+            scored = (_member_scores(member, x) for member in members)
         acc = np.zeros(len(x), dtype=np.float64)
         for probabilities in scored:
             acc += probabilities
@@ -104,7 +113,8 @@ def train_ensemble(
     Each member scores the training rows (majority first) stacked over the
     validation rows in one ``predict_proba`` call, added to one zero-started
     sum in member order, as ``EnsembleModel.predict_proba`` adds. So a custom
-    learner must score each row on its own; then every read of the sum equals
+    learner must return one score per row (else ValueError, before the next
+    draw) and score each row on its own; then every read of the sum equals
     the ensemble's prediction bit for bit (BENCH_member_scoring.json).
     """
     n_members = _check_task(train, valid, n_members)
@@ -129,7 +139,7 @@ def train_ensemble(
         """
         member = learner_factory().fit(subset)
         members.append(member)
-        np.add(score_sum, member.predict_proba(features), out=score_sum)
+        np.add(score_sum, _member_scores(member, features), out=score_sum)
         scores = np.divide(score_sum, len(members), out=errors)
         auc = aucprc(scores[n_train:], valid.labels)
         np.abs(np.subtract(scores, labels, out=errors), out=errors)

@@ -198,75 +198,47 @@ def _log_half_jacobian(u):
     return math.log(2.0) - 2.0 * u - 2.0 * _softplus(-2.0 * u)
 
 
-def _policy_heads(policy: Mlp, states):
-    out, acts = mlp_forward(policy, states)
-    mean = out[:, 0]
-    raw_log_std = out[:, 1]
-    log_std = np.clip(raw_log_std, LOG_STD_MIN, LOG_STD_MAX)
-    return mean, raw_log_std, log_std, acts
-
-
-def _squash(u):
-    """tanh(u), and the action (tanh(u) + 1) / 2 it gives in [0, 1]."""
-    tanh_u = np.tanh(u)
-    return tanh_u, 0.5 * (tanh_u + 1.0)
-
-
 def _sample_with_noise(policy: Mlp, states, eps):
     """Reparameterized squashed sample for fixed standard-normal noise.
 
-    Holds only what callers read: the actions and their log-probs, the terms
-    of the actor gradient, and the policy's activations for its backward pass.
+    The one read of the policy: the actor loss, sample_action (so every
+    cascade action) and, at zero noise, deterministic_action. Holds only what
+    callers read: the actions and their log-probs, the terms of the actor
+    gradient, and the policy's activations for its backward pass.
     """
-    mean, raw_log_std, log_std, acts = _policy_heads(policy, states)
+    out, acts = mlp_forward(policy, states)
+    raw_log_std = out[:, 1]
+    log_std = np.clip(raw_log_std, LOG_STD_MIN, LOG_STD_MAX)
     std = np.exp(log_std)
-    u = mean + std * eps
-    tanh_u, actions = _squash(u)
+    u = out[:, 0] + std * eps
+    tanh_u = np.tanh(u)
     log_prob = -0.5 * eps * eps - log_std - 0.5 * LOG_2PI - _log_half_jacobian(u)
-    return {
-        "raw_log_std": raw_log_std,
-        "std": std,
-        "tanh_u": tanh_u,
-        "actions": actions,
-        "log_prob": log_prob,
-        "acts": acts,
-    }
+    return {"raw_log_std": raw_log_std, "std": std, "tanh_u": tanh_u,
+            "actions": 0.5 * (tanh_u + 1.0), "log_prob": log_prob, "acts": acts}
 
 
 def sample_action(sampler: MetaSampler, state, seed):
     """Draw one action from the squashed policy; returns (action, log_prob)."""
-    rng = as_generator(seed)
-    state = np.asarray(state, dtype=np.float64)
-    eps = rng.standard_normal(1)
-    sample = _sample_with_noise(sampler.policy, state[None, :], eps)
+    state = np.asarray(state, dtype=np.float64)[None, :]
+    sample = _sample_with_noise(sampler.policy, state, as_generator(seed).standard_normal(1))
     return float(sample["actions"][0]), float(sample["log_prob"][0])
 
 
 def deterministic_action(sampler: MetaSampler, state) -> float:
-    """Evaluation-time action: squashed mean head, no noise."""
-    state = np.asarray(state, dtype=np.float64)
-    mean, _, _, _ = _policy_heads(sampler.policy, state[None, :])
-    _, action = _squash(mean)
-    return float(action[0])
+    """Evaluation-time action: the squashed mean head, as a sample at zero noise (±0 give 0.5)."""
+    state = np.asarray(state, dtype=np.float64)[None, :]
+    return float(_sample_with_noise(sampler.policy, state, 0.0)["actions"][0])
 
 
 class PolicyActionSource:
-    """The actions of a MetaSampler, drawn from a given `seed`: each call samples one.
-
-    A call draws the one standard normal that `sample_action` draws and gives
-    its action bit for bit, without the log-density that a cascade discards.
-    """
+    """A MetaSampler's actions: each call is one `sample_action`, looked up per call, on `seed`."""
 
     def __init__(self, sampler: MetaSampler, seed):
         self._sampler = sampler
         self._rng = as_generator(seed)
 
     def __call__(self, state) -> float:
-        state = np.asarray(state, dtype=np.float64)
-        eps = self._rng.standard_normal(1)
-        mean, _, log_std, _ = _policy_heads(self._sampler.policy, state[None, :])
-        _, action = _squash(mean + np.exp(log_std) * eps)
-        return float(action[0])
+        return sample_action(self._sampler, state, self._rng)[0]
 
 
 def q_loss_and_grads(q_net: Mlp, target_v_net: Mlp, batch: Batch, gamma: float):
@@ -445,7 +417,7 @@ def score_arms(ds, split, seeds, arms, *, n_members, noise_ratio=0.0, mu=None,
     `noise_ratio` (0 leaves it as it is); each arm trains one cascade of
     `n_members` on (train, valid) and scores it on test. The modes, each with
     the knobs MODES lists: "policy" samples the arm's sampler, with its bins
-    and sigma; "random-policy" an untrained sampler with `bins` and `sigma`;
+    and sigma; "random-policy" is a policy arm over random_sampler(bins, sigma);
     "random-sampling" fits every member on a random balanced subset;
     "constant" takes action `mu` at every step. Every arm spawns the same six
     streams from the seed, so its scores do not depend on which other arms run.
@@ -476,18 +448,16 @@ def score_arms(ds, split, seeds, arms, *, n_members, noise_ratio=0.0, mu=None,
                     seed=rs_ss,
                 )
             else:
-                arm_bins, arm_sigma, subset_ss = bins, sigma, pol_ss
-                if mode == "policy":
+                if mode == "random-policy":
+                    sampler, pol_act, pol_ss = random_sampler(bins, sigma, rp_init), rp_act, rp_ss
+                if mode == "constant":
+                    actions, arm_bins, arm_sigma = (lambda state: mu), bins, sigma
+                else:
                     actions = PolicyActionSource(sampler, seed=pol_act)
                     arm_bins, arm_sigma = sampler.bins, sampler.sigma
-                elif mode == "random-policy":
-                    actions = PolicyActionSource(random_sampler(bins, sigma, rp_init), seed=rp_act)
-                    subset_ss = rp_ss
-                else:
-                    actions = lambda state: mu
                 model, _ = train_ensemble(
                     train, valid, actions, sigma=arm_sigma, bins=arm_bins, n_members=n_members,
-                    learner_factory=learner_factory, seed=subset_ss,
+                    learner_factory=learner_factory, seed=pol_ss,
                 )
             scores[label].append(aucprc(model.predict_proba(test.features), test.labels))
     return scores

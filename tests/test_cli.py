@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from metasampler import (
-    SacConfig, SplitSpec, load_csv, load_sampler, random_sampler, save_sampler, score_arms,
+    SacConfig, SplitSpec, ToySpec, load_csv, load_sampler, random_sampler, save_sampler,
+    score_arms,
 )
 from metasampler.cli import COMMANDS, build_parser, main
 from metasampler.sac import experiment_point
@@ -116,6 +117,19 @@ class TestConfigMerge:
             config.ensemble_size, config.bins, config.sigma
         )
         assert defaults["meta-train"]["k"] == config.ensemble_size
+
+    def test_task_defaults_are_split_and_toy_spec_fields(self):
+        defaults = {name: command_defaults for name, _, _, _, command_defaults in COMMANDS}
+        split = SplitSpec()
+        for name, command_defaults in defaults.items():
+            if name != "generate-toy":
+                assert command_defaults["split"] == "0.6,0.2,0.2"
+                assert command_defaults["split"] == f"{split.train},{split.valid},{split.test}"
+        toy = ToySpec()
+        spec = defaults["generate-toy"]
+        assert (spec["majority"], spec["minority"], spec["overlap"], spec["seed"]) == (
+            toy.n_majority, toy.n_minority, toy.overlap, toy.seed
+        )
 
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "config.json"

@@ -378,6 +378,55 @@ class TestTrainEnsemble:
         assert len(train_random_ensemble(train, valid, n_members=integer(3), seed=0)) == 3
 
 
+def shaped_learner(shape_of):
+    """A learner class whose predict_proba on n rows returns shape_of(n) scores of 0.5."""
+
+    class Shaped:
+        def fit(self, subset):
+            return self
+
+        def predict_proba(self, features):
+            shape = shape_of(len(features))
+            return 0.5 if shape is None else np.full(shape, 0.5)
+
+    return Shaped
+
+
+# a scalar and a one-element array used to be broadcast to every row; the other two
+# failed with numpy's broadcast error
+WRONG_SHAPES = pytest.mark.parametrize(
+    "shape_of", [lambda n: None, lambda n: (1,), lambda n: (n, 1), lambda n: (n - 1,)],
+    ids=["scalar", "one", "column", "one_short"],
+)
+
+
+class TestMemberScoreShape:
+    @WRONG_SHAPES
+    @pytest.mark.parametrize("n_members", [1, 3])
+    def test_cascade_refuses_before_any_draw(self, shape_of, n_members, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a subset was drawn after a wrong-shaped member")
+
+        monkeypatch.setattr("metasampler.ensemble.sample_from_errors", no_draw)
+        train, valid, _ = toy_parts(overlap=0.5)
+        rows = len(train) + len(valid)
+        with pytest.raises(ValueError, match=rf"^model returned shape .*, expected \({rows},\)$"):
+            train_ensemble(
+                train, valid, lambda state: 0.5, sigma=0.2, bins=5, n_members=n_members,
+                learner_factory=shaped_learner(shape_of), seed=0,
+            )
+
+    @WRONG_SHAPES
+    def test_ensemble_predict_refuses(self, shape_of):
+        _, _, test = toy_parts(overlap=0.5)
+        right = shaped_learner(lambda n: (n,))()
+        assert EnsembleModel([right]).predict_proba(test.features).tolist() == [0.5] * len(test)
+        model = EnsembleModel([right, shaped_learner(shape_of)()])
+        with pytest.raises(ValueError,
+                           match=rf"^model returned shape .*, expected \({len(test)},\)$"):
+            model.predict_proba(test.features)
+
+
 def rescoring_cascade(train, valid, actions, n_members, learner_factory, seed, sigma=0.2, bins=5):
     """Reference cascade: rebuild the ensemble and rescore every member at each step."""
     draw_seeds = SeedSequence(seed).spawn(n_members)

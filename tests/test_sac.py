@@ -32,10 +32,12 @@ from metasampler import (
 import metasampler
 from metasampler.cli import main
 from metasampler.ensemble import EnsembleStep
-from metasampler.neural import AdamState, adam_step, init_mlp
+from metasampler.neural import AdamState, adam_step, init_mlp, mlp_forward
 from metasampler.rng import as_generator, as_seed_sequence, check_float
 from metasampler.sac import (
     HIDDEN_WIDTH,
+    LOG_STD_MAX,
+    LOG_STD_MIN,
     Batch,
     MetaSampler,
     ReplayMemory,
@@ -145,6 +147,29 @@ class TestDeterministicAction:
         sampler = random_sampler(5, 0.2, seed=8)
         state = rng.random(10)
         assert deterministic_action(sampler, state) == deterministic_action(sampler, state)
+
+    @staticmethod
+    def squashed_mean(sampler, state):
+        return 0.5 * (np.tanh(mlp_forward(sampler.policy, state[None, :])[0][:, 0]) + 1.0)
+
+    def test_is_the_squashed_mean_head_bit_for_bit(self, rng):
+        # the zero-noise read of _sample_with_noise: mean + std * 0 squashes as the mean does
+        samplers = [random_sampler(bins, 0.2, seed=seed) for bins in (1, 3, 5) for seed in (0, 7)]
+        samplers += [bias_policy(mean, log_std) for mean in (0.0, -0.0, 0.3, -2.0, 19.0, -19.0,
+                                                                40.0, -40.0, 1e3, -1e3)
+                     for log_std in (-30.0, 0.0, 5.0)]
+        for sampler in samplers:
+            for state in rng.random((4, 2 * sampler.bins)):
+                action = deterministic_action(sampler, state)
+                assert np.float64(action).tobytes() == self.squashed_mean(sampler, state).tobytes()
+
+    @pytest.mark.parametrize("log_std", [-30.0, LOG_STD_MIN, 0.0, LOG_STD_MAX, 5.0])
+    def test_negative_zero_mean_head_gives_midpoint(self, log_std, monkeypatch):
+        # a zero-weight network's matmul gives +0.0, so the -0.0 head is fed in directly
+        monkeypatch.setattr("metasampler.sac.mlp_forward",
+                            lambda net, x: (np.array([[-0.0, log_std]]), [x]))
+        action = deterministic_action(bias_policy(0.0, 0.0), np.zeros(10))
+        assert np.float64(action).tobytes() == np.float64(0.5).tobytes()
 
 
 class TestReplayMemory:
@@ -577,6 +602,43 @@ class TestPolicyActionSource:
         source = PolicyActionSource(sampler, seed=4)
         gen = as_generator(4)
         assert [source(s) for s in states] == [sample_action(sampler, s, gen)[0] for s in states]
+
+
+def count_sample_action(monkeypatch):
+    """Wrap metasampler.sac.sample_action in a counter; returns the list its calls go to."""
+    calls = []
+    original = metasampler.sac.sample_action
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr("metasampler.sac.sample_action", counted)
+    return calls
+
+
+class TestCascadeActionsCallSampleAction:
+    # each policy action of a cascade is one sample_action, looked up when the action
+    # is drawn, so wrapping the module's name (as a benchmark span does) sees every one
+
+    @pytest.mark.parametrize("mode", ["policy", "random-policy"])
+    def test_score_arms_policy_arm(self, mode, monkeypatch):
+        calls = count_sample_action(monkeypatch)
+        task = make_toy(ToySpec(60, 12, 0.5, seed=3))
+        arm = (mode, mode, random_sampler(5, 0.2, seed=1))
+        scores = score_arms(task, SplitSpec(), [0], [arm], n_members=3)
+        assert len(scores[mode]) == 1
+        assert len(calls) == 2
+
+    def test_meta_train_past_warm_up(self, monkeypatch):
+        calls = count_sample_action(monkeypatch)
+        config = SacConfig(batch_size=4, replay_capacity=32, gradient_steps=6, random_steps=4,
+                           ensemble_size=3)
+        steps = []
+        meta_train([toy_task(overlap=0.5)], config, seed=1,
+                   on_step=lambda *args: steps.append(args))
+        assert len(steps) > config.random_steps
+        assert len(calls) == len(steps) - config.random_steps
 
 
 class TestScoreArms:
