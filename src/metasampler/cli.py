@@ -5,11 +5,13 @@ transfer. Every config key of a subcommand is also its flag (underscores
 become dashes), and --config points at a flat JSON file holding any of those
 keys; explicit flags win over the file, the file wins over built-in
 defaults. Each value, from a flag or the file, goes through its key's one
-parse (cast and range) before any task or sampler file is read, so a flag and
-a config-file entry mean the same thing. Seeds must be non-negative, and
+parse (cast and range, a SAC key's range being SacConfig's, refused under its
+flag) before any task or sampler file is read, so a flag and a config-file
+entry mean the same thing. Seeds must be non-negative, and
 --label-column names a header of the task CSV. Result CSVs open with a
-comment row recording the resolved configuration, each single number as it
-ran, so identical configs and seeds reproduce output files byte for byte.
+comment row recording the resolved configuration and the task paths, every
+value as it ran (numbers as numbers, comma lists as JSON lists), so identical
+configs and seeds reproduce output files byte for byte.
 train refuses a --sampler, --mu, --bins or --sigma that its mode does not use
 before any file is read; policy mode runs with, and records, its sampler's
 bins and sigma, and refuses a --bins or --sigma that differs from them.
@@ -78,9 +80,9 @@ _SEED = (strict_int, 0)
 # checks under the flag's name before any work. A key whose default is text holds
 # a comma list, each entry cast and checked. Every other key holds text.
 _NUMBERS = {
-    # a field annotated int, or int | None, is an integer key
-    **{f.name: (strict_int if f.type.startswith("int") else strict_float, None)
-       for f in _SAC_FIELDS},
+    # a field annotated int, or int | None, is an integer key; SacConfig holds its bound
+    **{f.name: (strict_int if f.type.startswith("int") else strict_float,
+                SacConfig._BOUNDS.get(f.name)) for f in _SAC_FIELDS},
     "majority": (strict_int, None),
     "minority": (strict_int, None),
     "overlap": (strict_float, None),
@@ -90,7 +92,6 @@ _NUMBERS = {
     "split": (strict_float, None),
     "k": (strict_int, 1),
     "mu": (strict_float, "[0, 1]"),
-    "bins": (strict_int, 1),
     "sigma": (strict_float, "(0, inf)"),
     "ratios": (strict_float, "[0, 1)"),
 }
@@ -100,14 +101,17 @@ _CHOICES = {"mode": tuple(MODES), "base_learner": tuple(LEARNERS)}  # text keys 
 
 @dataclasses.dataclass
 class _Run:
-    """A command's resolved configuration and the values parsed from it."""
+    """A command's configuration, resolved once.
 
-    config: dict  # as recorded in each result CSV's comment row
-    values: dict  # each key's value as it runs (see _parse)
+    `values` holds the positional task or tasks and each config key's value as
+    it runs (see _parse), comma lists as lists; every command reads it, and
+    every result CSV's comment row records it as it is.
+    """
+
+    values: dict
     given: set  # the keys set by a flag or the config file
     out: Path
-    seeds: list = None  # seeds, split and factory: commands that split a task
-    split: SplitSpec = None
+    split: SplitSpec = None  # split and factory: commands that split a task
     factory: type = None
 
 
@@ -158,22 +162,19 @@ def _resolve(args, defaults: dict) -> _Run:
     unknown = set(file_config) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    config, values = {}, {}
     given = {key for key in defaults if getattr(args, key) is not None or key in file_config}
+    values = {name: getattr(args, name) for name in ("task", "tasks") if hasattr(args, name)}
     for key, default in defaults.items():
         flag_value = getattr(args, key)
         value = flag_value if flag_value is not None else file_config.get(key, default)
         values[key] = _parse(key, value, default)
-        # the record keeps a comma list as given; commands add the lists they parse
-        config[key] = value if isinstance(default, str) else values[key]
     if values["out"] is None:
         raise ConfigError("--out is required")
-    run = _Run(config, values, given, Path(values["out"]))
+    run = _Run(values, given, Path(values["out"]))
     _check_out(run.out, is_file=args.command == "generate-toy")
     if "split" in values:
-        run.seeds = values["seed"]
         if len(values["split"]) != 3:
-            raise ConfigError(f"--split needs three fractions, got {config['split']!r}")
+            raise ConfigError(f"--split needs three fractions, got {values['split']!r}")
         try:
             run.split = SplitSpec(*values["split"])
         except ValueError as exc:
@@ -199,7 +200,9 @@ def _write_result_csv(path, config: dict, header, rows) -> None:
 
 
 def _sac_config(values: dict, ensemble_size: int) -> SacConfig:
+    """The run's SacConfig at `ensemble_size` members; ConfigError under --k below its least."""
     try:
+        check_integer("--k", ensemble_size, SacConfig._BOUNDS["ensemble_size"])
         fields = {name: values[name] for name in SAC_DEFAULTS}
         return SacConfig(**fields, ensemble_size=ensemble_size)
     except ValueError as exc:
@@ -229,24 +232,25 @@ def _summary_rows(scores, baseline=None) -> list:
     return rows
 
 
-def _sweep(run, args, name, column, modes, points, baseline=None, **parsed) -> int:
+def _sweep(run, name, column, modes, points, baseline=None) -> int:
     """Run sac.experiment_point of `modes` at --meta-seed for each (value, SacConfig, ratio).
 
     Writes <name>_summary.csv (see _summary_rows) and <name>_raw.csv, scored
     over --seed, mode-major within each point; each row starts with its
-    point's value, headed `column`. `parsed` goes to _write_results.
+    point's value, headed `column`.
     """
-    ds = load_csv(args.task, run.config["label_column"])
+    values = run.values
+    ds = load_csv(values["task"], values["label_column"])
     summary_rows, raw_rows = [], []
     for value, sac, ratio in points:
         _, scores = experiment_point(
-            ds, run.split, run.values["meta_seed"], run.seeds, modes, sac, noise_ratio=ratio,
+            ds, run.split, values["meta_seed"], values["seed"], modes, sac, noise_ratio=ratio,
             learner_factory=run.factory,
         )
         raw_rows += [
             [value, mode, seed, score]
             for mode in modes
-            for seed, score in zip(run.seeds, scores[mode])
+            for seed, score in zip(values["seed"], scores[mode])
         ]
         summary_rows += [[value, *row] for row in _summary_rows(scores, baseline)]
     summary_header = [column, "mode", "mean_aucprc", "std_aucprc"]
@@ -255,24 +259,19 @@ def _sweep(run, args, name, column, modes, points, baseline=None, **parsed) -> i
         (f"{name}_summary.csv", summary_header, summary_rows),
         (f"{name}_raw.csv", [column, "mode", "seed", "test_aucprc"], raw_rows),
     ]
-    _write_results(run, args, tables, **parsed)
+    _write_results(run, tables)
     return 0
 
 
-def _write_results(run, args, tables, **parsed) -> None:
-    """Write each (file name, header, rows) table under --out and say so.
-
-    The comment row holds the resolved config with the task, the parsed seeds
-    and any other `parsed` lists in place of their text.
-    """
-    run_config = {**run.config, "task": args.task, "seed": run.seeds, **parsed}
+def _write_results(run, tables) -> None:
+    """Write each (file name, header, rows) table under --out, recording run.values, and say so."""
     paths = [run.out / name for name, _, _ in tables]
     for path, (_, header, rows) in zip(paths, tables):
-        _write_result_csv(path, run_config, header, rows)
+        _write_result_csv(path, run.values, header, rows)
     print("wrote " + " and ".join(map(str, paths)))
 
 
-def cmd_generate_toy(run, args) -> int:
+def cmd_generate_toy(run) -> int:
     values = run.values
     try:
         spec = ToySpec(
@@ -288,14 +287,15 @@ def cmd_generate_toy(run, args) -> int:
     return 0
 
 
-def cmd_meta_train(run, args) -> int:
-    if len(run.seeds) != 1:
+def cmd_meta_train(run) -> int:
+    values = run.values
+    if len(values["seed"]) != 1:
         raise ConfigError("meta-train takes exactly one seed")
-    sac = _sac_config(run.values, ensemble_size=run.values["k"])
+    sac = _sac_config(values, ensemble_size=values["k"])
     tasks = []
-    for path in args.tasks:
-        ds = load_csv(path, run.config["label_column"])
-        train, valid, _ = stratified_split(ds, run.split, run.values["split_seed"])
+    for path in values["tasks"]:
+        ds = load_csv(path, values["label_column"])
+        train, valid, _ = stratified_split(ds, run.split, values["split_seed"])
         tasks.append((train, valid))
 
     log_rows = []
@@ -312,19 +312,17 @@ def cmd_meta_train(run, args) -> int:
             ]
         )
 
-    sampler = meta_train(tasks, sac, run.seeds[0], learner_factory=run.factory, on_step=on_step)
-    save_sampler(sampler, run.out / "sampler.json")
-    _write_result_csv(
-        run.out / "meta_train_log.csv",
-        {**run.config, "tasks": list(args.tasks), "out": str(run.out)},
-        ["episode", "step", "task_index", "action", "reward", "valid_aucprc"],
-        log_rows,
+    sampler = meta_train(
+        tasks, sac, values["seed"][0], learner_factory=run.factory, on_step=on_step
     )
+    save_sampler(sampler, run.out / "sampler.json")
+    header = ["episode", "step", "task_index", "action", "reward", "valid_aucprc"]
+    _write_result_csv(run.out / "meta_train_log.csv", values, header, log_rows)
     print(f"wrote {run.out / 'sampler.json'} and {run.out / 'meta_train_log.csv'}")
     return 0
 
 
-def cmd_train(run, args) -> int:
+def cmd_train(run) -> int:
     values = run.values
     mode = values["mode"]
     unused = run.given & (set().union(*MODES.values()) - set(MODES[mode]))
@@ -332,9 +330,9 @@ def cmd_train(run, args) -> int:
         raise ConfigError(f"--mode {mode} does not use --{', --'.join(sorted(unused))}")
     sampler = None
     if mode == "policy":
-        if run.config["sampler"] is None:
+        if values["sampler"] is None:
             raise ConfigError("--sampler is required for policy mode")
-        sampler = load_sampler(run.config["sampler"])
+        sampler = load_sampler(values["sampler"])
         # the sampler's own bins and sigma run, so the record holds them
         for key in ("bins", "sigma"):
             own = getattr(sampler, key)
@@ -343,55 +341,50 @@ def cmd_train(run, args) -> int:
                     f"--{key} {values[key]!r} differs from the sampler's {own!r}, "
                     "which policy mode runs with"
                 )
-            run.config[key] = own
-    ds = load_csv(args.task, run.config["label_column"])
+            values[key] = own
+    ds = load_csv(values["task"], values["label_column"])
     scores = score_arms(
-        ds, run.split, run.seeds, [(mode, mode, sampler)], n_members=values["k"],
+        ds, run.split, values["seed"], [(mode, mode, sampler)], n_members=values["k"],
         mu=values["mu"], bins=values["bins"], sigma=values["sigma"], learner_factory=run.factory,
     )
-    rows = [[seed, score] for seed, score in zip(run.seeds, scores[mode])]
-    _write_results(run, args, [("train_results.csv", ["seed", "test_aucprc"], rows)])
+    rows = [[seed, score] for seed, score in zip(values["seed"], scores[mode])]
+    _write_results(run, [("train_results.csv", ["seed", "test_aucprc"], rows)])
     return 0
 
 
-def cmd_ablation(run, args) -> int:
-    k_list = run.values["k"]
-    points = [(k, _sac_config(run.values, ensemble_size=k), 0.0) for k in k_list]
+def cmd_ablation(run) -> int:
+    points = [(k, _sac_config(run.values, ensemble_size=k), 0.0) for k in run.values["k"]]
     modes = ("policy", "random-policy", "random-sampling")
-    return _sweep(run, args, "ablation", "k", modes, points, baseline="policy", k=k_list)
+    return _sweep(run, "ablation", "k", modes, points, baseline="policy")
 
 
-def cmd_noise_sweep(run, args) -> int:
-    ratios = run.values["ratios"]
+def cmd_noise_sweep(run) -> int:
     sac = _sac_config(run.values, ensemble_size=run.values["k"])
-    points = [(ratio, sac, ratio) for ratio in ratios]
-    modes = ("policy", "random-sampling")
-    return _sweep(run, args, "noise", "ratio", modes, points, ratios=ratios)
+    points = [(ratio, sac, ratio) for ratio in run.values["ratios"]]
+    return _sweep(run, "noise", "ratio", ("policy", "random-sampling"), points)
 
 
-def cmd_transfer(run, args) -> int:
-    if run.config["sampler"] is None:
+def cmd_transfer(run) -> int:
+    values = run.values
+    if values["sampler"] is None:
         raise ConfigError("--sampler is required")
-    arms = [("transfer", "policy", load_sampler(run.config["sampler"]))]
-    if run.config["reference_sampler"] is not None:
-        arms.append(("reference", "policy", load_sampler(run.config["reference_sampler"])))
-    ds = load_csv(args.task, run.config["label_column"])
+    arms = [("transfer", "policy", load_sampler(values["sampler"]))]
+    if values["reference_sampler"] is not None:
+        arms.append(("reference", "policy", load_sampler(values["reference_sampler"])))
+    ds = load_csv(values["task"], values["label_column"])
     scores = score_arms(
-        ds, run.split, run.seeds, arms, n_members=run.values["k"], learner_factory=run.factory
+        ds, run.split, values["seed"], arms, n_members=values["k"], learner_factory=run.factory
     )
     raw_rows = [
-        [label, seed, scores[label][i]] for i, seed in enumerate(run.seeds) for label in scores
+        [label, seed, scores[label][i]]
+        for i, seed in enumerate(values["seed"])
+        for label in scores
     ]
-    _write_results(
-        run,
-        args,
-        [
-            ("transfer_summary.csv",
-             ["mode", "mean_aucprc", "std_aucprc", "delta_pct_vs_reference"],
-             _summary_rows(scores, baseline="reference")),
-            ("transfer_raw.csv", ["mode", "seed", "test_aucprc"], raw_rows),
-        ],
-    )
+    _write_results(run, [
+        ("transfer_summary.csv", ["mode", "mean_aucprc", "std_aucprc", "delta_pct_vs_reference"],
+         _summary_rows(scores, baseline="reference")),
+        ("transfer_raw.csv", ["mode", "seed", "test_aucprc"], raw_rows),
+    ])
     return 0
 
 
@@ -443,7 +436,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(_resolve(args, args.defaults), args)
+        return args.handler(_resolve(args, args.defaults))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -13,17 +13,9 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .learners import DecisionTree, tree_probabilities
-from .metrics import aucprc
+from .metrics import aucprc, model_scores
 from .rng import as_seed_sequence, check_float, check_integer
 from .sampling import gaussian_scale, random_balanced_subset, sample_from_errors, state_from_errors
-
-
-def _member_scores(member, x):
-    """member.predict_proba(x), refused unless it holds one score per row of x."""
-    scores = member.predict_proba(x)
-    if np.shape(scores) != (len(x),):
-        raise ValueError(f"model returned shape {np.shape(scores)}, expected ({len(x)},)")
-    return scores
 
 
 @dataclass
@@ -53,7 +45,7 @@ class EnsembleModel:
         if all(type(member).predict_proba is DecisionTree.predict_proba for member in members):
             scored = tree_probabilities(members, x)
         else:
-            scored = (_member_scores(member, x) for member in members)
+            scored = (model_scores(member, x) for member in members)
         acc = np.zeros(len(x), dtype=np.float64)
         for probabilities in scored:
             acc += probabilities
@@ -139,7 +131,7 @@ def train_ensemble(
         """
         member = learner_factory().fit(subset)
         members.append(member)
-        np.add(score_sum, _member_scores(member, features), out=score_sum)
+        np.add(score_sum, model_scores(member, features), out=score_sum)
         scores = np.divide(score_sum, len(members), out=errors)
         auc = aucprc(scores[n_train:], valid.labels)
         np.abs(np.subtract(scores, labels, out=errors), out=errors)

@@ -12,12 +12,17 @@ from .dataset import LabeledDataset
 from .errors import SingleClassError
 
 
+def model_scores(model, features) -> np.ndarray:
+    """model.predict_proba(features) as float64; ValueError unless it is one score per row."""
+    scores = np.asarray(model.predict_proba(features), dtype=np.float64)
+    if scores.shape != (len(features),):
+        raise ValueError(f"model returned shape {scores.shape}, expected ({len(features)},)")
+    return scores
+
+
 def classification_errors(model, ds: LabeledDataset) -> np.ndarray:
     """|F(x_i) - y_i| for every row; entries lie in [0, 1]."""
-    scores = np.asarray(model.predict_proba(ds.features), dtype=np.float64)
-    if scores.shape != (len(ds),):
-        raise ValueError(f"model returned shape {scores.shape}, expected ({len(ds)},)")
-    return np.abs(scores - ds.labels)
+    return np.abs(model_scores(model, ds.features) - ds.labels)
 
 
 def aucprc(scores, labels) -> float:

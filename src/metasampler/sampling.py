@@ -14,7 +14,7 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .errors import NumericalError
-from .metrics import classification_errors
+from .metrics import classification_errors, model_scores
 from .rng import as_generator, check_float, check_integer
 
 WEIGHT_FLOOR = 1e-12
@@ -173,9 +173,12 @@ def sample_from_errors(
 def meta_sample(
     train: LabeledDataset, model, mu: float, sigma: float, seed
 ) -> LabeledDataset:
-    """`sample_from_errors` with the model's errors on the majority rows."""
+    """`sample_from_errors` with the model's errors on the majority rows.
+
+    ValueError, before any draw, unless the model returns one score per majority row.
+    """
     n_idx = train.majority_indices
-    scores = np.asarray(model.predict_proba(train.features[n_idx]), dtype=np.float64)
+    scores = model_scores(model, train.features[n_idx])
     return sample_from_errors(train, np.abs(scores - train.labels[n_idx]), mu, sigma, seed)
 
 

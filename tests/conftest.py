@@ -69,6 +69,28 @@ class FixedModel:
         return out
 
 
+def shaped_learner(shape_of):
+    """A learner class whose predict_proba on n rows returns shape_of(n) scores of 0.5."""
+
+    class Shaped:
+        def fit(self, subset):
+            return self
+
+        def predict_proba(self, features):
+            shape = shape_of(len(features))
+            return 0.5 if shape is None else np.full(shape, 0.5)
+
+    return Shaped
+
+
+# learner outputs other than one score per row: a scalar and a one-element array used
+# to be broadcast to every row, the other two to fail with numpy's broadcast error
+WRONG_SHAPES = pytest.mark.parametrize(
+    "shape_of", [lambda n: None, lambda n: (1,), lambda n: (n, 1), lambda n: (n - 1,)],
+    ids=["scalar", "one", "column", "one_short"],
+)
+
+
 def make_dataset(features, labels):
     return LabeledDataset(
         np.asarray(features, dtype=np.float64), np.asarray(labels, dtype=np.int64)

@@ -505,17 +505,17 @@ class TestPinnedOutputBytes:
     ]
 
     DIGESTS = {
-        "ablation/ablation_raw.csv": "e6f53ee659f692943fb99d4e2bc36b66e03c4c490d5db4c9c6a3baaa6e87e45d",
-        "ablation/ablation_summary.csv": "287250a95d98d63b4cb0720064190be9004de975cc6ca1ff2c12c1fd779d6238",
-        "meta/meta_train_log.csv": "922b4f7c1da791ee313bcdeb8e11d3302669e0bed5593e772194f4606eae3e27",
+        "ablation/ablation_raw.csv": "b0b8e90482c8735a1727601d8bd652aef6b09feed4ecb3cc0c9c8c00151d7996",
+        "ablation/ablation_summary.csv": "78ac5b7ff1daa030f803b2699c5925a5e5cc60004027005d879b85a7d3ebadd1",
+        "meta/meta_train_log.csv": "88cdbf4548e0891ba3053c13c8e2587d20db8e6f8ec7ffc1d5fc9350756d4b89",
         "meta/sampler.json": "5a1fe7a8fe1695633b47935112752de704d9ddddfd01c713d170f892862f73aa",
-        "noise/noise_raw.csv": "a5efa747b54ba7b34cfbb46ef281b72d727a73364675f1fa021e0b11c40a856d",
-        "noise/noise_summary.csv": "11caca1aa120c7c0a694c7a45bc1592fdbac8fecf7b2ae42724d99008d912de4",
+        "noise/noise_raw.csv": "570ab057705789d599356d707fe62ecfa222e9538e233d3f37f916d35e8f0e6b",
+        "noise/noise_summary.csv": "bf2e79df92dc0fe9d793e1ddc823e91e94114657a3ead42d7ef501440b55a9ff",
         "other.csv": "4648684e689939939cc15213c826ab8d5c09f69ef76af7e8b544145f4f62e0ad",
         "task.csv": "e1a9167a3ce7b31c24ab62e0c17dcdb16e7b81da48457909d3a12054d5674a2a",
-        "train/train_results.csv": "b8d21e1008cb343be749c70f11513926f56aa1fe185830c26975e31aabae0f3b",
-        "transfer/transfer_raw.csv": "846d46dbb352ba52a31ad3aace4859cf76d86964b328f61ab7a3119b26bb2bce",
-        "transfer/transfer_summary.csv": "c10d95a8a2bda67ce09c19f8fb2e4de3d9368d22cef88cd4d2e6b5807ee8e455",
+        "train/train_results.csv": "e10a8126f3cae1d6a488dbb5d277fd5c168617fc04cba9c578670c8997cdc2fc",
+        "transfer/transfer_raw.csv": "c348391ffa3452405de222ac236418a6a93163a24ba4bac510d542d108b225b3",
+        "transfer/transfer_summary.csv": "fcf92f45da0900187f03ec0b8ef6d82b47a68ade97bd29e748cdf785f2661208",
     }
 
     def test_output_bytes(self, tmp_path, monkeypatch):
@@ -700,6 +700,24 @@ class TestValueRanges:
         assert "must be text" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("meta-train", ["--batch-size", "0"], "--batch-size must be at least 1, got 0"),
+            ("meta-train", ["--gamma", "2"], "--gamma must be in [0, 1], got 2.0"),
+            ("meta-train", ["--k", "1"], "--k must be at least 2, got 1"),
+            ("ablation", ["--k", "1"], "--k must be at least 2, got 1"),
+        ],
+        ids=["batch-size", "gamma", "meta-train-k", "ablation-k"],
+    )
+    def test_sac_bound_is_named_by_its_flag(self, tmp_path, capsys, command, flags, message):
+        # an absent task file would exit 2 if it were read first
+        out = tmp_path / "out"
+        argv = [command, str(tmp_path / "absent.csv"), *TINY_SAC, *flags, "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
     def test_label_column_position_in_config_file(self, tmp_path, capsys, task_csv):
         # a position means the same from the file as from --label-column: a header name
         argv = ["train", str(task_csv), "--mode", "random-sampling", "--k", "3", "--seed", "0"]
@@ -725,6 +743,17 @@ PARITY_CASES = {
 }
 
 
+# (command, fixed flags, key, flag texts, config-file values) of each comma-list case;
+# the first config-file value is the list that runs and is recorded
+LIST_PARITY_CASES = {
+    "seed": ("meta-train", TINY_SAC, "seed", ["1", "1.0"], [[1], 1]),
+    "split": ("train", ["--mode", "random-sampling", "--k", "3", "--seed", "0"], "split",
+              ["0.60,0.2,0.2"], [[0.6, 0.2, 0.2]]),
+    "k": ("ablation", [*TINY_SAC[2:], "--seed", "0"], "k", ["3,4"], [[3, 4]]),
+    "ratios": ("noise-sweep", [*TINY_SAC, "--seed", "0"], "ratios", ["0,0.25"], [[0.0, 0.25]]),
+}
+
+
 class TestFlagAndConfigFileParity:
     """A flag and the same value in a config file give byte-identical result files."""
 
@@ -745,6 +774,20 @@ class TestFlagAndConfigFileParity:
         assert from_file == from_flag
         result_csv = next(path for path in out.iterdir() if path.suffix == ".csv")
         assert json.dumps(read_result_csv(result_csv)[0][key]) == text  # the number that ran
+
+    @pytest.mark.parametrize("case", list(LIST_PARITY_CASES))
+    def test_list_key(self, tmp_path, task_csv, case):
+        command, fixed, key, texts, file_values = LIST_PARITY_CASES[case]
+        argv = [command, str(task_csv), *fixed]
+        out = tmp_path / "out"
+        runs = [self.outputs([*argv, "--" + key.replace("_", "-"), text], out) for text in texts]
+        config = tmp_path / "config.json"
+        for value in file_values:
+            config.write_text(json.dumps({key: value}), encoding="utf-8")
+            runs.append(self.outputs([*argv, "--config", str(config)], out))
+        assert all(run == runs[0] for run in runs[1:])
+        result_csv = next(path for path in out.iterdir() if path.suffix == ".csv")
+        assert read_result_csv(result_csv)[0][key] == file_values[0]  # the list that ran
 
     @pytest.mark.parametrize(
         "flag, integral, plain", [("--k", "3.0", "3"), ("--seed", "1.0", "1"), ("--k", "3e0", "3")]

@@ -27,7 +27,7 @@ from metasampler.sampling import (
     meta_state,
     random_balanced_subset,
 )
-from conftest import FixedModel, make_dataset
+from conftest import WRONG_SHAPES, FixedModel, make_dataset, shaped_learner
 
 
 def uniform_actions(seed):
@@ -376,28 +376,6 @@ class TestTrainEnsemble:
         assert len(model) == 3
         assert_same_steps(steps, ref_steps)
         assert len(train_random_ensemble(train, valid, n_members=integer(3), seed=0)) == 3
-
-
-def shaped_learner(shape_of):
-    """A learner class whose predict_proba on n rows returns shape_of(n) scores of 0.5."""
-
-    class Shaped:
-        def fit(self, subset):
-            return self
-
-        def predict_proba(self, features):
-            shape = shape_of(len(features))
-            return 0.5 if shape is None else np.full(shape, 0.5)
-
-    return Shaped
-
-
-# a scalar and a one-element array used to be broadcast to every row; the other two
-# failed with numpy's broadcast error
-WRONG_SHAPES = pytest.mark.parametrize(
-    "shape_of", [lambda n: None, lambda n: (1,), lambda n: (n, 1), lambda n: (n - 1,)],
-    ids=["scalar", "one", "column", "one_short"],
-)
 
 
 class TestMemberScoreShape:

@@ -377,6 +377,24 @@ class TestLossGradients:
         )
         assert max_relative_error([analytic], numeric) < 1e-4
 
+    @pytest.mark.parametrize("log_std_bias", [25.0, -25.0])
+    def test_policy_gradients_match_finite_differences_past_the_log_std_clip(
+        self, rng, log_std_bias
+    ):
+        # the log-std head is clipped for every state and stays so under a small step,
+        # so its column of the gradient is zero
+        nets = small_nets()
+        nets.policy.weights[-1][:, 1] = 0.0
+        nets.policy.biases[-1][1] = log_std_bias
+        states = rng.random((4, 4))
+        eps = rng.standard_normal(4)
+        _, analytic, _ = policy_loss_and_grads(nets.policy, nets.q, states, eps, alpha=0.1)
+        numeric = fd_param_gradients(
+            lambda: policy_loss_and_grads(nets.policy, nets.q, states, eps, alpha=0.1)[0],
+            [nets.policy.params],
+        )
+        assert max_relative_error([analytic], numeric) < 1e-4
+
     def test_q_regression_onto_zero_decreases(self, rng):
         nets = small_nets(seed=5)
         # start the prediction well away from the target so 50 Adam steps
@@ -562,6 +580,20 @@ class TestMetaTrain:
     def test_rewards_telescope(self):
         steps = self.one_episode(toy_task(overlap=0.6), ensemble_size=6, seed=2)
         assert sum(s.reward for s in steps) == steps[-1].auc_after - steps[0].auc_before
+
+    def test_updates_start_once_the_replay_holds_a_batch(self, monkeypatch):
+        sizes = []
+        update = metasampler.sac.sac_update
+
+        def recording_update(replay, *args):
+            sizes.append(len(replay))
+            return update(replay, *args)
+
+        monkeypatch.setattr(metasampler.sac, "sac_update", recording_update)
+        config = SacConfig(random_steps=4, batch_size=8, replay_capacity=16, gradient_steps=3,
+                           ensemble_size=3)
+        meta_train([toy_task()], config, seed=0)
+        assert sizes == [8, 9, 10]
 
     def test_every_step_pushed_in_order(self, monkeypatch):
         events = []

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from metasampler import NumericalError, SingleClassError
+from metasampler import NumericalError, SingleClassError, ToySpec, make_toy
 from metasampler.sampling import (
     WEIGHT_FLOOR,
     _sequential_weighted_draw,
@@ -18,7 +18,7 @@ from metasampler.sampling import (
     state_from_errors,
 )
 from metasampler.rng import check_integer
-from conftest import FixedModel, brute_histogram, make_dataset
+from conftest import WRONG_SHAPES, FixedModel, brute_histogram, make_dataset, shaped_learner
 
 
 def half_histogram(errors, bins):
@@ -361,6 +361,16 @@ class TestMetaSample:
         with pytest.raises(SingleClassError):
             meta_sample(ds.subset(ds.majority_indices[:4].tolist() + [4, 5]), model, 0.5, 0.2, 0)
 
+    @WRONG_SHAPES
+    def test_wrong_shaped_scores_refused_before_any_draw(self, shape_of, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a subset was drawn from wrong-shaped scores")
+
+        monkeypatch.setattr("metasampler.sampling.sample_from_errors", no_draw)
+        ds = make_toy(ToySpec(100, 20, 0.5, 0))
+        with pytest.raises(ValueError, match=r"^model returned shape .*, expected \(100,\)$"):
+            meta_sample(ds, shaped_learner(shape_of)(), mu=0.5, sigma=0.2, seed=0)
+
 
 class TestSampleFromErrors:
     def make_task(self):
@@ -473,6 +483,18 @@ class TestSequentialWeightedDraw:
         picks = _sequential_weighted_draw(weights, 49, Ones())
         assert picks.tolist() == list(range(49, 0, -1))
         assert np.array_equal(picks, cumsum_draw(weights, 49, Ones()))
+
+    def test_target_on_a_row_boundary_takes_the_row_past_it(self):
+        class Half:
+            """A uniform source stuck at 0.5: the target is the cumulative weight of rows 0-1."""
+
+            def random(self, size=None):
+                return 0.5 if size is None else np.full(size, 0.5)
+
+        weights = np.ones(4)
+        cum = np.cumsum(weights)
+        assert int(np.searchsorted(cum, 0.5 * cum[-1], side="right")) == 2
+        assert _sequential_weighted_draw(weights, 1, Half()).tolist() == [2]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 1023, 1024, 1025])
     def test_sizes_around_powers_of_two(self, n):
