@@ -14,7 +14,7 @@ value as it ran (numbers as numbers, comma lists as JSON lists), so identical
 configs and seeds reproduce output files byte for byte.
 train refuses a --sampler, --mu, --bins or --sigma that its mode does not use
 before any file is read; policy mode runs with, and records, its sampler's
-bins and sigma, and refuses a --bins or --sigma that differs from them.
+bins and sigma, so it refuses --bins and --sigma as it refuses --mu.
 
 Exit codes: 0 success, 1 configuration error (including a config file that
 cannot be read), 2 data error (including a task CSV or sampler file that cannot
@@ -61,9 +61,10 @@ def _parse_number_list(text, flag, cast):
 
 
 def _load_config_file(path) -> dict:
+    # missing, a directory, not UTF-8, not JSON, or nested deeper than the decoder recurses
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # missing, a directory, not UTF-8, not JSON
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"config file {path} cannot be read as JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
@@ -333,15 +334,7 @@ def cmd_train(run) -> int:
         if values["sampler"] is None:
             raise ConfigError("--sampler is required for policy mode")
         sampler = load_sampler(values["sampler"])
-        # the sampler's own bins and sigma run, so the record holds them
-        for key in ("bins", "sigma"):
-            own = getattr(sampler, key)
-            if key in run.given and values[key] != own:
-                raise ConfigError(
-                    f"--{key} {values[key]!r} differs from the sampler's {own!r}, "
-                    "which policy mode runs with"
-                )
-            values[key] = own
+        values["bins"], values["sigma"] = sampler.bins, sampler.sigma  # the record holds what ran
     ds = load_csv(values["task"], values["label_column"])
     scores = score_arms(
         ds, run.split, values["seed"], [(mode, mode, sampler)], n_members=values["k"],

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .rng import as_generator, check_float, check_integer
+from .rng import as_generator, check_float, check_integer, strict_float, strict_int
 
 FORMAT_VERSION = 1
 
@@ -179,18 +179,24 @@ def mlp_to_document(net: Mlp) -> dict:
     }
 
 
+def _cast_each(value, cast):
+    """cast(value), or a JSON list of cast entries, nested lists cast entry by entry."""
+    return [_cast_each(v, cast) for v in value] if isinstance(value, list) else cast(value)
+
+
 def mlp_from_document(doc: dict) -> Mlp:
+    """A document's network: each layer size cast by strict_int, each parameter by strict_float."""
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {version!r}")
-    net = Mlp(doc["layer_sizes"])
+    net = Mlp(_cast_each(doc["layer_sizes"], strict_int))
     names = _activation_names(net.layer_sizes)
     if doc["activations"] != names:
         raise ValueError(f"activations must be {names}, got {doc['activations']!r}")
     if len(doc["weights"]) != len(net.weights) or len(doc["biases"]) != len(net.biases):
         raise ValueError("layer count mismatch")
     for i, (w, b) in enumerate(zip(doc["weights"], doc["biases"])):
-        w, b = np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64)
+        w, b = (np.asarray(_cast_each(v, strict_float), dtype=np.float64) for v in (w, b))
         if w.shape != net.weights[i].shape or b.shape != net.biases[i].shape:
             raise ValueError(f"layer {i} has shape {w.shape}, expected {net.weights[i].shape}")
         net.weights[i][...], net.biases[i][...] = w, b

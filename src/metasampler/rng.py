@@ -1,7 +1,9 @@
 """Seed handling and the integer and real-number checks.
 
 Everything that draws randomness takes an int seed, a ``SeedSequence`` or a
-``Generator`` and never touches global state. ``check_integer`` and
+``Generator`` and never touches global state. An int or ``SeedSequence`` seed
+is a value that no call consumes: each call with it draws the same streams. A
+``Generator`` is a stream that each call continues. ``check_integer`` and
 ``check_float`` check each number a Python caller passes, before any work;
 ``strict_int`` and ``strict_float`` parse the CLI's and sampler files' values.
 """
@@ -81,8 +83,11 @@ def as_generator(seed) -> np.random.Generator:
 
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
+    """A SeedSequence of an int seed, or an equal copy of a SeedSequence, so no spawn consumes it."""
     if isinstance(seed, np.random.SeedSequence):
-        return seed
+        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key,
+                                      pool_size=seed.pool_size,
+                                      n_children_spawned=seed.n_children_spawned)
     if isinstance(seed, np.random.Generator):
         raise TypeError("need an int or SeedSequence, not a Generator")
     return np.random.SeedSequence(check_integer("seed", seed, least=0))

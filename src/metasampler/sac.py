@@ -45,9 +45,9 @@ LOG_STD_MAX = 2.0
 LOG_2PI = math.log(2.0 * math.pi)
 SAMPLER_FORMAT_VERSION = 1
 HIDDEN_WIDTH = 50
-# score_arms' arm modes and the knobs each runs with: the arm's sampler (a policy arm runs with
-# its sampler's bins and sigma), and score_arms' mu, bins and sigma
-MODES = {"policy": ("sampler", "bins", "sigma"), "random-policy": ("bins", "sigma"),
+# score_arms' arm modes, each listing the knobs its arm reads: the arm's sampler (a policy arm
+# runs with its sampler's bins and sigma), and score_arms' mu, bins and sigma
+MODES = {"policy": ("sampler",), "random-policy": ("bins", "sigma"),
          "random-sampling": (), "constant": ("mu", "sigma")}
 
 
@@ -419,12 +419,13 @@ def score_arms(ds, split, seeds, arms, *, n_members, noise_ratio=0.0, mu=None,
     the knobs MODES lists: "policy" samples the arm's sampler, with its bins
     and sigma; "random-policy" is a policy arm over random_sampler(bins, sigma);
     "random-sampling" fits every member on a random balanced subset;
-    "constant" takes action `mu` at every step. Every arm spawns the same six
-    streams from the seed, so its scores do not depend on which other arms run.
-    Before any split, whatever the arms, ValueError for repeated labels, an
-    unknown mode, a missing sampler or `mu`, `n_members` or `bins` below 1, a
-    `mu` outside [0, 1] or a `noise_ratio` outside [0, 1), and gaussian_scale's
-    error for a `sigma` it refuses.
+    "constant" takes action `mu` at every step. Each seed spawns six streams
+    once, and every arm reads the same ones, so its scores do not depend on
+    which other arms run. Before any split, whatever the arms, ValueError for
+    repeated labels, an unknown mode, a missing sampler or `mu`, `n_members` or
+    `bins` below 1, a `mu` outside [0, 1] or a `noise_ratio` outside [0, 1),
+    gaussian_scale's error for a `sigma` it refuses, and as_seed_sequence's for
+    a seed that is neither a non-negative int nor a SeedSequence.
     """
     n_members = check_integer("n_members", n_members, least=1)
     bins = check_integer("bins", bins, least=1)
@@ -436,12 +437,14 @@ def score_arms(ds, split, seeds, arms, *, n_members, noise_ratio=0.0, mu=None,
     for label, mode, sampler in arms:
         if "sampler" in MODES[mode] and sampler is None:
             raise ValueError(f"arm {label!r}: {mode} mode needs a sampler")
+    seeds = [as_seed_sequence(seed) for seed in seeds]
     scores = {label: [] for label, _, _ in arms}
     for seed in seeds:
         train, valid, test = stratified_split(ds, split, seed)
         train = inject_flip_noise(train, noise_ratio, seed)
+        streams = seed.spawn(6)
         for label, mode, sampler in arms:
-            pol_ss, pol_act, rp_init, rp_act, rp_ss, rs_ss = as_seed_sequence(seed).spawn(6)
+            pol_ss, pol_act, rp_init, rp_act, rp_ss, rs_ss = streams
             if mode == "random-sampling":
                 model = train_random_ensemble(
                     train, valid, n_members=n_members, learner_factory=learner_factory,
@@ -473,12 +476,14 @@ def experiment_point(ds, split, meta_seed, eval_seeds, modes, config: SacConfig,
     holding that sampler, over `eval_seeds` at the same noise ratio, with
     config's ensemble_size, bins and sigma: {mode: [score per seed]}. Before
     the split, ValueError for a noise ratio outside [0, 1), an unknown or
-    repeated mode, or "constant" (the point takes no mu). The unit of the CLI's
-    ablation and noise-sweep.
+    repeated mode, or "constant" (the point takes no mu), and as_seed_sequence's
+    error for a meta or eval seed that is neither a non-negative int nor a
+    SeedSequence. The unit of the CLI's ablation and noise-sweep.
     """
     check_float("noise ratio", noise_ratio, "[0, 1)")
     modes = tuple(modes)
     _check_modes([(mode, mode) for mode in modes], mu=None)
+    meta_seed, eval_seeds = as_seed_sequence(meta_seed), list(map(as_seed_sequence, eval_seeds))
     train, valid, _ = stratified_split(ds, split, meta_seed)
     train = inject_flip_noise(train, noise_ratio, meta_seed)
     sampler = meta_train([(train, valid)], config, meta_seed, learner_factory=learner_factory)
@@ -521,8 +526,10 @@ def load_sampler(path) -> MetaSampler:
     """Read a saved sampler.
 
     A file that cannot be read (a directory, say) or is not a sampler document
-    (bad JSON, a missing key, a wrong version, mismatched shapes) raises
-    SamplerFormatError; one with non-finite parameters raises NumericalError.
+    (bad JSON, nesting deeper than the decoder recurses, a missing key, a wrong
+    version, mismatched shapes, a number that strict_int or strict_float
+    refuses) raises SamplerFormatError; one with non-finite parameters raises
+    NumericalError.
     """
     path = Path(path)
     if not path.exists():
@@ -531,7 +538,7 @@ def load_sampler(path) -> MetaSampler:
         return sampler_from_document(json.loads(path.read_text(encoding="utf-8")))
     except KeyError as exc:
         raise SamplerFormatError(f"sampler file {path} lacks key {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, RecursionError) as exc:
         raise SamplerFormatError(f"sampler file {path} is malformed: {exc}") from None
     except OSError as exc:
         raise SamplerFormatError(f"sampler file {path} cannot be read: {exc}") from None

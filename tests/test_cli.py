@@ -151,6 +151,15 @@ class TestConfigMerge:
             "generate-toy", "--config", str(config), "--out", str(tmp_path / "x.csv"),
         ]) == 1
 
+    def test_config_file_nested_deeper_than_the_decoder_recurses(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        assert main([
+            "generate-toy", "--config", str(config), "--out", str(tmp_path / "x.csv"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: config file") and err.count("\n") == 1
+
     def test_non_object_config_file(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text("[1, 2]", encoding="utf-8")
@@ -277,41 +286,38 @@ class TestTrain:
         save_sampler(random_sampler(7, 0.3, seed=2), path)
         return path
 
-    @pytest.mark.parametrize("knobs", [[], ["--bins", "7", "--sigma", "0.3"]])
     def test_policy_mode_records_the_samplers_bins_and_sigma(
-        self, tmp_path, task_csv, sampler_7_bins, knobs
+        self, tmp_path, task_csv, sampler_7_bins
     ):
         # the defaults, 5 and 0.2, used to be recorded though the sampler's 7 and 0.3 ran
         out = tmp_path / "run"
         assert main([
             "train", str(task_csv), "--mode", "policy", "--sampler", str(sampler_7_bins),
-            "--k", "2", "--seed", "0", "--out", str(out), *knobs,
+            "--k", "2", "--seed", "0", "--out", str(out),
         ]) == 0
         config, _, _ = read_result_csv(out / "train_results.csv")
         assert (config["bins"], config["sigma"]) == (7, 0.3)
 
-    @pytest.mark.parametrize("key, value", [("bins", 3), ("bins", 5), ("sigma", 0.9)])
-    @pytest.mark.parametrize("source", ["flag", "config file"])
-    def test_policy_mode_refuses_other_bins_or_sigma_before_any_fit(
-        self, tmp_path, capsys, no_tree_fit, task_csv, sampler_7_bins, key, value, source
+    def test_policy_mode_refuses_even_the_samplers_own_bins_and_sigma(
+        self, tmp_path, capsys, no_tree_fit, task_csv, sampler_7_bins
     ):
+        # the sampler file is the one source of a policy arm's bins and sigma
         out = tmp_path / "run"
-        argv = ["train", str(task_csv), "--sampler", str(sampler_7_bins), "--out", str(out)]
-        if source == "flag":
-            argv += [f"--{key}", str(value)]
-        else:
-            config = tmp_path / "config.json"
-            config.write_text(json.dumps({key: value}), encoding="utf-8")
-            argv += ["--config", str(config)]
-        assert main(argv) == 1
-        assert f"--{key} {value!r} differs from the sampler's" in capsys.readouterr().err
+        assert main([
+            "train", str(task_csv), "--mode", "policy", "--sampler", str(sampler_7_bins),
+            "--k", "2", "--seed", "0", "--out", str(out), "--bins", "7", "--sigma", "0.3",
+        ]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: --mode policy does not use --bins, --sigma\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "mode, key",
-        [("policy", "mu"), ("random-policy", "sampler"), ("random-policy", "mu"),
-         ("random-sampling", "sampler"), ("random-sampling", "mu"), ("random-sampling", "bins"),
-         ("random-sampling", "sigma"), ("constant", "sampler"), ("constant", "bins")],
+        [("policy", "mu"), ("policy", "bins"), ("policy", "sigma"), ("random-policy", "sampler"),
+         ("random-policy", "mu"), ("random-sampling", "sampler"), ("random-sampling", "mu"),
+         ("random-sampling", "bins"), ("random-sampling", "sigma"), ("constant", "sampler"),
+         ("constant", "bins")],
     )
     @pytest.mark.parametrize("source", ["flag", "config file"])
     def test_a_knob_the_mode_does_not_use_is_refused_before_the_task_is_read(
@@ -322,6 +328,8 @@ class TestTrain:
         out = tmp_path / "run"
         # an absent task (or sampler) file would exit 2 were it read first
         argv = ["train", str(tmp_path / "absent.csv"), "--mode", mode, "--out", str(out)]
+        if mode == "policy":
+            argv += ["--sampler", str(tmp_path / "absent.json")]
         if source == "flag":
             argv += [f"--{key}", str(value)]
         else:
@@ -924,10 +932,18 @@ class TestUnreadableInputs:
 
 @pytest.fixture(scope="module")
 def bad_sampler_files(workdir, sampler_path):
-    """Sampler files that are not JSON, lack the policy, hold a bad scalar or a NaN weight."""
+    """Sampler files that are not JSON, lack the policy, hold a bad scalar or a bad weight."""
     doc = json.loads(sampler_path.read_text(encoding="utf-8"))
+
+    def first_weight(value):
+        policy = json.loads(json.dumps(doc["policy"]))
+        policy["weights"][0][0][0] = value
+        return json.dumps({**doc, "policy": policy})
+
     files = {
         "not-json": "{not json",
+        # deeper than the JSON decoder recurses
+        "nested-too-deep": "[" * 100_000 + "]" * 100_000,
         "no-policy": json.dumps({key: v for key, v in doc.items() if key != "policy"}),
         # 1e400 parses as inf; 5.5 bins would load as 5, matching the policy's 10 inputs
         "infinite-sigma": json.dumps({**doc, "sigma": "X"}).replace('"X"', "1e400"),
@@ -944,9 +960,11 @@ def bad_sampler_files(workdir, sampler_path):
             **doc["policy"], "layer_sizes": [10, True, 2], "weights": [[[0.1]] * 10, [[0.1, 0.2]]],
             "biases": [[0.0], [0.0, 0.0]],
         }}),
+        # a weight is cast as a config value is: true and null are no numbers
+        "true-weight": first_weight(True),
+        "null-weight": first_weight(None),
+        "nan-weight": first_weight(float("nan")),
     }
-    doc["policy"]["weights"][0][0][0] = float("nan")
-    files["nan-weight"] = json.dumps(doc)
     paths = {}
     for name, text in files.items():
         paths[name] = workdir / f"sampler-{name}.json"
@@ -965,8 +983,9 @@ def sampler_argv(command, task, sampler, out):
 class TestSamplerFiles:
     @pytest.mark.parametrize("command", ["train", "transfer"])
     @pytest.mark.parametrize(
-        "kind", ["not-json", "no-policy", "infinite-sigma", "fractional-bins", "boolean-sigma",
-                 "tanh-activations", "boolean-layer-size"]
+        "kind", ["not-json", "nested-too-deep", "no-policy", "infinite-sigma", "fractional-bins",
+                 "boolean-sigma", "tanh-activations", "boolean-layer-size", "true-weight",
+                 "null-weight"]
     )
     def test_malformed_sampler_is_data_error(
         self, tmp_path, capsys, task_csv, bad_sampler_files, command, kind

@@ -261,6 +261,66 @@ def test_experiment_point_refuses_a_mode_before_any_work(no_tree_fit, no_split, 
                          SacConfig(**TINY))
 
 
+class TestSeedsAreValues:
+    """An int or SeedSequence seed is a value that no call consumes; a Generator is a stream."""
+
+    def test_as_seed_sequence_copies_a_seed_sequence(self):
+        seed = np.random.SeedSequence(5, spawn_key=(1,), pool_size=8)
+        seed.spawn(2)
+        copy = as_seed_sequence(seed)
+        assert copy is not seed
+        assert (copy.entropy, copy.spawn_key, copy.pool_size, copy.n_children_spawned) == (
+            5, (1,), 8, 2)
+        copy.spawn(3)
+        assert seed.n_children_spawned == 2
+        assert np.array_equal(copy.generate_state(4), seed.generate_state(4))
+
+    def test_score_arms_scores_an_arm_alone_as_beside_another(self):
+        # the constant arm used to score 0.7762 alone and 0.8656 after a random-sampling arm
+        ds, constant = make_toy(ToySpec(300, 40, 0.7, 3)), ("c", "constant", None)
+
+        def scores(seed, arms):
+            return score_arms(ds, SplitSpec(), [seed], arms, n_members=3, mu=0.5)["c"]
+
+        alone = scores(np.random.SeedSequence(5), [constant])
+        assert alone == scores(5, [constant])
+        beside = scores(np.random.SeedSequence(5), [("r", "random-sampling", None), constant])
+        assert beside == alone
+
+    def test_train_ensemble_twice_with_one_seed_sequence(self):
+        train, valid, _ = toy_parts()
+        seed = np.random.SeedSequence(3)
+        runs = [train_ensemble(train, valid, lambda state: 0.3, sigma=0.2, bins=5, n_members=3,
+                               seed=seed) for _ in range(2)]
+        (first, first_steps), (second, second_steps) = runs
+        assert [step.auc_after for step in first_steps] == [step.auc_after for step in second_steps]
+        assert np.array_equal(first.predict_proba(valid.features),
+                              second.predict_proba(valid.features))
+
+    def test_meta_train_twice_with_one_seed_sequence(self):
+        seed = np.random.SeedSequence(3)
+        first, second = (meta_train([toy_parts()[:2]], SacConfig(**TINY), seed) for _ in range(2))
+        assert first.policy.params.tobytes() == second.policy.params.tobytes()
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, np.random.default_rng(0)],
+                             ids=["negative", "fraction", "generator"])
+    @pytest.mark.parametrize("where", ["meta", "eval"])
+    def test_experiment_point_checks_its_seeds_before_meta_training(
+        self, monkeypatch, no_split, bad, where
+    ):
+        monkeypatch.setattr("metasampler.sac.meta_train",
+                            lambda *args, **kwargs: pytest.fail("meta_train ran"))
+        meta_seed, eval_seeds = (bad, [0]) if where == "meta" else (0, [0, bad])
+        with pytest.raises((TypeError, ValueError), match="seed|Generator"):
+            experiment_point(small_toy(), SplitSpec(), meta_seed, eval_seeds, ["random-sampling"],
+                             SacConfig(**TINY))
+
+    def test_score_arms_refuses_a_generator_seed_before_any_split(self, no_split):
+        with pytest.raises(TypeError, match="not a Generator"):
+            score_arms(small_toy(), SplitSpec(), [0, np.random.default_rng(0)],
+                       [("r", "random-sampling", None)], n_members=3)
+
+
 # id -> (needed_by, call): call(ds) hands the one-class dataset `ds` to the operation
 ONE_CLASS = {
     "train_ensemble.train": ("the train split", lambda ds: train_ensemble(

@@ -947,6 +947,32 @@ class TestSamplerIO:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert load_sampler(path).bins == 5
 
+    @pytest.mark.parametrize("sizes", [[10.0, 50, 2], ["10", "50", "2"]], ids=["number", "text"])
+    def test_integral_float_layer_sizes_load(self, tmp_path, sizes):
+        # read as bins is, by strict_int; [10, true, 2] stays refused (boolean-layer-size)
+        sampler = random_sampler(5, 0.2, seed=2)
+        path = tmp_path / "sampler.json"
+        save_sampler(sampler, path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["policy"]["layer_sizes"] = sizes
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        back = load_sampler(path).policy
+        assert back.layer_sizes == [10, 50, 2]
+        assert back.params.tobytes() == sampler.policy.params.tobytes()
+
+    @pytest.mark.parametrize("value", [True, None], ids=["true", "null"])
+    @pytest.mark.parametrize("part", ["weights", "biases"])
+    def test_a_parameter_that_is_no_number_is_format_error(self, tmp_path, part, value):
+        # true used to load as 1.0, and null as NaN, a numerical failure
+        path = tmp_path / "sampler.json"
+        save_sampler(random_sampler(5, 0.2, seed=2), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        layer = doc["policy"][part][0]
+        (layer[0] if part == "weights" else layer)[0] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(SamplerFormatError, match="malformed"):
+            load_sampler(path)
+
     def test_files_are_opened_as_utf8(self, tmp_path):
         # with -X warn_default_encoding, text opened in the locale's encoding warns
         code = (

@@ -408,6 +408,13 @@ class TestSampleFromErrors:
         with pytest.raises(NumericalError, match="non-finite sampling weights"):
             sample_from_errors(self.make_task(), errors, mu=0.5, sigma=sigma, seed=0)
 
+    def test_equal_classes_return_the_task_itself_without_a_draw(self, monkeypatch):
+        # a `<` guard would draw every majority row and return a re-sorted copy
+        monkeypatch.setattr("metasampler.sampling._sequential_weighted_draw",
+                            lambda *args: pytest.fail("a draw ran"))
+        ds = make_dataset(np.arange(10, dtype=np.float64)[:, None], [1, 0] * 5)
+        assert sample_from_errors(ds, np.full(5, 0.5), mu=0.5, sigma=0.2, seed=0) is ds
+
     def test_refused_before_the_small_majority_shortcut(self):
         ds = make_dataset(np.arange(6, dtype=np.float64)[:, None], [0, 0, 0, 1, 1, 1])
         with pytest.raises(ValueError, match="one error per majority row"):
@@ -552,6 +559,13 @@ class TestRandomBalancedSubset:
         assert len(a.minority_indices) == 5
         assert len(a.majority_indices) == 5
         assert np.array_equal(a.features, b.features)
+
+    def test_equal_classes_return_the_task_itself_without_a_draw(self, monkeypatch):
+        # a `<` guard would draw every majority row and return a re-sorted copy
+        monkeypatch.setattr("metasampler.sampling.as_generator",
+                            lambda *args: pytest.fail("a draw ran"))
+        ds = make_dataset(np.arange(10, dtype=np.float64)[:, None], [1, 0] * 5)
+        assert random_balanced_subset(ds, seed=0) is ds
 
     def test_uniform_inclusion_frequency(self):
         n_maj, n_min, trials = 20, 5, 10000
