@@ -1,9 +1,11 @@
 """Cascade ensemble training driven by a per-step action.
 
-The first member is fit on a uniformly drawn balanced subset, every further one
-on a meta-sampled subset whose Gaussian center is ``actions(state)``, for any
-callable from the meta-state to [0, 1]. The trace of states, actions and
-validation scores is returned, so callers can turn episodes into transitions.
+The first member is fit on a uniformly drawn balanced subset. After each, the
+cascade takes the ensemble's errors (``classification_errors``) and meta-state
+(``meta_state``), and ``meta_sample`` draws the next member's subset around
+``actions(state)``, for any callable from the meta-state to [0, 1]. The trace of
+states, actions and validation scores is returned, so callers can turn episodes
+into transitions.
 """
 from __future__ import annotations
 
@@ -13,9 +15,9 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .learners import DecisionTree, tree_probabilities
-from .metrics import aucprc, model_scores
+from .metrics import aucprc, classification_errors, model_scores
 from .rng import as_seed_sequence, check_float, check_integer
-from .sampling import gaussian_scale, random_balanced_subset, sample_from_errors, state_from_errors
+from .sampling import gaussian_scale, meta_sample, meta_state, random_balanced_subset
 
 
 @dataclass
@@ -134,14 +136,14 @@ def train_ensemble(
         np.add(score_sum, model_scores(member, features), out=score_sum)
         scores = np.divide(score_sum, len(members), out=errors)
         auc = aucprc(scores[n_train:], valid.labels)
-        np.abs(np.subtract(scores, labels, out=errors), out=errors)
-        return errors[:n_majority], auc, state_from_errors(errors, n_train, bins)
+        classification_errors(scores, labels, out=errors)
+        return errors[:n_majority], auc, meta_state(errors, n_train, bins)
 
     majority_errors, auc, state = add_member(random_balanced_subset(train, draw_seeds[0]))
     steps = []
     for t in range(1, n_members):
         mu = check_float("action", actions(state), "[0, 1]")
-        subset = sample_from_errors(train, majority_errors, mu, sigma, draw_seeds[t])
+        subset = meta_sample(train, majority_errors, mu, sigma, draw_seeds[t])
         majority_errors, auc_after, next_state = add_member(subset)
         step = EnsembleStep(
             state=state,

@@ -1,5 +1,8 @@
 """Per-instance classification errors and the area under the PR curve.
 
+`classification_errors` is the cascade's error step: the ensemble's errors
+that `sampling.meta_state` bins and `sampling.meta_sample` weighs.
+
 AUCPRC is computed in average-precision form: scores are sorted descending,
 tied scores collapse into one threshold group, and the area is the sum of
 precision at each group weighted by the recall increment it contributes.
@@ -8,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import LabeledDataset
 from .errors import SingleClassError
 
 
@@ -20,9 +22,10 @@ def model_scores(model, features) -> np.ndarray:
     return scores
 
 
-def classification_errors(model, ds: LabeledDataset) -> np.ndarray:
-    """|F(x_i) - y_i| for every row; entries lie in [0, 1]."""
-    return np.abs(model_scores(model, ds.features) - ds.labels)
+def classification_errors(scores, labels, out=None) -> np.ndarray:
+    """|scores - labels| per row, written into `out` when given (which may be `scores`)."""
+    out = np.subtract(scores, labels, out=out)
+    return np.abs(out, out=out)
 
 
 def aucprc(scores, labels) -> float:

@@ -185,8 +185,8 @@ def _cast_each(value, cast):
 
 
 def mlp_from_document(doc: dict) -> Mlp:
-    """A document's network: each layer size cast by strict_int, each parameter by strict_float."""
-    version = doc.get("format_version")
+    """A document's network: version and layer sizes by strict_int, parameters by strict_float."""
+    version = strict_int(doc["format_version"])
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {version!r}")
     net = Mlp(_cast_each(doc["layer_sizes"], strict_int))

@@ -505,7 +505,7 @@ def sampler_to_document(sampler: MetaSampler) -> dict:
 
 
 def sampler_from_document(doc: dict) -> MetaSampler:
-    version = doc.get("format_version")
+    version = strict_int(doc["format_version"])
     if version != SAMPLER_FORMAT_VERSION:
         raise ValueError(f"unsupported sampler format version {version!r}")
     return MetaSampler(

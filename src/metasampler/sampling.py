@@ -2,9 +2,9 @@
 
 The meta-state of an ensemble is its training-error histogram followed by its
 validation-error histogram: a fixed-size summary of how error mass moves as
-members are added. `state_from_errors` and `sample_from_errors` take the
-errors. `meta_state` and `meta_sample`, which score a model first, stay only
-because the benchmark's `bench/spans.py` binds them; the library calls neither.
+members are added. After each member the cascade takes the ensemble's errors
+(`metrics.classification_errors`) to `meta_state`, and draws the next member's
+subset with `meta_sample`, a Gaussian over the majority rows' errors.
 """
 from __future__ import annotations
 
@@ -14,13 +14,12 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .errors import NumericalError
-from .metrics import classification_errors, model_scores
 from .rng import as_generator, check_float, check_integer
 
 WEIGHT_FLOOR = 1e-12
 
 
-def state_from_errors(errors, n_train: int, bins: int) -> np.ndarray:
+def meta_state(errors, n_train: int, bins: int) -> np.ndarray:
     """Training-error histogram concatenated with validation-error histogram (length 2b).
 
     `errors` holds the training rows' errors, then the validation rows': the
@@ -50,12 +49,6 @@ def state_from_errors(errors, n_train: int, bins: int) -> np.ndarray:
         at_least[:, i] = np.count_nonzero(above[:n_train]), np.count_nonzero(above[n_train:])
     counts = at_least[:, :-1] - at_least[:, 1:]
     return np.concatenate((counts[0] / n_train, counts[1] / n_valid))
-
-
-def meta_state(model, train: LabeledDataset, valid: LabeledDataset, bins: int) -> np.ndarray:
-    """`state_from_errors` of the model's errors on the two splits."""
-    errors = [classification_errors(model, part) for part in (train, valid)]
-    return state_from_errors(np.concatenate(errors), len(train), bins)
 
 
 def gaussian_scale(sigma) -> float:
@@ -138,7 +131,7 @@ def _sequential_weighted_draw(weights, n_pick, rng):
     return np.array(picks, dtype=np.intp)
 
 
-def sample_from_errors(
+def meta_sample(
     train: LabeledDataset, majority_errors, mu: float, sigma: float, seed
 ) -> LabeledDataset:
     """Balanced subset: all minority rows plus |P| majority rows drawn by error proximity.
@@ -168,18 +161,6 @@ def sample_from_errors(
     weights /= total
     picks = _sequential_weighted_draw(weights, len(p_idx), rng)
     return train.subset(np.sort(np.concatenate((n_idx[picks], p_idx))))
-
-
-def meta_sample(
-    train: LabeledDataset, model, mu: float, sigma: float, seed
-) -> LabeledDataset:
-    """`sample_from_errors` with the model's errors on the majority rows.
-
-    ValueError, before any draw, unless the model returns one score per majority row.
-    """
-    n_idx = train.majority_indices
-    scores = model_scores(model, train.features[n_idx])
-    return sample_from_errors(train, np.abs(scores - train.labels[n_idx]), mu, sigma, seed)
 
 
 def random_balanced_subset(train: LabeledDataset, seed) -> LabeledDataset:

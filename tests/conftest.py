@@ -17,6 +17,8 @@ from metasampler import (
     LabeledDataset,
     SingleClassError,
 )
+from metasampler import sampling
+from metasampler.metrics import classification_errors, model_scores
 from metasampler.neural import mlp_forward
 from metasampler.sac import LOG_STD_MAX, LOG_STD_MIN
 
@@ -89,6 +91,28 @@ WRONG_SHAPES = pytest.mark.parametrize(
     "shape_of", [lambda n: None, lambda n: (1,), lambda n: (n, 1), lambda n: (n - 1,)],
     ids=["scalar", "one", "column", "one_short"],
 )
+
+
+def model_errors(model, ds):
+    """Oracle: `classification_errors` of a model's scores on every row of `ds`."""
+    return classification_errors(model_scores(model, ds.features), ds.labels)
+
+
+def model_meta_state(model, train, valid, bins):
+    """Oracle: `meta_state` of a model's errors on the two splits, each scored on its own."""
+    errors = [model_errors(model, part) for part in (train, valid)]
+    return sampling.meta_state(np.concatenate(errors), len(train), bins)
+
+
+def model_meta_sample(train, model, mu, sigma, seed):
+    """Oracle: `meta_sample` with a model's errors on the majority rows.
+
+    ValueError, before any draw, unless the model returns one score per majority row.
+    """
+    n_idx = train.majority_indices
+    scores = model_scores(model, train.features[n_idx])
+    errors = classification_errors(scores, train.labels[n_idx])
+    return sampling.meta_sample(train, errors, mu, sigma, seed)
 
 
 def make_dataset(features, labels):

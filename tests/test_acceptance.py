@@ -36,7 +36,7 @@ from metasampler.sac import (
     sac_update,
     v_loss_and_grads,
 )
-from metasampler.sampling import meta_sample, state_from_errors
+from metasampler.sampling import meta_state
 from conftest import (
     FixedModel,
     brute_average_precision,
@@ -46,6 +46,7 @@ from conftest import (
     forward_only,
     make_dataset,
     max_relative_error,
+    model_meta_sample,
     policy_loss,
     q_targets,
     regression_loss,
@@ -124,7 +125,7 @@ def test_criterion_01_histogram_matches_brute_force():
         errors[on_edge] = rng.choice(edges, size=int(on_edge.sum()))
         for bins in (2, 5, 10):
             # the reversed copy is the validation half: both halves bin to the same histogram
-            state = state_from_errors(np.concatenate((errors, errors[::-1])), errors.size, bins)
+            state = meta_state(np.concatenate((errors, errors[::-1])), errors.size, bins)
             expected = brute_histogram(errors, bins)
             assert np.array_equal(state, expected + expected)
     elapsed = time.perf_counter() - t0
@@ -289,7 +290,7 @@ def test_criterion_04_meta_sample_always_balanced():
         labels = np.array([1] * n_min + [0] * n_maj)
         ds = make_dataset(features, labels)
         model = FixedModel(features, rng.random(n))
-        out = meta_sample(ds, model, mu=float(rng.random()), sigma=0.2, seed=rng)
+        out = model_meta_sample(ds, model, mu=float(rng.random()), sigma=0.2, seed=rng)
         if int((out.labels == 1).sum()) != n_min:
             violations += 1
         elif int((out.labels == 0).sum()) != min(n_min, n_maj):

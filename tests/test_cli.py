@@ -964,6 +964,11 @@ def bad_sampler_files(workdir, sampler_path):
         "true-weight": first_weight(True),
         "null-weight": first_weight(None),
         "nan-weight": first_weight(float("nan")),
+        # true == 1 in Python: a version is read by strict_int, as every number in the file
+        "true-version": json.dumps({**doc, "format_version": True}),
+        "true-policy-version": json.dumps(
+            {**doc, "policy": {**doc["policy"], "format_version": True}}
+        ),
     }
     paths = {}
     for name, text in files.items():
@@ -985,7 +990,7 @@ class TestSamplerFiles:
     @pytest.mark.parametrize(
         "kind", ["not-json", "nested-too-deep", "no-policy", "infinite-sigma", "fractional-bins",
                  "boolean-sigma", "tanh-activations", "boolean-layer-size", "true-weight",
-                 "null-weight"]
+                 "null-weight", "true-version", "true-policy-version"]
     )
     def test_malformed_sampler_is_data_error(
         self, tmp_path, capsys, task_csv, bad_sampler_files, command, kind

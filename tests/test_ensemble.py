@@ -1,4 +1,6 @@
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,11 +25,16 @@ from metasampler.ensemble import EnsembleModel, EnsembleStep
 from metasampler.sampling import (
     WEIGHT_FLOOR,
     gaussian_weight,
-    meta_sample,
-    meta_state,
     random_balanced_subset,
 )
-from conftest import WRONG_SHAPES, FixedModel, make_dataset, shaped_learner
+from conftest import (
+    WRONG_SHAPES,
+    FixedModel,
+    make_dataset,
+    model_meta_sample,
+    model_meta_state,
+    shaped_learner,
+)
 
 
 def uniform_actions(seed):
@@ -385,7 +392,7 @@ class TestMemberScoreShape:
         def no_draw(*args, **kwargs):
             raise AssertionError("a subset was drawn after a wrong-shaped member")
 
-        monkeypatch.setattr("metasampler.ensemble.sample_from_errors", no_draw)
+        monkeypatch.setattr("metasampler.ensemble.meta_sample", no_draw)
         train, valid, _ = toy_parts(overlap=0.5)
         rows = len(train) + len(valid)
         with pytest.raises(ValueError, match=rf"^model returned shape .*, expected \({rows},\)$"):
@@ -405,6 +412,28 @@ class TestMemberScoreShape:
             model.predict_proba(test.features)
 
 
+def bench_spans():
+    """The benchmark's bench/spans.py, loaded from its file without registering a module."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkSpansTimeTheCascadeSteps:
+    # the benchmark's draw, state and error layers wrap, by name, the functions
+    # the cascade calls: a layer bound to a function the cascade no longer calls reads 0
+    def test_k3_cascade(self):
+        train, valid, _ = toy_parts(overlap=0.5)
+        with bench_spans().traced() as tracer:
+            train_ensemble(train, valid, lambda state: 0.5, sigma=0.2, bins=5, n_members=3, seed=0)
+        calls = [tracer.calls[name]
+                 for name in ("sampling.meta_sample", "sampling.meta_state", "metrics.errors")]
+        assert calls == [2, 3, 3]
+        assert tracer.counts["sampling.draw_work"] > 0
+
+
 def rescoring_cascade(train, valid, actions, n_members, learner_factory, seed, sigma=0.2, bins=5):
     """Reference cascade: rebuild the ensemble and rescore every member at each step."""
     draw_seeds = SeedSequence(seed).spawn(n_members)
@@ -414,14 +443,14 @@ def rescoring_cascade(train, valid, actions, n_members, learner_factory, seed, s
         return EnsembleModel(members), steps
     model = EnsembleModel(members[:1])
     auc = aucprc(model.predict_proba(valid.features), valid.labels)
-    state = meta_state(model, train, valid, bins)
+    state = model_meta_state(model, train, valid, bins)
     for t in range(1, n_members):
         mu = float(actions(state))
-        subset = meta_sample(train, model, mu, sigma, draw_seeds[t])
+        subset = model_meta_sample(train, model, mu, sigma, draw_seeds[t])
         members.append(learner_factory().fit(subset))
         model = EnsembleModel(members[: t + 1])
         auc_after = aucprc(model.predict_proba(valid.features), valid.labels)
-        next_state = meta_state(model, train, valid, bins)
+        next_state = model_meta_state(model, train, valid, bins)
         steps.append(EnsembleStep(state, mu, auc, auc_after, next_state, t == n_members - 1))
         auc, state = auc_after, next_state
     return model, steps

@@ -3,7 +3,7 @@ import pytest
 
 from metasampler import SingleClassError, aucprc
 from metasampler.metrics import classification_errors
-from conftest import FixedModel, brute_average_precision, make_dataset
+from conftest import FixedModel, brute_average_precision, make_dataset, model_errors
 
 
 def stable_sort_aucprc(scores, labels) -> float:
@@ -44,17 +44,26 @@ class TestClassificationErrors:
     def test_perfect_model_zero_errors(self):
         ds = make_dataset([[0.0], [1.0], [2.0]], [0, 1, 0])
         model = FixedModel(ds.features, [0.0, 1.0, 0.0])
-        assert classification_errors(model, ds).tolist() == [0.0, 0.0, 0.0]
+        assert model_errors(model, ds).tolist() == [0.0, 0.0, 0.0]
 
     def test_constant_half(self):
         ds = make_dataset([[0.0], [1.0]], [0, 1])
         model = FixedModel(ds.features, [0.5, 0.5])
-        assert classification_errors(model, ds).tolist() == [0.5, 0.5]
+        assert model_errors(model, ds).tolist() == [0.5, 0.5]
 
     def test_absolute_distance(self):
         ds = make_dataset([[0.0], [1.0]], [1, 0])
         model = FixedModel(ds.features, [0.2, 0.0])
-        assert classification_errors(model, ds).tolist() == [pytest.approx(0.8), 0.0]
+        assert model_errors(model, ds).tolist() == [pytest.approx(0.8), 0.0]
+
+    def test_in_place_over_the_scores_is_the_same_floats(self, rng):
+        # the cascade writes each member's errors over its ensemble scores
+        scores = rng.random(1000)
+        labels = (rng.random(1000) < 0.3).astype(np.int8)
+        want = np.abs(scores - labels)
+        got = classification_errors(scores, labels, out=scores)
+        assert got is scores and got.tobytes() == want.tobytes()
+        assert classification_errors(np.array([0.25, 1.0]), [1, 1]).tolist() == [0.75, 0.0]
 
 
 class TestAucprc:

@@ -283,6 +283,21 @@ class TestSerialization:
         with pytest.raises(ValueError):
             mlp_from_document(doc)
 
+    @pytest.mark.parametrize("version", [True, np.bool_(True), "1.5"])
+    def test_rejects_a_version_that_is_no_integer(self, version):
+        # true == 1 in Python, so a bare comparison loaded it as version 1
+        doc = mlp_to_document(tiny_net(1.0, 0.0))
+        doc["format_version"] = version
+        with pytest.raises(ValueError, match="^not an integer"):
+            mlp_from_document(doc)
+
+    @pytest.mark.parametrize("version", [1.0, "1"])
+    def test_integral_version_loads(self, version):
+        net = tiny_net(1.0, 0.0)
+        doc = mlp_to_document(net)
+        doc["format_version"] = version
+        assert mlp_from_document(doc).params.tobytes() == net.params.tobytes()
+
     def test_rejects_shape_mismatch(self):
         doc = mlp_to_document(init_mlp([2, 3], seed=0))
         doc["weights"][0] = [[1.0, 2.0]]

@@ -112,16 +112,17 @@ def test_code_names_count_code_and_not_text(text, count):
 
 def test_every_public_definition_is_exported_or_called():
     # a public function or class of src that only tests call is a test oracle:
-    # it belongs in tests/conftest.py, not in the library
+    # it belongs in tests/conftest.py, not in the library. bench/spans.py is no
+    # caller: binding a name to time it keeps nothing of the program alive
     modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
                for path in sorted(SOURCE.glob("*.py"))}
     callers = [path.read_text(encoding="utf-8")
-               for pattern in ("bench/*.py", "demos/*.py") for path in sorted(REPO.glob(pattern))]
+               for path in [BENCH_RUN, *sorted(REPO.glob("demos/*.py"))]]
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     callers += re.findall(r"^```python\n(.*?)^```$", readme, flags=re.MULTILINE | re.DOTALL)
     used = sum((code_names(ast.parse(text)) for text in callers), Counter())
     used += sum((code_names(tree) for tree in modules.values()), Counter())
-    assert len(callers) > 8 and used["train_ensemble"] > 1  # the scan read the callers
+    assert len(callers) >= 8 and used["train_ensemble"] > 1  # the scan read every caller
     uncalled = []
     for module, tree in modules.items():
         for node in tree.body:

@@ -30,9 +30,9 @@ from metasampler.sac import MetaSampler, ReplayMemory, experiment_point
 from metasampler.sampling import (
     gaussian_scale,
     gaussian_weight,
+    meta_sample,
+    meta_state,
     random_balanced_subset,
-    sample_from_errors,
-    state_from_errors,
 )
 
 from conftest import make_dataset
@@ -100,8 +100,8 @@ BOUNDED = {
         *toy_parts()[:2], lambda state: 0.5, sigma=0.2, bins=v, n_members=3, seed=0)),
     "train_random_ensemble.n_members": ("n_members", 1, lambda v: train_random_ensemble(
         *toy_parts()[:2], n_members=v, seed=0)),
-    "state_from_errors.bins": ("bins", 1, lambda v: state_from_errors([0.25, 0.75], 1, v)),
-    "state_from_errors.n_train": ("n_train", 1, lambda v: state_from_errors([0.25, 0.75], v, 5)),
+    "meta_state.bins": ("bins", 1, lambda v: meta_state([0.25, 0.75], 1, v)),
+    "meta_state.n_train": ("n_train", 1, lambda v: meta_state([0.25, 0.75], v, 5)),
     "Mlp.layer_size": ("layer size", 1, lambda v: Mlp([3, v, 2])),
     "init_mlp.layer_size": ("layer size", 1, lambda v: init_mlp([3, 4, v], seed=0)),
     "AdamState.decay_every": ("decay_every", 1, lambda v: AdamState.for_params(
@@ -180,7 +180,7 @@ WITHIN = {
                              ("sigma", "(0, inf)")]},
     "gaussian_scale.sigma": ("sigma", "(0, inf)", gaussian_scale),
     "gaussian_weight.mu": ("mu", "[0, 1]", lambda v: gaussian_weight([0.5], v, 0.2)),
-    "sample_from_errors.mu": ("mu", "[0, 1]", lambda v: sample_from_errors(
+    "meta_sample.mu": ("mu", "[0, 1]", lambda v: meta_sample(
         toy_parts()[0], np.full(toy_parts()[0].majority_count, 0.5), v, 0.2, 0)),
     "score_arms.mu": ("mu", "[0, 1]", lambda v: score_arms(
         small_toy(), SplitSpec(), [0], [("c", "constant", None)], n_members=3, mu=v)),
@@ -329,7 +329,7 @@ ONE_CLASS = {
         toy_parts()[0], ds, lambda state: 0.5, sigma=0.2, bins=5, n_members=3, seed=0)),
     "train_random_ensemble.train": ("the train split", lambda ds: train_random_ensemble(
         ds, toy_parts()[1], n_members=3, seed=0)),
-    "sample_from_errors": ("meta-sampling", lambda ds: sample_from_errors(
+    "meta_sample": ("meta-sampling", lambda ds: meta_sample(
         ds, np.zeros(len(ds)), 0.5, 0.2, 0)),
     "random_balanced_subset": ("a balanced subset", lambda ds: random_balanced_subset(ds, 0)),
     "stratified_split": ("a stratified split", lambda ds: stratified_split(ds, SplitSpec(), 0)),

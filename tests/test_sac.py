@@ -876,6 +876,27 @@ class TestSamplerIO:
         with pytest.raises(ValueError):
             load_sampler(path)
 
+    @pytest.mark.parametrize("part", ["sampler", "policy"])
+    def test_true_version_is_format_error(self, tmp_path, part):
+        # true == 1 in Python: the version is read by strict_int, as bins is
+        path = tmp_path / "sampler.json"
+        save_sampler(random_sampler(5, 0.2, seed=2), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        (doc if part == "sampler" else doc["policy"])["format_version"] = True
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(SamplerFormatError, match="malformed"):
+            load_sampler(path)
+
+    @pytest.mark.parametrize("part", ["sampler", "policy"])
+    def test_integral_float_version_loads(self, tmp_path, part):
+        sampler = random_sampler(5, 0.2, seed=2)
+        path = tmp_path / "sampler.json"
+        save_sampler(sampler, path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        (doc if part == "sampler" else doc["policy"])["format_version"] = 1.0
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert load_sampler(path).policy.params.tobytes() == sampler.policy.params.tobytes()
+
     def test_infinite_sigma_rejected(self):
         policy = init_mlp([10, HIDDEN_WIDTH, 2], seed=0)
         with pytest.raises(ValueError):

@@ -14,16 +14,22 @@ from metasampler.sampling import (
     meta_sample,
     meta_state,
     random_balanced_subset,
-    sample_from_errors,
-    state_from_errors,
 )
 from metasampler.rng import check_integer
-from conftest import WRONG_SHAPES, FixedModel, brute_histogram, make_dataset, shaped_learner
+from conftest import (
+    WRONG_SHAPES,
+    FixedModel,
+    brute_histogram,
+    make_dataset,
+    model_meta_sample,
+    model_meta_state,
+    shaped_learner,
+)
 
 
 def half_histogram(errors, bins):
     """The training half of a state whose training errors are `errors`: one half binned alone."""
-    return state_from_errors(np.append(errors, 0.0), len(errors), bins)[:bins]
+    return meta_state(np.append(errors, 0.0), len(errors), bins)[:bins]
 
 
 class TestHalfHistogram:
@@ -54,7 +60,7 @@ class TestHalfHistogram:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="^errors must be a non-empty 1-D array$"):
-            state_from_errors(np.array([]), 1, 5)
+            meta_state(np.array([]), 1, 5)
         with pytest.raises(ValueError, match=r"^errors must lie in \[0, 1\]$"):
             half_histogram(np.array([0.5, 1.2]), 5)
         with pytest.raises(ValueError, match="^bins must be at least 1, got 0$"):
@@ -71,7 +77,7 @@ class TestHalfHistogram:
         assert half_histogram(errors, integer(5)).tolist() == half_histogram(errors, 5).tolist()
 
 
-class TestStateFromErrors:
+class TestMetaStateHalves:
     """One pass over train errors then valid errors: each half is its brute-force histogram."""
 
     @pytest.mark.parametrize("bins", [1, 2, 5, 10])
@@ -83,7 +89,7 @@ class TestStateFromErrors:
             salted = rng.random(len(errors)) < 0.3
             errors[salted] = rng.choice(edges, size=int(salted.sum()))
             errors[[0, -1]] = 1.0  # the closed last bin, in both halves
-            state = state_from_errors(errors, n_train, bins)
+            state = meta_state(errors, n_train, bins)
             assert state.tolist() == brute_histogram(errors[:n_train], bins) + brute_histogram(
                 errors[n_train:], bins
             )
@@ -94,21 +100,21 @@ class TestStateFromErrors:
         errors = np.full(5, 0.5)
         errors[at] = bad
         half = errors[:2] if at < 2 else errors[2:]
-        for call in (lambda: state_from_errors(errors, 2, 5), lambda: half_histogram(half, 5)):
+        for call in (lambda: meta_state(errors, 2, 5), lambda: half_histogram(half, 5)):
             with pytest.raises(ValueError, match=r"^errors must lie in \[0, 1\]$"):
                 call()
 
     def test_each_half_needs_an_error(self):
         with pytest.raises(ValueError, match="^n_train must be at least 1, got 0$"):
-            state_from_errors(np.full(3, 0.5), 0, 5)
+            meta_state(np.full(3, 0.5), 0, 5)
         with pytest.raises(ValueError, match="^need errors past the 3 training errors, got 3$"):
-            state_from_errors(np.full(3, 0.5), 3, 5)
+            meta_state(np.full(3, 0.5), 3, 5)
         with pytest.raises(ValueError, match="^errors must be a non-empty 1-D array$"):
-            state_from_errors(np.full((2, 2), 0.5), 1, 5)
+            meta_state(np.full((2, 2), 0.5), 1, 5)
 
 
 def searchsorted_state(errors, n_train: int, bins: int) -> np.ndarray:
-    """``state_from_errors`` as it was with ``searchsorted`` and two ``bincount``s, verbatim:
+    """``meta_state`` as it was with ``searchsorted`` and two ``bincount``s, verbatim:
     the bytes oracle."""
     bins = check_integer("bins", bins, least=1)
     n_train = check_integer("n_train", n_train, least=1)
@@ -142,14 +148,14 @@ class TestStateMatchesSearchsortedForm:
             salted = rng.random(len(errors)) < 0.5
             errors[salted] = rng.choice(beside, size=int(salted.sum()))
             want = searchsorted_state(errors, n_train, bins)
-            assert state_from_errors(errors, n_train, bins).tobytes() == want.tobytes()
+            assert meta_state(errors, n_train, bins).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bins", [1, 2, 5, 7, 50])
     def test_every_error_on_one_edge(self, bins):
         for j in range(bins + 1):
             errors = np.full(7, j / bins)
             want = searchsorted_state(errors, 3, bins)
-            assert state_from_errors(errors, 3, bins).tobytes() == want.tobytes()
+            assert meta_state(errors, 3, bins).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bins", [2, 5, 10])
     def test_large_cascade_state(self, bins):
@@ -160,7 +166,7 @@ class TestStateMatchesSearchsortedForm:
         errors[::7] = rng.random(12_000)
         for n_train in (1, 63_000, 83_999):
             want = searchsorted_state(errors, n_train, bins)
-            assert state_from_errors(errors, n_train, bins).tobytes() == want.tobytes()
+            assert meta_state(errors, n_train, bins).tobytes() == want.tobytes()
 
 
 class TestMetaState:
@@ -170,7 +176,7 @@ class TestMetaState:
         model = FixedModel(
             np.array([[0.0], [1.0], [2.0], [3.0]]), [0.0, 1.0, 1.0, 0.0]
         )
-        state = meta_state(model, train, valid, bins=5)
+        state = model_meta_state(model, train, valid, bins=5)
         assert state.tolist() == [1, 0, 0, 0, 0, 1, 0, 0, 0, 0]
 
     def test_swapped_arguments_swap_halves(self):
@@ -179,8 +185,8 @@ class TestMetaState:
         model = FixedModel(
             np.array([[0.0], [1.0], [2.0], [3.0]]), [0.1, 0.9, 0.5, 0.5]
         )
-        ab = meta_state(model, train, valid, bins=5)
-        ba = meta_state(model, valid, train, bins=5)
+        ab = model_meta_state(model, train, valid, bins=5)
+        ba = model_meta_state(model, valid, train, bins=5)
         assert ab[:5].tolist() == ba[5:].tolist()
         assert ab[5:].tolist() == ba[:5].tolist()
 
@@ -190,7 +196,7 @@ class TestMetaState:
         model = FixedModel(
             np.array([[0.0], [1.0], [2.0], [3.0]]), [0.02, 0.97, 0.05, 0.9]
         )
-        state = meta_state(model, train, valid, bins=5)
+        state = model_meta_state(model, train, valid, bins=5)
         assert state[0] == 1.0  # train errors at the head
         assert state[9] == 1.0  # valid errors at the tail
 
@@ -321,7 +327,7 @@ class TestMetaSample:
     def test_balanced_output(self):
         ds = self.make_task()
         model = FixedModel(ds.features, np.linspace(0.0, 1.0, 30))
-        out = meta_sample(ds, model, mu=0.5, sigma=0.2, seed=0)
+        out = model_meta_sample(ds, model, mu=0.5, sigma=0.2, seed=0)
         assert len(out.minority_indices) == 10
         assert len(out.majority_indices) == 10
 
@@ -329,7 +335,7 @@ class TestMetaSample:
         features = np.arange(6, dtype=np.float64)[:, None]
         ds = make_dataset(features, [0, 0, 0, 1, 1, 1])
         model = FixedModel(ds.features, np.full(6, 0.5))
-        out = meta_sample(ds, model, mu=0.5, sigma=0.2, seed=0)
+        out = model_meta_sample(ds, model, mu=0.5, sigma=0.2, seed=0)
         assert np.array_equal(out.features, ds.features)
 
     def test_low_mu_avoids_high_error_half(self):
@@ -340,7 +346,7 @@ class TestMetaSample:
         bad_picked = 0
         total = 0
         for seed in range(1000):
-            out = meta_sample(ds, model, mu=0.0, sigma=0.2, seed=seed)
+            out = model_meta_sample(ds, model, mu=0.0, sigma=0.2, seed=seed)
             maj_rows = out.features[out.majority_indices].ravel()
             bad_picked += int(np.sum(maj_rows >= 10))
             total += len(maj_rows)
@@ -351,28 +357,30 @@ class TestMetaSample:
     def test_seed_determinism(self):
         ds = self.make_task()
         model = FixedModel(ds.features, np.linspace(0.0, 1.0, 30))
-        a = meta_sample(ds, model, mu=0.3, sigma=0.2, seed=42)
-        b = meta_sample(ds, model, mu=0.3, sigma=0.2, seed=42)
+        a = model_meta_sample(ds, model, mu=0.3, sigma=0.2, seed=42)
+        b = model_meta_sample(ds, model, mu=0.3, sigma=0.2, seed=42)
         assert np.array_equal(a.features, b.features)
 
     def test_single_class_rejected(self):
         ds = self.make_task()
         model = FixedModel(ds.features, np.zeros(30))
         with pytest.raises(SingleClassError):
-            meta_sample(ds.subset(ds.majority_indices[:4].tolist() + [4, 5]), model, 0.5, 0.2, 0)
+            model_meta_sample(
+                ds.subset(ds.majority_indices[:4].tolist() + [4, 5]), model, 0.5, 0.2, 0
+            )
 
     @WRONG_SHAPES
     def test_wrong_shaped_scores_refused_before_any_draw(self, shape_of, monkeypatch):
         def no_draw(*args, **kwargs):
             raise AssertionError("a subset was drawn from wrong-shaped scores")
 
-        monkeypatch.setattr("metasampler.sampling.sample_from_errors", no_draw)
+        monkeypatch.setattr("metasampler.sampling.meta_sample", no_draw)
         ds = make_toy(ToySpec(100, 20, 0.5, 0))
         with pytest.raises(ValueError, match=r"^model returned shape .*, expected \(100,\)$"):
-            meta_sample(ds, shaped_learner(shape_of)(), mu=0.5, sigma=0.2, seed=0)
+            model_meta_sample(ds, shaped_learner(shape_of)(), mu=0.5, sigma=0.2, seed=0)
 
 
-class TestSampleFromErrors:
+class TestMetaSampleInputs:
     def make_task(self):
         # majority rows 0..199 (label 0), minority rows 200..219 (label 1)
         features = np.arange(220, dtype=np.float64)[:, None]
@@ -392,7 +400,7 @@ class TestSampleFromErrors:
     def test_other_shapes_refused(self, shape):
         ds = self.make_task()
         with pytest.raises(ValueError, match="one error per majority row"):
-            sample_from_errors(ds, np.full(shape, 0.5), mu=0.5, sigma=0.2, seed=0)
+            meta_sample(ds, np.full(shape, 0.5), mu=0.5, sigma=0.2, seed=0)
 
     @pytest.mark.parametrize(
         "sigma, errors",
@@ -406,19 +414,19 @@ class TestSampleFromErrors:
     def test_non_finite_weights_raise_numerical_error(self, sigma, errors):
         # RuntimeWarning is an error under the suite's settings: no warning may escape either
         with pytest.raises(NumericalError, match="non-finite sampling weights"):
-            sample_from_errors(self.make_task(), errors, mu=0.5, sigma=sigma, seed=0)
+            meta_sample(self.make_task(), errors, mu=0.5, sigma=sigma, seed=0)
 
     def test_equal_classes_return_the_task_itself_without_a_draw(self, monkeypatch):
         # a `<` guard would draw every majority row and return a re-sorted copy
         monkeypatch.setattr("metasampler.sampling._sequential_weighted_draw",
                             lambda *args: pytest.fail("a draw ran"))
         ds = make_dataset(np.arange(10, dtype=np.float64)[:, None], [1, 0] * 5)
-        assert sample_from_errors(ds, np.full(5, 0.5), mu=0.5, sigma=0.2, seed=0) is ds
+        assert meta_sample(ds, np.full(5, 0.5), mu=0.5, sigma=0.2, seed=0) is ds
 
     def test_refused_before_the_small_majority_shortcut(self):
         ds = make_dataset(np.arange(6, dtype=np.float64)[:, None], [0, 0, 0, 1, 1, 1])
         with pytest.raises(ValueError, match="one error per majority row"):
-            sample_from_errors(ds, np.zeros(2), mu=0.5, sigma=0.2, seed=0)
+            meta_sample(ds, np.zeros(2), mu=0.5, sigma=0.2, seed=0)
 
 
 def cumsum_draw(weights, n_pick, rng):
@@ -438,7 +446,7 @@ def cumsum_draw(weights, n_pick, rng):
 
 
 def draw_weights(errors, mu, sigma):
-    """Majority weights as sample_from_errors computes them."""
+    """Majority weights as meta_sample computes them."""
     weights = np.maximum(gaussian_weight(errors, mu, sigma), WEIGHT_FLOOR)
     return weights / weights.sum()
 
